@@ -5,8 +5,11 @@ instructions are polymorphic. Wasabi therefore generates a *monomorphic
 low-level hook* per (instruction kind, concrete type) combination — but only
 on demand, for combinations that actually occur in the instrumented binary.
 The registry below is exactly the paper's "map of already generated
-low-level hooks" (guarded by a lock in the parallel Rust implementation;
-our instrumenter is sequential so a plain dict suffices).
+low-level hooks". The parallel Rust implementation guards it with a lock;
+ours is only filled after all functions are instrumented (each function,
+possibly on a worker thread, first collects the hooks it needs), in
+function order, so a plain dict suffices and hook numbering does not
+depend on thread scheduling.
 
 Because i64 values cannot cross the host boundary (§2.4.6), every i64
 parameter of a hook is *split* into two i32 parameters (low, high); the

@@ -24,15 +24,15 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from threading import Lock
 
 from ..wasm.errors import WasmError
 from ..wasm.module import Export, Function, Import, Instr, Module
-from ..wasm.types import I32, I64, ValType
+from ..wasm.opcodes import BY_NAME
+from ..wasm.types import I32, I64, FuncType, ValType
 from ..wasm.validation import ExprValidator, _Unknown
 from .analysis import ALL_GROUPS, Location
 from .control import ControlFrame, ControlStack
-from .hooks import HOOK_MODULE, HookRegistry, HookSpec
+from .hooks import HOOK_MODULE, HookRegistry
 from .metadata import BrTableInfo, EndEvent, ModuleInfo, StaticInfo
 
 MASK32 = 0xFFFFFFFF
@@ -46,9 +46,13 @@ class InstrumentationConfig:
     ``groups`` selects which hook groups to instrument (selective
     instrumentation); ``emit_locations`` can be disabled for the location
     ablation benchmark; ``parallel_workers > 1`` instruments functions on a
-    thread pool, sharing the hook registry behind a lock (mirroring the
-    Rust implementation's parallelization, §3 — note CPython's GIL limits
-    the achievable speedup).
+    thread pool (mirroring the Rust implementation's parallelization, §3 —
+    note CPython's GIL limits the achievable speedup). The output does not
+    depend on the worker count: each function collects the hooks it needs,
+    and hooks are numbered afterwards in function order. The workers share
+    one table of interned instructions per :func:`instrument_module` call
+    without a lock: two threads that intern the same instruction at once
+    may each build an object, but equal instructions are interchangeable.
     """
 
     groups: frozenset[str] = ALL_GROUPS
@@ -68,77 +72,130 @@ class InstrumentationResult:
         return len(self.info.hooks)
 
 
+class _Interned(dict):
+    """``table[key]`` is the one ``Instr(op, <field>=key)``, built on first use."""
+
+    def __init__(self, op: str, field: str):
+        super().__init__()
+        self.op = op
+        self.field = field
+
+    def __missing__(self, key: int) -> Instr:
+        instr = self[key] = Instr(self.op, **{self.field: key})
+        return instr
+
+
+class _InternTable:
+    """The instructions the instrumenter inserts, as shared flyweights.
+
+    The inserted vocabulary is tiny (local/global accesses, i32 constants,
+    calls, and the fixed instructions below), so every site reuses one
+    frozen :class:`Instr` per distinct instruction instead of building its
+    own. One table lives for one :func:`instrument_module` call.
+    """
+
+    def __init__(self):
+        self.get_local = _Interned("get_local", "idx")
+        self.set_local = _Interned("set_local", "idx")
+        self.tee_local = _Interned("tee_local", "idx")
+        self.get_global = _Interned("get_global", "idx")
+        self.i32_const = _Interned("i32.const", "value")
+        #: hook placeholders (negative, see ``call_hook``) and final calls
+        self.call = _Interned("call", "idx")
+
+
+_I32_WRAP = Instr("i32.wrap/i64")
+_I64_CONST_32 = Instr("i64.const", value=32)
+_I64_SHR_U = Instr("i64.shr_u")
+_IF = Instr("if", blocktype=None)
+_END = Instr("end")
+
+#: Hook group of every mnemonic (None where the opcode table has none).
+_GROUP_NAME = {name: op.group.value if op.group is not None else None
+               for name, op in BY_NAME.items()}
+
+
 class _FuncInstrumenter:
-    """Instruments a single function body."""
+    """Instruments a single function body.
+
+    Hooks are numbered per function (``hook_requests`` in first-use order);
+    the inserted hook calls target placeholders ``-1 - slot`` that
+    :func:`instrument_module` retargets once all functions are done.
+    """
 
     def __init__(self, module: Module, func: Function, func_idx: int,
-                 registry: HookRegistry, groups: frozenset[str],
                  static: StaticInfo, config: InstrumentationConfig,
-                 lock: Lock | None = None):
+                 interned: _InternTable, func_types: list[FuncType]):
         self.module = module
         self.func = func
         self.func_idx = func_idx
-        self.registry = registry
-        self.groups = groups
+        self.groups = config.groups
         self.static = static
-        self.config = config
-        self.lock = lock
+        self.get_local = interned.get_local
+        self.set_local = interned.set_local
+        self.tee_local = interned.tee_local
+        self.get_global = interned.get_global
+        self.i32_const = interned.i32_const
+        self.call = interned.call
+        self.func_const = (interned.i32_const[func_idx]
+                           if config.emit_locations else None)
         functype = module.types[func.type_idx]
         self.functype = functype
-        self.typer = ExprValidator(module, func, functype.results,
-                                   list(functype.params) + list(func.locals))
+        self.typer = ExprValidator(
+            module, func, functype.results,
+            list(functype.params) + list(func.locals),
+            func_types, static.module_info.globals)
         self.ctrl = ControlStack(func_idx, func.body)
         self.out: list[Instr] = []
         self.new_locals: list[ValType] = []
+        self.hook_slots: dict[tuple, int] = {}
+        self.hook_requests: list[tuple[str, tuple, tuple[ValType, ...]]] = []
         self._local_base = len(functype.params) + len(func.locals)
-        self._free_temps: dict[ValType, list[int]] = {}
+        self._free_temps: dict[ValType, list[int]] = {
+            valtype: [] for valtype in ValType}
 
     # -- fresh locals (paper Table 3, row 2) ----------------------------------
 
     def temp(self, valtype: ValType) -> int:
-        pool = self._free_temps.setdefault(valtype, [])
+        pool = self._free_temps[valtype]
         if pool:
             return pool.pop()
         self.new_locals.append(valtype)
         return self._local_base + len(self.new_locals) - 1
 
     def release(self, temps: list[int], types: tuple[ValType, ...]) -> None:
+        free = self._free_temps
         for local_idx, valtype in zip(temps, types):
-            self._free_temps.setdefault(valtype, []).append(local_idx)
+            free[valtype].append(local_idx)
 
     # -- emission helpers ----------------------------------------------------------
 
-    def emit(self, op: str, **immediates) -> None:
-        self.out.append(Instr(op, **immediates))
+    def call_hook(self, kind: str, payload: tuple,
+                  value_types: tuple[ValType, ...], instr_idx: int) -> None:
+        """Emit the ``i32.const f; i32.const i; call h`` hook-call idiom.
 
-    def emit_instr(self, instr: Instr) -> None:
-        self.out.append(instr)
-
-    def hook(self, kind: str, payload: tuple,
-             value_types: tuple[ValType, ...]) -> HookSpec:
-        if self.lock is not None:
-            with self.lock:
-                return self.registry.get_or_create(kind, payload, value_types)
-        return self.registry.get_or_create(kind, payload, value_types)
-
-    def call_hook(self, spec: HookSpec, instr_idx: int) -> None:
-        """Emit the location constants and the (placeholder) hook call."""
-        if self.config.emit_locations:
-            self.emit("i32.const", value=self.func_idx)
-            self.emit("i32.const", value=instr_idx)
-        self.out.append(Instr("call", idx=-1 - spec.index))
+        ``value_types`` are the hook's logical arguments, already pushed.
+        The location constants are left out without ``emit_locations``.
+        """
+        key = (kind, payload)
+        slot = self.hook_slots.get(key)
+        if slot is None:
+            slot = self.hook_slots[key] = len(self.hook_requests)
+            self.hook_requests.append((kind, payload, value_types))
+        call = self.call[-1 - slot]
+        if self.func_const is None:
+            self.out.append(call)
+        else:
+            self.out.extend((self.func_const, self.i32_const[instr_idx], call))
 
     def push_local(self, local_idx: int, valtype: ValType) -> None:
         """Push a saved value as hook argument(s), splitting i64 (row 6)."""
+        get = self.get_local[local_idx]
         if valtype is I64:
-            self.emit("get_local", idx=local_idx)
-            self.emit("i32.wrap/i64")
-            self.emit("get_local", idx=local_idx)
-            self.emit("i64.const", value=32)
-            self.emit("i64.shr_u")
-            self.emit("i32.wrap/i64")
+            self.out.extend((get, _I32_WRAP, get, _I64_CONST_32, _I64_SHR_U,
+                             _I32_WRAP))
         else:
-            self.emit("get_local", idx=local_idx)
+            self.out.append(get)
 
     def save_to_temps(self, types: tuple[ValType, ...]) -> list[int]:
         """Pop the top ``len(types)`` stack values into fresh locals.
@@ -147,13 +204,13 @@ class _FuncInstrumenter:
         indices are aligned with it.
         """
         temps = [self.temp(t) for t in types]
-        for local_idx in reversed(temps):
-            self.emit("set_local", idx=local_idx)
+        set_local = self.set_local
+        self.out.extend([set_local[local_idx] for local_idx in reversed(temps)])
         return temps
 
     def restore_from_temps(self, temps: list[int]) -> None:
-        for local_idx in temps:
-            self.emit("get_local", idx=local_idx)
+        get_local = self.get_local
+        self.out.extend([get_local[local_idx] for local_idx in temps])
 
     def push_args(self, temps: list[int], types: tuple[ValType, ...]) -> None:
         for local_idx, valtype in zip(temps, types):
@@ -163,22 +220,20 @@ class _FuncInstrumenter:
         """Duplicate a constant by re-emitting it (Table 3, rows 1 and 6)."""
         if instr.op == "i64.const":
             unsigned = int(instr.value) & MASK64
-            self.emit("i32.const", value=unsigned & MASK32)
-            self.emit("i32.const", value=unsigned >> 32)
+            self.out.extend((self.i32_const[unsigned & MASK32],
+                             self.i32_const[unsigned >> 32]))
         else:
-            self.emit_instr(instr)
+            self.out.append(instr)
 
     # -- end hooks (paper §2.4.5) ----------------------------------------------
 
     def emit_end_hook(self, kind: str, begin_idx: int, end_idx: int) -> None:
         self.static.begin_of_end[(self.func_idx, end_idx, kind)] = \
             Location(self.func_idx, begin_idx)
-        spec = self.hook("end", (kind,), ())
-        self.call_hook(spec, end_idx)
+        self.call_hook("end", (kind,), (), end_idx)
 
     def emit_begin_hook(self, kind: str, begin_idx: int) -> None:
-        spec = self.hook("begin", (kind,), ())
-        self.call_hook(spec, begin_idx)
+        self.call_hook("begin", (kind,), (), begin_idx)
 
     def end_events(self, frames: list[ControlFrame]) -> tuple[EndEvent, ...]:
         return tuple(
@@ -206,6 +261,7 @@ class _FuncInstrumenter:
 
     def _instrument_one(self, idx: int, instr: Instr) -> None:
         op = instr.op
+        out = self.out
         dead = self.typer.unreachable_now
         loc_key = (self.func_idx, idx)
         enabled = self.groups.__contains__
@@ -215,7 +271,7 @@ class _FuncInstrumenter:
             if_frame, _else_frame = self.ctrl.enter_else(idx)
             if not dead and enabled("end"):
                 self.emit_end_hook("if", if_frame.begin, idx)
-            self.emit_instr(instr)
+            out.append(instr)
             if enabled("begin"):
                 self.emit_begin_hook("else", idx)
             return
@@ -226,10 +282,10 @@ class _FuncInstrumenter:
                     self._emit_return_hook(idx)
                 if enabled("end"):
                     self.emit_end_hook(frame.kind, frame.begin, frame.end)
-            self.emit_instr(instr)
+            out.append(instr)
             return
         if op in ("block", "loop"):
-            self.emit_instr(instr)
+            out.append(instr)
             self.ctrl.enter(op, idx)
             if not dead and enabled("begin"):
                 self.emit_begin_hook(op, idx)
@@ -237,58 +293,50 @@ class _FuncInstrumenter:
         if op == "if":
             if not dead and enabled("if"):
                 cond = self.temp(I32)
-                self.emit("set_local", idx=cond)
-                self.emit("get_local", idx=cond)
-                spec = self.hook("if", (), (I32,))
-                self.call_hook(spec, idx)
-                self.emit("get_local", idx=cond)
+                out.extend((self.set_local[cond], self.get_local[cond]))
+                self.call_hook("if", (), (I32,), idx)
+                out.append(self.get_local[cond])
                 self.release([cond], (I32,))
-            self.emit_instr(instr)
+            out.append(instr)
             self.ctrl.enter("if", idx)
             if not dead and enabled("begin"):
                 self.emit_begin_hook("if", idx)
             return
 
         if dead:
-            self.emit_instr(instr)
+            out.append(instr)
             return
-
-        group = instr.info.group
-        group_name = group.value if group is not None else None
 
         if op == "br":
             if enabled("br"):
                 self.static.br_targets[loc_key] = self.ctrl.resolve_label(instr.label)
-                spec = self.hook("br", (), ())
-                self.call_hook(spec, idx)
+                self.call_hook("br", (), (), idx)
             if enabled("end"):
                 for frame in self.ctrl.traversed_frames(instr.label):
                     self.emit_end_hook(frame.kind, frame.begin, frame.end)
-            self.emit_instr(instr)
+            out.append(instr)
             return
 
         if op == "br_if":
             need_hook = enabled("br_if")
             need_ends = enabled("end") and self.ctrl.traversed_frames(instr.label)
             if not need_hook and not need_ends:
-                self.emit_instr(instr)
+                out.append(instr)
                 return
             cond = self.temp(I32)
-            self.emit("set_local", idx=cond)
+            get_cond = self.get_local[cond]
+            out.append(self.set_local[cond])
             if need_hook:
                 self.static.br_targets[loc_key] = self.ctrl.resolve_label(instr.label)
-                self.emit("get_local", idx=cond)
-                spec = self.hook("br_if", (), (I32,))
-                self.call_hook(spec, idx)
+                out.append(get_cond)
+                self.call_hook("br_if", (), (I32,), idx)
             if need_ends:
                 # end hooks fire only if the branch is taken (§2.4.5)
-                self.emit("get_local", idx=cond)
-                self.emit("if", blocktype=None)
+                out.extend((get_cond, _IF))
                 for frame in self.ctrl.traversed_frames(instr.label):
                     self.emit_end_hook(frame.kind, frame.begin, frame.end)
-                self.emit("end")
-            self.emit("get_local", idx=cond)
-            self.emit_instr(instr)
+                out.append(_END)
+            out.extend((get_cond, instr))
             self.release([cond], (I32,))
             return
 
@@ -308,13 +356,11 @@ class _FuncInstrumenter:
                                 (self.func_idx, event.end.instr, event.kind)] = event.begin
                 self.static.br_tables[loc_key] = BrTableInfo(targets, default, ended)
                 table_idx = self.temp(I32)
-                self.emit("set_local", idx=table_idx)
-                self.emit("get_local", idx=table_idx)
-                spec = self.hook("br_table", (), (I32,))
-                self.call_hook(spec, idx)
-                self.emit("get_local", idx=table_idx)
+                out.extend((self.set_local[table_idx], self.get_local[table_idx]))
+                self.call_hook("br_table", (), (I32,), idx)
+                out.append(self.get_local[table_idx])
                 self.release([table_idx], (I32,))
-            self.emit_instr(instr)
+            out.append(instr)
             return
 
         if op == "return":
@@ -323,7 +369,7 @@ class _FuncInstrumenter:
             if enabled("end"):
                 for frame in self.ctrl.all_frames_for_return():
                     self.emit_end_hook(frame.kind, frame.begin, frame.end)
-            self.emit_instr(instr)
+            out.append(instr)
             return
 
         if op == "call":
@@ -333,81 +379,74 @@ class _FuncInstrumenter:
             self._instrument_call_indirect(idx, instr)
             return
 
+        group_name = _GROUP_NAME[op]
         if group_name is None or group_name not in self.groups:
-            self.emit_instr(instr)
+            out.append(instr)
             return
 
         if group_name == "nop":
-            self.emit_instr(instr)
-            spec = self.hook("nop", (), ())
-            self.call_hook(spec, idx)
+            out.append(instr)
+            self.call_hook("nop", (), (), idx)
             return
         if group_name == "unreachable":
-            spec = self.hook("unreachable", (), ())
-            self.call_hook(spec, idx)
-            self.emit_instr(instr)
+            self.call_hook("unreachable", (), (), idx)
+            out.append(instr)
             return
         if group_name == "const":
-            self.emit_instr(instr)
+            out.append(instr)
             valtype = instr.info.signature[1][0]
             self.push_const_dup(instr)
-            spec = self.hook("const", (valtype,), (valtype,))
-            self.call_hook(spec, idx)
+            self.call_hook("const", (valtype,), (valtype,), idx)
             return
         if group_name == "drop":
             valtype = self.typer.peek(0)
             if isinstance(valtype, _Unknown):
-                self.emit_instr(instr)
+                out.append(instr)
                 return
-            spec = self.hook("drop", (valtype,), (valtype,))
             if valtype is I64:
                 saved = self.temp(I64)
-                self.emit("set_local", idx=saved)
+                out.append(self.set_local[saved])
                 self.push_local(saved, I64)
                 self.release([saved], (I64,))
-            self.call_hook(spec, idx)
+            self.call_hook("drop", (valtype,), (valtype,), idx)
             return
         if group_name == "select":
             first_t = self.typer.peek(2)
             second_t = self.typer.peek(1)
             valtype = second_t if isinstance(first_t, _Unknown) else first_t
             if isinstance(valtype, _Unknown):
-                self.emit_instr(instr)
+                out.append(instr)
                 return
             types = (valtype, valtype, I32)
             temps = self.save_to_temps(types)
             self.restore_from_temps(temps)
-            self.emit_instr(instr)
+            out.append(instr)
             self.push_args(temps, types)
-            spec = self.hook("select", (valtype,), types)
-            self.call_hook(spec, idx)
+            self.call_hook("select", (valtype,), types, idx)
             self.release(temps, types)
             return
         if group_name in ("unary", "binary"):
             params, results = instr.info.signature
             temps = self.save_to_temps(params)
             self.restore_from_temps(temps)
-            self.emit_instr(instr)
+            out.append(instr)
             result_temp = self.temp(results[0])
-            self.emit("tee_local", idx=result_temp)
+            out.append(self.tee_local[result_temp])
             self.push_args(temps, params)
             self.push_local(result_temp, results[0])
-            spec = self.hook(group_name, (op,), params + results)
-            self.call_hook(spec, idx)
+            self.call_hook(group_name, (op,), params + results, idx)
             self.release(temps + [result_temp], params + results)
             return
         if group_name == "load":
             self.static.memarg_offsets[loc_key] = instr.memarg.offset
             addr = self.temp(I32)
-            self.emit("tee_local", idx=addr)
-            self.emit_instr(instr)
+            out.extend((self.tee_local[addr], instr))
             valtype = instr.info.signature[1][0]
             result_temp = self.temp(valtype)
-            self.emit("tee_local", idx=result_temp)
+            out.append(self.tee_local[result_temp])
             self.push_local(addr, I32)
             self.push_local(result_temp, valtype)
-            spec = self.hook("load", (op,), (I32, valtype))
-            self.call_hook(spec, idx)
+            self.call_hook("load", (op,), (I32, valtype), idx)
             self.release([addr, result_temp], (I32, valtype))
             return
         if group_name == "store":
@@ -415,88 +454,80 @@ class _FuncInstrumenter:
             types = instr.info.signature[0]  # (addr, value)
             temps = self.save_to_temps(types)
             self.restore_from_temps(temps)
-            self.emit_instr(instr)
+            out.append(instr)
             self.push_args(temps, types)
-            spec = self.hook("store", (op,), types)
-            self.call_hook(spec, idx)
+            self.call_hook("store", (op,), types, idx)
             self.release(temps, types)
             return
         if group_name == "memory_size":
-            self.emit_instr(instr)
+            out.append(instr)
             result_temp = self.temp(I32)
-            self.emit("tee_local", idx=result_temp)
+            out.append(self.tee_local[result_temp])
             self.push_local(result_temp, I32)
-            spec = self.hook("memory_size", (), (I32,))
-            self.call_hook(spec, idx)
+            self.call_hook("memory_size", (), (I32,), idx)
             self.release([result_temp], (I32,))
             return
         if group_name == "memory_grow":
             delta = self.temp(I32)
-            self.emit("tee_local", idx=delta)
-            self.emit_instr(instr)
+            out.extend((self.tee_local[delta], instr))
             result_temp = self.temp(I32)
-            self.emit("tee_local", idx=result_temp)
+            out.append(self.tee_local[result_temp])
             self.push_local(delta, I32)
             self.push_local(result_temp, I32)
-            spec = self.hook("memory_grow", (), (I32, I32))
-            self.call_hook(spec, idx)
+            self.call_hook("memory_grow", (), (I32, I32), idx)
             self.release([delta, result_temp], (I32, I32))
             return
         if group_name == "local":
             valtype = self.typer.local_type(instr.idx)
             self.static.var_indices[loc_key] = instr.idx
-            self.emit_instr(instr)
+            out.append(instr)
             self.push_local(instr.idx, valtype)
-            spec = self.hook("local", (op, valtype), (valtype,))
-            self.call_hook(spec, idx)
+            self.call_hook("local", (op, valtype), (valtype,), idx)
             return
         if group_name == "global":
-            valtype = self.module.global_type(instr.idx).valtype
+            valtype = self.typer.global_types[instr.idx].valtype
             self.static.var_indices[loc_key] = instr.idx
-            self.emit_instr(instr)
+            out.append(instr)
+            get_global = self.get_global[instr.idx]
             if valtype is I64:
                 saved = self.temp(I64)
-                self.emit("get_global", idx=instr.idx)
-                self.emit("set_local", idx=saved)
+                out.extend((get_global, self.set_local[saved]))
                 self.push_local(saved, I64)
                 self.release([saved], (I64,))
             else:
-                self.emit("get_global", idx=instr.idx)
-            spec = self.hook("global", (op, valtype), (valtype,))
-            self.call_hook(spec, idx)
+                out.append(get_global)
+            self.call_hook("global", (op, valtype), (valtype,), idx)
             return
 
-        self.emit_instr(instr)  # pragma: no cover - all groups handled
+        out.append(instr)  # pragma: no cover - all groups handled
 
     def _emit_return_hook(self, idx: int) -> None:
         results = self.functype.results
         temps = self.save_to_temps(results)
         self.push_args(temps, results)
-        spec = self.hook("return", tuple(results), results)
-        self.call_hook(spec, idx)
+        self.call_hook("return", tuple(results), results, idx)
         self.restore_from_temps(temps)
         self.release(temps, results)
 
     def _instrument_call(self, idx: int, instr: Instr) -> None:
         if "call" not in self.groups:
-            self.emit_instr(instr)
+            self.out.append(instr)
             return
         loc_key = (self.func_idx, idx)
-        callee_type = self.module.func_type(instr.idx)
+        callee_type = self.typer.func_types[instr.idx]
         self.static.call_targets[loc_key] = instr.idx
         params, results = callee_type.params, callee_type.results
         arg_temps = self.save_to_temps(params)
         self.push_args(arg_temps, params)
-        pre = self.hook("call_pre", ("direct",) + tuple(params), params)
-        self.call_hook(pre, idx)
+        self.call_hook("call_pre", ("direct",) + tuple(params), params, idx)
         self.restore_from_temps(arg_temps)
         self.release(arg_temps, params)
-        self.emit_instr(instr)
+        self.out.append(instr)
         self._emit_call_post(idx, results)
 
     def _instrument_call_indirect(self, idx: int, instr: Instr) -> None:
         if "call" not in self.groups:
-            self.emit_instr(instr)
+            self.out.append(instr)
             return
         functype = self.module.types[instr.idx]
         params, results = functype.params, functype.results
@@ -505,19 +536,17 @@ class _FuncInstrumenter:
         table_temp = temps[-1]
         self.push_local(table_temp, I32)
         self.push_args(temps[:-1], params)
-        pre = self.hook("call_pre", ("indirect",) + tuple(params),
-                        (I32,) + params)
-        self.call_hook(pre, idx)
+        self.call_hook("call_pre", ("indirect",) + tuple(params),
+                       (I32,) + params, idx)
         self.restore_from_temps(temps)
         self.release(temps, types)
-        self.emit_instr(instr)
+        self.out.append(instr)
         self._emit_call_post(idx, results)
 
     def _emit_call_post(self, idx: int, results: tuple[ValType, ...]) -> None:
         result_temps = self.save_to_temps(results)
         self.push_args(result_temps, results)
-        post = self.hook("call_post", tuple(results), results)
-        self.call_hook(post, idx)
+        self.call_hook("call_post", tuple(results), results, idx)
         self.restore_from_temps(result_temps)
         self.release(result_temps, results)
 
@@ -541,35 +570,35 @@ def instrument_module(module: Module,
     if unknown:
         raise WasmError(f"unknown hook groups: {sorted(unknown)}")
 
-    registry = HookRegistry(with_locations=config.emit_locations)
     static = StaticInfo(module_info=ModuleInfo.from_module(module))
     n_imported = module.num_imported_functions
+    interned = _InternTable()
+    func_types = [info.type for info in static.module_info.functions]
+
+    def work(item: tuple[int, Function]) -> tuple[Function, list]:
+        pos, func = item
+        instrumenter = _FuncInstrumenter(module, func, n_imported + pos, static,
+                                         config, interned, func_types)
+        return instrumenter.run(), instrumenter.hook_requests
 
     if config.parallel_workers > 1:
-        lock = Lock()
-        def work(item: tuple[int, Function]) -> Function:
-            pos, func = item
-            return _FuncInstrumenter(module, func, n_imported + pos, registry,
-                                     config.groups, static, config, lock).run()
         with ThreadPoolExecutor(max_workers=config.parallel_workers) as pool:
-            new_functions = list(pool.map(work, enumerate(module.functions)))
+            done = list(pool.map(work, enumerate(module.functions)))
     else:
-        new_functions = [
-            _FuncInstrumenter(module, func, n_imported + pos, registry,
-                              config.groups, static, config).run()
-            for pos, func in enumerate(module.functions)
-        ]
+        done = [work(item) for item in enumerate(module.functions)]
 
+    # Number the hooks in function order, each function's in first-use
+    # order: the order a sequential walk would create them in.
+    registry = HookRegistry(with_locations=config.emit_locations)
+    slot_targets = [[n_imported + registry.get_or_create(*request).index
+                     for request in hook_requests]
+                    for _func, hook_requests in done]
     hook_specs = registry.hooks
     static.hooks = hook_specs
     num_hooks = len(hook_specs)
 
     def remap(func_idx: int) -> int:
-        if func_idx < 0:  # hook placeholder
-            return n_imported + (-func_idx - 1)
-        if func_idx < n_imported:
-            return func_idx
-        return func_idx + num_hooks
+        return func_idx if func_idx < n_imported else func_idx + num_hooks
 
     instrumented = Module(name=module.name)
     instrumented.types = list(module.types)
@@ -579,10 +608,14 @@ def instrument_module(module: Module,
         # insert hook imports after the existing function imports so the
         # original imports keep their indices
         instrumented.imports.append(Import(HOOK_MODULE, spec.name, type_idx))
-    for func in new_functions:
-        for i, instr in enumerate(func.body):
+    calls = interned.call
+    for (func, _hook_requests), targets in zip(done, slot_targets):
+        body = func.body
+        for i, instr in enumerate(body):
             if instr.op == "call":
-                func.body[i] = replace(instr, idx=remap(instr.idx))
+                callee = instr.idx
+                body[i] = calls[targets[-1 - callee] if callee < 0
+                                else remap(callee)]
         # type indices are stable: instrumented.types extends module.types
         instrumented.functions.append(func)
     instrumented.tables = list(module.tables)

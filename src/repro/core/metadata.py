@@ -82,18 +82,25 @@ class ModuleInfo:
         for export in module.exports:
             if export.kind == "func":
                 exports_by_func.setdefault(export.idx, []).append(export.name)
-        for idx in range(module.num_functions):
+        # one pass over the function index space: imports, then definitions
+        # (names as Module.func_name gives them)
+        for imp in module.imports:
+            if isinstance(imp.desc, int):
+                idx = len(info.functions)
+                info.functions.append(FunctionInfo(
+                    idx=idx, name=f"{imp.module}.{imp.name}",
+                    type=module.types[imp.desc], imported=True,
+                    export_names=tuple(exports_by_func.get(idx, ()))))
+        for func in module.functions:
+            idx = len(info.functions)
+            export_names = tuple(exports_by_func.get(idx, ()))
+            name = func.name or (export_names[0] if export_names
+                                 else f"func_{idx}")
             info.functions.append(FunctionInfo(
-                idx=idx,
-                name=module.func_name(idx),
-                type=module.func_type(idx),
-                imported=idx < module.num_imported_functions,
-                export_names=tuple(exports_by_func.get(idx, ())),
-                instr_count=(len(module.function_at(idx).body)
-                             if module.function_at(idx) else 0),
-            ))
-        for gidx in range(module.num_globals):
-            info.globals.append(module.global_type(gidx))
+                idx=idx, name=name, type=module.types[func.type_idx],
+                imported=False, export_names=export_names,
+                instr_count=len(func.body)))
+        info.globals = module.global_types()
         return info
 
 

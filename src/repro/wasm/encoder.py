@@ -68,57 +68,131 @@ def encode_tabletype(tabletype: TableType) -> bytes:
     return b"\x70" + encode_limits(tabletype.limits)  # 0x70 = funcref
 
 
+# -- code ---------------------------------------------------------------------
+# One table-driven loop encodes every instruction: a per-mnemonic plan gives
+# the opcode byte and the kind of immediate that follows it. The immediate
+# kinds are small ints, tested roughly in order of frequency in instrumented
+# code (local/call indices and i32 constants dominate).
+
+_NONE, _IDX, _I32, _MEMARG, _LABEL, _BLOCKTYPE, _I64, _F32, _F64, _TYPE_IDX, \
+    _MEM_IDX, _BR_TABLE = range(12)
+
+_KIND_OF_IMM = {
+    opcodes.Imm.NONE: _NONE,
+    opcodes.Imm.FUNC_IDX: _IDX,
+    opcodes.Imm.LOCAL_IDX: _IDX,
+    opcodes.Imm.GLOBAL_IDX: _IDX,
+    opcodes.Imm.CONST_I32: _I32,
+    opcodes.Imm.MEMARG: _MEMARG,
+    opcodes.Imm.LABEL: _LABEL,
+    opcodes.Imm.BLOCKTYPE: _BLOCKTYPE,
+    opcodes.Imm.CONST_I64: _I64,
+    opcodes.Imm.CONST_F32: _F32,
+    opcodes.Imm.CONST_F64: _F64,
+    opcodes.Imm.TYPE_IDX: _TYPE_IDX,
+    opcodes.Imm.MEM_IDX: _MEM_IDX,
+    opcodes.Imm.BR_TABLE: _BR_TABLE,
+}
+
+#: mnemonic -> (opcode byte, immediate kind)
+_PLAN: dict[str, tuple[int, int]] = {
+    name: (op.byte, _KIND_OF_IMM[op.imm]) for name, op in opcodes.BY_NAME.items()}
+
+_BLOCKTYPE_BYTE = {None: EMPTY_BLOCKTYPE_BYTE, **VALTYPE_TO_BYTE}
+_pack_f32 = struct.Struct("<f").pack
+_pack_f64 = struct.Struct("<d").pack
+_encode_u32 = leb128.encode_unsigned
+_encode_s = leb128.encode_signed
+
+
+def _encode_into(out: bytearray, body: list[Instr]) -> None:
+    """Append the encoding of every instruction of ``body`` to ``out``.
+
+    Index and i32 immediates that fit one or two LEB128 bytes (unsigned
+    below 2**14, signed in [-2**13, 2**13)) are written inline; larger ones
+    go through :mod:`leb128`.
+    """
+    append = out.append
+    plan = _PLAN
+    for instr in body:
+        try:
+            byte, kind = plan[instr.op]
+        except KeyError:
+            raise EncodeError(f"unknown mnemonic {instr.op!r}") from None
+        append(byte)
+        if kind == _NONE:
+            continue
+        if kind == _IDX:
+            value = instr.idx
+            if 0 <= value < 0x80:
+                append(value)
+            elif 0x80 <= value < 0x4000:
+                append(value & 0x7F | 0x80)
+                append(value >> 7)
+            else:
+                out += _encode_u32(value)
+        elif kind == _I32:
+            value = int(instr.value) & 0xFFFFFFFF
+            if value >= 0x80000000:
+                value -= 0x100000000
+            if -0x40 <= value < 0x40:
+                append(value & 0x7F)
+            elif -0x2000 <= value < 0x2000:
+                append(value & 0x7F | 0x80)
+                append(value >> 7 & 0x7F)
+            else:
+                out += _encode_s(value)
+        elif kind == _MEMARG:
+            memarg: MemArg = instr.memarg or MemArg()
+            align, offset = memarg.align, memarg.offset
+            if 0 <= align < 0x80:
+                append(align)
+            else:
+                out += _encode_u32(align)
+            if 0 <= offset < 0x80:
+                append(offset)
+            else:
+                out += _encode_u32(offset)
+        elif kind == _LABEL:
+            value = instr.label
+            if 0 <= value < 0x80:
+                append(value)
+            else:
+                out += _encode_u32(value)
+        elif kind == _BLOCKTYPE:
+            append(_BLOCKTYPE_BYTE[instr.blocktype])
+        elif kind == _I64:
+            out += _encode_s(to_signed(int(instr.value), 64))
+        elif kind == _F32:
+            out += _pack_f32(instr.value)
+        elif kind == _F64:
+            out += _pack_f64(instr.value)
+        elif kind == _TYPE_IDX:
+            out += _encode_u32(instr.idx)
+            append(0x00)  # reserved table index
+        elif kind == _MEM_IDX:
+            append(0x00)  # reserved memory index
+        else:  # _BR_TABLE
+            table: BrTable = instr.br_table
+            out += _encode_u32(len(table.labels))
+            for label in table.labels:
+                out += _encode_u32(label)
+            out += _encode_u32(table.default)
+
+
 def encode_instr(instr: Instr) -> bytes:
     """Encode a single instruction (opcode byte + immediates)."""
-    op = opcodes.BY_NAME.get(instr.op)
-    if op is None:
-        raise EncodeError(f"unknown mnemonic {instr.op!r}")
-    out = bytearray([op.byte])
-    imm = op.imm
-    if imm is opcodes.Imm.NONE:
-        pass
-    elif imm is opcodes.Imm.BLOCKTYPE:
-        if instr.blocktype is None:
-            out.append(EMPTY_BLOCKTYPE_BYTE)
-        else:
-            out.append(VALTYPE_TO_BYTE[instr.blocktype])
-    elif imm is opcodes.Imm.LABEL:
-        out += _u32(instr.label)
-    elif imm is opcodes.Imm.BR_TABLE:
-        table: BrTable = instr.br_table
-        out += _vec([_u32(lbl) for lbl in table.labels])
-        out += _u32(table.default)
-    elif imm is opcodes.Imm.FUNC_IDX or imm is opcodes.Imm.LOCAL_IDX \
-            or imm is opcodes.Imm.GLOBAL_IDX:
-        out += _u32(instr.idx)
-    elif imm is opcodes.Imm.TYPE_IDX:
-        out += _u32(instr.idx)
-        out.append(0x00)  # reserved table index
-    elif imm is opcodes.Imm.MEMARG:
-        memarg: MemArg = instr.memarg or MemArg()
-        out += _u32(memarg.align) + _u32(memarg.offset)
-    elif imm is opcodes.Imm.MEM_IDX:
-        out.append(0x00)  # reserved memory index
-    elif imm is opcodes.Imm.CONST_I32:
-        out += leb128.encode_signed(to_signed(int(instr.value), 32))
-    elif imm is opcodes.Imm.CONST_I64:
-        out += leb128.encode_signed(to_signed(int(instr.value), 64))
-    elif imm is opcodes.Imm.CONST_F32:
-        out += struct.pack("<f", instr.value)
-    elif imm is opcodes.Imm.CONST_F64:
-        out += struct.pack("<d", instr.value)
-    else:  # pragma: no cover - exhaustive
-        raise EncodeError(f"unhandled immediate kind {imm}")
+    out = bytearray()
+    _encode_into(out, (instr,))
     return bytes(out)
 
 
 def encode_expr(body: list[Instr], *, terminated: bool = False) -> bytes:
     """Encode an instruction sequence, appending ``end`` unless already present."""
     out = bytearray()
-    for instr in body:
-        out += encode_instr(instr)
+    _encode_into(out, body)
     if not terminated:
-        out += b"\x0b"
+        out.append(0x0B)
     return bytes(out)
 
 
@@ -182,7 +256,8 @@ def _name_section(module: Module) -> bytes | None:
     subsections = bytearray()
     if module.name is not None:
         subsections += b"\x00" + _u32(len(_name(module.name))) + _name(module.name)
-    named = [(module.num_imported_functions + i, f.name)
+    n_imported = module.num_imported_functions
+    named = [(n_imported + i, f.name)
              for i, f in enumerate(module.functions) if f.name]
     if named:
         assoc = _vec([_u32(idx) + _name(name) for idx, name in named])

@@ -8,7 +8,7 @@ stream while maintaining an abstract control stack (paper §2.4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from . import opcodes
@@ -190,17 +190,40 @@ class Module:
 
     # -- type management ----------------------------------------------------
 
+    #: First index of every function type in ``types``, kept in step with the
+    #: list by :meth:`add_type` (see there); not part of the module's value.
+    _type_index: dict[FuncType, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    #: The list object ``_type_index`` describes and how much of it is indexed.
+    _type_indexed: tuple[list[FuncType] | None, int] = field(
+        default=(None, 0), init=False, repr=False, compare=False)
+
     def add_type(self, functype: FuncType) -> int:
-        """Intern a function type, returning its index (deduplicated)."""
-        for i, existing in enumerate(self.types):
-            if existing == functype:
-                return i
-        self.types.append(functype)
-        return len(self.types) - 1
+        """Intern a function type, returning the index of the first equal one.
+
+        Types appended to ``types`` directly are indexed on the next call;
+        replacing or shrinking the list rebuilds the index.
+        """
+        types = self.types
+        index = self._type_index
+        indexed_list, indexed = self._type_indexed
+        if indexed_list is not types or indexed > len(types):
+            index.clear()
+            indexed = 0
+        for i in range(indexed, len(types)):
+            index.setdefault(types[i], i)
+        type_idx = index.get(functype)
+        if type_idx is None:
+            type_idx = index[functype] = len(types)
+            types.append(functype)
+        self._type_indexed = (types, len(types))
+        return type_idx
 
     # -- index spaces ---------------------------------------------------------
     # Imported entities come first in each index space, then module-defined
-    # ones, as mandated by the spec.
+    # ones, as mandated by the spec. Each per-index lookup below lists the
+    # imports once; callers that resolve many indices take a whole table in
+    # one pass instead (:meth:`function_types`, :meth:`global_types`).
 
     def imported_functions(self) -> list[Import]:
         return [imp for imp in self.imports if isinstance(imp.desc, int)]
@@ -223,14 +246,20 @@ class Module:
         """Size of the function index space (imports + defined)."""
         return self.num_imported_functions + len(self.functions)
 
+    def function_types(self) -> list[FuncType]:
+        """Type of every function index (imports first), in one pass."""
+        types = self.types
+        out = [types[imp.desc] for imp in self.imports if isinstance(imp.desc, int)]
+        out += [types[func.type_idx] for func in self.functions]
+        return out
+
     def func_type(self, func_idx: int) -> FuncType:
         """Function type of any function index (imported or defined)."""
-        n_imported = self.num_imported_functions
-        if func_idx < n_imported:
-            type_idx = self.imported_functions()[func_idx].desc
-            assert isinstance(type_idx, int)
+        imported = self.imported_functions()
+        if func_idx < len(imported):
+            type_idx = imported[func_idx].desc
         else:
-            defined = func_idx - n_imported
+            defined = func_idx - len(imported)
             if defined >= len(self.functions):
                 raise WasmError(f"function index {func_idx} out of range")
             type_idx = self.functions[defined].type_idx
@@ -245,17 +274,23 @@ class Module:
 
     def func_name(self, func_idx: int) -> str:
         """Best-effort human-readable name for a function index."""
-        n_imported = self.num_imported_functions
-        if func_idx < n_imported:
-            imp = self.imported_functions()[func_idx]
+        imported = self.imported_functions()
+        if func_idx < len(imported):
+            imp = imported[func_idx]
             return f"{imp.module}.{imp.name}"
-        func = self.functions[func_idx - n_imported]
+        func = self.functions[func_idx - len(imported)]
         if func.name:
             return func.name
         for export in self.exports:
             if export.kind == "func" and export.idx == func_idx:
                 return export.name
         return f"func_{func_idx}"
+
+    def global_types(self) -> list[GlobalType]:
+        """Type of every global index (imports first), in one pass."""
+        out = [imp.desc for imp in self.imports if isinstance(imp.desc, GlobalType)]
+        out += [glob.type for glob in self.globals]
+        return out
 
     def global_type(self, global_idx: int) -> GlobalType:
         imported = self.imported_globals()
@@ -297,8 +332,3 @@ class Module:
 
     def instruction_count(self) -> int:
         return sum(len(f.body) for f in self.functions)
-
-
-def clone_instr(instr: Instr, **changes) -> Instr:
-    """Copy an instruction with selected immediates replaced."""
-    return replace(instr, **changes)

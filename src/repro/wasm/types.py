@@ -20,6 +20,11 @@ class ValType(enum.Enum):
     F32 = "f32"
     F64 = "f64"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; Enum's own hashes the name in Python code,
+    # which dominates dict lookups keyed by value type.
+    __hash__ = object.__hash__
+
     @property
     def is_int(self) -> bool:
         return self in (ValType.I32, ValType.I64)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from . import opcodes
 from .errors import ValidationError
 from .module import Function, Instr, Module
-from .types import I32, MAX_PAGES, Limits, MemoryType, TableType, ValType
+from .types import (I32, MAX_PAGES, FuncType, GlobalType, Limits, MemoryType,
+                    TableType, ValType)
 
 
 class _Unknown:
@@ -52,10 +53,21 @@ class ExprValidator:
     """Type checks one instruction sequence (function body or init expr)."""
 
     def __init__(self, module: Module, func: Function | None,
-                 result_types: tuple[ValType, ...], locals_: list[ValType]):
+                 result_types: tuple[ValType, ...], locals_: list[ValType],
+                 func_types: list[FuncType] | None = None,
+                 global_types: list[GlobalType] | None = None):
+        """``func_types``/``global_types`` are the module's index spaces as
+        :meth:`Module.function_types`/:meth:`Module.global_types` return
+        them; callers checking many bodies of one module pass them in so
+        they are computed once."""
         self.module = module
         self.func = func
         self.locals = locals_
+        self.func_types = (module.function_types() if func_types is None
+                           else func_types)
+        self.global_types = (module.global_types() if global_types is None
+                             else global_types)
+        self.has_memory = module.num_memories > 0
         self.vals: list[StackEntry] = []
         self.ctrls: list[CtrlFrame] = [
             CtrlFrame("function", (), tuple(result_types), 0)
@@ -87,11 +99,16 @@ class ExprValidator:
         return actual
 
     def pop_vals(self, expects: tuple[ValType, ...]) -> list[StackEntry]:
+        vals = self.vals
+        base = len(vals) - len(expects)
+        if base >= self.ctrls[-1].height and tuple(vals[base:]) == expects:
+            # the common case: exactly the expected types are on the stack
+            del vals[base:]
+            return list(expects)
         return [self.pop_val(t) for t in reversed(expects)][::-1]
 
     def push_vals(self, types: tuple[ValType, ...]) -> None:
-        for valtype in types:
-            self.push_val(valtype)
+        self.vals.extend(types)
 
     def peek(self, depth: int = 0) -> StackEntry:
         """Type of the value ``depth`` positions below the stack top.
@@ -149,25 +166,23 @@ class ExprValidator:
         self.instr_idx += 1
         if not self.ctrls:
             raise self._error("instruction after the function's final end")
-        op = opcodes.BY_NAME.get(instr.op)
-        if op is None:
+        rule = _RULES.get(instr.op)
+        if rule is None:
             raise self._error(f"unknown instruction {instr.op!r}")
 
-        if op.signature is not None and op.imm not in (opcodes.Imm.LOCAL_IDX,
-                                                       opcodes.Imm.GLOBAL_IDX):
-            params, results = op.signature
-            if op.imm is opcodes.Imm.MEMARG or op.imm is opcodes.Imm.MEM_IDX:
-                self._check_memory_exists(instr)
-            if op.imm is opcodes.Imm.MEMARG:
-                self._check_alignment(instr)
-            self.pop_vals(params)
-            self.push_vals(results)
+        if type(rule) is str:
+            handler = getattr(self, rule, None)
+            if handler is None:
+                raise self._error(f"no validation rule for {instr.op}")  # pragma: no cover
+            handler(instr)
             return
-
-        handler = getattr(self, "_step_" + instr.op.replace(".", "_"), None)
-        if handler is None:
-            raise self._error(f"no validation rule for {instr.op}")  # pragma: no cover
-        handler(instr)
+        params, results, imm = rule
+        if imm is opcodes.Imm.MEMARG or imm is opcodes.Imm.MEM_IDX:
+            self._check_memory_exists(instr)
+        if imm is opcodes.Imm.MEMARG:
+            self._check_alignment(instr)
+        self.pop_vals(params)
+        self.push_vals(results)
 
     # control ------------------------------------------------------------------
 
@@ -230,9 +245,9 @@ class ExprValidator:
         self.mark_unreachable()
 
     def _step_call(self, instr: Instr) -> None:
-        if instr.idx >= self.module.num_functions:
+        if instr.idx >= len(self.func_types):
             raise self._error(f"call to out-of-range function {instr.idx}")
-        functype = self.module.func_type(instr.idx)
+        functype = self.func_types[instr.idx]
         self.pop_vals(functype.params)
         self.push_vals(functype.results)
 
@@ -278,14 +293,14 @@ class ExprValidator:
         self.push_val(valtype)
 
     def _step_get_global(self, instr: Instr) -> None:
-        if instr.idx >= self.module.num_globals:
+        if instr.idx >= len(self.global_types):
             raise self._error(f"global index {instr.idx} out of range")
-        self.push_val(self.module.global_type(instr.idx).valtype)
+        self.push_val(self.global_types[instr.idx].valtype)
 
     def _step_set_global(self, instr: Instr) -> None:
-        if instr.idx >= self.module.num_globals:
+        if instr.idx >= len(self.global_types):
             raise self._error(f"global index {instr.idx} out of range")
-        globaltype = self.module.global_type(instr.idx)
+        globaltype = self.global_types[instr.idx]
         if not globaltype.mutable:
             raise self._error(f"set_global of immutable global {instr.idx}")
         self.pop_val(globaltype.valtype)
@@ -293,7 +308,7 @@ class ExprValidator:
     # memory -----------------------------------------------------------------
 
     def _check_memory_exists(self, instr: Instr) -> None:
-        if self.module.num_memories == 0:
+        if not self.has_memory:
             raise self._error(f"{instr.op} requires a memory")
 
     _NATURAL_ALIGN = {
@@ -325,11 +340,26 @@ class ExprValidator:
                 f"{len(self.ctrls)} unclosed block(s) at end of expression")
 
 
-def validate_function(module: Module, func: Function) -> None:
-    """Type check one defined function's body."""
+#: How :meth:`ExprValidator.step` checks each mnemonic: monomorphic
+#: instructions by ``(params, results, immediate kind)``, the rest by the
+#: name of their ``_step_*`` method.
+_RULES: dict[str, tuple | str] = {
+    name: (op.signature + (op.imm,)
+           if op.signature is not None and op.imm not in (opcodes.Imm.LOCAL_IDX,
+                                                          opcodes.Imm.GLOBAL_IDX)
+           else "_step_" + name.replace(".", "_"))
+    for name, op in opcodes.BY_NAME.items()}
+
+
+def validate_function(module: Module, func: Function,
+                      func_types: list[FuncType] | None = None,
+                      global_types: list[GlobalType] | None = None) -> None:
+    """Type check one defined function's body (index spaces as for
+    :class:`ExprValidator`)."""
     functype = module.types[func.type_idx]
     locals_ = list(functype.params) + list(func.locals)
-    validator = ExprValidator(module, func, functype.results, locals_)
+    validator = ExprValidator(module, func, functype.results, locals_,
+                              func_types, global_types)
     if not func.body or func.body[-1].op != "end":
         raise ValidationError("function body must be terminated by end")
     for instr in func.body:
@@ -444,5 +474,7 @@ def validate_module(module: Module) -> None:
         if module.num_memories == 0:
             raise ValidationError("data segment without a memory")
         _validate_const_expr(module, segment.offset, I32, "data segment")
+    func_types = module.function_types()
+    global_types = module.global_types()
     for func in module.functions:
-        validate_function(module, func)
+        validate_function(module, func, func_types, global_types)

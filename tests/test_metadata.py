@@ -5,8 +5,8 @@ from repro.core.analysis import BranchTarget, Location
 from repro.core.metadata import BrTableInfo, EndEvent, ModuleInfo
 from repro.minic import compile_source
 from repro.wasm.builder import ModuleBuilder
-from repro.wasm.module import BrTable
-from repro.wasm.types import I32
+from repro.wasm.module import BrTable, Export
+from repro.wasm.types import I32, FuncType, GlobalType
 
 
 class TestModuleInfo:
@@ -31,6 +31,32 @@ class TestModuleInfo:
         info = ModuleInfo.from_module(module)
         assert info.func_name(0) == "foo"
         assert info.function(0).idx == 0
+
+    def test_agrees_with_per_index_lookups(self):
+        # imports interleaved with a global import, a nameless function
+        # exported twice, and one neither named nor exported
+        builder = ModuleBuilder()
+        builder.import_function("env", "a", FuncType((I32,), ()))
+        builder.import_global("env", "g", GlobalType(I32))
+        builder.import_function("env", "b", FuncType((), (I32,)))
+        exported = builder.function((), (), export="first")
+        exported.finish()
+        anonymous = builder.function((), ())
+        anonymous.finish()
+        module = builder.build()
+        module.exports.append(Export("second", "func", exported.func_idx))
+        info = ModuleInfo.from_module(module)
+        for idx, fn in enumerate(info.functions):
+            defined = module.function_at(idx)
+            assert fn.idx == idx
+            assert fn.name == module.func_name(idx)
+            assert fn.type == module.func_type(idx)
+            assert fn.imported == (defined is None)
+            assert fn.instr_count == (len(defined.body) if defined else 0)
+        assert info.functions[2].export_names == ("first", "second")
+        assert [fn.name for fn in info.functions] == [
+            "env.a", "env.b", "first", "func_3"]
+        assert info.globals == [GlobalType(I32)]
 
 
 class TestBrTableInfo:

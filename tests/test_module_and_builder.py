@@ -66,6 +66,43 @@ class TestIndexSpaces:
         assert a == b != c
         assert len(module.types) == 2
 
+    def test_type_interning_returns_first_equal_type(self):
+        # duplicates appended directly (as the decoder does) stay where they
+        # are; add_type keeps answering with the first one
+        t1, t2 = FuncType((I32,), (I32,)), FuncType((), (F64,))
+        module = Module(types=[t1, t2, FuncType((I32,), (I32,))])
+        assert module.add_type(FuncType((I32,), (I32,))) == 0
+        module.types.append(FuncType((), ()))
+        module.types.append(FuncType((), ()))
+        assert module.add_type(FuncType((), ())) == 3
+        assert module.add_type(FuncType((I64,), ())) == 5
+        assert len(module.types) == 6
+
+    def test_type_interning_follows_a_replaced_list(self):
+        module = Module()
+        module.add_type(FuncType((I32,), ()))
+        module.add_type(FuncType((I64,), ()))
+        module.types = [FuncType((I64,), ())]
+        assert module.add_type(FuncType((I64,), ())) == 0
+        assert module.add_type(FuncType((I32,), ())) == 1
+        del module.types[:]
+        assert module.add_type(FuncType((I64,), ())) == 0
+
+    def test_whole_index_space_tables(self):
+        builder = ModuleBuilder()
+        builder.import_function("env", "f", FuncType((I64,), (F64,)))
+        builder.import_global("env", "g0", GlobalType(I64, mutable=False))
+        builder.import_function("env", "h", FuncType((), ()))
+        builder.add_global(F64, mutable=True, init=1.0)
+        fb = builder.function((I32,), (I32,))
+        fb.get_local(0)
+        fb.finish()
+        module = builder.build()
+        assert module.function_types() == [
+            module.func_type(i) for i in range(module.num_functions)]
+        assert module.global_types() == [
+            module.global_type(i) for i in range(module.num_globals)]
+
     def test_iter_instructions(self):
         builder = ModuleBuilder()
         builder.import_function("env", "f", FuncType((), ()))
