@@ -16,9 +16,8 @@ import json
 import statistics
 
 from repro.eval import (FIGURE_GROUPS, POLYBENCH_FAST_SUBSET, baseline_runtime,
-                        hook_dispatch_payload, instrumented_runtime,
-                        overhead_sweep, polybench_workloads,
-                        realworld_workloads, render_fig9)
+                        instrumented_runtime, overhead_sweep,
+                        polybench_workloads, realworld_workloads, render_fig9)
 from repro.eval.timing import bench_interpreter, interp_bench_payload
 from repro.workloads.polybench import kernel_names
 
@@ -80,47 +79,6 @@ def test_fig9(benchmark, write_report):
 
     instrumented = benchmark.pedantic(run_all, rounds=1, iterations=1)
     assert instrumented > base
-
-
-def test_hook_dispatch_speedup(benchmark, results_dir):
-    """Perf floor for call-site-specialized hook dispatch.
-
-    Measures, per hook group and for 'all', the relative runtime under
-    generic dispatch (every event parses its location parameters and hits
-    per-site dictionaries) and under pre-bound ``OP_HOOK`` dispatch on the
-    same PolyBench subset, then asserts that specialization removes at
-    least half of the 'all'-hooks overhead:
-    geomean (generic-1)/(specialized-1) >= 2. Records BENCH_hooks.json.
-    """
-    repeats = 3 if full_run() else 1
-    configs = ["const", "binary", "local", "load", "store", "call",
-               "begin", "end", "all"]
-    workloads = polybench_workloads(POLYBENCH_FAST_SUBSET)
-    payload = hook_dispatch_payload(workloads, configs=configs,
-                                    repeats=repeats)
-
-    path = results_dir / "BENCH_hooks.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    for config, stats in payload["groups"].items():
-        print(f"{config:12s} generic={stats['generic_overhead']:6.2f}x "
-              f"specialized={stats['specialized_overhead']:6.2f}x "
-              f"improvement={stats['overhead_improvement']:.2f}x")
-    print(f"geomean 'all' overhead improvement: "
-          f"{payload['geomean_improvement_all']:.2f}x [recorded in {path}]")
-
-    assert payload["geomean_improvement_all"] >= 2.0, (
-        f"site-specialized dispatch below the 2x hook-overhead floor: "
-        f"{payload['geomean_improvement_all']:.2f}x")
-    # every measured group must at least not regress under specialization
-    for config, stats in payload["groups"].items():
-        assert stats["specialized_overhead"] <= \
-            stats["generic_overhead"] * 1.05, config
-
-    # the pytest-benchmark number: 'all'-instrumented gemm, specialized path
-    gemm = polybench_workloads(["gemm"])[0]
-    benchmark.pedantic(
-        lambda: instrumented_runtime(gemm, "all", repeats=1, specialize=True),
-        rounds=1, iterations=1)
 
 
 def test_interp_predecode_speedup(benchmark, results_dir):

@@ -719,8 +719,7 @@ def _run(args: argparse.Namespace, module, call_args, printed, linker,
                 "kind": "invoke",
                 "invocations": [{"export": args.entry,
                                  "args": encode_values(call_args)}],
-                "engine": {"predecode": machine.predecode,
-                           "specialize_hooks": machine.specialize_hooks},
+                "engine": {"predecode": machine.predecode},
                 "limits": asdict(limits) if limits is not None else None,
                 "analysis": args.analysis,
                 "instrument": bool(args.instrument),
@@ -1062,6 +1061,9 @@ def _replay_invoke_bundle(args: argparse.Namespace, bundle) -> int:
         print(f"repro: {bundle.path}: bundle module does not decode: {exc}",
               file=sys.stderr)
         return exit_status(exc)
+    # bundles written while hook dispatch had a generic/per-site switch
+    # also record that switch under "engine"; both engines now dispatch
+    # through the same per-site closures, so only "predecode" is read
     engine = manifest.get("engine", {})
     predecode = engine.get("predecode")
     if args.engine == "predecode":
@@ -1086,9 +1088,7 @@ def _replay_invoke_bundle(args: argparse.Namespace, bundle) -> int:
         wasi_ctx.register(linker)
 
     analysis_name = manifest.get("analysis", "none")
-    machine = Machine(predecode=predecode,
-                      specialize_hooks=engine.get("specialize_hooks"),
-                      limits=limits, replay=replayer)
+    machine = Machine(predecode=predecode, limits=limits, replay=replayer)
     try:
         if analysis_name == "none" and not manifest.get("instrument"):
             instance = machine.instantiate(module, linker)
@@ -1250,8 +1250,8 @@ def _add_telemetry_flags(p: argparse.ArgumentParser,
                         "format for Perfetto, or .jsonl for span-per-line)")
     if profile:
         p.add_argument("--profile", action="store_true",
-                       help="attach the engine self-profiler (pre-decoded "
-                            "engine only; report with `repro report`)")
+                       help="attach the engine self-profiler (report with "
+                            "`repro report`)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,31 +15,33 @@ hooks). These functions
 
 before invoking the user's high-level hooks.
 
-Two dispatch strategies coexist:
+Every hook kind's translation lives in one place,
+:meth:`WasabiRuntime._site_binder`: given a call site's :class:`Location`
+it resolves that site's static information (branch targets, memarg
+offsets, variable indices, call targets, begin/end matching) and value
+converters once and returns a dispatcher over the popped value arguments.
+The engines reach it two ways:
 
-* the **generic dispatcher** (:meth:`WasabiRuntime._make_dispatcher`) parses
-  the trailing location parameters and looks up per-site static information
-  in dictionaries on *every* event — this is the only possible strategy on
-  engines that call hook imports like any other host function, and it is
-  kept as the differential-testing oracle;
-* the **site factory** (:meth:`WasabiRuntime._site_factory`) is handed to
-  the pre-decoding engine via the ``site_factory`` host-function attribute.
-  The engine calls it once per fused ``const/const/call`` site, and the
-  returned closure has the :class:`Location`, static info (branch targets,
-  memarg offsets, variable indices, call targets, begin/end matching), and
-  value converters all pre-bound, so per event nothing is looked up.
+* the pre-decoding engine calls the ``site_factory`` host-function
+  attribute once per fused ``const/const/call`` site at instantiation time
+  and binds the returned closure into an ``OP_HOOK`` superinstruction, so
+  per event nothing is looked up;
+* every other hook call (the legacy engine, or a site the engine could
+  not fuse) calls the host function itself, which looks the bound
+  dispatcher up by the trailing ``(func, instr)`` location arguments and
+  binds it on first use.
 
 Hooks whose high-level methods the analysis does not override dispatch to a
-shared no-op in both strategies.
+shared no-op on both paths.
 
-**Fault containment.** Every dispatcher (generic and specialized) runs the
-analysis under a containment wrapper: an exception escaping a hook is
-wrapped in :class:`~repro.wasm.errors.AnalysisError` carrying the hook name
-and :class:`Location`, and then handled per the runtime's
+**Fault containment.** Every dispatch runs the analysis under exactly one
+containment wrapper: an exception escaping a hook is wrapped in
+:class:`~repro.wasm.errors.AnalysisError` carrying the hook name and
+:class:`Location`, and then handled per the runtime's
 ``on_analysis_error`` policy — ``raise`` (propagate to the embedder),
 ``abort`` (trap the guest with :class:`~repro.wasm.errors.AnalysisAbort`),
-``quarantine`` (atomically swap that hook's dispatchers — specialized
-``OP_HOOK`` sites included, via the host functions' site registries — for
+``quarantine`` (atomically swap that hook's dispatchers — ``OP_HOOK``
+sites included, via the host functions' site registries — for
 the shared no-op and keep the guest running), or ``log`` (record, report on
 stderr, keep dispatching).
 """
@@ -64,19 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs → interp)
 
 #: Valid ``on_analysis_error`` policies.
 ERROR_POLICIES = ("raise", "abort", "quarantine", "log")
-
-
-def _present(valtype: ValType, raw: int | float) -> int | float:
-    """Convert a canonical runtime value to its analysis-facing form.
-
-    Integers become signed Python ints (the JavaScript ``number`` /
-    long.js view of the paper's Figure 5); floats pass through.
-    """
-    if valtype is ValType.I32:
-        return to_signed(raw, 32)
-    if valtype is ValType.I64:
-        return to_signed(raw, 64)
-    return raw
 
 
 #: hook kind → analysis method(s) a dispatcher for that kind may invoke.
@@ -127,8 +116,9 @@ def _part_extractors(value_types: tuple[ValType, ...]):
     Each extractor takes the flat (post-i64-split) raw argument list and
     returns one logical value; ``raw`` keeps the engine's canonical unsigned
     form (used for addresses and table indices), ``presented`` applies the
-    Figure-5 conversion of :func:`_present`. Split i64 halves are re-joined
-    by both. Index arithmetic happens here, once, at specialization time.
+    Figure-5 conversion (integers become signed Python ints, the JavaScript
+    ``number`` / long.js view; floats pass through). Split i64 halves are
+    re-joined by both. Index arithmetic happens here, once per hook.
     """
     raws: list = []
     presented: list = []
@@ -155,6 +145,10 @@ def _part_extractors(value_types: tuple[ValType, ...]):
 
 def _noop_dispatcher(args: list) -> None:
     """Shared dispatcher for hooks whose analysis methods are not overridden."""
+
+
+#: ``bind(location)`` → the dispatcher of one hook at one call site.
+_Binder = Callable[[Location], Callable[[list], None]]
 
 
 class WasabiRuntime:
@@ -205,19 +199,20 @@ class WasabiRuntime:
         Each host function is annotated for the pre-decoding engine:
         ``is_wasabi_hook`` marks it void-by-construction, and (when hooks
         carry location parameters) ``site_factory`` lets the engine request
-        a per-call-site specialized dispatcher at instantiation time.
+        a per-call-site dispatcher at instantiation time.
         """
         out: dict[str, HostFunction] = {}
         for spec in self.info.hooks:
+            bind = self._site_binder(spec) if self._hook_is_live(spec) else None
             dispatcher = self._contain(
-                self._timed(self._make_dispatcher(spec), spec.name), spec.name)
+                self._timed(self._lookup_dispatcher(bind), spec.name), spec.name)
             host = HostFunction(spec.functype, dispatcher, name=spec.name)
             host.is_wasabi_hook = True
             # every OP_HOOK site bound from this host is recorded here by
             # bind_hook_sites, so quarantine() can swap them for the no-op
             host.site_registry = []
             if self._with_locations:
-                host.site_factory = self._site_factory(spec)
+                host.site_factory = self._site_factory(spec.name, bind)
             out[spec.name] = host
         self._hosts.update(out)
         return out
@@ -285,7 +280,7 @@ class WasabiRuntime:
                     location: Location | None, args: list) -> None:
         """Record one contained hook fault and apply the error policy."""
         if location is None:
-            # generic dispatchers have no statically bound Location; recover
+            # host-call dispatch has no statically bound Location; recover
             # it from the trailing location parameters when present
             if self._with_locations and len(args) >= 2:
                 try:
@@ -325,9 +320,9 @@ class WasabiRuntime:
     def quarantine(self, hook_name: str) -> None:
         """Atomically replace every dispatcher of one hook with the no-op.
 
-        Swaps the host function's ``fn`` (the generic/legacy dispatch path)
-        and every specialized ``OP_HOOK`` site recorded in its site
-        registry. Each swap is a single reference assignment, so a swap is
+        Swaps the host function's ``fn`` (the host-call dispatch path) and
+        every ``OP_HOOK`` site recorded in its site registry. Each swap is
+        a single reference assignment, so a swap is
         atomic under the GIL and takes effect immediately — the engines read
         dispatchers from the live instruction stream, so even sites reached
         later in the *current* invocation dispatch to the no-op.
@@ -345,27 +340,6 @@ class WasabiRuntime:
             ins = code[pc]
             code[pc] = (ins[0], _noop_dispatcher, ins[2], ins[3])
 
-    def _split_args(self, spec: HookSpec,
-                    raw: list[int | float]) -> tuple[Location, list[int | float]]:
-        if self._with_locations:
-            func_idx = raw[-2]
-            instr_idx = to_signed(raw[-1], 32)
-            raw = raw[:-2]
-        else:
-            func_idx, instr_idx = -1, -1
-        location = Location(func_idx, instr_idx)
-        values: list[int | float] = []
-        cursor = 0
-        for valtype in spec.value_types:
-            if valtype is I64:
-                low, high = raw[cursor], raw[cursor + 1]
-                values.append(low | (high << 32))
-                cursor += 2
-            else:
-                values.append(raw[cursor])
-                cursor += 1
-        return location, values
-
     def _original_func_idx(self, instrumented_idx: int) -> int:
         """Map a function index of the instrumented module back to the
         original index space (inverse of the instrumenter's remapping)."""
@@ -373,207 +347,75 @@ class WasabiRuntime:
             return instrumented_idx
         return instrumented_idx - self._num_hooks
 
-    def _make_dispatcher(self, spec: HookSpec) -> Callable[[list], None]:
-        analysis = self.analysis
-        kind = spec.kind
-        payload = spec.payload
-        info = self.info
+    # -- per-call-site dispatch ---------------------------------------------------
 
-        # A hook whose high-level methods the analysis never overrides can
-        # only ever reach Analysis' empty default bodies: share one no-op.
-        if not self._hook_is_live(spec):
+    def _site_factory(self, hook_name: str, bind: "_Binder | None"
+                      ) -> Callable[[int, int], Callable[[list], None]]:
+        """The factory the pre-decoding engine calls once per fused
+        ``const/const/call`` hook site with the two raw location constants.
+
+        It returns that site's bound dispatcher, wrapped for timing and
+        containment (or the shared no-op for a dead or quarantined hook).
+        A factory raising (a site with no static info) makes the engine
+        keep the host-call path, which raises at event time instead.
+        """
+
+        def factory(func_const: int, instr_const: int) -> Callable[[list], None]:
+            if bind is None or hook_name in self._quarantined:
+                return _noop_dispatcher
+            # the begin-function hook's instr index is emitted as -1 and
+            # arrives pre-masked; the func index is always nonnegative
+            location = Location(func_const, to_signed(instr_const, 32))
+            return self._contain(self._timed(bind(location), hook_name),
+                                 hook_name, location)
+        return factory
+
+    def _lookup_dispatcher(self, bind: "_Binder | None") -> Callable[[list], None]:
+        """The host-call dispatcher over the same per-site ``bind``.
+
+        Hook calls that reach the host function (the legacy engine, sites
+        the engine did not fuse) carry the location as their two trailing
+        arguments: the dispatcher bound for that location is built on first
+        use and memoized. Without location parameters every call shares
+        one dispatcher bound to ``Location(-1, -1)``. A ``bind`` failure
+        raises here, at event time, inside the caller's containment.
+        """
+        if bind is None:
             return _noop_dispatcher
+        if not self._with_locations:
+            unlocated = None
 
-        # Fast path: without i64 values there is no split-halves re-joining,
-        # so the raw args *are* the values and the generic cursor walk in
-        # _split_args can be skipped. Hooks fire once per executed
-        # instruction, so this is the hottest code outside the interpreter.
-        if any(t is I64 for t in spec.value_types):
-            def loc_and_vals(args: list) -> tuple[Location, list]:
-                return self._split_args(spec, args)
-        elif self._with_locations:
-            def loc_and_vals(args: list) -> tuple[Location, list]:
-                return Location(args[-2], to_signed(args[-1], 32)), args[:-2]
-        else:
-            no_loc = Location(-1, -1)
-            def loc_and_vals(args: list) -> tuple[Location, list]:
-                return no_loc, args
+            def dispatch_unlocated(args: list) -> None:
+                nonlocal unlocated
+                if unlocated is None:
+                    unlocated = bind(Location(-1, -1))
+                unlocated(args)
+            return dispatch_unlocated
 
-        if kind == "const":
-            valtype = payload[0]
-            def dispatch(args: list) -> None:
-                loc, (value,) = loc_and_vals(args)
-                analysis.const_(loc, _present(valtype, value))
-        elif kind == "drop":
-            valtype = payload[0]
-            def dispatch(args: list) -> None:
-                loc, (value,) = loc_and_vals(args)
-                analysis.drop(loc, _present(valtype, value))
-        elif kind == "select":
-            valtype = payload[0]
-            def dispatch(args: list) -> None:
-                loc, (first, second, condition) = loc_and_vals(args)
-                analysis.select(loc, bool(condition),
-                                _present(valtype, first),
-                                _present(valtype, second))
-        elif kind in ("unary", "binary"):
-            op = payload[0]
-            from ..wasm.opcodes import BY_NAME
-            params, results = BY_NAME[op].signature
-            if kind == "unary":
-                def dispatch(args: list) -> None:
-                    loc, (inp, res) = loc_and_vals(args)
-                    analysis.unary(loc, op, _present(params[0], inp),
-                                   _present(results[0], res))
-            else:
-                def dispatch(args: list) -> None:
-                    loc, (first, second, res) = loc_and_vals(args)
-                    analysis.binary(loc, op, _present(params[0], first),
-                                    _present(params[1], second),
-                                    _present(results[0], res))
-        elif kind == "load":
-            op = payload[0]
-            from ..wasm.opcodes import BY_NAME
-            valtype = BY_NAME[op].signature[1][0]
-            def dispatch(args: list) -> None:
-                loc, (addr, value) = loc_and_vals(args)
-                offset = info.memarg_offsets.get((loc.func, loc.instr), 0)
-                analysis.load(loc, op, MemArg(addr, offset),
-                              _present(valtype, value))
-        elif kind == "store":
-            op = payload[0]
-            from ..wasm.opcodes import BY_NAME
-            valtype = BY_NAME[op].signature[0][1]
-            def dispatch(args: list) -> None:
-                loc, (addr, value) = loc_and_vals(args)
-                offset = info.memarg_offsets.get((loc.func, loc.instr), 0)
-                analysis.store(loc, op, MemArg(addr, offset),
-                               _present(valtype, value))
-        elif kind == "local":
-            op, valtype = payload
-            def dispatch(args: list) -> None:
-                loc, (value,) = loc_and_vals(args)
-                index = info.var_indices[(loc.func, loc.instr)]
-                analysis.local(loc, op, index, _present(valtype, value))
-        elif kind == "global":
-            op, valtype = payload
-            def dispatch(args: list) -> None:
-                loc, (value,) = loc_and_vals(args)
-                index = info.var_indices[(loc.func, loc.instr)]
-                analysis.global_(loc, op, index, _present(valtype, value))
-        elif kind == "memory_size":
-            def dispatch(args: list) -> None:
-                loc, (size,) = loc_and_vals(args)
-                analysis.memory_size(loc, size)
-        elif kind == "memory_grow":
-            def dispatch(args: list) -> None:
-                loc, (delta, previous) = loc_and_vals(args)
-                analysis.memory_grow(loc, delta, previous)
-        elif kind == "call_pre":
-            indirect = payload[0] == "indirect"
-            param_types = payload[1:]
-            if indirect:
-                def dispatch(args: list) -> None:
-                    loc, values = loc_and_vals(args)
-                    table_index = values[0]
-                    call_args = [_present(t, v)
-                                 for t, v in zip(param_types, values[1:])]
-                    target = -1
-                    if self.instance is not None and self.instance.table is not None:
-                        entry = self.instance.table.lookup(table_index)
-                        if entry is not None:
-                            target = self._original_func_idx(entry)
-                    analysis.call_pre(loc, target, call_args, table_index)
-            else:
-                def dispatch(args: list) -> None:
-                    loc, values = loc_and_vals(args)
-                    call_args = [_present(t, v)
-                                 for t, v in zip(param_types, values)]
-                    target = info.call_targets[(loc.func, loc.instr)]
-                    analysis.call_pre(loc, target, call_args, None)
-        elif kind == "call_post":
-            result_types = payload
-            def dispatch(args: list) -> None:
-                loc, values = loc_and_vals(args)
-                analysis.call_post(
-                    loc, [_present(t, v) for t, v in zip(result_types, values)])
-        elif kind == "return":
-            result_types = payload
-            def dispatch(args: list) -> None:
-                loc, values = loc_and_vals(args)
-                analysis.return_(
-                    loc, [_present(t, v) for t, v in zip(result_types, values)])
-        elif kind == "br":
-            def dispatch(args: list) -> None:
-                loc, _ = loc_and_vals(args)
-                analysis.br(loc, info.br_targets[(loc.func, loc.instr)])
-        elif kind == "br_if":
-            def dispatch(args: list) -> None:
-                loc, (condition,) = loc_and_vals(args)
-                analysis.br_if(loc, info.br_targets[(loc.func, loc.instr)],
-                               bool(condition))
-        elif kind == "br_table":
-            def dispatch(args: list) -> None:
-                loc, (table_index,) = loc_and_vals(args)
-                table_info = info.br_tables[(loc.func, loc.instr)]
-                analysis.br_table(loc, table_info.targets, table_info.default,
-                                  table_index)
-                _, ended = table_info.select(table_index)
-                for event in ended:
-                    analysis.end(event.end, event.kind, event.begin)
-        elif kind == "if":
-            def dispatch(args: list) -> None:
-                loc, (condition,) = loc_and_vals(args)
-                analysis.if_(loc, bool(condition))
-        elif kind == "begin":
-            block_type = payload[0]
-            def dispatch(args: list) -> None:
-                loc, _ = loc_and_vals(args)
-                analysis.begin(loc, block_type)
-        elif kind == "end":
-            block_type = payload[0]
-            def dispatch(args: list) -> None:
-                loc, _ = loc_and_vals(args)
-                begin = info.begin_of_end[(loc.func, loc.instr, block_type)]
-                analysis.end(loc, block_type, begin)
-        elif kind == "nop":
-            def dispatch(args: list) -> None:
-                loc, _ = loc_and_vals(args)
-                analysis.nop(loc)
-        elif kind == "unreachable":
-            def dispatch(args: list) -> None:
-                loc, _ = loc_and_vals(args)
-                analysis.unreachable(loc)
-        else:  # pragma: no cover - registry only produces known kinds
-            raise ValueError(f"unknown hook kind {kind!r}")
+        sites: dict[tuple[int, int], Callable[[list], None]] = {}
 
+        def dispatch(args: list) -> None:
+            key = (args[-2], args[-1])
+            site = sites.get(key)
+            if site is None:
+                site = sites[key] = bind(Location(key[0], to_signed(key[1], 32)))
+            site(args[:-2])
         return dispatch
 
-    # -- per-call-site specialization ---------------------------------------------
+    def _site_binder(self, spec: HookSpec) -> "_Binder":
+        """Per-kind translation of one live hook: ``bind(location)``.
 
-    def _site_factory(self, spec: HookSpec) -> Callable[[int, int], Callable[[list], None]]:
-        """Build the specialization factory the pre-decoding engine calls.
-
-        The engine invokes the returned factory once per fused
-        ``const/const/call`` hook site with the two raw location constants;
-        the factory returns a dispatcher over the popped value arguments
-        with everything constant at that site — the :class:`Location`,
-        memarg offset, variable index, direct-call target, branch targets,
+        ``bind`` returns a dispatcher over the popped value arguments with
+        everything constant at that site — the :class:`Location`, memarg
+        offset, variable index, direct-call target, branch targets,
         br_table entries, begin/end matching, and the value converters —
-        resolved here, never per event. A factory raising (a site with no
-        static info) makes the engine fall back to the generic dispatcher,
-        which fails or succeeds at event time exactly like the
-        unspecialized engine.
+        resolved once, never per event. It raises (``KeyError``) for a
+        location with no static info of the kind the hook needs.
         """
         analysis = self.analysis
         kind = spec.kind
         payload = spec.payload
         info = self.info
-
-        if not self._hook_is_live(spec):
-            def noop_factory(func_const: int, instr_const: int) -> Callable[[list], None]:
-                return _noop_dispatcher
-            return noop_factory
 
         raws, presented = _part_extractors(spec.value_types)
         # the hottest dispatchers (pure-i32 and pure-float shapes) are
@@ -796,14 +638,4 @@ class WasabiRuntime:
         else:  # pragma: no cover - registry only produces known kinds
             raise ValueError(f"unknown hook kind {kind!r}")
 
-        hook_name = spec.name
-
-        def factory(func_const: int, instr_const: int) -> Callable[[list], None]:
-            # the begin-function hook's instr index is emitted as -1 and
-            # arrives pre-masked; the func index is always nonnegative
-            if hook_name in self._quarantined:
-                return _noop_dispatcher
-            location = Location(func_const, to_signed(instr_const, 32))
-            return self._contain(self._timed(bind(location), hook_name),
-                                 hook_name, location)
-        return factory
+        return bind

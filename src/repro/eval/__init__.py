@@ -20,8 +20,7 @@ from .reduce import (Reduction, reduce_bundle, reduce_bytes, reduce_failure,
                      reduce_invocations)
 from .hooks_matrix import (FIGURE_GROUPS, make_full_analysis,
                            make_group_analysis)
-from .overhead import (OverheadReport, baseline_runtime,
-                       hook_dispatch_payload, instrumented_runtime,
+from .overhead import (OverheadReport, baseline_runtime, instrumented_runtime,
                        overhead_sweep)
 from .report import render_fig8, render_fig9, render_table, render_table5
 from .sizes import SizeReport, measure_size, size_sweep
@@ -43,7 +42,7 @@ __all__ = [
     "check_workload",
     "classify", "collect_edges", "default_workloads", "fold_into_telemetry",
     "geomean_speedup",
-    "hook_dispatch_payload", "instrument_binary",
+    "instrument_binary",
     "instrumented_runtime", "interp_bench_payload", "load_corpus_entries",
     "make_full_analysis",
     "make_group_analysis", "measure_size", "mutant_rng", "mutate",

@@ -63,16 +63,9 @@ def baseline_runtime(workload: Workload, repeats: int = 3,
 def instrumented_runtime(workload: Workload, config: str,
                          repeats: int = 3,
                          predecode: bool | None = None,
-                         specialize: bool | None = None,
                          clock: Callable[[], float] | None = None,
                          tracer: Tracer | None = None) -> float:
-    """Instrumented runtime under one hook configuration.
-
-    ``specialize`` selects the hook-dispatch strategy of the pre-decoding
-    engine: per-call-site ``OP_HOOK`` dispatchers (True, the default) or the
-    generic host-call path (False); None = the
-    :envvar:`REPRO_SPECIALIZE_HOOKS` default.
-    """
+    """Instrumented runtime under one hook configuration."""
     if config == "all":
         analysis = make_full_analysis()
         groups = None
@@ -81,8 +74,7 @@ def instrumented_runtime(workload: Workload, config: str,
         groups = frozenset({config})
     session = AnalysisSession(workload.module(), analysis,
                               linker=workload.linker(), groups=groups,
-                              machine=Machine(predecode=predecode,
-                                              specialize_hooks=specialize))
+                              machine=Machine(predecode=predecode))
     return _time_run(lambda: session.invoke(workload.entry, workload.args),
                      repeats, name="instrumented_invoke", clock=clock,
                      tracer=tracer,
@@ -92,7 +84,6 @@ def instrumented_runtime(workload: Workload, config: str,
 def overhead_sweep(workload: Workload, configs: list[str] | None = None,
                    repeats: int = 3, include_all: bool = True,
                    predecode: bool | None = None,
-                   specialize: bool | None = None,
                    clock: Callable[[], float] | None = None,
                    tracer: Tracer | None = None) -> list[OverheadReport]:
     """Relative runtime for every hook group (Figure 9's x-axis)."""
@@ -102,83 +93,11 @@ def overhead_sweep(workload: Workload, configs: list[str] | None = None,
     for config in (configs or FIGURE_GROUPS):
         elapsed = instrumented_runtime(workload, config, repeats,
                                        predecode=predecode,
-                                       specialize=specialize,
                                        clock=clock, tracer=tracer)
         reports.append(OverheadReport(workload.name, config, baseline, elapsed))
     if include_all:
         elapsed = instrumented_runtime(workload, "all", repeats,
                                        predecode=predecode,
-                                       specialize=specialize,
                                        clock=clock, tracer=tracer)
         reports.append(OverheadReport(workload.name, "all", baseline, elapsed))
     return reports
-
-
-def _geomean(values: list[float]) -> float:
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values)) if values else float("nan")
-
-
-def hook_dispatch_payload(workloads: list[Workload],
-                          configs: list[str] | None = None,
-                          repeats: int = 3) -> dict:
-    """Before/after comparison of the two hook-dispatch strategies.
-
-    For each workload and hook configuration, measures the relative runtime
-    under generic dispatch ("before": every event parses locations and hits
-    per-site dicts) and under call-site-specialized ``OP_HOOK`` dispatch
-    ("after"), both on the pre-decoding engine against the same
-    uninstrumented baseline. The improvement metric is the ratio of *pure
-    hook overheads* ``(R_before - 1) / (R_after - 1)``, which isolates the
-    dispatch cost from the interpreter's own runtime; the JSON payload backs
-    ``BENCH_hooks.json`` and the CI hook-overhead floor.
-    """
-    configs = list(configs or (FIGURE_GROUPS + ["all"]))
-    per_workload: list[dict] = []
-    by_config: dict[str, dict[str, list[float]]] = {
-        config: {"generic": [], "specialized": []} for config in configs}
-    for workload in workloads:
-        baseline = baseline_runtime(workload, repeats)
-        entry: dict = {"name": workload.name, "baseline_seconds": baseline,
-                       "configs": {}}
-        for config in configs:
-            generic = instrumented_runtime(workload, config, repeats,
-                                           specialize=False)
-            specialized = instrumented_runtime(workload, config, repeats,
-                                               specialize=True)
-            generic_rel = generic / baseline
-            specialized_rel = specialized / baseline
-            by_config[config]["generic"].append(generic_rel)
-            by_config[config]["specialized"].append(specialized_rel)
-            entry["configs"][config] = {
-                "generic_relative": generic_rel,
-                "specialized_relative": specialized_rel,
-            }
-        per_workload.append(entry)
-
-    groups: dict[str, dict[str, float]] = {}
-    for config in configs:
-        generic_gm = _geomean(by_config[config]["generic"])
-        specialized_gm = _geomean(by_config[config]["specialized"])
-        improvements = [
-            (before - 1.0) / (after - 1.0)
-            for before, after in zip(by_config[config]["generic"],
-                                     by_config[config]["specialized"])
-            if after > 1.0 and before > 1.0]
-        groups[config] = {
-            "generic_overhead": generic_gm,
-            "specialized_overhead": specialized_gm,
-            "overhead_improvement": (_geomean(improvements)
-                                     if improvements else float("nan")),
-        }
-    return {
-        "metric": "relative runtime vs uninstrumented predecoded baseline; "
-                  "overhead_improvement = geomean (generic-1)/(specialized-1)",
-        "repeats": repeats,
-        "workloads": per_workload,
-        "groups": groups,
-        "geomean_improvement_all": groups["all"]["overhead_improvement"]
-        if "all" in groups else float("nan"),
-    }

@@ -12,8 +12,7 @@ from .limits import (DEADLINE_CHECK_INTERVAL, Meter, ResourceLimits,
                      ResourceUsage)
 from .machine import (DEFAULT_MAX_CALL_DEPTH, Instance, Machine, WasmFunction,
                       bind_hook_sites, bind_indirect_caches, instantiate,
-                      predecode_default, quicken_default,
-                      specialize_hooks_default)
+                      predecode_default, quicken_default)
 from .memory import Memory
 from .pgo import (FUSION_SCHEMA, PROFILE_SCHEMA, fusion_table_payload,
                   load_profile, merge_profiles, profile_payload,
@@ -42,5 +41,5 @@ __all__ = [
     "predecode_default", "profile_payload", "quicken_default",
     "record_corpus_profile", "replay_linker", "resolve_fusion_pairs",
     "restore_instance", "select_pairs", "snapshot_instance",
-    "specialize_hooks_default", "write_crash_bundle", "write_profile",
+    "write_crash_bundle", "write_profile",
 ]

@@ -24,9 +24,9 @@ class HostFunction:
     """
 
     #: True on Wasabi's generated low-level hooks (set by the runtime).
-    #: Hook calls are excluded from host-boundary recording — specialized
-    #: ``OP_HOOK`` sites bypass the generic host-call path, so recording
-    #: them would make replay logs engine-dependent.
+    #: Hook calls are excluded from host-boundary recording — fused
+    #: ``OP_HOOK`` sites bypass the host-call path, so recording them would
+    #: make replay logs engine-dependent.
     is_wasabi_hook = False
 
     #: True on WASI syscalls (set by :class:`repro.wasi.WasiContext`).

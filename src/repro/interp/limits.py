@@ -27,9 +27,9 @@ Cumulative totals are kept for :class:`ResourceUsage`.
 Fuel accounting is engine-consistent: the legacy and pre-decoded loops
 charge at the same events, so an uninstrumented program exhausts the same
 fuel budget at the same point on either engine. (Instrumentation adds hook
-calls, which are charged on the generic dispatch path but not at
-call-site-specialized ``OP_HOOK`` sites, so fuel parity is only guaranteed
-for uninstrumented modules.)
+calls, which are charged on the host-call path but not at fused
+``OP_HOOK`` sites, so fuel parity is only guaranteed for uninstrumented
+modules.)
 """
 
 from __future__ import annotations

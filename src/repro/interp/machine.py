@@ -9,8 +9,10 @@ share the same observable behaviour:
   handlers pre-resolved, and block/else/end targets baked into the stream;
   the decoded form is cached per :class:`~repro.wasm.module.Function` so
   repeated instantiations decode once;
-* the **legacy string-dispatch loop**, kept for differential testing: pass
-  ``Machine(predecode=False)`` or set ``REPRO_PREDECODE=0``.
+* the **legacy string-dispatch loop**, the independent oracle for
+  differential testing (pass ``Machine(predecode=False)`` or set
+  ``REPRO_PREDECODE=0``). It executes 1:1 with the source body, so it is
+  also the loop the self-profiler counts on, on either engine.
 
 Function bodies are flat instruction lists; in the legacy engine a
 per-function *matching table* maps each ``block``/``loop``/``if``/``else``
@@ -48,14 +50,6 @@ DEFAULT_MAX_CALL_DEPTH = 700
 def predecode_default() -> bool:
     """Whether new machines pre-decode, from ``REPRO_PREDECODE`` (default on)."""
     return os.environ.get("REPRO_PREDECODE", "1").lower() not in ("0", "false", "no", "off")
-
-
-def specialize_hooks_default() -> bool:
-    """Whether hook call sites are fused into pre-bound ``OP_HOOK``
-    dispatchers, from ``REPRO_SPECIALIZE_HOOKS`` (default on). Only
-    meaningful on pre-decoding machines."""
-    return os.environ.get("REPRO_SPECIALIZE_HOOKS", "1").lower() not in (
-        "0", "false", "no", "off")
 
 
 def quicken_default() -> bool:
@@ -134,9 +128,16 @@ def _generic_hook_dispatcher(host: HostFunction, extra: tuple):
     return dispatch
 
 
+def _is_hook_idiom(code: list[tuple], pc: int) -> bool:
+    """Whether the hook call at ``pc`` is the instrumentation idiom
+    ``i32.const func; i32.const instr; call <hook>``."""
+    return (pc >= 2 and code[pc][2] >= 2
+            and code[pc - 1][0] == OP_CONST and code[pc - 2][0] == OP_CONST)
+
+
 def bind_hook_sites(decoded: DecodedFunction,
                     functions: list) -> DecodedFunction:
-    """Specialize a decoded stream's hook call sites for one instance.
+    """Bind a decoded stream's hook call sites for one instance.
 
     For every recorded site, the linked host function is resolved and the
     site is rewritten into an ``OP_HOOK`` superinstruction carrying a
@@ -163,12 +164,10 @@ def bind_hook_sites(decoded: DecodedFunction,
         n_params = ins[2]
         factory = getattr(host, "site_factory", None)
         # hosts built by the Wasabi runtime carry a site registry so that
-        # fault containment can atomically swap specialized sites for the
-        # shared no-op after a hook fault (quarantine policy)
+        # fault containment can atomically swap bound sites for the shared
+        # no-op after a hook fault (quarantine policy)
         registry = getattr(host, "site_registry", None)
-        if (pc >= 2 and n_params >= 2
-                and original[pc - 1][0] == OP_CONST
-                and original[pc - 2][0] == OP_CONST):
+        if _is_hook_idiom(original, pc):
             func_const = original[pc - 2][1]
             instr_const = original[pc - 1][1]
             bound = None
@@ -177,8 +176,8 @@ def bind_hook_sites(decoded: DecodedFunction,
                     bound = factory(func_const, instr_const)
                 except Exception:
                     # a site the runtime has no static info for: keep the
-                    # generic path, which fails (or not) at event time
-                    # exactly like the unspecialized engine
+                    # host-call path, which fails (or not) at event time
+                    # exactly like the legacy engine
                     bound = None
             if bound is None:
                 bound = _generic_hook_dispatcher(host, (func_const, instr_const))
@@ -194,6 +193,26 @@ def bind_hook_sites(decoded: DecodedFunction,
                 registry.append((code, pc))
     return DecodedFunction(code, decoded.source_body, decoded.hook_sites,
                            decoded.indirect_sites)
+
+
+def profile_op_ids(func: Function, module: Module) -> list[int]:
+    """The opcode id the self-profiler charges at each pc of ``func``.
+
+    Ids come from the unfused, unquickened decode, so they attribute 1:1
+    to source instructions. A hook call site counts as one ``OP_HOOK``:
+    at its first location constant for the ``const/const/call`` idiom,
+    whose other two slots are skipped (-1), or at the call for a bare one
+    — the same charge ``bind_hook_sites`` makes on the decoded engine.
+    """
+    decoded = decode_function(func, module, fuse=False)
+    op_ids = [ins[0] for ins in decoded.code]
+    for pc in decoded.hook_sites:
+        if _is_hook_idiom(decoded.code, pc):
+            op_ids[pc - 2] = OP_HOOK
+            op_ids[pc - 1] = op_ids[pc] = -1
+        else:
+            op_ids[pc] = OP_HOOK
+    return op_ids
 
 
 def bind_indirect_caches(decoded: DecodedFunction,
@@ -225,15 +244,16 @@ def bind_indirect_caches(decoded: DecodedFunction,
 class WasmFunction:
     """A defined function bound to its instance, with precomputed dispatch.
 
-    ``decoded`` holds the pre-decoded threaded stream (None on machines with
-    ``predecode=False``); on machines with ``specialize_hooks`` the stream's
-    hook call sites are rebound per instance into ``OP_HOOK`` dispatchers;
-    ``matching`` is the legacy block-matching table, built lazily so
-    pre-decoding machines never pay for it.
+    ``decoded`` holds the pre-decoded threaded stream, with its hook call
+    sites bound per instance into ``OP_HOOK`` dispatchers. It is None on
+    machines with ``predecode=False`` and for functions instantiated while
+    a profiler is attached: those run on the legacy loop. ``matching`` is
+    the legacy block-matching table and ``op_ids`` the profiler's per-pc
+    opcode ids, both built lazily so other runs never pay for them.
     """
 
     __slots__ = ("instance", "func", "functype", "local_types", "default_locals",
-                 "result_arity", "decoded", "_matching")
+                 "result_arity", "decoded", "_matching", "_op_ids")
 
     def __init__(self, instance: "Instance", func: Function, functype: FuncType):
         self.instance = instance
@@ -243,24 +263,18 @@ class WasmFunction:
         self.default_locals = [default_value(t) for t in func.locals]
         self.result_arity = len(functype.results)
         self._matching: BlockMatching | None = None
+        self._op_ids: list[int] | None = None
         machine = instance.machine
-        if machine.predecode:
-            if machine._profiling:
-                # unfused, unquickened decode (uncached: the shared cache
-                # holds fused streams) so profiled opcode and pair counts
-                # attribute 1:1 to source instructions
-                decoded = decode_function(func, instance.module, fuse=False)
-                hit = False
-            else:
-                decoded, hit = cached_decode(func, instance.module,
-                                             pairs=machine.fusion_pairs,
-                                             quicken=machine.quicken)
+        if machine.predecode and not machine._profiling:
+            decoded, hit = cached_decode(func, instance.module,
+                                         pairs=machine.fusion_pairs,
+                                         quicken=machine.quicken)
             if decoded.indirect_sites:
                 # per-instance copy with call_indirect inline caches; must
                 # precede hook binding so the quarantine registry ends up
                 # referencing the same (final) code list the engine runs
                 decoded = bind_indirect_caches(decoded, instance)
-            if decoded.hook_sites and machine.specialize_hooks:
+            if decoded.hook_sites:
                 decoded = bind_hook_sites(decoded, instance.functions)
             self.decoded: DecodedFunction | None = decoded
             if hit:
@@ -277,6 +291,12 @@ class WasmFunction:
         if self._matching is None:
             self._matching = BlockMatching(self.func.body)
         return self._matching
+
+    @property
+    def op_ids(self) -> list[int]:
+        if self._op_ids is None:
+            self._op_ids = profile_op_ids(self.func, self.instance.module)
+        return self._op_ids
 
     @property
     def name(self) -> str:
@@ -389,10 +409,10 @@ class Machine:
     threaded loop, False for the legacy string-dispatch loop, None (default)
     to follow the ``REPRO_PREDECODE`` environment variable.
 
-    ``specialize_hooks`` controls call-site-specialized hook dispatch on the
-    pre-decoded engine (None follows ``REPRO_SPECIALIZE_HOOKS``, default
-    on). With it disabled, hook calls take the generic host-call path —
-    the differential oracle for the specialized dispatchers.
+    Both engines dispatch Wasabi hooks through the same per-site closures
+    (:meth:`repro.core.runtime.WasabiRuntime._site_binder`): the pre-decoded
+    engine binds them into ``OP_HOOK`` superinstructions at instantiation,
+    the legacy engine reaches them through the hook's host function.
 
     ``limits`` attaches a :class:`~repro.interp.limits.ResourceLimits`
     bundle: fuel and wall-clock deadlines are charged on back-edges and
@@ -405,9 +425,10 @@ class Machine:
     the engines charge its raw counters (calls, taken branches, traps,
     memory.grow) at exactly the Meter's charge sites, under the same
     hoisted ``is not None`` guard discipline — no telemetry, no cost. A
-    telemetry with an attached profiler additionally reroutes pre-decoded
-    execution through the counting loop (:meth:`_exec_profiled`) and makes
-    new instances decode *unfused* so opcode counts attribute 1:1.
+    telemetry with an attached profiler additionally makes new instances
+    run on the legacy loop (:meth:`_exec`) on either engine: it executes
+    unfused, 1:1 with the source body, and under one hoisted guard counts
+    every executed instruction into the profiler.
 
     ``replay`` attaches a :class:`~repro.interp.replay.Recorder` or
     :class:`~repro.interp.replay.Replayer`: host-function calls (except
@@ -431,7 +452,6 @@ class Machine:
 
     def __init__(self, max_call_depth: int = DEFAULT_MAX_CALL_DEPTH,
                  predecode: bool | None = None,
-                 specialize_hooks: bool | None = None,
                  limits: ResourceLimits | None = None,
                  telemetry: "Telemetry | None" = None,
                  replay=None,
@@ -441,8 +461,6 @@ class Machine:
             max_call_depth = limits.max_call_depth
         self.max_call_depth = max_call_depth
         self.predecode = predecode_default() if predecode is None else predecode
-        self.specialize_hooks = (specialize_hooks_default()
-                                 if specialize_hooks is None else specialize_hooks)
         self.quicken = quicken_default() if quicken is None else quicken
         if pgo_profile is None:
             self.fusion_pairs: frozenset[tuple[int, int]] | None = None
@@ -466,7 +484,6 @@ class Machine:
         self._depth = 0
         self._telemetry: "Telemetry | None" = None
         self._profiling = False
-        self._run_decoded = self._exec_decoded
         if telemetry is not None:
             self._set_telemetry(telemetry)
         # The interpreter recurses ~2 Python frames per Wasm call.
@@ -475,14 +492,8 @@ class Machine:
             sys.setrecursionlimit(needed)
 
     def _set_telemetry(self, telemetry: "Telemetry") -> None:
-        if telemetry.profiler is not None and not self.predecode:
-            raise ValueError(
-                "the self-profiler requires the pre-decoded engine "
-                "(Machine(predecode=True))")
         self._telemetry = telemetry
         self._profiling = telemetry.profiler is not None
-        self._run_decoded = (self._exec_profiled if self._profiling
-                             else self._exec_decoded)
         replay = self._replay
         if replay is not None and replay.is_replaying:
             replay.telemetry = telemetry
@@ -490,9 +501,9 @@ class Machine:
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
         """Attach a telemetry sink (idempotent for the same instance).
 
-        Attach *before* instantiating modules when profiling: only
-        instances created while a profiler is attached decode unfused for
-        1:1 opcode attribution.
+        Attach *before* instantiating modules when profiling: on the
+        pre-decoded engine only instances created while a profiler is
+        attached run on the counting legacy loop.
         """
         if telemetry is self._telemetry:
             return
@@ -664,7 +675,7 @@ class Machine:
                         lambda: self._host_results(func, func.fn(args)))
                 return self._host_results(func, func.fn(args))
             if func.decoded is not None:
-                return self._run_decoded(func, args)
+                return self._exec_decoded(func, args)
             return self._exec(func, args)
         except Trap:
             if tele is not None and self._depth == 1:
@@ -712,7 +723,7 @@ class Machine:
                 if tele is not None:
                     tele.n_calls += 1
                 if callee.decoded is not None:
-                    return self._run_decoded(callee, call_args)
+                    return self._exec_decoded(callee, call_args)
                 return self._exec(callee, call_args)
             finally:
                 self._depth -= 1
@@ -729,9 +740,9 @@ class Machine:
         if replay is not None and \
                 not getattr(callee, "is_wasabi_hook", False) and \
                 not getattr(callee, "is_wasi", False):
-            # Wasabi hooks stay un-recorded: specialized OP_HOOK sites
+            # Wasabi hooks stay un-recorded: fused OP_HOOK sites
             # bypass this path entirely, so recording them here would make
-            # logs depend on the engine and hook-dispatch mode. WASI
+            # logs depend on the engine. WASI
             # syscalls record themselves (with their memory writes) as
             # wasi_call entries and run live during replay.
             return replay.host_call(callee.name, call_args,
@@ -1203,463 +1214,19 @@ class Machine:
         width = fmt if isinstance(fmt, int) else struct.calcsize(fmt)
         return oob_message(width, addr, memdata, what)
 
-    # -- the profiled interpreter loop --------------------------------------------
-
-    def _exec_profiled(self, wfunc: WasmFunction,
-                       args: list[int | float]) -> list[int | float]:
-        """Counting twin of :meth:`_exec_decoded` for the self-profiler.
-
-        Identical observable semantics; additionally counts every executed
-        instruction into the profiler's dense per-opcode array, attributes
-        executed counts to the running function frame, and samples the live
-        call stack every ``sample_interval`` instructions. Only bound as
-        ``_run_decoded`` when the attached telemetry carries a profiler, so
-        ordinary runs never pay for the counting.
-
-        Functions instantiated under the profiler decode unfused, so the
-        fused-pair opcodes normally never appear here; handlers for them
-        are kept (counted under the ``fused`` class) so instances created
-        *before* the profiler was attached still execute correctly.
-        """
-        profiler = self._telemetry.profiler
-        op_counts = profiler.op_counts
-        pair_counts = profiler.pair_counts
-        interval = profiler.sample_interval
-        instance = wfunc.instance
-        code = wfunc.decoded.code
-        functions = instance.functions
-        globals_ = instance.globals
-        memory = instance.memory
-        table = instance.table
-        memdata = memory.data if memory is not None else None
-        locals_ = args + wfunc.default_locals
-        stack: list[int | float] = []
-        append = stack.append
-        pop = stack.pop
-        unpack_from = struct.unpack_from
-        pack_into = struct.pack_into
-        result_arity = wfunc.result_arity
-        meter = self._meter
-        tele = self._telemetry
-        n_instrs = len(code)
-        labels: list[tuple[bool, int, int, int, int]] = [
-            (False, -1, n_instrs, 0, result_arity)
-        ]
-        pc = 0
-        executed = 0
-        # opcode-pair tracking: two instructions executed back to back at
-        # adjacent pcs form one fusible pair (prev_base = prev_op * N)
-        prev_pc = -2
-        prev_base = 0
-        n_opcodes = len(op_counts)
-
-        profiler.enter(wfunc.name)
-        try:
-            while pc < n_instrs:
-                ins = code[pc]
-                op = ins[0]
-                if op == 51:  # OP_QUICK: resolve the trampoline *before*
-                    # counting, so the twin is charged exactly once per
-                    # execution (never the trampoline plus the twin)
-                    ins = code[pc] = ins[1]
-                    op = ins[0]
-                op_counts[op] += 1
-                if prev_pc + 1 == pc:
-                    pair_counts[prev_base + op] += 1
-                prev_pc = pc
-                prev_base = op * n_opcodes
-                executed += 1
-                profiler.ticks = ticks = profiler.ticks + 1
-                if ticks >= profiler.next_sample:
-                    profiler.sample()
-
-                if op == 0:  # OP_GET_LOCAL
-                    append(locals_[ins[1]])
-                elif op == 1:  # OP_BINARY
-                    b = pop()
-                    stack[-1] = ins[1](stack[-1], b)
-                elif op == 2:  # OP_CONST
-                    append(ins[1])
-                elif op == 3:  # OP_SET_LOCAL
-                    locals_[ins[1]] = pop()
-                elif op == 30:  # OP_GET_LOCAL_CONST (fused)
-                    append(locals_[ins[1]])
-                    append(ins[2])
-                    pc += 2
-                    continue
-                elif op == 31:  # OP_CONST_BINARY (fused)
-                    stack[-1] = ins[1](stack[-1], ins[2])
-                    pc += 2
-                    continue
-                elif op == 32:  # OP_GET_LOCAL_BINARY (fused)
-                    stack[-1] = ins[1](stack[-1], locals_[ins[2]])
-                    pc += 2
-                    continue
-                elif op == 33:  # OP_GET2_LOCAL (fused)
-                    append(locals_[ins[1]])
-                    append(locals_[ins[2]])
-                    pc += 2
-                    continue
-                elif op == 35:  # OP_BINARY_CONST (fused)
-                    b = pop()
-                    stack[-1] = ins[1](stack[-1], b)
-                    append(ins[2])
-                    pc += 2
-                    continue
-                elif op == 36:  # OP_BINARY_BINARY (fused)
-                    b = pop()
-                    a = pop()
-                    stack[-1] = ins[2](stack[-1], ins[1](a, b))
-                    pc += 2
-                    continue
-                elif op == 37:  # OP_BINARY_GET_LOCAL (fused)
-                    b = pop()
-                    stack[-1] = ins[1](stack[-1], b)
-                    append(locals_[ins[2]])
-                    pc += 2
-                    continue
-                elif op == 38:  # OP_CONST_GET_LOCAL (fused)
-                    append(ins[1])
-                    append(locals_[ins[2]])
-                    pc += 2
-                    continue
-                elif op == 39:  # OP_CONST_CONST (fused)
-                    append(ins[1])
-                    append(ins[2])
-                    pc += 2
-                    continue
-                elif op == 40:  # OP_BINARY_SET_LOCAL (fused)
-                    b = pop()
-                    locals_[ins[2]] = ins[1](pop(), b)
-                    pc += 2
-                    continue
-                elif op == 41:  # OP_BINARY_UNARY (fused)
-                    b = pop()
-                    stack[-1] = ins[2](ins[1](stack[-1], b))
-                    pc += 2
-                    continue
-                elif op == 42:  # OP_UNARY_BR_IF (fused)
-                    if ins[1](pop()):
-                        if meter is not None:
-                            meter.branch(len(stack))
-                        tele.n_branches += 1
-                        is_loop, block_pc, cont_pc, height, arity = \
-                            labels[-1 - ins[2]]
-                        if is_loop:
-                            del stack[height:]
-                            del labels[len(labels) - 1 - ins[2]:]
-                            pc = block_pc
-                            continue
-                        if arity:
-                            carried = stack[len(stack) - arity:]
-                            del stack[height:]
-                            stack.extend(carried)
-                        else:
-                            del stack[height:]
-                        del labels[len(labels) - 1 - ins[2]:]
-                        pc = cont_pc
-                        continue
-                    pc += 2
-                    continue
-                elif op == 43:  # OP_BINARY_LOAD_FLOAT (fused)
-                    b = pop()
-                    addr = ins[1](pop(), b) + ins[3]
-                    try:
-                        append(unpack_from(ins[2], memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[2], addr, memdata, "load")) from None
-                    pc += 2
-                    continue
-                elif op == 44:  # OP_BINARY_LOAD_INT (fused)
-                    b = pop()
-                    addr = ins[1](pop(), b) + ins[3]
-                    try:
-                        append(unpack_from(ins[2], memdata, addr)[0] & ins[4])
-                    except struct.error:
-                        raise Trap(self._oob(ins[2], addr, memdata, "load")) from None
-                    pc += 2
-                    continue
-                elif op == 45:  # OP_BINARY_STORE_FLOAT (fused)
-                    b = pop()
-                    value = ins[1](pop(), b)
-                    addr = pop() + ins[3]
-                    try:
-                        pack_into(ins[2], memdata, addr, value)
-                    except struct.error:
-                        raise Trap(self._oob(ins[2], addr, memdata, "store")) from None
-                    pc += 2
-                    continue
-                elif op == 46:  # OP_BINARY_STORE_INT (fused)
-                    b = pop()
-                    value = ins[1](pop(), b)
-                    addr = pop() + ins[3]
-                    try:
-                        pack_into(ins[2], memdata, addr, value & ins[4])
-                    except struct.error:
-                        raise Trap(self._oob(ins[2], addr, memdata, "store")) from None
-                    pc += 2
-                    continue
-                elif op == 47:  # OP_LOAD_FLOAT_BINARY (fused)
-                    addr = pop() + ins[2]
-                    try:
-                        stack[-1] = ins[3](stack[-1],
-                                           unpack_from(ins[1], memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                    pc += 2
-                    continue
-                elif op == 48:  # OP_LOAD_INT_BINARY (fused)
-                    addr = pop() + ins[2]
-                    try:
-                        stack[-1] = ins[4](stack[-1],
-                                           unpack_from(ins[1], memdata, addr)[0]
-                                           & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                    pc += 2
-                    continue
-                elif op == 49:  # OP_SET_LOCAL_CONST (fused)
-                    locals_[ins[1]] = pop()
-                    append(ins[2])
-                    pc += 2
-                    continue
-                elif op == 50:  # OP_LOAD_FLOAT_CONST (fused)
-                    addr = pop() + ins[2]
-                    try:
-                        append(unpack_from(ins[1], memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                    append(ins[3])
-                    pc += 2
-                    continue
-                elif op == 52:  # OP_QLOAD (quickened)
-                    addr = pop() + ins[2]
-                    try:
-                        append(ins[1](memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[3], addr, memdata, "load")) from None
-                elif op == 53:  # OP_QLOAD_MASK (quickened)
-                    addr = pop() + ins[2]
-                    try:
-                        append(ins[1](memdata, addr)[0] & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[4], addr, memdata, "load")) from None
-                elif op == 54:  # OP_QSTORE (quickened)
-                    value = pop()
-                    addr = pop() + ins[2]
-                    try:
-                        ins[1](memdata, addr, value)
-                    except struct.error:
-                        raise Trap(self._oob(ins[3], addr, memdata, "store")) from None
-                elif op == 55:  # OP_QSTORE_MASK (quickened)
-                    value = pop()
-                    addr = pop() + ins[2]
-                    try:
-                        ins[1](memdata, addr, value & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[4], addr, memdata, "store")) from None
-                elif op == 56:  # OP_CALL_INDIRECT_IC (quickened)
-                    table_idx = pop()
-                    cell = ins[3]
-                    if cell[0] == table_idx and \
-                            table.entries[table_idx] == cell[1]:
-                        callee = cell[2]
-                    else:
-                        func_addr = table.get(table_idx)
-                        callee = functions[func_addr]
-                        if callee.functype != ins[1]:
-                            raise Trap(
-                                f"indirect call type mismatch: entry {table_idx} "
-                                f"has {callee.functype}, expected {ins[1]}")
-                        cell[0] = table_idx
-                        cell[1] = func_addr
-                        cell[2] = callee
-                    n_params = ins[2]
-                    if n_params:
-                        call_args = stack[-n_params:]
-                        del stack[-n_params:]
-                    else:
-                        call_args = []
-                    results = self._invoke_callee(callee, call_args)
-                    if results:
-                        stack.extend(results)
-                elif op == 34:  # OP_HOOK
-                    n_params = ins[2]
-                    if n_params:
-                        call_args = stack[-n_params:]
-                        del stack[-n_params:]
-                    else:
-                        call_args = []
-                    ins[1](call_args)
-                    pc += ins[3]
-                    continue
-                elif op == 4:  # OP_LOAD_INT
-                    addr = pop() + ins[2]
-                    try:
-                        append(unpack_from(ins[1], memdata, addr)[0] & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                elif op == 5:  # OP_LOAD_FLOAT
-                    addr = pop() + ins[2]
-                    try:
-                        append(unpack_from(ins[1], memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                elif op == 6:  # OP_STORE_INT
-                    value = pop()
-                    addr = pop() + ins[2]
-                    try:
-                        pack_into(ins[1], memdata, addr, value & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "store")) from None
-                elif op == 7:  # OP_STORE_FLOAT
-                    value = pop()
-                    addr = pop() + ins[2]
-                    try:
-                        pack_into(ins[1], memdata, addr, value)
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "store")) from None
-                elif op == 8:  # OP_BR_IF
-                    if pop():
-                        if meter is not None:
-                            meter.branch(len(stack))
-                        tele.n_branches += 1
-                        is_loop, block_pc, cont_pc, height, arity = labels[-1 - ins[1]]
-                        if is_loop:
-                            del stack[height:]
-                            del labels[len(labels) - 1 - ins[1]:]
-                            pc = block_pc
-                            continue
-                        if arity:
-                            carried = stack[len(stack) - arity:]
-                            del stack[height:]
-                            stack.extend(carried)
-                        else:
-                            del stack[height:]
-                        del labels[len(labels) - 1 - ins[1]:]
-                        pc = cont_pc
-                        continue
-                elif op == 9:  # OP_UNARY
-                    stack[-1] = ins[1](stack[-1])
-                elif op == 10:  # OP_TEE_LOCAL
-                    locals_[ins[1]] = stack[-1]
-                elif op == 11:  # OP_BR
-                    if meter is not None:
-                        meter.branch(len(stack))
-                    tele.n_branches += 1
-                    is_loop, block_pc, cont_pc, height, arity = labels[-1 - ins[1]]
-                    if is_loop:
-                        del stack[height:]
-                        del labels[len(labels) - 1 - ins[1]:]
-                        pc = block_pc
-                        continue
-                    if arity:
-                        carried = stack[len(stack) - arity:]
-                        del stack[height:]
-                        stack.extend(carried)
-                    else:
-                        del stack[height:]
-                    del labels[len(labels) - 1 - ins[1]:]
-                    pc = cont_pc
-                    continue
-                elif op == 12:  # OP_END
-                    if labels:
-                        labels.pop()
-                elif op == 13:  # OP_LOOP
-                    labels.append((True, pc, pc + 1, len(stack), 0))
-                elif op == 14:  # OP_IF
-                    condition = pop()
-                    labels.append((False, pc, ins[1], len(stack), ins[2]))
-                    if not condition:
-                        pc = ins[3]
-                        continue
-                elif op == 15:  # OP_BLOCK
-                    labels.append((False, pc, ins[1], len(stack), ins[2]))
-                elif op == 16:  # OP_JUMP
-                    pc = ins[1]
-                    continue
-                elif op == 17:  # OP_CALL
-                    n_params = ins[2]
-                    if n_params:
-                        call_args = stack[-n_params:]
-                        del stack[-n_params:]
-                    else:
-                        call_args = []
-                    results = self._invoke_callee(functions[ins[1]], call_args)
-                    if results:
-                        stack.extend(results)
-                elif op == 18:  # OP_RETURN
-                    return stack[len(stack) - result_arity:]
-                elif op == 19:  # OP_GET_GLOBAL
-                    append(globals_[ins[1]].value)
-                elif op == 20:  # OP_SET_GLOBAL
-                    globals_[ins[1]].value = pop()
-                elif op == 21:  # OP_SELECT
-                    condition = pop()
-                    second = pop()
-                    first = pop()
-                    append(first if condition else second)
-                elif op == 22:  # OP_DROP
-                    pop()
-                elif op == 23:  # OP_CALL_INDIRECT
-                    table_idx = pop()
-                    func_addr = table.get(table_idx)
-                    callee = functions[func_addr]
-                    if callee.functype != ins[1]:
-                        raise Trap(f"indirect call type mismatch: entry {table_idx} "
-                                   f"has {callee.functype}, expected {ins[1]}")
-                    n_params = ins[2]
-                    if n_params:
-                        call_args = stack[-n_params:]
-                        del stack[-n_params:]
-                    else:
-                        call_args = []
-                    results = self._invoke_callee(callee, call_args)
-                    if results:
-                        stack.extend(results)
-                elif op == 24:  # OP_BR_TABLE
-                    index = pop()
-                    if meter is not None:
-                        meter.branch(len(stack))
-                    tele.n_branches += 1
-                    table_labels = ins[1]
-                    depth = table_labels[index] if index < len(table_labels) else ins[2]
-                    is_loop, block_pc, cont_pc, height, arity = labels[-1 - depth]
-                    if is_loop:
-                        del stack[height:]
-                        del labels[len(labels) - 1 - depth:]
-                        pc = block_pc
-                        continue
-                    if arity:
-                        carried = stack[len(stack) - arity:]
-                        del stack[height:]
-                        stack.extend(carried)
-                    else:
-                        del stack[height:]
-                    del labels[len(labels) - 1 - depth:]
-                    pc = cont_pc
-                    continue
-                elif op == 25:  # OP_MEMORY_SIZE
-                    append(memory.size_pages)
-                elif op == 26:  # OP_MEMORY_GROW
-                    delta = pop()
-                    append(memory.grow(delta) & MASK32)
-                    tele.note_grow(memory.size_pages)
-                elif op == 27:  # OP_NOP
-                    pass
-                elif op == 28:  # OP_UNREACHABLE
-                    raise Trap("unreachable executed")
-                else:  # OP_RAISE
-                    raise ins[1]
-                pc += 1
-
-            return stack[len(stack) - result_arity:] if result_arity else []
-        finally:
-            profiler.exit(executed)
-
     # -- the legacy interpreter loop ---------------------------------------------
 
     def _exec(self, wfunc: WasmFunction, args: list[int | float]) -> list[int | float]:
+        """The legacy string-dispatch loop: the independent oracle engine.
+
+        It executes 1:1 with the source body, so it is also the
+        self-profiler's loop: with a profiler attached, each executed pc is
+        charged to ``op_counts`` (and, when it directly follows the
+        previous one, to ``pair_counts``) by its id in ``wfunc.op_ids``;
+        every ``sample_interval`` instructions the live call stack is
+        sampled. Skipped slots (-1, the folded operands of a hook call
+        site) are not charged.
+        """
         instance = wfunc.instance
         body = wfunc.func.body
         matching = wfunc.matching
@@ -1677,143 +1244,171 @@ class Machine:
         labels: list[tuple[bool, int, int, int, int]] = [
             (False, -1, n_instrs, 0, result_arity)
         ]
+        profiler = tele.profiler if tele is not None else None
+        executed = 0
+        if profiler is not None:
+            op_ids = wfunc.op_ids
+            op_counts = profiler.op_counts
+            pair_counts = profiler.pair_counts
+            n_opcodes = len(op_counts)
+            # a pair is two instructions executed back to back at adjacent
+            # pcs (prev_base = prev_op * n_opcodes)
+            prev_pc = -2
+            prev_base = 0
+            profiler.enter(wfunc.name)
 
-        while pc < n_instrs:
-            instr = body[pc]
-            op = instr.op
+        try:
+            while pc < n_instrs:
+                if profiler is not None:
+                    op_id = op_ids[pc]
+                    if op_id >= 0:
+                        op_counts[op_id] += 1
+                        if prev_pc + 1 == pc:
+                            pair_counts[prev_base + op_id] += 1
+                        prev_pc = pc
+                        prev_base = op_id * n_opcodes
+                        executed += 1
+                        profiler.ticks = ticks = profiler.ticks + 1
+                        if ticks >= profiler.next_sample:
+                            profiler.sample()
+                instr = body[pc]
+                op = instr.op
 
-            binop = BINOPS.get(op)
-            if binop is not None:
-                b = stack.pop()
-                stack[-1] = binop(stack[-1], b)
-                pc += 1
-                continue
-            unop = UNOPS.get(op)
-            if unop is not None:
-                stack[-1] = unop(stack[-1])
-                pc += 1
-                continue
+                binop = BINOPS.get(op)
+                if binop is not None:
+                    b = stack.pop()
+                    stack[-1] = binop(stack[-1], b)
+                    pc += 1
+                    continue
+                unop = UNOPS.get(op)
+                if unop is not None:
+                    stack[-1] = unop(stack[-1])
+                    pc += 1
+                    continue
 
-            if op == "get_local":
-                stack.append(locals_[instr.idx])
-            elif op == "set_local":
-                locals_[instr.idx] = stack.pop()
-            elif op == "tee_local":
-                locals_[instr.idx] = stack[-1]
-            elif op == "i32.const":
-                stack.append(instr.value & MASK32)
-            elif op == "i64.const":
-                stack.append(instr.value & MASK64)
-            elif op == "f32.const":
-                stack.append(f32_round(instr.value))
-            elif op == "f64.const":
-                stack.append(float(instr.value))
-            elif ".load" in op:
-                addr = stack.pop()
-                stack.append(instance.memory.load(op, addr + instr.memarg.offset))
-            elif ".store" in op:
-                value = stack.pop()
-                addr = stack.pop()
-                instance.memory.store(op, addr + instr.memarg.offset, value)
-            elif op == "block":
-                arity = 0 if instr.blocktype is None else 1
-                end_idx = matching.end_of[pc]
-                labels.append((False, pc, end_idx + 1, len(stack), arity))
-            elif op == "loop":
-                labels.append((True, pc, pc + 1, len(stack), 0))
-            elif op == "if":
-                condition = stack.pop()
-                arity = 0 if instr.blocktype is None else 1
-                end_idx = matching.end_of[pc]
-                labels.append((False, pc, end_idx + 1, len(stack), arity))
-                if not condition:
-                    else_idx = matching.else_of.get(pc)
-                    if else_idx is not None:
-                        pc = else_idx  # fall onto the else, skip to its body
-                    else:
-                        pc = end_idx - 1  # land on the end, which pops the label
-            elif op == "else":
-                # reached from the then-arm: skip to the matching end
-                pc = matching.end_of[pc] - 1
-            elif op == "end":
-                if labels:
-                    labels.pop()
-                # the function's final end simply falls off the loop
-            elif op == "br":
-                if meter is not None:
-                    meter.branch(len(stack))
-                if tele is not None:
-                    tele.n_branches += 1
-                pc = self._branch(instr.label, labels, stack)
-                continue
-            elif op == "br_if":
-                if stack.pop():
+                if op == "get_local":
+                    stack.append(locals_[instr.idx])
+                elif op == "set_local":
+                    locals_[instr.idx] = stack.pop()
+                elif op == "tee_local":
+                    locals_[instr.idx] = stack[-1]
+                elif op == "i32.const":
+                    stack.append(instr.value & MASK32)
+                elif op == "i64.const":
+                    stack.append(instr.value & MASK64)
+                elif op == "f32.const":
+                    stack.append(f32_round(instr.value))
+                elif op == "f64.const":
+                    stack.append(float(instr.value))
+                elif ".load" in op:
+                    addr = stack.pop()
+                    stack.append(instance.memory.load(op, addr + instr.memarg.offset))
+                elif ".store" in op:
+                    value = stack.pop()
+                    addr = stack.pop()
+                    instance.memory.store(op, addr + instr.memarg.offset, value)
+                elif op == "block":
+                    arity = 0 if instr.blocktype is None else 1
+                    end_idx = matching.end_of[pc]
+                    labels.append((False, pc, end_idx + 1, len(stack), arity))
+                elif op == "loop":
+                    labels.append((True, pc, pc + 1, len(stack), 0))
+                elif op == "if":
+                    condition = stack.pop()
+                    arity = 0 if instr.blocktype is None else 1
+                    end_idx = matching.end_of[pc]
+                    labels.append((False, pc, end_idx + 1, len(stack), arity))
+                    if not condition:
+                        else_idx = matching.else_of.get(pc)
+                        if else_idx is not None:
+                            pc = else_idx  # fall onto the else, skip to its body
+                        else:
+                            pc = end_idx - 1  # land on the end, which pops the label
+                elif op == "else":
+                    # reached from the then-arm: skip to the matching end
+                    pc = matching.end_of[pc] - 1
+                elif op == "end":
+                    if labels:
+                        labels.pop()
+                    # the function's final end simply falls off the loop
+                elif op == "br":
                     if meter is not None:
                         meter.branch(len(stack))
                     if tele is not None:
                         tele.n_branches += 1
                     pc = self._branch(instr.label, labels, stack)
                     continue
-            elif op == "br_table":
-                index = stack.pop()
-                if meter is not None:
-                    meter.branch(len(stack))
-                if tele is not None:
-                    tele.n_branches += 1
-                table_imm = instr.br_table
-                if index < len(table_imm.labels):
-                    label = table_imm.labels[index]
-                else:
-                    label = table_imm.default
-                pc = self._branch(label, labels, stack)
-                continue
-            elif op == "return":
-                return stack[len(stack) - result_arity:]
-            elif op == "call":
-                callee = instance.functions[instr.idx]
-                n_params = len(callee.functype.params)
-                call_args = stack[len(stack) - n_params:] if n_params else []
-                del stack[len(stack) - n_params:]
-                stack.extend(self.call(instance, instr.idx, call_args))
-            elif op == "call_indirect":
-                expected = instance.module.types[instr.idx]
-                table_idx = stack.pop()
-                func_addr = instance.table.get(table_idx)
-                callee = instance.functions[func_addr]
-                if callee.functype != expected:
-                    raise Trap(f"indirect call type mismatch: entry {table_idx} "
-                               f"has {callee.functype}, expected {expected}")
-                n_params = len(expected.params)
-                call_args = stack[len(stack) - n_params:] if n_params else []
-                del stack[len(stack) - n_params:]
-                stack.extend(self.call(instance, func_addr, call_args))
-            elif op == "drop":
-                stack.pop()
-            elif op == "select":
-                condition = stack.pop()
-                second = stack.pop()
-                first = stack.pop()
-                stack.append(first if condition else second)
-            elif op == "get_global":
-                stack.append(instance.globals[instr.idx].value)
-            elif op == "set_global":
-                instance.globals[instr.idx].value = stack.pop()
-            elif op == "memory.size":
-                stack.append(instance.memory.size_pages)
-            elif op == "memory.grow":
-                delta = stack.pop()
-                stack.append(instance.memory.grow(delta) & MASK32)
-                if tele is not None:
-                    tele.note_grow(instance.memory.size_pages)
-            elif op == "nop":
-                pass
-            elif op == "unreachable":
-                raise Trap("unreachable executed")
-            else:  # pragma: no cover - validation excludes this
-                raise WasmError(f"cannot execute {op}")
-            pc += 1
+                elif op == "br_if":
+                    if stack.pop():
+                        if meter is not None:
+                            meter.branch(len(stack))
+                        if tele is not None:
+                            tele.n_branches += 1
+                        pc = self._branch(instr.label, labels, stack)
+                        continue
+                elif op == "br_table":
+                    index = stack.pop()
+                    if meter is not None:
+                        meter.branch(len(stack))
+                    if tele is not None:
+                        tele.n_branches += 1
+                    table_imm = instr.br_table
+                    if index < len(table_imm.labels):
+                        label = table_imm.labels[index]
+                    else:
+                        label = table_imm.default
+                    pc = self._branch(label, labels, stack)
+                    continue
+                elif op == "return":
+                    return stack[len(stack) - result_arity:]
+                elif op == "call":
+                    callee = instance.functions[instr.idx]
+                    n_params = len(callee.functype.params)
+                    call_args = stack[len(stack) - n_params:] if n_params else []
+                    del stack[len(stack) - n_params:]
+                    stack.extend(self.call(instance, instr.idx, call_args))
+                elif op == "call_indirect":
+                    expected = instance.module.types[instr.idx]
+                    table_idx = stack.pop()
+                    func_addr = instance.table.get(table_idx)
+                    callee = instance.functions[func_addr]
+                    if callee.functype != expected:
+                        raise Trap(f"indirect call type mismatch: entry {table_idx} "
+                                   f"has {callee.functype}, expected {expected}")
+                    n_params = len(expected.params)
+                    call_args = stack[len(stack) - n_params:] if n_params else []
+                    del stack[len(stack) - n_params:]
+                    stack.extend(self.call(instance, func_addr, call_args))
+                elif op == "drop":
+                    stack.pop()
+                elif op == "select":
+                    condition = stack.pop()
+                    second = stack.pop()
+                    first = stack.pop()
+                    stack.append(first if condition else second)
+                elif op == "get_global":
+                    stack.append(instance.globals[instr.idx].value)
+                elif op == "set_global":
+                    instance.globals[instr.idx].value = stack.pop()
+                elif op == "memory.size":
+                    stack.append(instance.memory.size_pages)
+                elif op == "memory.grow":
+                    delta = stack.pop()
+                    stack.append(instance.memory.grow(delta) & MASK32)
+                    if tele is not None:
+                        tele.note_grow(instance.memory.size_pages)
+                elif op == "nop":
+                    pass
+                elif op == "unreachable":
+                    raise Trap("unreachable executed")
+                else:  # pragma: no cover - validation excludes this
+                    raise WasmError(f"cannot execute {op}")
+                pc += 1
 
-        return stack[len(stack) - result_arity:] if result_arity else []
+            return stack[len(stack) - result_arity:] if result_arity else []
+        finally:
+            if profiler is not None:
+                profiler.exit(executed)
 
     @staticmethod
     def _branch(label: int, labels: list[tuple[bool, int, int, int, int]],

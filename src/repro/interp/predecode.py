@@ -100,7 +100,7 @@ OP_CONST_BINARY = 31       # (_, fn, const)       — stack[-1] = fn(top, const)
 OP_GET_LOCAL_BINARY = 32   # (_, fn, local_idx)   — stack[-1] = fn(top, local)
 OP_GET2_LOCAL = 33         # (_, i, j)            — push two locals
 
-# Call-site-specialized hook dispatch. Decoding records *where* calls into
+# Per-call-site hook dispatch. Decoding records *where* calls into
 # the Wasabi hook import namespace happen (``DecodedFunction.hook_sites``);
 # the machine rewrites those slots per instance into
 # ``(OP_HOOK, bound_dispatcher, n_value_args, skip)``: pop the value args,
@@ -802,8 +802,8 @@ def decode_function(func: Function, module: Module,
     """Decode one function body into its threaded form (uncached).
 
     ``fuse=False`` skips the pair-fusion pass, leaving every slot a base
-    opcode — the self-profiler executes unfused streams so its per-opcode
-    counts attribute 1:1 to source instructions. ``pairs`` selects the
+    opcode — the self-profiler takes its per-pc opcode ids from such a
+    stream so its counts attribute 1:1 to source instructions. ``pairs`` selects the
     fusion table (``None`` = :data:`DEFAULT_FUSION_PAIRS`); ``quicken``
     additionally wraps bare memory ops in :data:`OP_QUICK` trampolines and
     records ``call_indirect`` slots in ``indirect_sites`` for the machine's

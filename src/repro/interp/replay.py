@@ -23,8 +23,8 @@ replay pay one ``is not None`` test per host call and nothing else.
 
 **Engine independence.** Wasabi's generated low-level hooks are host
 functions too, but they are *not* recorded: the pre-decoded engine
-dispatches them through call-site-specialized ``OP_HOOK`` sites that
-bypass the generic host-call path, so recording them would bake the
+dispatches them through fused ``OP_HOOK`` sites that bypass the
+host-call path, so recording them would bake the
 engine choice into the log. Excluding them keeps logs replayable across
 engines — record on the pre-decoded engine, replay on the legacy one,
 and vice versa (hooks re-execute live during replay; their *faults* are

@@ -2,13 +2,14 @@
 
 The paper instruments *guest* programs; this module turns the same lens on
 the host interpreter itself. When a profiler is attached
-(``Telemetry(profile=True)`` → ``Machine(telemetry=...)``), the pre-decoded
-engine routes execution through a counting twin of its hot loop
-(``Machine._exec_profiled``) that
+(``Telemetry(profile=True)`` → ``Machine(telemetry=...)``), the machine
+runs every function it instantiates on its legacy loop
+(``Machine._exec``), on either engine, which under one hoisted guard
 
 * increments one slot of a dense per-opcode array per executed instruction
-  (exact dynamic opcode counts — streams are decoded *unfused* under the
-  profiler, so counts attribute 1:1 to source instructions),
+  (exact dynamic opcode counts — the legacy loop executes unfused, 1:1
+  with the source body; ids come from the unfused decode, and a Wasabi
+  hook call site counts once as ``hook``),
 * increments one slot of a dense opcode-*pair* array for every pair of
   instructions executed back to back at adjacent pcs — exactly the pairs
   superinstruction fusion could merge; this is the input of the
@@ -20,9 +21,9 @@ engine routes execution through a counting twin of its hot loop
 
 Counting instructions rather than sampling wall-clock makes the profile
 deterministic for a given guest execution — two runs of the same program
-produce the same ranking — which is what the differential tests pin. The
-profiler is strictly opt-in: without it the machine binds its ordinary
-fused loop and pays nothing.
+produce the same ranking — and independent of the engine, which is what
+the differential tests pin. The profiler is strictly opt-in: without it
+the pre-decoded engine runs its ordinary fused loop and pays nothing.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ OP_CLASSES: dict[int, str] = {
     _pd.OP_CALL: "call", _pd.OP_CALL_INDIRECT: "call",
     _pd.OP_SELECT: "stack", _pd.OP_DROP: "stack",
     _pd.OP_HOOK: "hook",
-    # fused/quickened forms never execute under the profiler (unfused,
+    # fused/quickened forms are never charged (ids come from the unfused,
     # unquickened decode), but keep the map total so aggregation cannot
-    # KeyError on streams from instances created before attach
+    # KeyError on any opcode id
     _pd.OP_GET_LOCAL_CONST: "fused", _pd.OP_CONST_BINARY: "fused",
     _pd.OP_GET_LOCAL_BINARY: "fused", _pd.OP_GET2_LOCAL: "fused",
     _pd.OP_BINARY_CONST: "fused", _pd.OP_BINARY_BINARY: "fused",

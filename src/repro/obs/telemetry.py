@@ -63,8 +63,8 @@ class Event:
 class Telemetry:
     """Shared sink for one run: registry + tracer + events + profiler.
 
-    ``profile=True`` attaches the engine self-profiler (pre-decoded engine
-    only). Raw interpreter totals live as plain ``n_*`` int fields — the
+    ``profile=True`` attaches the engine self-profiler (either engine).
+    Raw interpreter totals live as plain ``n_*`` int fields — the
     hot loops increment them directly — and :meth:`snapshot` folds
     everything into the :class:`~repro.obs.metrics.MetricsRegistry`.
     """

@@ -254,6 +254,26 @@ class TestRecordReplay:
         assert main(["replay", str(bundle)]) == 0
         assert "reproduced" in capsys.readouterr().out
 
+    def test_old_bundle_with_hook_dispatch_flag_replays(
+            self, minic_file, tmp_path, capsys):
+        """Bundles written when hook dispatch had a generic/per-site switch
+        carry it in their engine block; replay ignores it."""
+        out = tmp_path / "prog.wasm"
+        main(["compile", str(minic_file), "-o", str(out)])
+        bundle = tmp_path / "bundle"
+        assert main(["run", str(out), "main", "5", "--analysis", "mix",
+                     "--record", str(bundle)]) == 0
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert set(manifest["engine"]) == {"predecode"}
+        # the removed switch, spelled as older manifests spell it
+        manifest["engine"]["specialize" "_hooks"] = False
+        manifest_path.write_text(json.dumps(manifest, indent=2))
+        capsys.readouterr()
+        for engine in ([], ["--engine", "legacy"], ["--engine", "predecode"]):
+            assert main(["replay", str(bundle), *engine]) == 0
+            assert "reproduced" in capsys.readouterr().out
+
 
 class TestFuzzBundles:
     def test_save_failures_flag_accepted(self, tmp_path, capsys):

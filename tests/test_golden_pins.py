@@ -7,7 +7,7 @@ profiler's exact instruction counting.
 * the ``ExecutionTracer`` event stream of every program in the hook-dispatch
   differential corpus (``tests/test_hook_dispatch.py``), on both engines;
 * ``profiler.as_dict()`` (opcode and pair counts, per-function work and
-  sampled stacks) of instrumented PolyBench runs;
+  sampled stacks) of instrumented PolyBench runs, on both engines;
 * ``benchmarks/results/PGO_corpus_profile.json`` and
   ``PGO_fusion_table.json``, regenerated byte for byte.
 """
@@ -158,10 +158,11 @@ def _instrumented_profile(kernel: str, analysis_name: str,
     return telemetry.profiler.as_dict()
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("analysis_name", PROFILE_ANALYSES)
 @pytest.mark.parametrize("kernel", PROFILE_KERNELS)
-def test_instrumented_profile_golden(kernel, analysis_name):
-    profile = _instrumented_profile(kernel, analysis_name, predecode=True)
+def test_instrumented_profile_golden(kernel, analysis_name, engine):
+    profile = _instrumented_profile(kernel, analysis_name, ENGINES[engine])
     assert profile["total_instructions"] > 0 and profile["samples"]
     assert _digest(json.dumps(profile, sort_keys=True)) == \
         PROFILE_DIGESTS[(kernel, analysis_name)]

@@ -1,15 +1,16 @@
-"""Call-site-specialized hook dispatch (OP_HOOK fusion).
+"""Per-call-site hook dispatch (OP_HOOK fusion).
 
 The pre-decoding engine recognizes the instrumentation idiom
 ``i32.const f; i32.const i; call <hook>`` and fuses it into a pre-bound
 ``OP_HOOK`` superinstruction whose dispatcher has the Location and all
-per-site static information resolved at instantiation time. These tests
-pin down
+per-site static information resolved at instantiation time; the legacy
+engine reaches the same per-site dispatchers through the hook's host
+function. These tests pin down
 
 * the decode-time site recording and pair-fusion interaction,
-* that the specialized path produces event streams identical to both
-  the generic pre-decoded path and the legacy string-dispatch engine
-  (differential corpus + hypothesis),
+* that the pre-decoded engine produces event streams identical to the
+  legacy string-dispatch engine (differential corpus + hypothesis; the
+  corpus streams are also pinned by digest in ``test_golden_pins.py``),
 * the shared no-op dispatcher for un-overridden hooks,
 * ``Analysis.used_groups()`` and ``AnalysisSession(groups=None)``
   auto-narrowing, and
@@ -90,8 +91,7 @@ def stream(module, machine, entry, args, groups=None, config=None):
 
 
 ENGINES = {
-    "specialized": lambda: Machine(predecode=True, specialize_hooks=True),
-    "generic": lambda: Machine(predecode=True, specialize_hooks=False),
+    "predecoded": lambda: Machine(predecode=True),
     "legacy": lambda: Machine(predecode=False),
 }
 
@@ -99,9 +99,9 @@ ENGINES = {
 def assert_streams_identical(module, entry, args, **kwargs):
     streams = {name: stream(module, make(), entry, args, **kwargs)
                for name, make in ENGINES.items()}
-    assert streams["specialized"], "corpus program produced no events"
-    assert streams["specialized"] == streams["generic"] == streams["legacy"]
-    return streams["specialized"]
+    assert streams["predecoded"], "corpus program produced no events"
+    assert streams["predecoded"] == streams["legacy"]
+    return streams["predecoded"]
 
 
 class TestDifferentialCorpus:
@@ -147,20 +147,20 @@ class TestDifferentialCorpus:
 @given(minic_program(), st.integers(min_value=-8, max_value=8),
        st.integers(min_value=-8, max_value=8))
 def test_differential_hypothesis(source, a, b):
-    """Specialized and generic dispatch agree on random programs."""
+    """The default engine and the legacy engine agree on random programs."""
     module = compile_source(source)
     try:
-        specialized = stream(module, Machine(), "main", (a, b))
+        predecoded = stream(module, Machine(), "main", (a, b))
     except Exception as exc:
-        # traps must reproduce identically on the generic path
+        # traps must reproduce identically on the legacy engine
         try:
-            stream(module, Machine(specialize_hooks=False), "main", (a, b))
-        except Exception as generic_exc:
-            assert type(generic_exc) is type(exc)
+            stream(module, Machine(predecode=False), "main", (a, b))
+        except Exception as legacy_exc:
+            assert type(legacy_exc) is type(exc)
             return
-        raise AssertionError("specialized path trapped, generic did not")
-    generic = stream(module, Machine(specialize_hooks=False), "main", (a, b))
-    assert specialized == generic
+        raise AssertionError("default engine trapped, legacy did not")
+    legacy = stream(module, Machine(predecode=False), "main", (a, b))
+    assert predecoded == legacy
 
 
 # -- fusion / binding internals --------------------------------------------------
@@ -190,22 +190,13 @@ class TestFusion:
         tracer = ExecutionTracer()
         session = AnalysisSession(
             module, tracer, run_start=False,
-            machine=Machine(predecode=True, specialize_hooks=True))
+            machine=Machine(predecode=True))
         fused = [ins for fn in session.instance.functions
                  if getattr(fn, "decoded", None) is not None
                  for ins in fn.decoded.code if ins[0] == OP_HOOK]
         assert fused
         # every fused site skips the whole const/const/call triple
         assert all(ins[3] == 3 for ins in fused)
-
-    def test_specialization_can_be_disabled(self):
-        module = compile_source(MIXED_SOURCE)
-        tracer = ExecutionTracer()
-        session = AnalysisSession(module, tracer, run_start=False,
-                                  machine=Machine(specialize_hooks=False))
-        assert not [ins for fn in session.instance.functions
-                    if getattr(fn, "decoded", None) is not None
-                    for ins in fn.decoded.code if ins[0] == OP_HOOK]
 
 
 class TestNoopSharing:

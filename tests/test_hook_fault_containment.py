@@ -2,8 +2,7 @@
 
 The central guarantee tested here is the quarantine differential: a hook
 that raises on its Nth event must leave guest-visible results *identical*
-to an un-instrumented run, on both engines and with specialized hook
-dispatch disabled (``REPRO_SPECIALIZE_HOOKS=0`` equivalent).
+to an un-instrumented run, on both engines.
 """
 
 from __future__ import annotations
@@ -15,12 +14,8 @@ from repro.interp import Linker, Machine
 from repro.minic import compile_source
 from repro.wasm import AnalysisAbort, AnalysisError, Trap
 
-#: (predecode, specialize_hooks) engine configurations.
-CONFIGS = [(True, True), (True, False), (False, True)]
-
-
-def _machine(predecode: bool, specialize: bool) -> Machine:
-    return Machine(predecode=predecode, specialize_hooks=specialize)
+#: The two engines (``predecode``).
+CONFIGS = [True, False]
 
 
 @pytest.fixture
@@ -145,20 +140,19 @@ class TestPolicies:
 class TestQuarantineDifferential:
     """Guest results under quarantine == un-instrumented results."""
 
-    @pytest.mark.parametrize("predecode,specialize", CONFIGS)
+    @pytest.mark.parametrize("predecode", CONFIGS)
     @pytest.mark.parametrize("fail_at", [1, 7, 40])
     def test_results_identical_to_uninstrumented(self, work_module,
-                                                 predecode, specialize,
-                                                 fail_at):
+                                                 predecode, fail_at):
         args_list = [[5], [13], [40]]
-        baseline_machine = _machine(predecode, specialize)
+        baseline_machine = Machine(predecode=predecode)
         baseline = baseline_machine.instantiate(work_module, Linker())
         expected = [baseline.invoke("work", args) for args in args_list]
         expected_mem = bytes(baseline.memory.data[:512])
 
         session = AnalysisSession(
             work_module, FlakyAnalysis(fail_at),
-            machine=_machine(predecode, specialize),
+            machine=Machine(predecode=predecode),
             on_analysis_error="quarantine")
         got = [session.invoke("work", args) for args in args_list]
         got_mem = bytes(session.instance.memory.data[:512])
@@ -167,9 +161,9 @@ class TestQuarantineDifferential:
         assert got_mem == expected_mem
         assert len(session.hook_faults) == 1
 
-    @pytest.mark.parametrize("predecode,specialize", CONFIGS)
+    @pytest.mark.parametrize("predecode", CONFIGS)
     def test_multi_hook_quarantine_is_per_hook(self, work_module,
-                                               predecode, specialize):
+                                               predecode):
         """Only the faulting hook is quarantined; others keep reporting."""
 
         class PartiallyBroken(BrokenOpAnalysis):
@@ -182,19 +176,19 @@ class TestQuarantineDifferential:
 
         analysis = PartiallyBroken()
         session = AnalysisSession(work_module, analysis,
-                                  machine=_machine(predecode, specialize),
+                                  machine=Machine(predecode=predecode),
                                   on_analysis_error="quarantine")
         session.invoke("work", [20])
         assert analysis.counts["i32.mul"] == 1  # quarantined after 1 fault
         assert analysis.counts["i32.add"] > 20  # sibling hooks unaffected
         assert analysis.locals_seen > 20  # the local hook kept running
 
-    @pytest.mark.parametrize("predecode,specialize", CONFIGS)
+    @pytest.mark.parametrize("predecode", CONFIGS)
     def test_quarantine_persists_across_invokes(self, work_module,
-                                                predecode, specialize):
+                                                predecode):
         analysis = BrokenOpAnalysis("i32.mul")
         session = AnalysisSession(work_module, analysis,
-                                  machine=_machine(predecode, specialize),
+                                  machine=Machine(predecode=predecode),
                                   on_analysis_error="quarantine")
         first = session.invoke("work", [10])
         second = session.invoke("work", [10])
@@ -203,7 +197,7 @@ class TestQuarantineDifferential:
         assert analysis.counts["i32.mul"] == 1
 
     def test_quarantine_differential_under_fresh_sites(self, work_module):
-        """Sites specialized *after* a quarantine bind straight to the no-op.
+        """Sites bound *after* a quarantine bind straight to the no-op.
 
         A second instantiation of the same session's runtime (new machine,
         same host functions) must respect an earlier quarantine.

@@ -7,11 +7,18 @@ import pytest
 from repro.core import (Analysis, AnalysisSession, analyze, instrument_module)
 from repro.core.hooks import HOOK_MODULE
 from repro.core.instrument import InstrumentationConfig
-from repro.core.runtime import WasabiRuntime, _present
+from repro.core.runtime import WasabiRuntime, _part_extractors
 from repro.interp import Linker, Machine
 from repro.minic import compile_source
 from repro.wasm import encode_module, validate_module
 from repro.wasm.types import F32, F64, I32, I64
+
+
+def _present(valtype, raw):
+    """One canonical value through the runtime's presentation converter
+    (i64 values cross the boundary as two i32 halves)."""
+    present = _part_extractors((valtype,))[1][0]
+    return present([raw & 0xFFFFFFFF, raw >> 32] if valtype is I64 else [raw])
 
 
 class TestValuePresentation:

@@ -332,9 +332,17 @@ class TestProfiler:
             assert int(weight) >= 1
             assert stack.split(";")[0] == "main"
 
-    def test_profiler_requires_predecode(self):
-        with pytest.raises(ValueError, match="pre-decoded"):
-            Machine(predecode=False, telemetry=Telemetry(profile=True))
+    def test_profiles_identical_across_engines(self, fib_module):
+        """The profiler counts on the legacy loop on either engine, so the
+        whole profile — sampled stacks included — is engine-independent."""
+        profiles = []
+        for predecode in ENGINES:
+            tele = Telemetry(profile=True, sample_interval=25)
+            machine = Machine(predecode=predecode, telemetry=tele)
+            machine.instantiate(fib_module, Linker()).invoke("main", [])
+            profiles.append(tele.profiler.as_dict())
+        assert profiles[0]["total_instructions"] > 0
+        assert profiles[0] == profiles[1]
 
     def test_profiler_with_instrumented_module(self, fib_module):
         """Profiled execution handles OP_HOOK sites (instrumented runs)."""
@@ -538,10 +546,7 @@ class TestCli:
         assert "fuel_spent=" in err
         assert "peak_depth=" in err
 
-    def test_run_writes_metrics_and_trace(self, fib_wasm, tmp_path, capsys,
-                                          monkeypatch):
-        # --profile needs the pre-decoded engine even under REPRO_PREDECODE=0
-        monkeypatch.setenv("REPRO_PREDECODE", "1")
+    def test_run_writes_metrics_and_trace(self, fib_wasm, tmp_path, capsys):
         metrics = tmp_path / "m.json"
         trace = tmp_path / "t.json"
         assert main(["run", str(fib_wasm), "main", "--profile",
@@ -574,8 +579,7 @@ class TestCli:
             ["decode", "instrument", "instantiate", "invoke"]
 
     def test_report_renders_metrics_artifact(self, fib_wasm, tmp_path,
-                                             capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_PREDECODE", "1")
+                                             capsys):
         metrics = tmp_path / "m.json"
         assert main(["run", str(fib_wasm), "main", "--profile",
                      "--metrics-out", str(metrics)]) == 0
