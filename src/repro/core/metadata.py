@@ -127,7 +127,7 @@ class StaticInfo:
         return {spec.name: spec for spec in self.hooks}
 
     # -- per-site accessors --------------------------------------------------------
-    # Used by the runtime's site-specialized dispatch: each is resolved once
+    # Used by the runtime's per-site dispatch: each is resolved once
     # per call site at specialization time, never per event.
 
     def memarg_offset(self, func: int, instr: int) -> int:

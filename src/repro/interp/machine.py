@@ -97,9 +97,10 @@ class BlockMatching:
 
 
 def _generic_hook_dispatcher(host: HostFunction, extra: tuple):
-    """Per-site dispatcher for a hook import *without* a site factory.
+    """Per-site dispatcher that calls the hook's host function.
 
-    Semantically identical to executing the original const/const/call
+    Bound for hook imports without a site factory, for sites whose factory
+    raised, and for bare hook calls. Semantically identical to executing the original const/const/call
     sequence: the pre-fused constants are appended to the popped value args
     and the host function is called. Wasabi-generated dispatchers
     (``is_wasabi_hook``) are void by construction; anything else keeps the
