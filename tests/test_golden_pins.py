@@ -29,8 +29,8 @@ from repro.interp.pgo import fusion_table_payload, record_corpus_profile
 from repro.minic import compile_source
 from repro.obs.telemetry import Telemetry
 
-from .test_hook_dispatch import (I64_SOURCE, MIXED_SOURCE, br_table_module,
-                                 stream)
+from .test_hook_dispatch import (I64_SOURCE, INDIRECT_SOURCE, MIXED_SOURCE,
+                                 NO_LOCATION_GROUPS, br_table_module, stream)
 
 RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
@@ -42,19 +42,6 @@ def _digest(text: str) -> str:
 
 
 # -- hook event streams ----------------------------------------------------------
-
-INDIRECT_SOURCE = """
-    type unop = func(i32) -> i32;
-    func inc(x: i32) -> i32 { return x + 1; }
-    func dec(x: i32) -> i32 { return x - 1; }
-    table [inc, dec];
-    export func main(i: i32, v: i32) -> i32 {
-        return call_indirect[unop](i & 1, v);
-    }
-"""
-
-NO_LOCATION_GROUPS = frozenset({"const", "drop", "select", "unary", "binary",
-                                "load", "store", "if", "begin", "return"})
 
 #: corpus entry → (module factory name, entry, args, session kwargs)
 CORPUS = {

@@ -81,6 +81,21 @@ MIXED_SOURCE = """
     }
 """
 
+INDIRECT_SOURCE = """
+    type unop = func(i32) -> i32;
+    func inc(x: i32) -> i32 { return x + 1; }
+    func dec(x: i32) -> i32 { return x - 1; }
+    table [inc, dec];
+    export func main(i: i32, v: i32) -> i32 {
+        return call_indirect[unop](i & 1, v);
+    }
+"""
+
+#: The hook groups that need no location parameters (the others key their
+#: static info by location).
+NO_LOCATION_GROUPS = frozenset({"const", "drop", "select", "unary", "binary",
+                                "load", "store", "if", "begin", "return"})
+
 
 def stream(module, machine, entry, args, groups=None, config=None):
     tracer = ExecutionTracer()
@@ -130,15 +145,7 @@ class TestDifferentialCorpus:
         assert_streams_identical(memory_module, "roundtrip", (2.5,))
 
     def test_indirect_calls(self):
-        module = compile_source("""
-            type unop = func(i32) -> i32;
-            func inc(x: i32) -> i32 { return x + 1; }
-            func dec(x: i32) -> i32 { return x - 1; }
-            table [inc, dec];
-            export func main(i: i32, v: i32) -> i32 {
-                return call_indirect[unop](i & 1, v);
-            }
-        """)
+        module = compile_source(INDIRECT_SOURCE)
         for args in [(0, 10), (1, 10)]:
             assert_streams_identical(module, "main", args)
 
@@ -301,10 +308,9 @@ class TestNoLocations:
         """
         module = compile_source(MIXED_SOURCE)
         config = InstrumentationConfig(emit_locations=False)
-        groups = frozenset({"const", "drop", "select", "unary", "binary",
-                            "load", "store", "if", "begin", "return"})
         events = assert_streams_identical(module, "main", (4, 2),
-                                          config=config, groups=groups)
+                                          config=config,
+                                          groups=NO_LOCATION_GROUPS)
         assert all(e.location == Location(-1, -1) for e in events)
 
     def test_values_survive_without_locations(self):
