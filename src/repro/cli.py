@@ -777,15 +777,17 @@ def _run(args: argparse.Namespace, module, call_args, printed, linker,
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    """Run the seeded fault-injection campaign (see repro.eval.faultinject).
+    """Run a seeded fuzz campaign through repro.eval.fuzz.
 
-    Plain invocations keep the PR-3 serial harness; any of --parallel,
-    --coverage, --corpus-dir, or --time-budget routes through the
-    campaign engine in repro.eval.fuzz (sharding, corpus evolution,
-    signature dedup + auto-reduced bundles). Both paths exit EXIT_FAILURE
-    on escapes per the unified 0..7 taxonomy.
+    Without flags this is one blind, in-process shard (the classic
+    fault-injection campaign of repro.eval.faultinject); --parallel,
+    --coverage, --corpus-dir, --time-budget and --supervise scale it up
+    (sharding, corpus evolution, signature dedup + auto-reduced bundles).
+    --reduce additionally shrinks every escape bundle written under
+    --save-failures. Exits EXIT_FAILURE on escapes per the unified 0..7
+    taxonomy.
     """
-    from .eval.faultinject import run_campaign
+    from .eval.fuzz import FuzzConfig, fold_into_telemetry, run_fuzz_campaign
 
     engines: tuple[bool, ...] = (True, False)
     if args.engine == "predecode":
@@ -793,83 +795,48 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     elif args.engine == "legacy":
         engines = (False,)
     telemetry = _telemetry_from_args(args)
-
-    if (args.parallel > 1 or args.coverage or args.corpus_dir is not None
-            or args.time_budget is not None or args.supervise):
-        from .eval.fuzz import (FuzzConfig, fold_into_telemetry,
-                                run_fuzz_campaign)
-        config = FuzzConfig(mutants=args.mutants, seed=args.seed,
-                            parallel=args.parallel, coverage=args.coverage,
-                            execute=not args.no_execute, engines=engines,
-                            corpus_dir=args.corpus_dir,
-                            save_failures=args.save_failures,
-                            time_budget=args.time_budget,
-                            supervised=args.supervise,
-                            shard_timeout=args.shard_timeout,
-                            shard_rss_limit_mb=args.shard_rss_limit_mb,
-                            wasi=args.wasi_faults)
-        with maybe_span(telemetry, "fuzz_campaign", mutants=args.mutants,
-                        seed=args.seed, parallel=args.parallel,
-                        coverage=args.coverage):
-            result = run_fuzz_campaign(config)
-        fold_into_telemetry(result, telemetry)
-        print(result.summary())
-        for sig in result.new_signatures:
-            print(f"repro: new signature {sig}", file=sys.stderr)
-        for failure in result.escapes:
-            print(f"ESCAPE {failure}", file=sys.stderr)
-        for bundle in result.bundles:
-            print(f"repro: bundle {bundle}", file=sys.stderr)
-        if result.shards_killed:
-            print(f"repro: {result.shards_killed} supervised shard(s) "
-                  f"killed (deadline/RSS/crash); their mutant blocks are "
-                  f"regenerable from the cursor", file=sys.stderr)
-        if result.interrupted:
-            print("repro: interrupted; completed shards merged"
-                  + (" and corpus cursor saved" if args.corpus_dir else ""),
-                  file=sys.stderr)
-        _write_artifacts(telemetry, args)
-        return (EXIT_OK if result.ok and not result.interrupted
-                else EXIT_FAILURE)
-
+    config = FuzzConfig(mutants=args.mutants, seed=args.seed,
+                        parallel=args.parallel, coverage=args.coverage,
+                        execute=not args.no_execute, engines=engines,
+                        corpus_dir=args.corpus_dir,
+                        save_failures=args.save_failures,
+                        time_budget=args.time_budget,
+                        supervised=args.supervise,
+                        shard_timeout=args.shard_timeout,
+                        shard_rss_limit_mb=args.shard_rss_limit_mb,
+                        wasi=args.wasi_faults)
     with maybe_span(telemetry, "fuzz_campaign", mutants=args.mutants,
-                    seed=args.seed):
-        result = run_campaign(mutants=args.mutants, seed=args.seed,
-                              execute=not args.no_execute, engines=engines,
-                              save_failures=args.save_failures,
-                              wasi=args.wasi_faults)
-    if telemetry is not None:
-        registry = telemetry.registry
-        for stage, count in sorted(result.rejected_at.items()):
-            registry.counter("repro_fuzz_rejections_total",
-                             labels={"stage": stage},
-                             help="mutants rejected per pipeline stage").set(count)
-        registry.counter("repro_fuzz_survivors_total",
-                         help="mutants surviving the whole pipeline").set(
-            result.survived)
-        registry.counter("repro_fuzz_escapes_total",
-                         help="non-WasmError pipeline escapes").set(
-            len(result.failures))
-        for failure in result.failures:
-            telemetry.event("fuzz_escape", detail=str(failure))
+                    seed=args.seed, parallel=args.parallel,
+                    coverage=args.coverage):
+        result = run_fuzz_campaign(config)
+    fold_into_telemetry(result, telemetry)
     print(result.summary())
-    for failure in result.failures:
+    for sig in result.new_signatures:
+        print(f"repro: new signature {sig}", file=sys.stderr)
+    for failure in result.escapes:
         print(f"ESCAPE {failure}", file=sys.stderr)
-    if args.save_failures and result.failures:
-        print(f"repro: {len(result.failures)} crash bundles written under "
-              f"{args.save_failures}", file=sys.stderr)
-        if args.reduce:
-            from .eval.reduce import reduce_bundle
-            for failure in result.failures:
-                bundle_dir = (Path(args.save_failures)
-                              / f"{failure.corpus_name}-{failure.index}")
-                reduction = reduce_bundle(load_crash_bundle(bundle_dir),
-                                          execute=not args.no_execute,
-                                          engines=engines)
-                print(f"repro: {bundle_dir.name}: {reduction.summary()}",
-                      file=sys.stderr)
+    for bundle in result.bundles:
+        print(f"repro: bundle {bundle}", file=sys.stderr)
+    if args.reduce and args.save_failures:
+        from .eval.reduce import reduce_bundle
+        for failure in result.escapes:
+            bundle_dir = (Path(args.save_failures)
+                          / f"{failure.corpus_name}-{failure.index}")
+            reduction = reduce_bundle(load_crash_bundle(bundle_dir),
+                                      execute=not args.no_execute,
+                                      engines=engines)
+            print(f"repro: {bundle_dir.name}: {reduction.summary()}",
+                  file=sys.stderr)
+    if result.shards_killed:
+        print(f"repro: {result.shards_killed} supervised shard(s) "
+              f"killed (deadline/RSS/crash); their mutant blocks are "
+              f"regenerable from the cursor", file=sys.stderr)
+    if result.interrupted:
+        print("repro: interrupted; completed shards merged"
+              + (" and corpus cursor saved" if args.corpus_dir else ""),
+              file=sys.stderr)
     _write_artifacts(telemetry, args)
-    return EXIT_OK if result.ok else EXIT_FAILURE
+    return EXIT_OK if result.ok and not result.interrupted else EXIT_FAILURE
 
 
 def cmd_bundle(args: argparse.Namespace) -> int:
@@ -1400,7 +1367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both",
                    help="engine(s) for the execute stage (default: both)")
     p.add_argument("--save-failures", metavar="DIR", default=None,
-                   help="write a crash bundle per surviving mutant under DIR")
+                   help="write a crash bundle per escape under DIR")
     p.add_argument("--reduce", action="store_true",
                    help="ddmin-reduce each saved crash bundle in place "
                         "(requires --save-failures)")

@@ -13,13 +13,14 @@ that assumed well-formedness.
 Everything is keyed off one integer seed, so a campaign is exactly
 reproducible: a failure record carries the seed, corpus entry, and mutant
 index needed to regenerate the offending binary with
-:func:`regenerate_mutant`.
+:func:`regenerate_mutant`. The campaign loop itself (sharding, coverage
+guidance, signature triage) lives in :mod:`repro.eval.fuzz`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.analysis import ALL_GROUPS
 from ..core.instrument import instrument_module
@@ -293,7 +294,7 @@ def regenerate_mutant(seed: int, corpus_name: str, index: int,
     return mutant
 
 
-# -- campaign -------------------------------------------------------------------
+# -- pipeline -------------------------------------------------------------------
 
 
 @dataclass
@@ -312,32 +313,6 @@ class Failure:
         return (f"[{self.corpus_name}#{self.index} seed={self.seed}] "
                 f"{self.stage}: {self.exc_type}: {self.message} "
                 f"(recipe: {self.recipe})")
-
-
-@dataclass
-class CampaignResult:
-    """Outcome of one fault-injection campaign."""
-
-    mutants: int = 0
-    seed: int = 0
-    #: mutants whose pipeline ended (cleanly) at each stage
-    rejected_at: dict = field(default_factory=dict)
-    #: mutants that survived every stage they were driven through
-    survived: int = 0
-    failures: list[Failure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        parts = [f"{self.mutants} mutants (seed {self.seed})"]
-        for stage in STAGES:
-            if stage in self.rejected_at:
-                parts.append(f"{self.rejected_at[stage]} rejected at {stage}")
-        parts.append(f"{self.survived} survived")
-        parts.append(f"{len(self.failures)} escapes")
-        return ", ".join(parts)
 
 
 def _permissive_linker() -> Linker:
@@ -445,18 +420,6 @@ def _pipeline_stage(binary: bytes, execute: bool,
     return None, None
 
 
-def run_pipeline(binary: bytes, execute: bool = False,
-                 engines: tuple[bool, ...] = (True, False)) -> str | None:
-    """Drive one binary through the pipeline.
-
-    Returns None if every stage passed, or the name of the stage that
-    (cleanly) rejected it. Non-WasmError exceptions propagate — the
-    campaign records them as escapes.
-    """
-    stage, _ = _pipeline_stage(binary, execute, engines)
-    return stage
-
-
 @dataclass(frozen=True)
 class Classification:
     """What the pipeline did with one binary.
@@ -504,43 +467,6 @@ def classify(binary: bytes, execute: bool = True,
         return Classification(stage=None, outcome="pass")
     return Classification(stage=stage, outcome="rejected",
                           exc_type=type(exc).__name__, message=str(exc))
-
-
-def run_campaign(mutants: int = 5000, seed: int = 20260806,
-                 corpus: dict[str, bytes] | None = None,
-                 execute: bool = True,
-                 engines: tuple[bool, ...] = (True, False),
-                 save_failures: str | None = None,
-                 wasi: bool = False) -> CampaignResult:
-    """Run a full seeded campaign; never raises on escapes, records them.
-
-    With ``save_failures`` set, every escape is additionally persisted as a
-    self-contained crash bundle under that directory (one subdirectory per
-    failure, named ``<corpus>-<index>``), loadable by ``repro replay``.
-    ``wasi=True`` widens the default corpus with :func:`wasi_corpus`.
-    """
-    corpus = corpus if corpus is not None else seed_corpus(wasi=wasi)
-    result = CampaignResult(mutants=mutants, seed=seed)
-    names = sorted(corpus)
-    for index in range(mutants):
-        name = names[index % len(names)]
-        mutant, recipe = mutate(corpus[name], mutant_rng(seed, name, index))
-        try:
-            stage = run_pipeline(mutant, execute=execute, engines=engines)
-        except Exception as exc:  # noqa: BLE001 - escapes are the point
-            stage = _failing_stage(exc)
-            failure = Failure(
-                corpus_name=name, index=index, seed=seed, stage=stage,
-                recipe=recipe, exc_type=type(exc).__name__, message=str(exc))
-            result.failures.append(failure)
-            if save_failures is not None:
-                save_failure_bundle(failure, mutant, save_failures)
-            continue
-        if stage is None:
-            result.survived += 1
-        else:
-            result.rejected_at[stage] = result.rejected_at.get(stage, 0) + 1
-    return result
 
 
 # -- crash bundles ----------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Coverage-guided, parallel fuzzing of the binary pipeline.
+"""The fuzz campaign engine: blind or coverage-guided, serial or sharded.
 
-The PR-3 fault-injection harness (:mod:`repro.eval.faultinject`) mutates
-blindly and single-threaded; this module turns it into a corpus-evolving
-campaign engine:
+:mod:`repro.eval.faultinject` supplies the seed corpus, the mutators and
+the per-binary pipeline classification; this module is the one campaign
+loop that drives them. With default settings it runs one blind shard in
+process — the classic seeded fault-injection campaign — and it scales up
+to a corpus-evolving engine:
 
 * **Coverage guidance** — every mutant's pipeline run is observed by a
   :class:`~repro.eval.coverage.CoverageCollector` over the decoder,
@@ -61,6 +63,10 @@ MUTATOR_VERSION = 1
 #: admissions propagate between shards a few times per second.
 DEFAULT_ROUND_SIZE = 500
 
+#: Cap on corpus admissions per shard round (keeps rounds bounded when a
+#: fresh campaign discovers hundreds of new edges at once).
+MAX_ADDITIONS_PER_SHARD = 8
+
 
 def signature_key(stage: str | None, outcome: str, exc_type: str | None) -> str:
     """The dedup-table key for one pipeline outcome, as a flat string."""
@@ -77,10 +83,9 @@ class FuzzConfig:
     coverage: bool = False
     execute: bool = True
     engines: tuple = (True, False)
+    #: persisted corpus state; reduced new-signature bundles go to
+    #: ``<corpus_dir>/signatures``.
     corpus_dir: str | None = None
-    #: where reduced new-signature bundles go; defaults to
-    #: ``<corpus_dir>/signatures`` when a corpus dir is given.
-    signatures_dir: str | None = None
     #: where escape crash bundles go (mirrors ``repro fuzz --save-failures``).
     save_failures: str | None = None
     #: stop admitting rounds once this much wall-clock has elapsed.
@@ -89,9 +94,6 @@ class FuzzConfig:
     #: ddmin budget per new signature; small on purpose — triage wants a
     #: small reproducer fast, not a 1-minimal one.
     reduce_tests: int = 150
-    #: cap on corpus admissions per shard round (keeps rounds bounded when
-    #: a fresh campaign discovers hundreds of new edges at once).
-    max_additions_per_shard: int = 8
     #: route shards through supervised service workers (repro.serve): hard
     #: wall-clock deadline + RSS ceiling per shard, SIGKILL on breach.
     supervised: bool = False
@@ -103,13 +105,6 @@ class FuzzConfig:
     #: mutants execute against an injected-fault host module whose fault
     #: seed derives from the mutant bytes (still a pure function).
     wasi: bool = False
-
-    def resolved_signatures_dir(self) -> str | None:
-        if self.signatures_dir is not None:
-            return self.signatures_dir
-        if self.corpus_dir is not None:
-            return str(Path(self.corpus_dir) / "signatures")
-        return None
 
 
 @dataclass
@@ -325,8 +320,8 @@ def _shard_worker(payload: dict) -> dict:
     # Guided scheduling state: seeds and evolved frontier entries alternate
     # (even indices draw from the seed stream, odd from the frontier), and
     # guided mutants use single-op mutation so children stay close to their
-    # interesting parent. Blind mode keeps the legacy round-robin + 1-3 op
-    # schedule, so parallel blind aggregates match the serial harness.
+    # interesting parent. Blind mode keeps the round-robin + 1-3 op
+    # schedule, so blind aggregates are independent of the shard count.
     evolved = [n for n in names if n.startswith("cov-")]
     seeds_only = [n for n in names if not n.startswith("cov-")]
     max_ops = 1 if want_coverage else 3
@@ -404,7 +399,7 @@ def _shard_payload(config: FuzzConfig, state: CorpusState,
         "coverage": config.coverage,
         "known_edges": state.coverage.to_payload(),
         "known_signatures": sorted(state.signatures),
-        "max_additions": config.max_additions_per_shard,
+        "max_additions": MAX_ADDITIONS_PER_SHARD,
     }
 
 
@@ -522,7 +517,8 @@ def _merge_shard(config: FuzzConfig, state: CorpusState, result: FuzzResult,
         state.signatures[sig] = state.signatures.get(sig, 0) + count
         result.signatures[sig] = result.signatures.get(sig, 0) + count
 
-    sig_dir = config.resolved_signatures_dir()
+    sig_dir = (Path(config.corpus_dir) / "signatures"
+               if config.corpus_dir is not None else None)
     for sig in sorted(shard["signature_examples"]):
         if sig in result.new_signatures or sig in result.preexisting:
             continue  # an earlier shard/round or a resumed table owns it

@@ -73,11 +73,12 @@ def time_instrumentation(name: str, module: Module, repeats: int = 5,
 class InterpBenchReport:
     """One workload timed across the interpreter engine configurations.
 
-    Three columns: the legacy string-dispatch loop, the unquickened
-    predecoded engine with the default fusion set (the PR-1 engine, kept
-    as the ablation), and the full profile-guided configuration (PGO
-    fusion table + quickening). ``opcode_classes`` carries the workload's
-    *dynamic* opcode-class mix so per-workload ratios are diagnosable.
+    Three columns: the legacy string-dispatch loop, the default
+    predecoded engine (hand-picked fusion set, no profile), and the same
+    engine with the profile-guided fusion table — so the gap between the
+    last two is what the PGO table adds. ``opcode_classes`` carries the
+    workload's *dynamic* opcode-class mix so per-workload ratios are
+    diagnosable.
     """
 
     name: str
@@ -89,7 +90,7 @@ class InterpBenchReport:
 
     @property
     def predecode_speedup(self) -> float:
-        """Unquickened predecoded engine vs legacy (the PR-1 ablation)."""
+        """Default predecoded engine (no profile) vs legacy."""
         if self.predecoded_seconds == 0:
             return float("inf")
         return self.legacy_seconds / self.predecoded_seconds
@@ -108,15 +109,14 @@ def time_workload(workload: Workload, repeats: int = 3,
                   predecode: bool | None = None,
                   clock: Callable[[], float] | None = None,
                   tracer: Tracer | None = None,
-                  quicken: bool | None = None,
                   pgo_profile=None) -> float:
     """Best-of-``repeats`` uninstrumented runtime on the chosen engine.
 
     Instantiates fresh per repeat (memory/globals reset) but times only the
     invoke, so decode cost is excluded — matching how the overhead sweep
     times its baseline. Each repeat is one ``workload_invoke`` span.
-    ``quicken``/``pgo_profile`` select the quickened / profile-guided
-    engine configurations (predecoded machines only).
+    ``pgo_profile`` selects the profile-guided fusion table (predecoded
+    machines only).
     """
     if tracer is None:
         tracer = Tracer(clock=clock) if clock is not None else Tracer()
@@ -129,8 +129,7 @@ def time_workload(workload: Workload, repeats: int = 3,
     else:
         engine = "predecode"
     for _ in range(repeats):
-        machine = Machine(predecode=predecode, quicken=quicken,
-                          pgo_profile=pgo_profile)
+        machine = Machine(predecode=predecode, pgo_profile=pgo_profile)
         instance = machine.instantiate(module, workload.linker())
         elapsed, = measure(
             lambda: instance.invoke(workload.entry, workload.args), 1,
@@ -153,7 +152,7 @@ def bench_interpreter(workloads: list[Workload], repeats: int = 3,
     workload is profiled once (deterministic, unfused stream), the merged
     corpus profile yields the fusion table (unless a pre-derived
     ``fusion_table`` is supplied, e.g. the committed corpus artifact), and
-    the PGO column runs with that table plus quickening. The recorded
+    the PGO column runs with that table. The recorded
     per-workload profiles also supply each report's dynamic opcode-class
     mix.
     """
@@ -174,12 +173,11 @@ def bench_interpreter(workloads: list[Workload], repeats: int = 3,
         legacy = time_workload(workload, repeats, predecode=False,
                                clock=clock, tracer=tracer)
         predecoded = time_workload(workload, repeats, predecode=True,
-                                   quicken=False, clock=clock, tracer=tracer)
+                                   clock=clock, tracer=tracer)
         pgo_seconds = None
         classes = None
         if pgo:
             pgo_seconds = time_workload(workload, repeats, predecode=True,
-                                        quicken=True,
                                         pgo_profile=fusion_table,
                                         clock=clock, tracer=tracer)
             classes = opcode_class_mix(profiles[workload.name])
@@ -206,7 +204,7 @@ def interp_bench_payload(reports: list[InterpBenchReport],
     """The JSON payload recorded as ``BENCH_interp.json``.
 
     ``geomean_speedup`` is the headline (best configuration vs legacy);
-    ``geomean_predecode_speedup`` keeps the unquickened ablation visible.
+    ``geomean_predecode_speedup`` is the default engine without a profile.
     """
     payload = {
         "workloads": [

@@ -12,7 +12,7 @@ from .limits import (DEADLINE_CHECK_INTERVAL, Meter, ResourceLimits,
                      ResourceUsage)
 from .machine import (DEFAULT_MAX_CALL_DEPTH, Instance, Machine, WasmFunction,
                       bind_hook_sites, bind_indirect_caches, instantiate,
-                      predecode_default, quicken_default)
+                      predecode_default)
 from .memory import Memory
 from .pgo import (FUSION_SCHEMA, PROFILE_SCHEMA, fusion_table_payload,
                   load_profile, merge_profiles, profile_payload,
@@ -38,7 +38,7 @@ __all__ = [
     "WasmFunction", "bind_hook_sites", "bind_indirect_caches", "cached_decode",
     "decode_function", "diff_instance", "fusion_table_payload", "instantiate",
     "load_crash_bundle", "load_log", "load_profile", "merge_profiles",
-    "predecode_default", "profile_payload", "quicken_default",
+    "predecode_default", "profile_payload",
     "record_corpus_profile", "replay_linker", "resolve_fusion_pairs",
     "restore_instance", "select_pairs", "snapshot_instance",
     "write_crash_bundle", "write_profile",

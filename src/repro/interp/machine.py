@@ -6,9 +6,11 @@ share the same observable behaviour:
 * the **pre-decoded, direct-threaded engine** (default): function bodies are
   translated once by :mod:`repro.interp.predecode` into flat arrays of
   ``(opcode-id, operand, ...)`` tuples with constants pre-masked, arithmetic
-  handlers pre-resolved, and block/else/end targets baked into the stream;
-  the decoded form is cached per :class:`~repro.wasm.module.Function` so
-  repeated instantiations decode once;
+  handlers pre-resolved, memory ops bound to pre-resolved ``struct`` twins,
+  straight-line runs compiled into segments, and block/else/end targets
+  baked into the stream; the decoded form is cached per
+  :class:`~repro.wasm.module.Function` so repeated instantiations decode
+  once;
 * the **legacy string-dispatch loop**, the independent oracle for
   differential testing (pass ``Machine(predecode=False)`` or set
   ``REPRO_PREDECODE=0``). It executes 1:1 with the source body, so it is
@@ -50,15 +52,6 @@ DEFAULT_MAX_CALL_DEPTH = 700
 def predecode_default() -> bool:
     """Whether new machines pre-decode, from ``REPRO_PREDECODE`` (default on)."""
     return os.environ.get("REPRO_PREDECODE", "1").lower() not in ("0", "false", "no", "off")
-
-
-def quicken_default() -> bool:
-    """Whether memory ops are quickened and ``call_indirect`` sites get
-    inline caches, from ``REPRO_QUICKEN`` (default on). Only meaningful on
-    pre-decoding machines; ``REPRO_QUICKEN=0`` is the escape hatch that
-    restores the unquickened streams as a differential oracle."""
-    return os.environ.get("REPRO_QUICKEN", "1").lower() not in (
-        "0", "false", "no", "off")
 
 
 class BlockMatching:
@@ -222,10 +215,9 @@ def bind_indirect_caches(decoded: DecodedFunction,
 
     Each recorded site becomes an ``OP_CALL_INDIRECT_IC`` tuple carrying a
     fresh mutable cache cell ``[last_table_idx, last_func_addr,
-    last_callee]``. The cells memoize instance-resolved callees, so —
-    unlike memory-op quickening, which is instance-independent and may
-    rewrite the shared decoded stream in place — the returned stream is a
-    per-instance copy. Cells are registered on the instance so snapshot
+    last_callee]``. The cells memoize instance-resolved callees, so the
+    returned stream is a per-instance copy; the shared decode cache is
+    never written. Cells are registered on the instance so snapshot
     restore can reset them (``restore_instance`` must never resurrect a
     callee resolved against pre-restore table state).
     """
@@ -268,8 +260,7 @@ class WasmFunction:
         machine = instance.machine
         if machine.predecode and not machine._profiling:
             decoded, hit = cached_decode(func, instance.module,
-                                         pairs=machine.fusion_pairs,
-                                         quicken=machine.quicken)
+                                         pairs=machine.fusion_pairs)
             if decoded.indirect_sites:
                 # per-instance copy with call_indirect inline caches; must
                 # precede hook binding so the quarantine registry ends up
@@ -437,13 +428,11 @@ class Machine:
     meter's clock reads are recorded or served from the log. Without it
     the host-call paths pay one hoisted ``is not None`` test.
 
-    ``quicken`` controls instantiation-time quickening on the pre-decoded
-    engine (None follows ``REPRO_QUICKEN``, default on): memory ops are
-    wrapped in ``OP_QUICK`` trampolines that rewrite themselves to
-    pre-bound ``struct.Struct`` twins on first execution, and
-    ``call_indirect`` sites get per-instance monomorphic inline caches.
-    ``REPRO_QUICKEN=0`` restores the unquickened streams exactly — the
-    differential oracle for the quickened engine.
+    The pre-decoded engine always runs quickened streams: memory ops are
+    decoded to pre-bound ``struct.Struct`` twins, straight-line runs to
+    compiled segments, and ``call_indirect`` sites get per-instance
+    monomorphic inline caches. The legacy loop (``predecode=False``) is
+    its differential oracle.
 
     ``pgo_profile`` selects a profile-guided superinstruction table: a
     path to (or loaded dict of) a ``repro.profile/1`` or ``repro.fusion/1``
@@ -456,13 +445,11 @@ class Machine:
                  limits: ResourceLimits | None = None,
                  telemetry: "Telemetry | None" = None,
                  replay=None,
-                 quicken: bool | None = None,
                  pgo_profile=None):
         if limits is not None and limits.max_call_depth is not None:
             max_call_depth = limits.max_call_depth
         self.max_call_depth = max_call_depth
         self.predecode = predecode_default() if predecode is None else predecode
-        self.quicken = quicken_default() if quicken is None else quicken
         if pgo_profile is None:
             self.fusion_pairs: frozenset[tuple[int, int]] | None = None
         else:
@@ -796,13 +783,13 @@ class Machine:
                 op = ins[0]
 
                 if op >= 35:
-                    # Extended opcodes — PGO-fused superinstructions (35-50)
-                    # and quickened twins (51-56) — appear only in
-                    # profile-guided or quickened streams. Dispatching them
-                    # from this guarded side chain keeps the main chain in its
-                    # original, hotness-tuned order: default streams pay
+                    # Extended opcodes — PGO-fused superinstructions (35-50),
+                    # quickened memory twins and inline caches (52-56) and
+                    # compiled segments (57). Dispatching them from this
+                    # guarded side chain keeps the main chain in its
+                    # original, hotness-tuned order: the base opcodes pay
                     # exactly one extra range check per instruction.
-                    if op >= 51:
+                    if op >= 52:
                         if op == 57:  # OP_SEGMENT: (_, compiled_fn, span)
                             ins[1](stack, locals_, memdata)
                             pc += ins[2]
@@ -847,7 +834,7 @@ class Machine:
                                                      "store")) from None
                             pc += 1
                             continue
-                        elif op == 56:  # OP_CALL_INDIRECT_IC: (_, expected,
+                        else:  # op == 56, OP_CALL_INDIRECT_IC: (_, expected,
                             #               n_params, cell)
                             table_idx = pop()
                             cell = ins[3]
@@ -877,13 +864,6 @@ class Machine:
                             if results:
                                 stack.extend(results)
                             pc += 1
-                            continue
-                        else:  # op == 51, OP_QUICK: (_, quickened_twin)
-                            # first execution of a quickenable slot: atomically
-                            # swap in the pre-resolved twin and re-dispatch the
-                            # same pc (the same slot-swap mechanism quarantine
-                            # uses for hook sites)
-                            code[pc] = ins[1]
                             continue
                     if op == 35:  # OP_BINARY_CONST (fused)
                         b = pop()
@@ -1034,32 +1014,6 @@ class Machine:
                     ins[1](call_args)
                     pc += ins[3]
                     continue
-                elif op == 4:  # OP_LOAD_INT: (_, fmt, offset, mask)
-                    addr = pop() + ins[2]
-                    try:
-                        append(unpack_from(ins[1], memdata, addr)[0] & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                elif op == 5:  # OP_LOAD_FLOAT: (_, fmt, offset)
-                    addr = pop() + ins[2]
-                    try:
-                        append(unpack_from(ins[1], memdata, addr)[0])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "load")) from None
-                elif op == 6:  # OP_STORE_INT: (_, fmt, offset, width_mask)
-                    value = pop()
-                    addr = pop() + ins[2]
-                    try:
-                        pack_into(ins[1], memdata, addr, value & ins[3])
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "store")) from None
-                elif op == 7:  # OP_STORE_FLOAT: (_, fmt, offset)
-                    value = pop()
-                    addr = pop() + ins[2]
-                    try:
-                        pack_into(ins[1], memdata, addr, value)
-                    except struct.error:
-                        raise Trap(self._oob(ins[1], addr, memdata, "store")) from None
                 elif op == 8:  # OP_BR_IF
                     if pop():
                         if meter is not None:
@@ -1145,22 +1099,6 @@ class Machine:
                     append(first if condition else second)
                 elif op == 22:  # OP_DROP
                     pop()
-                elif op == 23:  # OP_CALL_INDIRECT: (_, expected_type, n_params)
-                    table_idx = pop()
-                    func_addr = table.get(table_idx)
-                    callee = functions[func_addr]
-                    if callee.functype != ins[1]:
-                        raise Trap(f"indirect call type mismatch: entry {table_idx} "
-                                   f"has {callee.functype}, expected {ins[1]}")
-                    n_params = ins[2]
-                    if n_params:
-                        call_args = stack[-n_params:]
-                        del stack[-n_params:]
-                    else:
-                        call_args = []
-                    results = self._invoke_callee(callee, call_args)
-                    if results:
-                        stack.extend(results)
                 elif op == 24:  # OP_BR_TABLE: (_, labels, default)
                     index = pop()
                     if meter is not None:
@@ -1210,8 +1148,8 @@ class Machine:
     @staticmethod
     def _oob(fmt: str | int, addr: int, memdata: bytearray | None,
              what: str) -> str:
-        # quickened twins carry the access width directly; base slots
-        # carry the struct format string
+        # quickened twins carry the access width directly; fused memory
+        # slots carry the struct format string
         width = fmt if isinstance(fmt, int) else struct.calcsize(fmt)
         return oob_message(width, addr, memdata, what)
 

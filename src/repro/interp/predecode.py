@@ -130,15 +130,13 @@ OP_LOAD_INT_BINARY = 48    # (_, fmt, off, mask, fn)
 OP_SET_LOCAL_CONST = 49    # (_, idx, const)         — pop to local, push const
 OP_LOAD_FLOAT_CONST = 50   # (_, fmt, off, const)    — load, then push const
 
-# Quickening (PR 7). ``decode_function(quicken=True)`` wraps every bare
-# memory op in an ``OP_QUICK`` trampoline carrying its pre-resolved twin:
-# the twin holds a bound ``struct.Struct.unpack_from``/``pack_into`` method
-# (no per-access format-cache probe) and drops the canonicalization mask
-# where the format already guarantees canonical values. The first time the
-# slot executes, the trampoline atomically swaps itself for the twin (the
-# same single-slot list assignment quarantine uses) and re-dispatches, so
-# the steady state pays nothing for having been quickened lazily.
-OP_QUICK = 51              # (_, twin)               — code[pc] = twin; retry
+# Quickening (PR 7). The machine's stream (``decode_function(fuse=True)``)
+# replaces every memory op left bare after fusion with its pre-resolved
+# twin: the twin holds a bound ``struct.Struct.unpack_from``/``pack_into``
+# method (no per-access format-cache probe) and drops the canonicalization
+# mask where the format already guarantees canonical values. The base ids
+# 4-7 therefore never reach the interpreter loop; they stay the vocabulary
+# of the unfused stream, the fusion rules and the segment compiler.
 OP_QLOAD = 52              # (_, unpack, off, width) — no mask needed
 OP_QLOAD_MASK = 53         # (_, unpack, off, mask, width)
 OP_QSTORE = 54             # (_, pack, off, width)   — full-width store
@@ -146,7 +144,7 @@ OP_QSTORE_MASK = 55        # (_, pack, off, mask, width)
 
 # Monomorphic inline cache for ``call_indirect``, installed per *instance*
 # (the cache cell holds that instance's resolved callee) by
-# ``repro.interp.machine.bind_indirect_caches`` at quickened sites:
+# ``repro.interp.machine.bind_indirect_caches`` at every recorded site:
 # ``(_, expected_type, n_params, cell)`` with ``cell`` a mutable
 # ``[last_table_idx, last_func_addr, last_callee]``. A hit needs the same
 # table index *and* the same table entry (tables mutate), so table.set /
@@ -154,7 +152,7 @@ OP_QSTORE_MASK = 55        # (_, pack, off, mask, width)
 OP_CALL_INDIRECT_IC = 56
 
 # The logical endpoint of superinstruction formation (PR 7): a *compiled
-# straight-line segment*. At quickening time, maximal runs of pure
+# straight-line segment*. At decode time, maximal runs of pure
 # stack-machine ops (consts, locals, arithmetic, loads/stores, drop — no
 # control flow, no calls, no hook sites) are translated once into a small
 # Python function with every constant, mask, and bound struct method baked
@@ -225,7 +223,6 @@ OP_NAMES: dict[int, str] = {
     OP_LOAD_INT_BINARY: "load.int+binary",
     OP_SET_LOCAL_CONST: "set_local+const",
     OP_LOAD_FLOAT_CONST: "load.float+const",
-    OP_QUICK: "quicken",
     OP_QLOAD: "load.quick",
     OP_QLOAD_MASK: "load.quick.mask",
     OP_QSTORE: "store.quick",
@@ -278,10 +275,9 @@ class DecodedFunction:
     and lets the cache detect body replacement. ``hook_sites`` lists the
     pcs of ``call`` instructions targeting Wasabi hook imports; it is empty
     for uninstrumented modules, whose decode is entirely unaffected.
-    ``indirect_sites`` lists the pcs of ``call_indirect`` slots on quickened
-    streams — the machine rewrites those per instance into monomorphic
-    inline caches (:data:`OP_CALL_INDIRECT_IC`); it is empty on unquickened
-    streams.
+    ``indirect_sites`` lists the pcs of ``call_indirect`` slots — the
+    machine rewrites those per instance into monomorphic inline caches
+    (:data:`OP_CALL_INDIRECT_IC`).
     """
 
     __slots__ = ("code", "source_body", "hook_sites", "indirect_sites")
@@ -540,16 +536,16 @@ _FULL_WIDTH_STORES = frozenset({("<I", MASK32), ("<Q", MASK64)})
 
 
 def _quicken_slots(code: list[tuple]) -> None:
-    """Wrap bare memory ops in :data:`OP_QUICK` trampolines, in place.
+    """Replace bare memory ops with their pre-resolved twins, in place.
 
-    Each twin pre-resolves what the generic slot re-derives on every
+    Each twin pre-resolves what a base slot would re-derive on every
     execution: the ``struct`` format string becomes a bound
     ``Struct.unpack_from``/``pack_into`` method (no format-cache probe per
     access), and the canonicalization mask is dropped when the format
     already yields canonical values (unsigned loads; full-width stores).
     Signed loads and narrow stores keep their masks. The twin's last field
     is the access width in bytes, used only on the trap path so
-    out-of-bounds messages stay bit-identical with the unquickened engine.
+    out-of-bounds messages stay bit-identical with the legacy loop.
     """
     structs: dict[str, Struct] = {}
     for pc, ins in enumerate(code):
@@ -558,26 +554,24 @@ def _quicken_slots(code: list[tuple]) -> None:
             fmt = ins[1]
             s = structs.get(fmt) or structs.setdefault(fmt, Struct(fmt))
             if fmt[1].isupper():  # unsigned: unpack is already canonical
-                twin = (OP_QLOAD, s.unpack_from, ins[2], s.size)
+                code[pc] = (OP_QLOAD, s.unpack_from, ins[2], s.size)
             else:
-                twin = (OP_QLOAD_MASK, s.unpack_from, ins[2], ins[3], s.size)
-            code[pc] = (OP_QUICK, twin)
+                code[pc] = (OP_QLOAD_MASK, s.unpack_from, ins[2], ins[3], s.size)
         elif op == OP_LOAD_FLOAT:
             fmt = ins[1]
             s = structs.get(fmt) or structs.setdefault(fmt, Struct(fmt))
-            code[pc] = (OP_QUICK, (OP_QLOAD, s.unpack_from, ins[2], s.size))
+            code[pc] = (OP_QLOAD, s.unpack_from, ins[2], s.size)
         elif op == OP_STORE_INT:
             fmt = ins[1]
             s = structs.get(fmt) or structs.setdefault(fmt, Struct(fmt))
             if (fmt, ins[3]) in _FULL_WIDTH_STORES:
-                twin = (OP_QSTORE, s.pack_into, ins[2], s.size)
+                code[pc] = (OP_QSTORE, s.pack_into, ins[2], s.size)
             else:
-                twin = (OP_QSTORE_MASK, s.pack_into, ins[2], ins[3], s.size)
-            code[pc] = (OP_QUICK, twin)
+                code[pc] = (OP_QSTORE_MASK, s.pack_into, ins[2], ins[3], s.size)
         elif op == OP_STORE_FLOAT:
             fmt = ins[1]
             s = structs.get(fmt) or structs.setdefault(fmt, Struct(fmt))
-            code[pc] = (OP_QUICK, (OP_QSTORE, s.pack_into, ins[2], s.size))
+            code[pc] = (OP_QSTORE, s.pack_into, ins[2], s.size)
 
 
 def oob_message(width: int, addr: int, memdata, what: str) -> str:
@@ -797,17 +791,18 @@ def _compile_segments(code: list[tuple],
 
 def decode_function(func: Function, module: Module,
                     fuse: bool = True,
-                    pairs: frozenset[tuple[int, int]] | None = None,
-                    quicken: bool = False) -> DecodedFunction:
+                    pairs: frozenset[tuple[int, int]] | None = None) -> DecodedFunction:
     """Decode one function body into its threaded form (uncached).
 
-    ``fuse=False`` skips the pair-fusion pass, leaving every slot a base
-    opcode — the self-profiler takes its per-pc opcode ids from such a
-    stream so its counts attribute 1:1 to source instructions. ``pairs`` selects the
-    fusion table (``None`` = :data:`DEFAULT_FUSION_PAIRS`); ``quicken``
-    additionally wraps bare memory ops in :data:`OP_QUICK` trampolines and
-    records ``call_indirect`` slots in ``indirect_sites`` for the machine's
-    per-instance inline-cache rewrite.
+    ``fuse=True`` (the default) produces the stream the machine executes:
+    straight-line runs become compiled segments, hot adjacent pairs are
+    fused from ``pairs`` (``None`` = :data:`DEFAULT_FUSION_PAIRS`), bare
+    memory ops become their pre-resolved twins, and ``call_indirect`` slots
+    are recorded in ``indirect_sites`` for the machine's per-instance
+    inline-cache rewrite. ``fuse=False`` stops after the base decode,
+    leaving every slot a base opcode — the self-profiler takes its per-pc
+    opcode ids from such a stream so its counts attribute 1:1 to source
+    instructions.
     """
     body = func.body
     end_of, else_of = match_blocks(body)
@@ -835,37 +830,34 @@ def decode_function(func: Function, module: Module,
             consts = pc >= 2 and code[pc - 1][0] == OP_CONST and code[pc - 2][0] == OP_CONST
             if consts and code[pc][2] >= 2:
                 blocked.add(pc - 2)
-    if quicken:
-        # before fusion: the segment claims each run's first slot (so a
-        # fusion pair can never swallow it), while the covered slots fall
-        # through to fusion + quickening as branch-target fallbacks
-        _compile_segments(code, blocked)
-    if fuse:
-        _fuse_pairs(code, blocked, pairs)
-    indirect_sites: tuple[int, ...] = ()
-    if quicken:
-        _quicken_slots(code)
-        indirect_sites = tuple(
-            pc for pc, ins in enumerate(code) if ins[0] == OP_CALL_INDIRECT)
+    if not fuse:
+        return DecodedFunction(code, body, hook_sites)
+    # segments first: each claims its run's first slot (so a fusion pair
+    # can never swallow it), while the covered slots fall through to
+    # fusion + quickening as branch-target fallbacks
+    _compile_segments(code, blocked)
+    _fuse_pairs(code, blocked, pairs)
+    _quicken_slots(code)
+    indirect_sites = tuple(
+        pc for pc, ins in enumerate(code) if ins[0] == OP_CALL_INDIRECT)
     return DecodedFunction(code, body, hook_sites, indirect_sites)
 
 
 def cached_decode(func: Function, module: Module,
-                  pairs: frozenset[tuple[int, int]] | None = None,
-                  quicken: bool = False) -> tuple[DecodedFunction, bool]:
-    """Decode ``func``, reusing the per-``Function`` cache when possible.
+                  pairs: frozenset[tuple[int, int]] | None = None
+                  ) -> tuple[DecodedFunction, bool]:
+    """Decode ``func`` for execution, reusing the per-``Function`` cache.
 
-    The cache (``func._decoded``) is keyed by decode variant
-    ``(quicken, pairs)``: quickened streams rewrite their own slots as they
-    execute, so an unquickened machine (``REPRO_QUICKEN=0``) and machines
-    with different PGO fusion tables must never observe each other's
-    streams. Replacing ``func.body`` invalidates every variant at once.
-    Returns ``(decoded, was_cache_hit)``.
+    The cache (``func._decoded``) is keyed by fusion table, so machines
+    with different PGO tables never observe each other's streams. Nothing
+    writes into a cached stream after decode: the machine's per-instance
+    rewrites (hook sites, inline caches) run on copies. Replacing
+    ``func.body`` invalidates every cached table at once. Returns
+    ``(decoded, was_cache_hit)``.
     """
-    key = (quicken, pairs)
     cache: dict | None = getattr(func, "_decoded", None)
     if cache is not None:
-        decoded = cache.get(key)
+        decoded = cache.get(pairs)
         if (
             decoded is not None
             and decoded.source_body is func.body
@@ -881,8 +873,8 @@ def cached_decode(func: Function, module: Module,
     if cache is None:
         cache = {}
         func._decoded = cache  # type: ignore[attr-defined]
-    decoded = decode_function(func, module, pairs=pairs, quicken=quicken)
-    cache[key] = decoded
+    decoded = decode_function(func, module, pairs=pairs)
+    cache[pairs] = decoded
     return decoded, False
 
 

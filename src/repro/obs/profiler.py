@@ -55,9 +55,9 @@ OP_CLASSES: dict[int, str] = {
     _pd.OP_CALL: "call", _pd.OP_CALL_INDIRECT: "call",
     _pd.OP_SELECT: "stack", _pd.OP_DROP: "stack",
     _pd.OP_HOOK: "hook",
-    # fused/quickened forms are never charged (ids come from the unfused,
-    # unquickened decode), but keep the map total so aggregation cannot
-    # KeyError on any opcode id
+    # fused/quickened forms are never charged (ids come from the base
+    # decode), but keep the map total so aggregation cannot KeyError on
+    # any opcode id
     _pd.OP_GET_LOCAL_CONST: "fused", _pd.OP_CONST_BINARY: "fused",
     _pd.OP_GET_LOCAL_BINARY: "fused", _pd.OP_GET2_LOCAL: "fused",
     _pd.OP_BINARY_CONST: "fused", _pd.OP_BINARY_BINARY: "fused",
@@ -68,9 +68,8 @@ OP_CLASSES: dict[int, str] = {
     _pd.OP_BINARY_STORE_FLOAT: "fused", _pd.OP_BINARY_STORE_INT: "fused",
     _pd.OP_LOAD_FLOAT_BINARY: "fused", _pd.OP_LOAD_INT_BINARY: "fused",
     _pd.OP_SET_LOCAL_CONST: "fused", _pd.OP_LOAD_FLOAT_CONST: "fused",
-    _pd.OP_QUICK: "memory", _pd.OP_QLOAD: "memory",
-    _pd.OP_QLOAD_MASK: "memory", _pd.OP_QSTORE: "memory",
-    _pd.OP_QSTORE_MASK: "memory",
+    _pd.OP_QLOAD: "memory", _pd.OP_QLOAD_MASK: "memory",
+    _pd.OP_QSTORE: "memory", _pd.OP_QSTORE_MASK: "memory",
     _pd.OP_CALL_INDIRECT_IC: "call",
     _pd.OP_SEGMENT: "fused",
 }

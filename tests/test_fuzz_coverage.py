@@ -270,6 +270,23 @@ class TestFuzzCLI:
         def explode(binary, execute=True, engines=(True, False)):
             raise IndexError("boom")
 
-        monkeypatch.setattr("repro.eval.faultinject.run_pipeline", explode)
+        monkeypatch.setattr("repro.eval.faultinject._pipeline_stage", explode)
         status = main(["fuzz", "--mutants", "2"])
         assert status == EXIT_FAILURE
+
+    def test_reduce_applies_on_every_campaign_shape(self, monkeypatch,
+                                                    tmp_path, capsys):
+        def explode(binary, execute=True, engines=(True, False)):
+            raise IndexError("boom")
+
+        monkeypatch.setattr("repro.eval.faultinject._pipeline_stage", explode)
+        failures = tmp_path / "failures"
+        status = main(["fuzz", "--mutants", "2", "--coverage",
+                       "--save-failures", str(failures), "--reduce"])
+        assert status == EXIT_FAILURE
+        bundles = sorted(failures.iterdir())
+        assert len(bundles) == 2
+        for bundle_dir in bundles:
+            manifest = load_crash_bundle(bundle_dir).manifest
+            assert manifest["reduction"]["reduced_size"] <= \
+                manifest["reduction"]["original_size"]

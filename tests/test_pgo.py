@@ -2,8 +2,8 @@
 
 Differential coverage for the quickened engine (superinstruction segments,
 pre-resolved memory-op slots, call_indirect inline caches) against the
-unquickened predecoded engine and the legacy string-dispatch loop — the two
-oracles every quickened stream must match bit-for-bit — plus unit coverage
+legacy string-dispatch loop — the oracle every quickened stream must match
+bit-for-bit — plus unit coverage
 for the ``repro.profile/1`` / ``repro.fusion/1`` artifacts and the CLI
 verbs that close the loop.
 """
@@ -34,16 +34,15 @@ from repro.wasm.types import FuncType, I32
 
 ENGINES = [
     {"predecode": False},                       # legacy string dispatch
-    {"predecode": True, "quicken": False},      # unquickened ablation
-    {"predecode": True, "quicken": True},       # full quickened engine
+    {"predecode": True},                        # quickened engine
 ]
 
 
 def _all_engines(module, name, args, repeats=2, mutate=None):
     """Invoke ``name`` ``repeats`` times on every engine configuration.
 
-    Two invocations per instance so quickened streams are exercised both
-    before and after their first-execution slot rewrites. ``mutate`` (called
+    Two invocations per instance so per-instance state (inline-cache
+    cells, linear memory) carries over between calls. ``mutate`` (called
     with the instance between invocations) injects state changes like table
     mutation. Returns one list of results per engine.
     """
@@ -82,8 +81,8 @@ def _trap_on(module, name, args, **kwargs):
 
 
 class TestQuickenedBitIdentical:
-    """Legacy, unquickened-predecoded, and quickened engines must agree
-    bit-for-bit on a hypothesis corpus mixing the quickened surfaces:
+    """The legacy and quickened engines must agree bit-for-bit on a
+    hypothesis corpus mixing the quickened surfaces:
     straight-line arithmetic runs (compiled segments), f64/i32 loads and
     stores (quickened memory slots), and integer wraparound."""
 
@@ -135,13 +134,13 @@ class TestCompiledSegments:
         }
     """
 
-    def _decoded(self, quicken):
+    def _decoded(self, fuse):
         module = compile_source(self.SRC)
         func = next(f for f in module.functions if f.body is not None)
-        return decode_function(func, module, quicken=quicken)
+        return decode_function(func, module, fuse=fuse)
 
     def test_quickened_stream_contains_segments(self):
-        code = self._decoded(quicken=True).code
+        code = self._decoded(fuse=True).code
         segments = [ins for ins in code if ins[0] == OP_SEGMENT]
         assert segments, "straight-line kernel produced no compiled segment"
         for _, fn, span in segments:
@@ -149,32 +148,32 @@ class TestCompiledSegments:
             assert span >= _SEGMENT_MIN
 
     def test_unquickened_stream_has_no_segments(self):
-        code = self._decoded(quicken=False).code
+        code = self._decoded(fuse=False).code
         assert not any(ins[0] == OP_SEGMENT for ins in code)
 
     def test_covered_slots_keep_fallback_decoding(self):
         # branch targets inside a segment must still find executable slots
-        plain = self._decoded(quicken=False).code
-        quick = self._decoded(quicken=True).code
+        plain = self._decoded(fuse=False).code
+        quick = self._decoded(fuse=True).code
         for pc, ins in enumerate(quick):
             if ins[0] == OP_SEGMENT:
                 for covered in range(pc + 1, pc + ins[2]):
                     assert quick[covered][0] != OP_SEGMENT
                     assert quick[covered][0] == plain[covered][0] or \
-                        quick[covered][0] >= 35  # fused/quickened fallback
+                        quick[covered][0] >= 30  # fused/quickened fallback
 
     def test_short_runs_stay_uncompiled(self):
         module = compile_source("""
             export func tiny(a: i32) -> i32 { return a + 1; }
         """)
         func = next(f for f in module.functions if f.body is not None)
-        code = decode_function(func, module, quicken=True).code
+        code = decode_function(func, module).code
         assert not any(ins[0] == OP_SEGMENT for ins in code)
 
     def test_blocked_pcs_never_join_segments(self):
         module = compile_source(self.SRC)
         func = next(f for f in module.functions if f.body is not None)
-        decoded = decode_function(func, module, quicken=False)
+        decoded = decode_function(func, module, fuse=False)
         code = list(decoded.code)
         # block a pc in the middle of what would otherwise be a run
         starts = [pc for pc, ins in enumerate(code)]
@@ -245,7 +244,7 @@ class TestCallIndirectIC:
             except Trap as exc:
                 out.append(str(exc))
             results.append(out)
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
         assert results[0][:2] == [[11], [20]]
         assert "uninitialized" in results[0][2]
 
@@ -311,19 +310,18 @@ class TestSnapshotQuickened:
     def test_quickened_state_rebuilt_on_restore(self):
         """Snapshot mid-run on the quickened engine, restore into a fresh
         quickened instance: diff is empty, and the resumed run is
-        bit-identical — quickened slots and IC cells are rebuilt, never
-        serialized."""
+        bit-identical — IC cells are rebuilt, never serialized."""
         workload = polybench_workloads(["trisolv"], n=12)[0]
         module = workload.module()
 
         printed_a: list = []
-        inst_a = Machine(predecode=True, quicken=True).instantiate(
+        inst_a = Machine(predecode=True).instantiate(
             module, workload.linker(printed_a))
-        inst_a.invoke("main", [])  # quickens slots, then snapshot mid-state
+        inst_a.invoke("main", [])  # fills IC cells, then snapshot mid-state
         snap = Snapshot.from_json(snapshot_instance(inst_a).to_json())
 
         printed_b: list = []
-        inst_b = Machine(predecode=True, quicken=True).instantiate(
+        inst_b = Machine(predecode=True).instantiate(
             module, workload.linker(printed_b))
         restore_instance(inst_b, snap)
         assert diff_instance(inst_b, snap) == []
@@ -335,12 +333,12 @@ class TestSnapshotQuickened:
 
     def test_ic_cells_reset_not_stale_after_restore(self):
         module, inc, dbl = _dispatch_module()
-        machine = Machine(predecode=True, quicken=True)
+        machine = Machine(predecode=True)
         instance = machine.instantiate(module)
         assert instance.invoke("dispatch", [0, 10]) == [11]  # IC caches 'inc'
 
         snap = snapshot_instance(instance)
-        fresh = Machine(predecode=True, quicken=True).instantiate(module)
+        fresh = Machine(predecode=True).instantiate(module)
         restore_instance(fresh, snap)
         # mutate the restored table: a stale (serialized) cache would still
         # dispatch to 'inc'
@@ -397,7 +395,7 @@ class TestArtifacts:
         assert resolve_fusion_pairs(table) == frozenset()
 
     def test_default_pairs_used_without_profile(self):
-        machine = Machine(predecode=True, quicken=True)
+        machine = Machine(predecode=True)
         assert machine.fusion_pairs is None  # decode falls back to the
         # classic built-in set
         assert DEFAULT_FUSION_PAIRS

@@ -12,10 +12,18 @@ import struct
 
 import pytest
 
-from repro.interp import Machine, cached_decode, decode_function, predecode_default
+from repro.analyses import InstructionMixAnalysis
+from repro.core import AnalysisSession
+from repro.eval.workloads import (POLYBENCH_FAST_SUBSET, polybench_workloads,
+                                  realworld_workloads)
+from repro.interp import (Machine, WasmFunction, cached_decode,
+                          decode_function, predecode_default)
 from repro.interp.host import HostFunction, Linker
-from repro.interp.predecode import (OP_CONST_BINARY, OP_GET2_LOCAL,
-                                    OP_GET_LOCAL_CONST, OP_RAISE)
+from repro.interp.predecode import (OP_CALL_INDIRECT, OP_CALL_INDIRECT_IC,
+                                    OP_CONST_BINARY, OP_GET2_LOCAL,
+                                    OP_GET_LOCAL_CONST, OP_HOOK, OP_LOAD_FLOAT,
+                                    OP_LOAD_INT, OP_RAISE, OP_STORE_FLOAT,
+                                    OP_STORE_INT)
 from repro.minic import compile_source
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import ExhaustionError, Trap, WasmError
@@ -246,6 +254,68 @@ class TestDecodeDetails:
         assert fused & {OP_GET_LOCAL_CONST, OP_CONST_BINARY, OP_GET2_LOCAL}
         legacy, fast = _both_engines(module, "addressish", [3, 5])
         assert legacy == fast == [116]
+
+
+# -- the streams instances execute ------------------------------------------------
+
+#: Op ids no executed stream may carry, because the decoded loop has no arm
+#: for them: bare memory ops (decode installs their quickened twins), bare
+#: ``call_indirect`` (every site becomes an inline cache), and the unassigned
+#: id 51.
+NEVER_EXECUTED = frozenset({OP_LOAD_INT, OP_LOAD_FLOAT, OP_STORE_INT,
+                            OP_STORE_FLOAT, OP_CALL_INDIRECT, 51})
+
+
+def _executed_ops(instance) -> set[int]:
+    """Every op id in the decoded streams of ``instance``'s functions."""
+    return {ins[0] for wfunc in instance.functions
+            if isinstance(wfunc, WasmFunction)
+            for ins in wfunc.decoded.code}
+
+
+class TestExecutedStreams:
+    @pytest.mark.parametrize("kernel", POLYBENCH_FAST_SUBSET)
+    def test_polybench_streams_have_no_base_ops(self, kernel):
+        workload, = polybench_workloads([kernel], n=6)
+        instance = Machine(predecode=True).instantiate(workload.module(),
+                                                       workload.linker())
+        instance.invoke(workload.entry, workload.args)
+        ops = _executed_ops(instance)
+        assert ops and not ops & NEVER_EXECUTED
+
+    @pytest.mark.parametrize("name", ["pdf_toolkit", "engine_demo"])
+    def test_realworld_streams_have_no_base_ops(self, name):
+        workload = next(w for w in realworld_workloads(
+            engine_scale=0.2, pdf_scale=0.05, rounds=1) if w.name == name)
+        instance = Machine(predecode=True).instantiate(workload.module(),
+                                                       workload.linker())
+        instance.invoke(workload.entry, workload.args)
+        ops = _executed_ops(instance)
+        assert ops and not ops & NEVER_EXECUTED
+        if name == "engine_demo":
+            # the stand-in that exercises call_indirect got its caches
+            assert OP_CALL_INDIRECT_IC in ops
+
+    def test_instrumented_streams_have_no_base_ops(self):
+        workload, = polybench_workloads(["trisolv"], n=6)
+        session = AnalysisSession(workload.module(), InstructionMixAnalysis(),
+                                  linker=workload.linker(),
+                                  machine=Machine(predecode=True))
+        session.invoke(workload.entry, workload.args)
+        ops = _executed_ops(session.instance)
+        assert OP_HOOK in ops and not ops & NEVER_EXECUTED
+
+    def test_execution_leaves_the_shared_cache_untouched(self):
+        workload, = polybench_workloads(["gemm"], n=6)
+        module = workload.module()
+        instance = Machine(predecode=True).instantiate(module, workload.linker())
+        instance.invoke(workload.entry, workload.args)
+        for func in module.functions:
+            cached, hit = cached_decode(func, module)
+            assert hit
+            fresh = decode_function(func, module)
+            assert [ins[0] for ins in cached.code] == \
+                [ins[0] for ins in fresh.code]
 
 
 # -- host-function result coercion (regression: silent float→i32 truncation) -----

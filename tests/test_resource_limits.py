@@ -335,29 +335,28 @@ class TestSegmentMetering:
 
     def test_quickened_stream_contains_a_segment(self, segment_module):
         from repro.interp.predecode import OP_SEGMENT, decode_function
-        quickened = [decode_function(f, segment_module, quicken=True).code
+        quickened = [decode_function(f, segment_module).code
                      for f in segment_module.functions]
         assert any(slot[0] == OP_SEGMENT
                    for code in quickened for slot in code)
-        plain = [decode_function(f, segment_module, quicken=False).code
+        plain = [decode_function(f, segment_module, fuse=False).code
                  for f in segment_module.functions]
         assert all(slot[0] != OP_SEGMENT
                    for code in plain for slot in code)
 
-    def test_fuel_parity_quickened_vs_unquickened(self, segment_module):
+    def test_fuel_parity_quickened_vs_legacy(self, segment_module):
         spent = {}
-        for quicken in (True, False):
-            machine = Machine(predecode=True, quicken=quicken,
+        for predecode in (True, False):
+            machine = Machine(predecode=predecode,
                               limits=ResourceLimits(observe=True))
             instance = machine.instantiate(segment_module, Linker())
             instance.invoke("crunch", [500])
-            spent[quicken] = machine.resource_usage().fuel_spent
+            spent[predecode] = machine.resource_usage().fuel_spent
         assert spent[True] == spent[False]
         assert spent[True] >= 500  # the back-edge charges every iteration
 
     def test_fuel_exhaustion_inside_segment_loop(self, segment_module):
-        machine = Machine(predecode=True, quicken=True,
-                          limits=ResourceLimits(fuel=100))
+        machine = Machine(predecode=True, limits=ResourceLimits(fuel=100))
         instance = machine.instantiate(segment_module, Linker())
         with pytest.raises(FuelExhausted):
             instance.invoke("crunch", [10**9])
@@ -376,7 +375,7 @@ class TestSegmentMetering:
 
         limits = ResourceLimits(fuel=50 * DEADLINE_CHECK_INTERVAL,
                                 deadline_seconds=5.0)
-        machine = Machine(predecode=True, quicken=True, limits=limits)
+        machine = Machine(predecode=True, limits=limits)
         machine._meter = Meter(limits, clock=counting_clock)
         instance = machine.instantiate(segment_module, Linker())
         # the fuel budget is a backstop: if segments suppressed the
