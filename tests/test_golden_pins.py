@@ -1,15 +1,20 @@
-"""Golden pins for hook dispatch, the self-profiler and the PGO artifacts.
+"""Golden pins for hook dispatch, the self-profiler, the PGO artifacts and
+the binary decoder.
 
 Every digest below was recorded once and must never drift: they are the
-independent oracle for the one remaining hook-dispatch path and for the
-profiler's exact instruction counting.
+independent oracle for the one remaining hook-dispatch path, for the
+profiler's exact instruction counting and for the decoder's accept/reject
+decisions.
 
 * the ``ExecutionTracer`` event stream of every program in the hook-dispatch
   differential corpus (``tests/test_hook_dispatch.py``), on both engines;
 * ``profiler.as_dict()`` (opcode and pair counts, per-function work and
   sampled stacks) of instrumented PolyBench runs, on both engines;
 * ``benchmarks/results/PGO_corpus_profile.json`` and
-  ``PGO_fusion_table.json``, regenerated byte for byte.
+  ``PGO_fusion_table.json``, regenerated byte for byte;
+* the outcome of ``decode_module`` (its error and message, or the bytes it
+  re-encodes to) on truncations, bit flips and blind mutants of the fuzz
+  seed corpus, and on every PolyBench kernel and two synthetic binaries.
 """
 
 from __future__ import annotations
@@ -23,11 +28,15 @@ import pytest
 from repro.analyses import BranchCoverage, InstructionMixAnalysis
 from repro.core import AnalysisSession
 from repro.core.instrument import InstrumentationConfig
+from repro.eval.faultinject import mutant_rng, mutate, seed_corpus
 from repro.eval.workloads import polybench_workloads
 from repro.interp import Machine
 from repro.interp.pgo import fusion_table_payload, record_corpus_profile
 from repro.minic import compile_source
 from repro.obs.telemetry import Telemetry
+from repro.wasm import decode_module, encode_module
+from repro.workloads import engine_demo, pdf_toolkit
+from repro.workloads.polybench import compile_kernel, kernel_names
 
 from .test_hook_dispatch import (I64_SOURCE, INDIRECT_SOURCE, MIXED_SOURCE,
                                  NO_LOCATION_GROUPS, br_table_module, stream)
@@ -166,3 +175,72 @@ def test_pgo_artifacts_regenerate_byte_identical():
         (RESULTS / "PGO_corpus_profile.json").read_text()
     assert json.dumps(fusion_table_payload(profile), indent=2) + "\n" == \
         (RESULTS / "PGO_fusion_table.json").read_text()
+
+
+# -- decoder outcomes ------------------------------------------------------------
+
+DECODE_DIGESTS = {
+    "truncations_and_bit_flips":
+        "9b3c14b2d1bcd4bc7d335e3b6ba08702111e3eab1483ae2e8d52dc34f86d5dec",
+    "blind_mutants":
+        "5c9e41e350cf7829fa8caa914a483f0f64e8cd73c91ac3d0492bcf98c1fdc022",
+    "corpus_reencode":
+        "ab73094bcd238f7e9695ac07e408cb3937c56159ee9cac8498dba00e3ec5ec59",
+}
+
+
+def _decode_outcome(data: bytes) -> str:
+    """A rejection as ``"<error type>: <message>"`` (the message carries the
+    byte offset), an acceptance as the sha256 of the re-encoded module."""
+    try:
+        module = decode_module(data)
+    except Exception as exc:  # noqa: BLE001 - an escape is an outcome too
+        return f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(encode_module(module)).hexdigest()
+
+
+def _outcomes_digest(inputs) -> str:
+    return _digest("\n".join(_decode_outcome(data) for data in inputs))
+
+
+def _truncations_and_bit_flips():
+    for data in seed_corpus().values():
+        for cut in range(len(data)):
+            yield data[:cut]
+        for pos in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[pos] ^= 1 << bit
+                yield bytes(flipped)
+
+
+def _blind_mutants():
+    """The blind campaign's schedule: corpus entries round-robin by index."""
+    corpus = seed_corpus()
+    names = sorted(corpus)
+    for seed in range(3):
+        for index in range(1000):
+            name = names[index % len(names)]
+            yield mutate(corpus[name], mutant_rng(seed, name, index))[0]
+
+
+def _corpus_binaries():
+    for name in kernel_names():
+        yield encode_module(compile_kernel(name))
+    yield encode_module(pdf_toolkit(1))
+    yield encode_module(engine_demo(1))
+
+
+class TestDecoderOutcomes:
+    """What ``decode_module`` accepts, rejects (and with which message and
+    offset) and decodes to, over about 7.3k malformed and 32 valid inputs."""
+
+    def test_truncations_and_bit_flips(self):
+        assert _outcomes_digest(_truncations_and_bit_flips()) == \
+            DECODE_DIGESTS["truncations_and_bit_flips"]
+
+    def test_blind_mutants(self):
+        assert _outcomes_digest(_blind_mutants()) == DECODE_DIGESTS["blind_mutants"]
+
+    def test_corpus_reencode(self):
+        assert _outcomes_digest(_corpus_binaries()) == DECODE_DIGESTS["corpus_reencode"]
