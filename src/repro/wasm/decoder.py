@@ -3,6 +3,12 @@
 Parses complete ``.wasm`` binaries into :class:`repro.wasm.module.Module`,
 including the function-name subsection of the name section. Unknown custom
 sections are preserved verbatim so that re-encoding keeps them.
+
+Code is decoded by one table-driven loop per expression (the mirror of the
+encoder's): a per-opcode-byte plan gives the mnemonic, the kind of
+immediate that follows, and a shared :class:`Instr` for opcodes without
+one. Instructions with immediates are interned per :func:`decode_module`
+call, so every ``get_local 0`` of a module is the same object.
 """
 
 from __future__ import annotations
@@ -17,9 +23,12 @@ from .encoder import MAGIC, VERSION
 from .types import (BYTE_TO_VALTYPE, EMPTY_BLOCKTYPE_BYTE, FuncType,
                     GlobalType, Limits, MemoryType, TableType, ValType)
 
+_decode_unsigned = leb128.decode_unsigned
+_decode_signed = leb128.decode_signed
+
 
 class _Reader:
-    """Cursor over a byte buffer with primitive readers for the format."""
+    """Cursor over a byte buffer with the readers section framing needs."""
 
     def __init__(self, data: bytes, pos: int = 0, end: int | None = None):
         self.data = data
@@ -44,22 +53,12 @@ class _Reader:
         return chunk
 
     def u32(self) -> int:
-        value, self.pos = leb128.decode_unsigned(self.data, self.pos, 32)
+        data, pos, end = self.data, self.pos, self.end
+        if pos < end and data[pos] < 0x80:
+            self.pos = pos + 1
+            return data[pos]
+        value, self.pos = _decode_unsigned(data, pos, 32)
         return value
-
-    def s32(self) -> int:
-        value, self.pos = leb128.decode_signed(self.data, self.pos, 32)
-        return value
-
-    def s64(self) -> int:
-        value, self.pos = leb128.decode_signed(self.data, self.pos, 64)
-        return value
-
-    def f32(self) -> float:
-        return struct.unpack("<f", self.raw(4))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.raw(8))[0]
 
     def name(self) -> str:
         length = self.u32()
@@ -74,16 +73,6 @@ class _Reader:
             return BYTE_TO_VALTYPE[byte]
         except KeyError:
             raise DecodeError(f"invalid value type byte {byte:#x}",
-                              offset=self.pos - 1) from None
-
-    def blocktype(self) -> ValType | None:
-        byte = self.byte()
-        if byte == EMPTY_BLOCKTYPE_BYTE:
-            return None
-        try:
-            return BYTE_TO_VALTYPE[byte]
-        except KeyError:
-            raise DecodeError(f"invalid block type byte {byte:#x}",
                               offset=self.pos - 1) from None
 
     def limits(self) -> Limits:
@@ -103,69 +92,200 @@ class _Reader:
                 raise DecodeError(str(exc), offset=offset) from None
         raise DecodeError(f"invalid limits flag {flag:#x}", offset=self.pos - 1)
 
+    def expr(self, interned: dict) -> list[Instr]:
+        instrs, self.pos = _decode_expr(self.data, self.pos, self.end, interned)
+        return instrs
 
-def decode_instr(reader: _Reader) -> Instr:
-    """Decode a single instruction at the reader's cursor."""
-    offset = reader.pos
-    byte = reader.byte()
-    op = opcodes.BY_BYTE.get(byte)
+
+# -- code ---------------------------------------------------------------------
+# One plan per opcode byte, built once from the opcode table. The immediate
+# kinds are small ints, tested roughly in order of frequency in real code
+# (immediate-free ops, then local indices and i32 constants).
+
+_NONE, _IDX, _I32, _END, _BLOCK, _MEMARG, _LABEL, _F64, _F32, _I64, \
+    _BR_TABLE, _TYPE_IDX, _MEM_IDX, _UNKNOWN = range(14)
+
+_KIND_OF_IMM = {
+    opcodes.Imm.NONE: _NONE,
+    opcodes.Imm.FUNC_IDX: _IDX,
+    opcodes.Imm.LOCAL_IDX: _IDX,
+    opcodes.Imm.GLOBAL_IDX: _IDX,
+    opcodes.Imm.CONST_I32: _I32,
+    opcodes.Imm.BLOCKTYPE: _BLOCK,
+    opcodes.Imm.MEMARG: _MEMARG,
+    opcodes.Imm.LABEL: _LABEL,
+    opcodes.Imm.CONST_F64: _F64,
+    opcodes.Imm.CONST_F32: _F32,
+    opcodes.Imm.CONST_I64: _I64,
+    opcodes.Imm.BR_TABLE: _BR_TABLE,
+    opcodes.Imm.TYPE_IDX: _TYPE_IDX,
+    opcodes.Imm.MEM_IDX: _MEM_IDX,
+}
+
+_END_INSTR = Instr("end")
+
+
+def _plan(op: opcodes.OpInfo | None) -> tuple:
+    """``(kind, mnemonic, shared)``: ``shared`` is the one :class:`Instr` of
+    an immediate-free op (``end`` included), and for ``block``/``loop``/
+    ``if`` a map from block-type byte to the one :class:`Instr` per type."""
     if op is None:
-        raise DecodeError(f"unknown opcode byte {byte:#04x}", offset=offset)
-    imm = op.imm
-    if imm is opcodes.Imm.NONE:
-        return Instr(op.mnemonic)
-    if imm is opcodes.Imm.BLOCKTYPE:
-        return Instr(op.mnemonic, blocktype=reader.blocktype())
-    if imm is opcodes.Imm.LABEL:
-        return Instr(op.mnemonic, label=reader.u32())
-    if imm is opcodes.Imm.BR_TABLE:
-        count = reader.u32()
-        labels = tuple(reader.u32() for _ in range(count))
-        return Instr(op.mnemonic, br_table=BrTable(labels, reader.u32()))
-    if imm in (opcodes.Imm.FUNC_IDX, opcodes.Imm.LOCAL_IDX, opcodes.Imm.GLOBAL_IDX):
-        return Instr(op.mnemonic, idx=reader.u32())
-    if imm is opcodes.Imm.TYPE_IDX:
-        type_idx = reader.u32()
-        reserved = reader.byte()
-        if reserved != 0x00:
-            raise DecodeError("call_indirect reserved byte must be zero", offset=offset)
-        return Instr(op.mnemonic, idx=type_idx)
-    if imm is opcodes.Imm.MEMARG:
-        align = reader.u32()
-        return Instr(op.mnemonic, memarg=MemArg(align, reader.u32()))
-    if imm is opcodes.Imm.MEM_IDX:
-        reserved = reader.byte()
-        if reserved != 0x00:
-            raise DecodeError("memory instruction reserved byte must be zero", offset=offset)
-        return Instr(op.mnemonic)
-    if imm is opcodes.Imm.CONST_I32:
-        return Instr(op.mnemonic, value=reader.s32())
-    if imm is opcodes.Imm.CONST_I64:
-        return Instr(op.mnemonic, value=reader.s64())
-    if imm is opcodes.Imm.CONST_F32:
-        return Instr(op.mnemonic, value=reader.f32())
-    if imm is opcodes.Imm.CONST_F64:
-        return Instr(op.mnemonic, value=reader.f64())
-    raise DecodeError(f"unhandled immediate kind {imm}", offset=offset)  # pragma: no cover
+        return (_UNKNOWN, None, None)
+    kind = _KIND_OF_IMM[op.imm]
+    if op.byte == 0x0B:
+        return (_END, op.mnemonic, _END_INSTR)
+    if kind in (_NONE, _MEM_IDX):
+        return (kind, op.mnemonic, Instr(op.mnemonic))
+    if kind == _BLOCK:
+        types = {EMPTY_BLOCKTYPE_BYTE: None, **BYTE_TO_VALTYPE}
+        return (kind, op.mnemonic, {byte: Instr(op.mnemonic, blocktype=valtype)
+                                    for byte, valtype in types.items()})
+    return (kind, op.mnemonic, None)
 
 
-def decode_expr(reader: _Reader) -> list[Instr]:
-    """Decode instructions up to and including the matching top-level ``end``.
+_PLANS: tuple[tuple, ...] = tuple(_plan(opcodes.BY_BYTE.get(byte)) for byte in range(256))
 
-    The returned list *excludes* the final ``end`` (it is implicit for
-    initializer expressions, and function bodies re-append it).
+_unpack_f32 = struct.Struct("<f").unpack
+_unpack_f64 = struct.Struct("<d").unpack
+
+
+def _decode_expr(data: bytes, pos: int, end: int, interned: dict,
+                 flat: bool = False) -> tuple[list[Instr], int]:
+    """Decode ``data[pos:end]`` up to and including the matching top-level
+    ``end``; return the instructions *without* that ``end`` (it is implicit
+    for initializer expressions, and function bodies re-append it) and the
+    position after it. ``flat`` decodes a bare instruction sequence up to
+    ``end`` instead, ``end`` opcodes included.
+
+    ``interned`` maps ``immediate << 8 | opcode byte`` (the immediate is an
+    index, a label, an integer constant or ``offset << 32 | align``) and a
+    float constant's raw bytes, opcode included, to the one :class:`Instr`
+    decoded for it. One-byte LEB128 immediates are read inline; longer ones
+    go through :mod:`leb128`, which keeps every overlong, out-of-range and
+    truncation check and its message.
     """
     instrs: list[Instr] = []
+    append = instrs.append
+    plans = _PLANS
+    lookup = interned.get
     depth = 0
     while True:
-        instr = decode_instr(reader)
-        if instr.op == "end":
-            if depth == 0:
-                return instrs
+        if pos >= end:
+            if flat:
+                return instrs, pos
+            raise DecodeError("unexpected end of input", offset=pos)
+        start = pos
+        byte = data[pos]
+        pos += 1
+        kind, name, shared = plans[byte]
+        if kind == _NONE:
+            append(shared)
+            continue
+        if kind == _IDX or kind == _LABEL:
+            if pos < end and data[pos] < 0x80:
+                value = data[pos]
+                pos += 1
+            else:
+                value, pos = _decode_unsigned(data, pos, 32)
+            key = value << 8 | byte
+            instr = lookup(key)
+            if instr is None:
+                if kind == _IDX:
+                    instr = interned[key] = Instr(name, idx=value)
+                else:
+                    instr = interned[key] = Instr(name, label=value)
+        elif kind == _I32 or kind == _I64:
+            if pos < end and data[pos] < 0x80:
+                value = data[pos]
+                if value >= 0x40:
+                    value -= 0x80
+                pos += 1
+            else:
+                value, pos = _decode_signed(data, pos, 32 if kind == _I32 else 64)
+            key = value << 8 | byte
+            instr = lookup(key)
+            if instr is None:
+                instr = interned[key] = Instr(name, value=value)
+        elif kind == _END:
+            if depth == 0 and not flat:
+                return instrs, pos
             depth -= 1
-        elif instr.info.is_block_start:
+            instr = shared
+        elif kind == _BLOCK:
+            if pos >= end:
+                raise DecodeError("unexpected end of input", offset=pos)
+            instr = shared.get(data[pos])
+            if instr is None:
+                raise DecodeError(f"invalid block type byte {data[pos]:#x}",
+                                  offset=pos)
+            pos += 1
             depth += 1
-        instrs.append(instr)
+        elif kind == _MEMARG:
+            if pos < end and data[pos] < 0x80:
+                align = data[pos]
+                pos += 1
+            else:
+                align, pos = _decode_unsigned(data, pos, 32)
+            if pos < end and data[pos] < 0x80:
+                offset = data[pos]
+                pos += 1
+            else:
+                offset, pos = _decode_unsigned(data, pos, 32)
+            key = (offset << 32 | align) << 8 | byte
+            instr = lookup(key)
+            if instr is None:
+                instr = interned[key] = Instr(name, memarg=MemArg(align, offset))
+        elif kind == _F64 or kind == _F32:
+            width = 8 if kind == _F64 else 4
+            if pos + width > end:
+                raise DecodeError("unexpected end of input", offset=pos)
+            pos += width
+            key = data[start:pos]
+            instr = lookup(key)
+            if instr is None:
+                unpack = _unpack_f64 if kind == _F64 else _unpack_f32
+                instr = interned[key] = Instr(name, value=unpack(key[1:])[0])
+        elif kind == _BR_TABLE:
+            count, pos = _decode_unsigned(data, pos, 32)
+            labels = []
+            for _ in range(count):
+                label, pos = _decode_unsigned(data, pos, 32)
+                labels.append(label)
+            default, pos = _decode_unsigned(data, pos, 32)
+            instr = Instr(name, br_table=BrTable(tuple(labels), default))
+        elif kind == _TYPE_IDX:
+            value, pos = _decode_unsigned(data, pos, 32)
+            if pos >= end:
+                raise DecodeError("unexpected end of input", offset=pos)
+            if data[pos] != 0x00:
+                raise DecodeError("call_indirect reserved byte must be zero",
+                                  offset=start)
+            pos += 1
+            key = value << 8 | byte
+            instr = lookup(key)
+            if instr is None:
+                instr = interned[key] = Instr(name, idx=value)
+        elif kind == _MEM_IDX:
+            if pos >= end:
+                raise DecodeError("unexpected end of input", offset=pos)
+            if data[pos] != 0x00:
+                raise DecodeError("memory instruction reserved byte must be zero",
+                                  offset=start)
+            pos += 1
+            instr = shared
+        else:
+            raise DecodeError(f"unknown opcode byte {byte:#04x}", offset=start)
+        append(instr)
+
+
+def decode_instrs(data: bytes) -> list[Instr]:
+    """Decode a bare instruction sequence (``end`` opcodes included), with
+    the same loop that decodes function bodies."""
+    data = bytes(data)
+    return _decode_expr(data, 0, len(data), {}, flat=True)[0]
+
+
+# -- sections -----------------------------------------------------------------
 
 
 def _decode_import(reader: _Reader) -> Import:
@@ -191,7 +311,7 @@ def _decode_import(reader: _Reader) -> Import:
 _EXPORT_KIND = {0: "func", 1: "table", 2: "memory", 3: "global"}
 
 
-def _decode_code(reader: _Reader, type_idx: int) -> Function:
+def _decode_code(reader: _Reader, type_idx: int, interned: dict) -> Function:
     size = reader.u32()
     body_end = reader.pos + size
     if body_end > reader.end:
@@ -207,8 +327,8 @@ def _decode_code(reader: _Reader, type_idx: int) -> Function:
         if count > 1_000_000 or len(locals_) + count > 1_000_000:
             raise DecodeError(f"too many locals ({count})", offset=sub.pos)
         locals_.extend([valtype] * count)
-    body = decode_expr(sub)
-    body.append(Instr("end"))
+    body = sub.expr(interned)
+    body.append(_END_INSTR)
     if not sub.eof():
         raise DecodeError("trailing bytes after function body", offset=sub.pos)
     reader.pos = body_end
@@ -239,13 +359,16 @@ def _decode_name_section(module: Module, payload: bytes) -> None:
 
 
 def decode_module(data: bytes) -> Module:
-    """Parse a complete ``.wasm`` binary into a :class:`Module`."""
+    """Parse a complete ``.wasm`` binary (any bytes-like object) into a
+    :class:`Module`."""
+    data = bytes(data)
     if data[:4] != MAGIC:
         raise DecodeError("missing \\0asm magic number", offset=0)
     if data[4:8] != VERSION:
         raise DecodeError(f"unsupported version {data[4:8]!r}", offset=4)
     reader = _Reader(data, 8)
     module = Module()
+    interned: dict = {}
     func_type_idxs: list[int] = []
     last_section = 0
     while not reader.eof():
@@ -303,7 +426,7 @@ def decode_module(data: bytes) -> Module:
             for _ in range(section.u32()):
                 valtype = section.valtype()
                 mutable = section.byte() == 0x01
-                init = decode_expr(section)
+                init = section.expr(interned)
                 module.globals.append(Global(GlobalType(valtype, mutable), init))
         elif section_id == 7:
             for _ in range(section.u32()):
@@ -319,7 +442,7 @@ def decode_module(data: bytes) -> Module:
                 flag = section.byte()
                 if flag != 0x00:
                     raise DecodeError(f"unsupported element segment flag {flag:#x}")
-                offset = decode_expr(section)
+                offset = section.expr(interned)
                 func_idxs = [section.u32() for _ in range(section.u32())]
                 module.elements.append(ElemSegment(offset, func_idxs))
         elif section_id == 10:
@@ -329,13 +452,13 @@ def decode_module(data: bytes) -> Module:
                     f"code section has {count} bodies but function section "
                     f"declares {len(func_type_idxs)}")
             for type_idx in func_type_idxs:
-                module.functions.append(_decode_code(section, type_idx))
+                module.functions.append(_decode_code(section, type_idx, interned))
         elif section_id == 11:
             for _ in range(section.u32()):
                 flag = section.byte()
                 if flag != 0x00:
                     raise DecodeError(f"unsupported data segment flag {flag:#x}")
-                offset = decode_expr(section)
+                offset = section.expr(interned)
                 length = section.u32()
                 module.data.append(DataSegment(offset, section.raw(length)))
     if func_type_idxs and not module.functions:

@@ -45,6 +45,14 @@ class Instr:
 
     Only the field matching the opcode's immediate kind is meaningful; the
     constructor helpers below and :func:`check_instr` keep this consistent.
+
+    Instructions are immutable values and may be shared. Within one
+    ``decode_module`` call, decoded instructions are shared immutable
+    flyweights: every occurrence of the same instruction (say ``get_local
+    0``) in any function or initializer is one object, and immediate-free
+    instructions and block starts are one object per opcode and block type
+    across all decodes. Compare instructions with ``==``, never by identity,
+    and replace an instruction rather than mutate it.
     """
 
     op: str

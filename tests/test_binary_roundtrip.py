@@ -1,12 +1,14 @@
 """Binary format: encode/decode units plus whole-module roundtrip properties."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.wasm import (DecodeError, Instr, Limits, Module, decode_module,
                         encode_module, validate_module)
 from repro.wasm.builder import ModuleBuilder
-from repro.wasm.decoder import _Reader, decode_instr
+from repro.wasm.decoder import decode_instrs
 from repro.wasm.encoder import MAGIC, VERSION, encode_instr
 from repro.wasm.module import BrTable, MemArg
 from repro.wasm.types import F32, F64, I32, I64, FuncType, GlobalType
@@ -26,7 +28,7 @@ def roundtrip(module: Module) -> bytes:
 class TestInstrEncoding:
     def assert_instr_roundtrip(self, instr: Instr):
         raw = encode_instr(instr)
-        decoded = decode_instr(_Reader(raw))
+        decoded, = decode_instrs(raw)
         assert encode_instr(decoded) == raw
 
     def test_simple(self):
@@ -55,17 +57,69 @@ class TestInstrEncoding:
         assert raw[-1] == 0x00
         broken = raw[:-1] + b"\x01"
         with pytest.raises(DecodeError):
-            decode_instr(_Reader(broken))
+            decode_instrs(broken)
 
     @given(st.integers(min_value=-2 ** 31, max_value=2 ** 31 - 1))
     def test_i32_const_roundtrip(self, value):
-        decoded = decode_instr(_Reader(encode_instr(Instr("i32.const", value=value))))
+        decoded, = decode_instrs(encode_instr(Instr("i32.const", value=value)))
         assert decoded.value == value
 
     @given(st.floats(allow_nan=False, width=32))
     def test_f32_const_roundtrip(self, value):
-        decoded = decode_instr(_Reader(encode_instr(Instr("f32.const", value=value))))
+        decoded, = decode_instrs(encode_instr(Instr("f32.const", value=value)))
         assert decoded.value == value
+
+
+def _float_bits_module() -> Module:
+    """One body holding constants that compare equal as floats but differ
+    in their bits (and NaNs, which compare equal to nothing)."""
+    f64_nans = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+                for bits in (0x7FF8000000000001, 0xFFF4000000000002)]
+    builder = ModuleBuilder()
+    fb = builder.function((), (), export="f")
+    for value in [0.0, -0.0, *f64_nans, 0.0]:
+        fb.emit("f64.const", value=value).emit("drop")
+    for value in [0.0, -0.0, -0.0]:
+        fb.emit("f32.const", value=value).emit("drop")
+    fb.finish()
+    return builder.build()
+
+
+class TestDecoderInput:
+    """Any bytes-like input, and instructions shared only within one decode."""
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview,
+                                      lambda raw: memoryview(b"pad" + raw)[3:]],
+                             ids=["bytearray", "memoryview", "memoryview-slice"])
+    def test_bytes_like_input_decodes_equal(self, wrap, fib_module):
+        for module in (fib_module, compile_kernel("gemm")):
+            raw = encode_module(module)
+            assert decode_module(wrap(raw)) == decode_module(raw)
+
+    def test_float_constants_keep_their_bits(self):
+        module = _float_bits_module()
+        raw = encode_module(module)
+        decoded = decode_module(raw)
+        assert encode_module(decoded) == raw
+
+        def const_bits(m: Module) -> list:
+            return [(i.op, struct.pack("<d", i.value))
+                    for i in m.functions[0].body if i.op.endswith(".const")]
+        assert const_bits(decoded) == const_bits(module)
+
+    def test_instructions_are_shared_within_one_decode_only(self):
+        builder = ModuleBuilder()
+        fb = builder.function((I32,), (I32,))
+        fb.get_local(0).i32_const(7).emit("i32.add")
+        fb.get_local(0).i32_const(7).emit("i32.add").emit("i32.add")
+        fb.finish()
+        raw = encode_module(builder.build())
+        first, second = (decode_module(raw).functions[0].body for _ in range(2))
+        assert first[0] is first[3] and first[1] is first[4]
+        assert first[2] is first[5] is second[2]  # immediate-free: one per opcode
+        # no intern table outlives its decode_module call
+        assert first[0] == second[0] and first[0] is not second[0]
+        assert first[1] == second[1] and first[1] is not second[1]
 
 
 class TestModuleStructure:

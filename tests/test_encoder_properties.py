@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.wasm import opcodes
-from repro.wasm.decoder import _Reader, decode_instr
+from repro.wasm.decoder import decode_instrs
 from repro.wasm.encoder import encode_expr, encode_instr
 from repro.wasm.errors import EncodeError
 from repro.wasm.module import BrTable, Instr, MemArg
@@ -79,14 +79,6 @@ def instrs(draw):
 bodies = st.lists(instrs(), max_size=40)
 
 
-def decode_all(raw: bytes) -> list[Instr]:
-    reader = _Reader(raw)
-    out = []
-    while not reader.eof():
-        out.append(decode_instr(reader))
-    return out
-
-
 def canonical(instr: Instr) -> tuple:
     """An instruction as the binary format sees it: integer constants in
     two's-complement range, floats by bit pattern."""
@@ -116,7 +108,7 @@ def test_expr_is_concatenation_of_instrs(body):
 @given(bodies)
 def test_decode_of_encode_roundtrips(body):
     raw = encode_expr(body, terminated=True)
-    decoded = decode_all(raw)
+    decoded = decode_instrs(raw)
     assert [canonical(i) for i in decoded] == [canonical(i) for i in body]
     assert encode_expr(decoded, terminated=True) == raw
 
