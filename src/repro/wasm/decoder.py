@@ -28,7 +28,11 @@ _decode_signed = leb128.decode_signed
 
 
 class _Reader:
-    """Cursor over a byte buffer with the readers section framing needs."""
+    """Cursor over ``data[pos:end]`` with the readers section framing needs.
+
+    No read goes past ``end``: a byte, a run of bytes or a LEB128 integer
+    that would is malformed input.
+    """
 
     def __init__(self, data: bytes, pos: int = 0, end: int | None = None):
         self.data = data
@@ -57,7 +61,7 @@ class _Reader:
         if pos < end and data[pos] < 0x80:
             self.pos = pos + 1
             return data[pos]
-        value, self.pos = _decode_unsigned(data, pos, 32)
+        value, self.pos = _decode_unsigned(data, pos, 32, end)
         return value
 
     def name(self) -> str:
@@ -155,7 +159,8 @@ def _decode_expr(data: bytes, pos: int, end: int, interned: dict,
     ``end``; return the instructions *without* that ``end`` (it is implicit
     for initializer expressions, and function bodies re-append it) and the
     position after it. ``flat`` decodes a bare instruction sequence up to
-    ``end`` instead, ``end`` opcodes included.
+    ``end`` instead, ``end`` opcodes included. No immediate is read past
+    ``end``.
 
     ``interned`` maps ``immediate << 8 | opcode byte`` (the immediate is an
     index, a label, an integer constant or ``offset << 32 | align``) and a
@@ -186,7 +191,7 @@ def _decode_expr(data: bytes, pos: int, end: int, interned: dict,
                 value = data[pos]
                 pos += 1
             else:
-                value, pos = _decode_unsigned(data, pos, 32)
+                value, pos = _decode_unsigned(data, pos, 32, end)
             key = value << 8 | byte
             instr = lookup(key)
             if instr is None:
@@ -201,7 +206,7 @@ def _decode_expr(data: bytes, pos: int, end: int, interned: dict,
                     value -= 0x80
                 pos += 1
             else:
-                value, pos = _decode_signed(data, pos, 32 if kind == _I32 else 64)
+                value, pos = _decode_signed(data, pos, 32 if kind == _I32 else 64, end)
             key = value << 8 | byte
             instr = lookup(key)
             if instr is None:
@@ -225,12 +230,12 @@ def _decode_expr(data: bytes, pos: int, end: int, interned: dict,
                 align = data[pos]
                 pos += 1
             else:
-                align, pos = _decode_unsigned(data, pos, 32)
+                align, pos = _decode_unsigned(data, pos, 32, end)
             if pos < end and data[pos] < 0x80:
                 offset = data[pos]
                 pos += 1
             else:
-                offset, pos = _decode_unsigned(data, pos, 32)
+                offset, pos = _decode_unsigned(data, pos, 32, end)
             key = (offset << 32 | align) << 8 | byte
             instr = lookup(key)
             if instr is None:
@@ -246,15 +251,15 @@ def _decode_expr(data: bytes, pos: int, end: int, interned: dict,
                 unpack = _unpack_f64 if kind == _F64 else _unpack_f32
                 instr = interned[key] = Instr(name, value=unpack(key[1:])[0])
         elif kind == _BR_TABLE:
-            count, pos = _decode_unsigned(data, pos, 32)
+            count, pos = _decode_unsigned(data, pos, 32, end)
             labels = []
             for _ in range(count):
-                label, pos = _decode_unsigned(data, pos, 32)
+                label, pos = _decode_unsigned(data, pos, 32, end)
                 labels.append(label)
-            default, pos = _decode_unsigned(data, pos, 32)
+            default, pos = _decode_unsigned(data, pos, 32, end)
             instr = Instr(name, br_table=BrTable(tuple(labels), default))
         elif kind == _TYPE_IDX:
-            value, pos = _decode_unsigned(data, pos, 32)
+            value, pos = _decode_unsigned(data, pos, 32, end)
             if pos >= end:
                 raise DecodeError("unexpected end of input", offset=pos)
             if data[pos] != 0x00:
@@ -461,6 +466,10 @@ def decode_module(data: bytes) -> Module:
                 offset = section.expr(interned)
                 length = section.u32()
                 module.data.append(DataSegment(offset, section.raw(length)))
+        if section_id and not section.eof():
+            # every read stops at the section end, so parsing either fills
+            # the section exactly or leaves unread bytes
+            raise DecodeError(f"section {section_id} size mismatch", offset=section.pos)
     if func_type_idxs and not module.functions:
         raise DecodeError("function section without code section")
     return module

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.wasm import (DecodeError, Instr, Limits, Module, decode_module,
-                        encode_module, validate_module)
+                        encode_module, leb128, validate_module)
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.decoder import decode_instrs
 from repro.wasm.encoder import MAGIC, VERSION, encode_instr
@@ -120,6 +120,75 @@ class TestDecoderInput:
         # no intern table outlives its decode_module call
         assert first[0] == second[0] and first[0] is not second[0]
         assert first[1] == second[1] and first[1] is not second[1]
+
+
+def _split_sections(raw: bytes) -> list[tuple[int, bytes]]:
+    """The ``(id, payload)`` of every section of a well-formed binary."""
+    sections, pos = [], 8
+    while pos < len(raw):
+        size, start = leb128.decode_unsigned(raw, pos + 1)
+        sections.append((raw[pos], raw[start:start + size]))
+        pos = start + size
+    return sections
+
+
+def _join_sections(sections: list[tuple[int, bytes]]) -> bytes:
+    return MAGIC + VERSION + b"".join(
+        bytes([section_id]) + leb128.encode_unsigned(len(payload)) + payload
+        for section_id, payload in sections)
+
+
+def _every_section_module() -> Module:
+    """A module holding all eleven non-custom sections."""
+    builder = ModuleBuilder("every_section")
+    builder.import_function("env", "f", FuncType((I32,), ()))
+    builder.add_table(1)
+    builder.add_memory(1)
+    glob = builder.add_global(I32, mutable=True, init=0)
+    fb = builder.function((), (), name="init", export="init")
+    fb.i32_const(1).set_global(glob)
+    fb.finish()
+    builder.set_start(fb.func_idx)
+    builder.add_element(0, [fb.func_idx])
+    builder.add_data(0, b"data")
+    return builder.build()
+
+
+class TestSectionFraming:
+    """Every read stops at its section's end, and a non-custom section must
+    be used up exactly."""
+
+    def test_every_section_present(self):
+        raw = encode_module(_every_section_module())
+        assert [sid for sid, _ in _split_sections(raw)] == [*range(1, 12), 0]
+        assert encode_module(decode_module(raw)) == raw
+
+    @pytest.mark.parametrize("section_id", range(1, 12))
+    def test_trailing_byte_in_section_rejected(self, section_id):
+        sections = _split_sections(encode_module(_every_section_module()))
+        padded = [(sid, payload + b"\x00" if sid == section_id else payload)
+                  for sid, payload in sections]
+        with pytest.raises(DecodeError, match=f"section {section_id} size mismatch"):
+            decode_module(_join_sections(padded))
+
+    def test_trailing_bytes_in_custom_section_kept(self, add_module):
+        from repro.wasm.module import CustomSection
+        add_module.custom_sections.append(CustomSection("vendor", b"\x00\x00"))
+        decoded = decode_module(encode_module(add_module))
+        assert decoded.custom_sections == [CustomSection("vendor", b"\x00\x00")]
+
+    def test_leb128_does_not_run_into_the_next_section(self):
+        """With the continuation bit set on the last byte of gemm's export
+        section, the exported function index must not swallow the id byte
+        of the code section that follows."""
+        sections = _split_sections(encode_module(compile_kernel("gemm")))
+        ids = [sid for sid, _ in sections]
+        export = ids.index(7)
+        assert ids[export + 1] == 10
+        payload = sections[export][1]
+        sections[export] = (7, payload[:-1] + bytes([payload[-1] | 0x80]))
+        with pytest.raises(DecodeError, match="truncated LEB128 integer"):
+            decode_module(_join_sections(sections))
 
 
 class TestModuleStructure:

@@ -181,9 +181,9 @@ def test_pgo_artifacts_regenerate_byte_identical():
 
 DECODE_DIGESTS = {
     "truncations_and_bit_flips":
-        "9b3c14b2d1bcd4bc7d335e3b6ba08702111e3eab1483ae2e8d52dc34f86d5dec",
+        "7dd7e99d586503cb867f9ab56c616a30bb183ac85d4eb7f9d167dbc38682c1a7",
     "blind_mutants":
-        "5c9e41e350cf7829fa8caa914a483f0f64e8cd73c91ac3d0492bcf98c1fdc022",
+        "f2e5e44ab70e4fb7097fa96c0eb7274a292c803f93f6ac22449593021e401cdf",
     "corpus_reencode":
         "ab73094bcd238f7e9695ac07e408cb3937c56159ee9cac8498dba00e3ec5ec59",
 }

@@ -43,6 +43,13 @@ class TestUnsigned:
         with pytest.raises(DecodeError):
             leb128.decode_unsigned(b"\x80", 0)
 
+    def test_decode_stops_at_end(self):
+        assert leb128.decode_unsigned(b"\x80\x01", 0, 32, end=2) == (128, 2)
+        with pytest.raises(DecodeError, match="truncated LEB128 integer"):
+            leb128.decode_unsigned(b"\x80\x01", 0, 32, end=1)
+        with pytest.raises(DecodeError, match="truncated LEB128 integer"):
+            leb128.decode_signed(b"\xff\x7f", 0, 32, end=1)
+
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_roundtrip_u32(self, value):
         encoded = leb128.encode_unsigned(value)
