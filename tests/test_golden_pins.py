@@ -1,17 +1,21 @@
-"""Golden pins for hook dispatch, the self-profiler, the PGO artifacts and
-the binary decoder.
+"""Golden pins for hook dispatch, the self-profiler, the PGO artifacts, the
+decoded streams and the binary decoder.
 
 Every digest below was recorded once and must never drift: they are the
 independent oracle for the one remaining hook-dispatch path, for the
-profiler's exact instruction counting and for the decoder's accept/reject
-decisions.
+profiler's exact instruction counting, for the stream the decoded engine
+executes and for the decoder's accept/reject decisions.
 
 * the ``ExecutionTracer`` event stream of every program in the hook-dispatch
   differential corpus (``tests/test_hook_dispatch.py``), on both engines;
-* ``profiler.as_dict()`` (opcode and pair counts, per-function work and
-  sampled stacks) of instrumented PolyBench runs, on both engines;
+* ``profiler.as_dict()`` without its pair counts (opcode counts, opcode
+  classes, per-function work and sampled stacks) of instrumented PolyBench
+  runs, on both engines;
 * ``benchmarks/results/PGO_corpus_profile.json`` and
   ``PGO_fusion_table.json``, regenerated byte for byte;
+* the shape of every decoded stream (op id per slot, span per compiled
+  segment) of the PolyBench kernels, two synthetic binaries and an
+  all-hooks-instrumented kernel;
 * the outcome of ``decode_module`` (its error and message, or the bytes it
   re-encodes to) on truncations, bit flips and blind mutants of the fuzz
   seed corpus, and on every PolyBench kernel and two synthetic binaries.
@@ -27,11 +31,12 @@ import pytest
 
 from repro.analyses import BranchCoverage, InstructionMixAnalysis
 from repro.core import AnalysisSession
-from repro.core.instrument import InstrumentationConfig
+from repro.core.instrument import InstrumentationConfig, instrument_module
 from repro.eval.faultinject import mutant_rng, mutate, seed_corpus
 from repro.eval.workloads import polybench_workloads
 from repro.interp import Machine
 from repro.interp.pgo import fusion_table_payload, record_corpus_profile
+from repro.interp.predecode import OP_SEGMENT, decode_function
 from repro.minic import compile_source
 from repro.obs.telemetry import Telemetry
 from repro.wasm import decode_module, encode_module
@@ -129,17 +134,17 @@ PROFILE_ANALYSES = {"instruction_mix": InstructionMixAnalysis,
 
 PROFILE_DIGESTS = {
     ("trisolv", "instruction_mix"):
-        "128b13f538e33261d5c1238f7faae3221441a968dfb7027c1aba7877c45e6a65",
+        "9859aa87c31eb63ade5202cab21f3787d3b42f38161a8793eafb3e5d7ec81766",
     ("trisolv", "branch_coverage"):
-        "40f19660c65928d002317a846df85a887dd158e56a00c7842389691a0704d57d",
+        "c106b0f16942e4a7782ebca47c326f6ccf074b0f6380e34eab9324e4d7e419ba",
     ("durbin", "instruction_mix"):
-        "8d8631def3e54255df66bfa7d8ce0ad7bd25536f2d10e6f8833aabc41379c810",
+        "ca130ab23871b16827688df76d1ceb2960ac8d966ea65449781509d0df2f26c8",
     ("durbin", "branch_coverage"):
-        "64533c36919f725c5fb84d08510c38e1e18195026e92e1e9520a7b2f88545bc1",
+        "ffabdeefc4cd71201a2f6c3f01e207c1abe074686327b0e6b2d9b78383ad6419",
     ("bicg", "instruction_mix"):
-        "0c5d98f9bd53dab5ea8ec355e676946623ddfc2edf0545b94c6fa63c53a487c5",
+        "c7ace36b8af5d1f6c813432780f731e8ddb0f57c90cda05d6206a4209e644d64",
     ("bicg", "branch_coverage"):
-        "4166a9a5abd2c01e2c6c98e3fb3ba0d64b61df286e370dcb7dec9ceed648a559",
+        "56a0f95cab9404c0164bb22c1e1e87ff4440a6da4b83117890b0ccbe4efcbeff",
 }
 
 
@@ -151,7 +156,9 @@ def _instrumented_profile(kernel: str, analysis_name: str,
                               linker=workload.linker(), telemetry=telemetry,
                               machine=Machine(predecode=predecode))
     session.invoke(workload.entry, workload.args)
-    return telemetry.profiler.as_dict()
+    profile = telemetry.profiler.as_dict()
+    del profile["pairs"]  # pinned without the opcode-pair counts
+    return profile
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -175,6 +182,38 @@ def test_pgo_artifacts_regenerate_byte_identical():
         (RESULTS / "PGO_corpus_profile.json").read_text()
     assert json.dumps(fusion_table_payload(profile), indent=2) + "\n" == \
         (RESULTS / "PGO_fusion_table.json").read_text()
+
+
+# -- decoded stream shapes -------------------------------------------------------
+
+STREAM_SHAPE_DIGEST = \
+    "df1efef7dbea98f99c73fbfbcc82c367fcf1dd85ec473cf016db879cc6b7cb15"
+
+
+def _stream_shape_modules():
+    for name in kernel_names():
+        yield compile_kernel(name)
+    yield pdf_toolkit(1)
+    yield engine_demo(1)
+    yield instrument_module(compile_kernel("trisolv")).module
+
+
+def _stream_shape(module) -> str:
+    """One line per function: the op id of every slot of the stream the
+    decoded engine runs, and each compiled segment's span."""
+    return "\n".join(
+        " ".join(f"{ins[0]}:{ins[2]}" if ins[0] == OP_SEGMENT else str(ins[0])
+                 for ins in decode_function(func, module).code)
+        for func in module.functions)
+
+
+def test_decoded_stream_shapes():
+    """Every function of the 30 PolyBench kernels, ``pdf_toolkit(1)``,
+    ``engine_demo(1)`` and an all-hooks-instrumented ``trisolv`` decodes to
+    the same op ids, slot for slot, with the same segment spans."""
+    shapes = "\n".join(_stream_shape(module)
+                       for module in _stream_shape_modules())
+    assert _digest(shapes) == STREAM_SHAPE_DIGEST
 
 
 # -- decoder outcomes ------------------------------------------------------------

@@ -12,6 +12,7 @@ import struct
 
 import pytest
 
+import repro.interp.predecode as pd
 from repro.analyses import InstructionMixAnalysis
 from repro.core import AnalysisSession
 from repro.eval.workloads import (POLYBENCH_FAST_SUBSET, polybench_workloads,
@@ -19,11 +20,9 @@ from repro.eval.workloads import (POLYBENCH_FAST_SUBSET, polybench_workloads,
 from repro.interp import (Machine, WasmFunction, cached_decode,
                           decode_function, predecode_default)
 from repro.interp.host import HostFunction, Linker
-from repro.interp.predecode import (OP_CALL_INDIRECT, OP_CALL_INDIRECT_IC,
-                                    OP_CONST_BINARY, OP_GET2_LOCAL,
-                                    OP_GET_LOCAL_CONST, OP_HOOK, OP_LOAD_FLOAT,
-                                    OP_LOAD_INT, OP_RAISE, OP_STORE_FLOAT,
-                                    OP_STORE_INT)
+from repro.interp.predecode import (OP_CALL_INDIRECT_IC, OP_CONST_BINARY,
+                                    OP_GET2_LOCAL, OP_GET_LOCAL_CONST, OP_HOOK,
+                                    OP_RAISE)
 from repro.minic import compile_source
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import ExhaustionError, Trap, WasmError
@@ -258,12 +257,23 @@ class TestDecodeDetails:
 
 # -- the streams instances execute ------------------------------------------------
 
-#: Op ids no executed stream may carry, because the decoded loop has no arm
-#: for them: bare memory ops (decode installs their quickened twins), bare
-#: ``call_indirect`` (every site becomes an inline cache), and the unassigned
-#: id 51.
-NEVER_EXECUTED = frozenset({OP_LOAD_INT, OP_LOAD_FLOAT, OP_STORE_INT,
-                            OP_STORE_FLOAT, OP_CALL_INDIRECT, 51})
+#: Op ids the decoded loop (``Machine._exec_decoded``) has an arm for; every
+#: executed stream must stay inside this set. Bare memory ops (decode
+#: installs their quickened twins) and bare ``call_indirect`` (every site
+#: becomes an inline cache) have no arm, and any id without one would fall
+#: through to the ``OP_RAISE`` arm.
+EXECUTABLE = frozenset({
+    pd.OP_GET_LOCAL, pd.OP_BINARY, pd.OP_CONST, pd.OP_SET_LOCAL, pd.OP_BR_IF,
+    pd.OP_UNARY, pd.OP_TEE_LOCAL, pd.OP_BR, pd.OP_END, pd.OP_LOOP, pd.OP_IF,
+    pd.OP_BLOCK, pd.OP_JUMP, pd.OP_CALL, pd.OP_RETURN, pd.OP_GET_GLOBAL,
+    pd.OP_SET_GLOBAL, pd.OP_SELECT, pd.OP_DROP, pd.OP_BR_TABLE,
+    pd.OP_MEMORY_SIZE, pd.OP_MEMORY_GROW, pd.OP_NOP, pd.OP_UNREACHABLE,
+    pd.OP_RAISE, pd.OP_GET_LOCAL_CONST, pd.OP_CONST_BINARY,
+    pd.OP_GET_LOCAL_BINARY, pd.OP_GET2_LOCAL, pd.OP_HOOK,
+    *range(35, 51),  # the profile-guided fused pairs
+    pd.OP_QLOAD, pd.OP_QLOAD_MASK, pd.OP_QSTORE, pd.OP_QSTORE_MASK,
+    pd.OP_CALL_INDIRECT_IC, pd.OP_SEGMENT,
+})
 
 
 def _executed_ops(instance) -> set[int]:
@@ -281,7 +291,7 @@ class TestExecutedStreams:
                                                        workload.linker())
         instance.invoke(workload.entry, workload.args)
         ops = _executed_ops(instance)
-        assert ops and not ops & NEVER_EXECUTED
+        assert ops and ops <= EXECUTABLE
 
     @pytest.mark.parametrize("name", ["pdf_toolkit", "engine_demo"])
     def test_realworld_streams_have_no_base_ops(self, name):
@@ -291,7 +301,7 @@ class TestExecutedStreams:
                                                        workload.linker())
         instance.invoke(workload.entry, workload.args)
         ops = _executed_ops(instance)
-        assert ops and not ops & NEVER_EXECUTED
+        assert ops and ops <= EXECUTABLE
         if name == "engine_demo":
             # the stand-in that exercises call_indirect got its caches
             assert OP_CALL_INDIRECT_IC in ops
@@ -303,7 +313,7 @@ class TestExecutedStreams:
                                   machine=Machine(predecode=True))
         session.invoke(workload.entry, workload.args)
         ops = _executed_ops(session.instance)
-        assert OP_HOOK in ops and not ops & NEVER_EXECUTED
+        assert OP_HOOK in ops and ops <= EXECUTABLE
 
     def test_execution_leaves_the_shared_cache_untouched(self):
         workload, = polybench_workloads(["gemm"], n=6)
