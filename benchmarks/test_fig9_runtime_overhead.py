@@ -82,41 +82,20 @@ def test_fig9(benchmark, write_report):
 
 
 def test_interp_predecode_speedup(benchmark, results_dir):
-    """Tentpole perf floor: the profile-guided engine (the quickened
-    engine with the PGO fusion table) must stay ≥3× faster (geomean) than
-    the legacy
-    string-dispatch loop on the Fig. 9 PolyBench uninstrumented baseline,
-    with no single workload below 1.8×. Records the numbers — each with
-    its dynamic opcode-class mix, so per-workload regressions are
-    diagnosable — as BENCH_interp.json, plus the recorded corpus profile
-    and the fusion table derived from it (the closed profiler→dispatch
-    loop of `repro pgo`). The artifact's middle column is the same engine
-    without a profile, so it shows what the PGO table adds.
+    """Tentpole perf floor: the quickened engine must stay ≥3× faster
+    (geomean) than the legacy string-dispatch loop on the Fig. 9 PolyBench
+    uninstrumented baseline, with no single workload below 1.8×. Records
+    the numbers — each with its dynamic opcode-class mix, so per-workload
+    regressions are diagnosable — as BENCH_interp.json.
 
     This doubles as the CI bench-smoke benchmark: the pytest-benchmark
     fixture times an uninstrumented gemm run on the quickened engine, and
     the CI job puts a wall-clock ceiling on the whole invocation so a
     catastrophic interpreter slowdown fails the build.
     """
-    from repro.interp.pgo import (fusion_table_payload, merge_profiles,
-                                  record_workload_profile, write_profile)
-
     repeats = 5 if full_run() else 3
     workloads = polybench_workloads(POLYBENCH_FAST_SUBSET)
-
-    # close the loop: deterministically record the corpus profile
-    # (PolyBench subset + the synthetic real-world stand-ins, unfused
-    # streams) and derive the fusion table the PGO column runs with
-    profiles = {w.name: record_workload_profile(w)
-                for w in workloads + realworld_workloads()}
-    corpus_profile = merge_profiles(list(profiles.values()))
-    fusion_table = fusion_table_payload(corpus_profile)
-    write_profile(corpus_profile, results_dir / "PGO_corpus_profile.json")
-    write_profile(fusion_table, results_dir / "PGO_fusion_table.json")
-
-    reports = bench_interpreter(workloads, repeats=repeats,
-                                fusion_table=fusion_table, profiles=profiles)
-    payload = interp_bench_payload(reports, fusion_table=fusion_table)
+    payload = interp_bench_payload(bench_interpreter(workloads, repeats=repeats))
 
     path = results_dir / "BENCH_interp.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -126,15 +105,12 @@ def test_interp_predecode_speedup(benchmark, results_dir):
                         list(entry["opcode_classes"].items())[:4])
         print(f"{entry['name']:16s} legacy={entry['legacy_seconds']:.4f}s "
               f"predecoded={entry['predecoded_seconds']:.4f}s "
-              f"pgo={entry['pgo_seconds']:.4f}s "
-              f"speedup={entry['speedup']:.2f}x "
-              f"(no profile {entry['predecode_speedup']:.2f}x) [{mix}]")
+              f"speedup={entry['speedup']:.2f}x [{mix}]")
     print(f"geomean speedup: {payload['geomean_speedup']:.2f}x "
-          f"(no profile {payload['geomean_predecode_speedup']:.2f}x, "
-          f"{len(fusion_table['pairs'])} fused pairs) [recorded in {path}]")
+          f"[recorded in {path}]")
 
     assert payload["geomean_speedup"] >= 3.0, (
-        f"PGO engine regressed below the 3x floor: "
+        f"quickened engine regressed below the 3x floor: "
         f"{payload['geomean_speedup']:.2f}x geomean")
     for entry in payload["workloads"]:
         assert entry["speedup"] >= 1.8, (

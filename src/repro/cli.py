@@ -13,9 +13,6 @@ the equivalent, plus the usual binary-toolkit conveniences:
   python -m repro run app.wasm main -v --metrics-out m.json --trace-out t.json
   python -m repro run app.wasm main --profile --metrics-out m.json
   python -m repro report m.json               # render a metrics artifact
-  python -m repro pgo -o prof.json --fusion-out fusion.json
-                                              # record + derive PGO table
-  python -m repro run app.wasm main --pgo-profile fusion.json
   python -m repro stats app.wasm              # sizes, sections, instr mix
   python -m repro fuzz --mutants 5000         # fault-injection campaign
   python -m repro fuzz --save-failures DIR --reduce   # bundle + shrink escapes
@@ -352,15 +349,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_FAILURE
     if wasi is not None:
         wasi.register(linker)
-    if args.pgo_profile is not None:
-        # load eagerly for a clean diagnostic (Machine would also resolve a
-        # path, but a typo'd path should not read as an engine error)
-        from .interp.pgo import load_profile
-        try:
-            args.pgo_profile = load_profile(args.pgo_profile)
-        except (OSError, json.JSONDecodeError, WasmError) as exc:
-            print(f"repro: cannot load PGO profile: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
     return _run(args, module, call_args, printed, linker, limits, telemetry,
                 recorder, wasi=wasi)
 
@@ -376,10 +364,9 @@ def _run_via_service(args: argparse.Namespace, call_args,
     and the exported artifact is the stitched cross-process trace.
     """
     from .serve import ServeClient
-    if args.record or args.crash_dir or args.pgo_profile:
-        print("repro: --record/--crash-dir/--pgo-profile cannot combine with "
-              "--serve (the daemon owns bundling and engine flags)",
-              file=sys.stderr)
+    if args.record or args.crash_dir:
+        print("repro: --record/--crash-dir cannot combine with --serve "
+              "(the daemon owns bundling)", file=sys.stderr)
         return EXIT_USAGE
     client = ServeClient(args.serve, telemetry=telemetry)
     try:
@@ -673,23 +660,10 @@ def _run(args: argparse.Namespace, module, call_args, printed, linker,
          limits: ResourceLimits | None, telemetry: Telemetry | None,
          recorder: Recorder | None = None, wasi=None) -> int:
     analysis = None
-    pgo_profile = getattr(args, "pgo_profile", None)
     if args.analysis == "none" and not args.instrument:
-        machine = Machine(limits=limits, telemetry=telemetry, replay=recorder,
-                          pgo_profile=pgo_profile)
+        machine = Machine(limits=limits, telemetry=telemetry, replay=recorder)
         instance = machine.instantiate(module, linker)
         session = None
-    elif pgo_profile is not None:
-        # a PGO table needs machine construction flags, so the session
-        # gets a pre-built machine instead of building its own
-        analysis = ANALYSES[args.analysis]()
-        machine = Machine(limits=limits, telemetry=telemetry, replay=recorder,
-                          pgo_profile=pgo_profile)
-        session = AnalysisSession(module, analysis, linker=linker,
-                                  machine=machine,
-                                  on_analysis_error=args.on_analysis_error,
-                                  telemetry=telemetry)
-        instance = session.instance
     else:
         analysis = ANALYSES[args.analysis]()
         session = AnalysisSession(module, analysis, linker=linker,
@@ -1150,43 +1124,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pgo(args: argparse.Namespace) -> int:
-    """Record a corpus profile and derive the PGO fusion table.
-
-    Runs the standard corpus (PolyBench fast subset + the synthetic
-    real-world stand-ins) on a profiling machine — unfused, unquickened
-    streams, so pair counts are exact and deterministic — then selects the
-    superinstruction table and writes both artifacts.
-    """
-    from .interp.pgo import (fusion_table_payload, record_corpus_profile,
-                             unfused_hot_pairs, write_profile)
-    names = args.workloads.split(",") if args.workloads else None
-    profile = record_corpus_profile(
-        polybench_names=names, n=args.n,
-        include_realworld=not args.no_realworld)
-    write_profile(profile, args.out)
-    print(f"repro: profile written to {args.out} "
-          f"({profile['total_instructions']} instructions, "
-          f"{profile['total_pairs']} pairs over "
-          f"{len(profile['corpus'])} workloads)")
-    table = fusion_table_payload(profile, min_share=args.min_share,
-                                 max_pairs=args.max_pairs)
-    if args.fusion_out:
-        write_profile(table, args.fusion_out)
-        print(f"repro: fusion table written to {args.fusion_out}")
-    print(f"derived fusion table ({len(table['pairs'])} pairs, "
-          f"min share {args.min_share:.1%}):")
-    for first, second, share in table["pairs"]:
-        print(f"  {first:<16} ; {second:<16} {share:>7.2%}")
-    skipped = [row for row in unfused_hot_pairs(profile, top=args.top)
-               if not row[4]]
-    if skipped:
-        print("hottest pairs with no fusion rule:")
-        for first, second, count, share, _ in skipped:
-            print(f"  {first:<16} ; {second:<16} {share:>7.2%}")
-    return EXIT_OK
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     module = _load(args.input)
     size = Path(args.input).stat().st_size
@@ -1311,10 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true",
                    help="report resource usage (fuel, peak pages, peak call "
                         "depth) on stderr after the run")
-    p.add_argument("--pgo-profile", metavar="PATH", default=None,
-                   help="fuse superinstructions from this recorded "
-                        "repro.profile/1 or repro.fusion/1 artifact "
-                        "(see `repro pgo`) instead of the built-in set")
     p.add_argument("--serve", metavar="SOCKET", default=None,
                    help="execute via the service daemon at this unix socket "
                         "(crash-isolated, hard-deadline supervised)")
@@ -1331,29 +1264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=10,
                    help="rows per ranking section (default: 10)")
     p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("pgo", help="record a corpus profile and derive the "
-                                   "superinstruction fusion table")
-    p.add_argument("-o", "--out", default="pgo_profile.json",
-                   help="where to write the repro.profile/1 artifact "
-                        "(default: pgo_profile.json)")
-    p.add_argument("--fusion-out", metavar="PATH", default=None,
-                   help="also write the derived repro.fusion/1 table")
-    p.add_argument("--workloads", metavar="NAMES", default=None,
-                   help="comma-separated PolyBench kernels (default: the "
-                        "fast subset)")
-    p.add_argument("--n", type=int, default=None,
-                   help="PolyBench problem size override")
-    p.add_argument("--no-realworld", action="store_true",
-                   help="skip the synthetic real-world workloads")
-    p.add_argument("--min-share", type=float, default=0.005,
-                   help="keep pairs covering at least this share of all "
-                        "recorded pairs (default: 0.005)")
-    p.add_argument("--max-pairs", type=int, default=None,
-                   help="cap the derived table at this many pairs")
-    p.add_argument("--top", type=int, default=10,
-                   help="rows in the no-rule ranking (default: 10)")
-    p.set_defaults(fn=cmd_pgo)
 
     p = sub.add_parser("stats", help="summarize a .wasm binary")
     p.add_argument("input")

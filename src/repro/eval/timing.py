@@ -24,6 +24,7 @@ from typing import Callable
 from ..core.instrument import InstrumentationConfig, instrument_module
 from ..interp.machine import Machine
 from ..obs.spans import Tracer, measure
+from ..obs.telemetry import Telemetry
 from ..wasm.decoder import decode_module
 from ..wasm.encoder import encode_module
 from ..wasm.module import Module
@@ -71,65 +72,43 @@ def time_instrumentation(name: str, module: Module, repeats: int = 5,
 
 @dataclass
 class InterpBenchReport:
-    """One workload timed across the interpreter engine configurations.
-
-    Three columns: the legacy string-dispatch loop, the default
-    predecoded engine (hand-picked fusion set, no profile), and the same
-    engine with the profile-guided fusion table — so the gap between the
-    last two is what the PGO table adds. ``opcode_classes`` carries the
-    workload's *dynamic* opcode-class mix so per-workload ratios are
-    diagnosable.
+    """One workload timed on both interpreter engines: the legacy
+    string-dispatch loop and the quickened predecoded engine.
+    ``opcode_classes`` carries the workload's *dynamic* opcode-class mix so
+    per-workload ratios are diagnosable.
     """
 
     name: str
     legacy_seconds: float
     predecoded_seconds: float
     repeats: int
-    pgo_seconds: float | None = None
     opcode_classes: dict[str, float] | None = None
 
     @property
-    def predecode_speedup(self) -> float:
-        """Default predecoded engine (no profile) vs legacy."""
+    def speedup(self) -> float:
+        """Legacy loop time over predecoded-engine time."""
         if self.predecoded_seconds == 0:
             return float("inf")
         return self.legacy_seconds / self.predecoded_seconds
-
-    @property
-    def speedup(self) -> float:
-        """The headline ratio: best configuration vs legacy."""
-        best = self.pgo_seconds if self.pgo_seconds is not None \
-            else self.predecoded_seconds
-        if best == 0:
-            return float("inf")
-        return self.legacy_seconds / best
 
 
 def time_workload(workload: Workload, repeats: int = 3,
                   predecode: bool | None = None,
                   clock: Callable[[], float] | None = None,
-                  tracer: Tracer | None = None,
-                  pgo_profile=None) -> float:
+                  tracer: Tracer | None = None) -> float:
     """Best-of-``repeats`` uninstrumented runtime on the chosen engine.
 
     Instantiates fresh per repeat (memory/globals reset) but times only the
     invoke, so decode cost is excluded — matching how the overhead sweep
     times its baseline. Each repeat is one ``workload_invoke`` span.
-    ``pgo_profile`` selects the profile-guided fusion table (predecoded
-    machines only).
     """
     if tracer is None:
         tracer = Tracer(clock=clock) if clock is not None else Tracer()
     module = workload.module()
     best = float("inf")
-    if predecode is not None and not predecode:
-        engine = "legacy"
-    elif pgo_profile is not None:
-        engine = "pgo"
-    else:
-        engine = "predecode"
+    engine = "legacy" if predecode is not None and not predecode else "predecode"
     for _ in range(repeats):
-        machine = Machine(predecode=predecode, pgo_profile=pgo_profile)
+        machine = Machine(predecode=predecode)
         instance = machine.instantiate(module, workload.linker())
         elapsed, = measure(
             lambda: instance.invoke(workload.entry, workload.args), 1,
@@ -139,51 +118,34 @@ def time_workload(workload: Workload, repeats: int = 3,
     return best
 
 
+def opcode_class_mix(workload: Workload) -> dict[str, float]:
+    """``{class: share_of_executed_instructions}`` of one profiled run,
+    descending — a memory-heavy mix explains a memory-bound ratio."""
+    telemetry = Telemetry(profile=True)
+    instance = Machine(predecode=True, telemetry=telemetry).instantiate(
+        workload.module(), workload.linker())
+    instance.invoke(workload.entry, workload.args)
+    profiler = telemetry.profiler
+    total = profiler.total_instructions or 1
+    return {cls: count / total
+            for cls, count in sorted(profiler.opcode_class_counts().items(),
+                                     key=lambda kv: (-kv[1], kv[0]))}
+
+
 def bench_interpreter(workloads: list[Workload], repeats: int = 3,
                       clock: Callable[[], float] | None = None,
-                      tracer: Tracer | None = None,
-                      pgo: bool = True,
-                      fusion_table: dict | None = None,
-                      profiles: dict[str, dict] | None = None
+                      tracer: Tracer | None = None
                       ) -> list[InterpBenchReport]:
-    """Time every workload across the engine configurations.
-
-    With ``pgo=True`` this first *closes the profile→dispatch loop*: each
-    workload is profiled once (deterministic, unfused stream), the merged
-    corpus profile yields the fusion table (unless a pre-derived
-    ``fusion_table`` is supplied, e.g. the committed corpus artifact), and
-    the PGO column runs with that table. The recorded
-    per-workload profiles also supply each report's dynamic opcode-class
-    mix.
-    """
-    from ..interp.pgo import opcode_class_mix, record_workload_profile
-
-    if profiles is None:
-        profiles = {}
-    if pgo:
-        for w in workloads:
-            if w.name not in profiles:
-                profiles[w.name] = record_workload_profile(w)
-        if fusion_table is None:
-            from ..interp.pgo import fusion_table_payload, merge_profiles
-            fusion_table = fusion_table_payload(
-                merge_profiles(list(profiles.values())))
+    """Time every workload on both engines, with its opcode-class mix."""
     reports = []
     for workload in workloads:
         legacy = time_workload(workload, repeats, predecode=False,
                                clock=clock, tracer=tracer)
         predecoded = time_workload(workload, repeats, predecode=True,
                                    clock=clock, tracer=tracer)
-        pgo_seconds = None
-        classes = None
-        if pgo:
-            pgo_seconds = time_workload(workload, repeats, predecode=True,
-                                        pgo_profile=fusion_table,
-                                        clock=clock, tracer=tracer)
-            classes = opcode_class_mix(profiles[workload.name])
-        reports.append(InterpBenchReport(workload.name, legacy, predecoded,
-                                         repeats, pgo_seconds=pgo_seconds,
-                                         opcode_classes=classes))
+        reports.append(InterpBenchReport(
+            workload.name, legacy, predecoded, repeats,
+            opcode_classes=opcode_class_mix(workload)))
     return reports
 
 
@@ -193,39 +155,20 @@ def geomean_speedup(reports: list[InterpBenchReport]) -> float:
     return math.exp(sum(math.log(r.speedup) for r in reports) / len(reports))
 
 
-def _geomean(values: list[float]) -> float:
-    if not values:
-        return 1.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def interp_bench_payload(reports: list[InterpBenchReport],
-                         fusion_table: dict | None = None) -> dict:
-    """The JSON payload recorded as ``BENCH_interp.json``.
-
-    ``geomean_speedup`` is the headline (best configuration vs legacy);
-    ``geomean_predecode_speedup`` is the default engine without a profile.
-    """
-    payload = {
+def interp_bench_payload(reports: list[InterpBenchReport]) -> dict:
+    """The JSON payload recorded as ``BENCH_interp.json``; the headline is
+    ``geomean_speedup`` (legacy over predecoded)."""
+    return {
         "workloads": [
             {
                 "name": r.name,
                 "legacy_seconds": r.legacy_seconds,
                 "predecoded_seconds": r.predecoded_seconds,
-                "pgo_seconds": r.pgo_seconds,
                 "speedup": r.speedup,
-                "predecode_speedup": r.predecode_speedup,
                 "opcode_classes": r.opcode_classes,
                 "repeats": r.repeats,
             }
             for r in reports
         ],
         "geomean_speedup": geomean_speedup(reports),
-        "geomean_predecode_speedup": _geomean(
-            [r.predecode_speedup for r in reports]),
     }
-    if fusion_table is not None:
-        payload["fusion_pairs"] = [[first, second]
-                                   for first, second, *_ in
-                                   fusion_table.get("pairs", [])]
-    return payload

@@ -14,12 +14,7 @@ from .machine import (DEFAULT_MAX_CALL_DEPTH, Instance, Machine, WasmFunction,
                       bind_hook_sites, bind_indirect_caches, instantiate,
                       predecode_default)
 from .memory import Memory
-from .pgo import (FUSION_SCHEMA, PROFILE_SCHEMA, fusion_table_payload,
-                  load_profile, merge_profiles, profile_payload,
-                  record_corpus_profile, resolve_fusion_pairs, select_pairs,
-                  write_profile)
-from .predecode import (DEFAULT_FUSION_PAIRS, FUSION_RULES,
-                        HOOK_IMPORT_MODULE, DecodedFunction, cached_decode,
+from .predecode import (HOOK_IMPORT_MODULE, DecodedFunction, cached_decode,
                         decode_function)
 from .replay import (BUNDLE_SCHEMA, REPLAY_SCHEMA, CrashBundle, Recorder,
                      Replayer, load_crash_bundle, load_log, replay_linker,
@@ -30,16 +25,12 @@ from .table import Table
 
 __all__ = [
     "BUNDLE_SCHEMA", "CrashBundle", "DEADLINE_CHECK_INTERVAL",
-    "DEFAULT_FUSION_PAIRS", "DEFAULT_MAX_CALL_DEPTH", "DecodedFunction",
-    "FUSION_RULES", "FUSION_SCHEMA", "GlobalInstance", "HOOK_IMPORT_MODULE",
-    "HostFunction", "Instance", "Linker", "Machine", "Memory", "Meter",
-    "PROFILE_SCHEMA", "REPLAY_SCHEMA", "Recorder", "Replayer",
+    "DEFAULT_MAX_CALL_DEPTH", "DecodedFunction", "GlobalInstance",
+    "HOOK_IMPORT_MODULE", "HostFunction", "Instance", "Linker", "Machine",
+    "Memory", "Meter", "REPLAY_SCHEMA", "Recorder", "Replayer",
     "ResourceLimits", "ResourceUsage", "SNAPSHOT_SCHEMA", "Snapshot", "Table",
     "WasmFunction", "bind_hook_sites", "bind_indirect_caches", "cached_decode",
-    "decode_function", "diff_instance", "fusion_table_payload", "instantiate",
-    "load_crash_bundle", "load_log", "load_profile", "merge_profiles",
-    "predecode_default", "profile_payload",
-    "record_corpus_profile", "replay_linker", "resolve_fusion_pairs",
-    "restore_instance", "select_pairs", "snapshot_instance",
-    "write_crash_bundle", "write_profile",
+    "decode_function", "diff_instance", "instantiate", "load_crash_bundle",
+    "load_log", "predecode_default", "replay_linker", "restore_instance",
+    "snapshot_instance", "write_crash_bundle",
 ]

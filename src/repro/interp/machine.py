@@ -259,8 +259,7 @@ class WasmFunction:
         self._op_ids: list[int] | None = None
         machine = instance.machine
         if machine.predecode and not machine._profiling:
-            decoded, hit = cached_decode(func, instance.module,
-                                         pairs=machine.fusion_pairs)
+            decoded, hit = cached_decode(func, instance.module)
             if decoded.indirect_sites:
                 # per-instance copy with call_indirect inline caches; must
                 # precede hook binding so the quarantine registry ends up
@@ -431,30 +430,20 @@ class Machine:
     The pre-decoded engine always runs quickened streams: memory ops are
     decoded to pre-bound ``struct.Struct`` twins, straight-line runs to
     compiled segments, and ``call_indirect`` sites get per-instance
-    monomorphic inline caches. The legacy loop (``predecode=False``) is
-    its differential oracle.
-
-    ``pgo_profile`` selects a profile-guided superinstruction table: a
-    path to (or loaded dict of) a ``repro.profile/1`` or ``repro.fusion/1``
-    artifact, resolved through :func:`repro.interp.pgo.resolve_fusion_pairs`.
-    Without it, fusion uses the hand-picked default pair set, unchanged.
+    monomorphic inline caches. Every machine runs the one stream each
+    function caches (:func:`~repro.interp.predecode.cached_decode`). The
+    legacy loop (``predecode=False``) is its differential oracle.
     """
 
     def __init__(self, max_call_depth: int = DEFAULT_MAX_CALL_DEPTH,
                  predecode: bool | None = None,
                  limits: ResourceLimits | None = None,
                  telemetry: "Telemetry | None" = None,
-                 replay=None,
-                 pgo_profile=None):
+                 replay=None):
         if limits is not None and limits.max_call_depth is not None:
             max_call_depth = limits.max_call_depth
         self.max_call_depth = max_call_depth
         self.predecode = predecode_default() if predecode is None else predecode
-        if pgo_profile is None:
-            self.fusion_pairs: frozenset[tuple[int, int]] | None = None
-        else:
-            from .pgo import resolve_fusion_pairs
-            self.fusion_pairs = resolve_fusion_pairs(pgo_profile)
         self.limits = limits
         self._replay = replay
         if limits is not None and limits.metered:
@@ -764,8 +753,6 @@ class Machine:
         stack: list[int | float] = []
         append = stack.append
         pop = stack.pop
-        unpack_from = struct.unpack_from
-        pack_into = struct.pack_into
         result_arity = wfunc.result_arity
         meter = self._meter
         tele = self._telemetry
@@ -782,200 +769,88 @@ class Machine:
                 ins = code[pc]
                 op = ins[0]
 
-                if op >= 35:
-                    # Extended opcodes — PGO-fused superinstructions (35-50),
-                    # quickened memory twins and inline caches (52-56) and
-                    # compiled segments (57). Dispatching them from this
-                    # guarded side chain keeps the main chain in its
-                    # original, hotness-tuned order: the base opcodes pay
-                    # exactly one extra range check per instruction.
-                    if op >= 52:
-                        if op == 57:  # OP_SEGMENT: (_, compiled_fn, span)
-                            ins[1](stack, locals_, memdata)
-                            pc += ins[2]
-                            continue
-                        elif op == 52:  # OP_QLOAD: (_, bound_unpack, offset, width)
-                            addr = pop() + ins[2]
-                            try:
-                                append(ins[1](memdata, addr)[0])
-                            except struct.error:
-                                raise Trap(self._oob(ins[3], addr, memdata,
-                                                     "load")) from None
-                            pc += 1
-                            continue
-                        elif op == 54:  # OP_QSTORE: (_, bound_pack, offset, width)
-                            value = pop()
-                            addr = pop() + ins[2]
-                            try:
-                                ins[1](memdata, addr, value)
-                            except struct.error:
-                                raise Trap(self._oob(ins[3], addr, memdata,
-                                                     "store")) from None
-                            pc += 1
-                            continue
-                        elif op == 53:  # OP_QLOAD_MASK: (_, bound_unpack, offset,
-                            #               mask, width)
-                            addr = pop() + ins[2]
-                            try:
-                                append(ins[1](memdata, addr)[0] & ins[3])
-                            except struct.error:
-                                raise Trap(self._oob(ins[4], addr, memdata,
-                                                     "load")) from None
-                            pc += 1
-                            continue
-                        elif op == 55:  # OP_QSTORE_MASK: (_, bound_pack, offset,
-                            #               mask, width)
-                            value = pop()
-                            addr = pop() + ins[2]
-                            try:
-                                ins[1](memdata, addr, value & ins[3])
-                            except struct.error:
-                                raise Trap(self._oob(ins[4], addr, memdata,
-                                                     "store")) from None
-                            pc += 1
-                            continue
-                        else:  # op == 56, OP_CALL_INDIRECT_IC: (_, expected,
-                            #               n_params, cell)
-                            table_idx = pop()
-                            cell = ins[3]
-                            if (cell[0] == table_idx
-                                    and table.entries[table_idx] == cell[1]):
-                                # monomorphic hit: same slot still holds the same
-                                # function address, so the memoized callee is valid
-                                callee = cell[2]
-                            else:
-                                func_addr = table.get(table_idx)
-                                callee = functions[func_addr]
-                                if callee.functype != ins[1]:
-                                    raise Trap(
-                                        f"indirect call type mismatch: entry "
-                                        f"{table_idx} has {callee.functype}, "
-                                        f"expected {ins[1]}")
-                                cell[0] = table_idx
-                                cell[1] = func_addr
-                                cell[2] = callee
-                            n_params = ins[2]
-                            if n_params:
-                                call_args = stack[-n_params:]
-                                del stack[-n_params:]
-                            else:
-                                call_args = []
-                            results = self._invoke_callee(callee, call_args)
-                            if results:
-                                stack.extend(results)
-                            pc += 1
-                            continue
-                    if op == 35:  # OP_BINARY_CONST (fused)
-                        b = pop()
-                        stack[-1] = ins[1](stack[-1], b)
-                        append(ins[2])
-                    elif op == 36:  # OP_BINARY_BINARY (fused)
-                        b = pop()
-                        a = pop()
-                        stack[-1] = ins[2](stack[-1], ins[1](a, b))
-                    elif op == 37:  # OP_BINARY_GET_LOCAL (fused)
-                        b = pop()
-                        stack[-1] = ins[1](stack[-1], b)
-                        append(locals_[ins[2]])
-                    elif op == 39:  # OP_CONST_CONST (fused)
-                        append(ins[1])
-                        append(ins[2])
-                    elif op == 38:  # OP_CONST_GET_LOCAL (fused)
-                        append(ins[1])
-                        append(locals_[ins[2]])
-                    elif op == 40:  # OP_BINARY_SET_LOCAL (fused)
-                        b = pop()
-                        locals_[ins[2]] = ins[1](pop(), b)
-                    elif op == 41:  # OP_BINARY_UNARY (fused)
-                        b = pop()
-                        stack[-1] = ins[2](ins[1](stack[-1], b))
-                    elif op == 43:  # OP_BINARY_LOAD_FLOAT (fused)
-                        b = pop()
-                        addr = ins[1](pop(), b) + ins[3]
-                        try:
-                            append(unpack_from(ins[2], memdata, addr)[0])
-                        except struct.error:
-                            raise Trap(self._oob(ins[2], addr, memdata,
-                                                 "load")) from None
-                    elif op == 47:  # OP_LOAD_FLOAT_BINARY (fused)
+                if op >= 52:
+                    # Quickened memory twins (52-55), the call_indirect
+                    # inline cache (56) and compiled segments (57).
+                    # Dispatching them from this guarded side chain keeps
+                    # the main chain in its original, hotness-tuned order:
+                    # the base opcodes pay exactly one extra range check
+                    # per instruction.
+                    if op == 57:  # OP_SEGMENT: (_, compiled_fn, span)
+                        ins[1](stack, locals_, memdata)
+                        pc += ins[2]
+                        continue
+                    elif op == 52:  # OP_QLOAD: (_, bound_unpack, offset, width)
                         addr = pop() + ins[2]
                         try:
-                            stack[-1] = ins[3](stack[-1],
-                                               unpack_from(ins[1], memdata,
-                                                           addr)[0])
+                            append(ins[1](memdata, addr)[0])
                         except struct.error:
-                            raise Trap(self._oob(ins[1], addr, memdata,
-                                                 "load")) from None
-                    elif op == 45:  # OP_BINARY_STORE_FLOAT (fused)
-                        b = pop()
-                        value = ins[1](pop(), b)
-                        addr = pop() + ins[3]
-                        try:
-                            pack_into(ins[2], memdata, addr, value)
-                        except struct.error:
-                            raise Trap(self._oob(ins[2], addr, memdata,
-                                                 "store")) from None
-                    elif op == 50:  # OP_LOAD_FLOAT_CONST (fused)
+                            raise Trap(oob_message(ins[3], addr, memdata,
+                                                   "load")) from None
+                        pc += 1
+                        continue
+                    elif op == 54:  # OP_QSTORE: (_, bound_pack, offset, width)
+                        value = pop()
                         addr = pop() + ins[2]
                         try:
-                            append(unpack_from(ins[1], memdata, addr)[0])
+                            ins[1](memdata, addr, value)
                         except struct.error:
-                            raise Trap(self._oob(ins[1], addr, memdata,
-                                                 "load")) from None
-                        append(ins[3])
-                    elif op == 42:  # OP_UNARY_BR_IF (fused)
-                        if ins[1](pop()):
-                            if meter is not None:
-                                meter.branch(len(stack))
-                            if tele is not None:
-                                tele.n_branches += 1
-                            is_loop, block_pc, cont_pc, height, arity = \
-                                labels[-1 - ins[2]]
-                            if is_loop:
-                                del stack[height:]
-                                del labels[len(labels) - 1 - ins[2]:]
-                                pc = block_pc
-                                continue
-                            if arity:
-                                carried = stack[len(stack) - arity:]
-                                del stack[height:]
-                                stack.extend(carried)
-                            else:
-                                del stack[height:]
-                            del labels[len(labels) - 1 - ins[2]:]
-                            pc = cont_pc
-                            continue
-                    elif op == 44:  # OP_BINARY_LOAD_INT (fused)
-                        b = pop()
-                        addr = ins[1](pop(), b) + ins[3]
-                        try:
-                            append(unpack_from(ins[2], memdata, addr)[0] & ins[4])
-                        except struct.error:
-                            raise Trap(self._oob(ins[2], addr, memdata,
-                                                 "load")) from None
-                    elif op == 48:  # OP_LOAD_INT_BINARY (fused)
+                            raise Trap(oob_message(ins[3], addr, memdata,
+                                                   "store")) from None
+                        pc += 1
+                        continue
+                    elif op == 53:  # OP_QLOAD_MASK: (_, bound_unpack, offset,
+                        #               mask, width)
                         addr = pop() + ins[2]
                         try:
-                            stack[-1] = ins[4](stack[-1],
-                                               unpack_from(ins[1], memdata,
-                                                           addr)[0] & ins[3])
+                            append(ins[1](memdata, addr)[0] & ins[3])
                         except struct.error:
-                            raise Trap(self._oob(ins[1], addr, memdata,
-                                                 "load")) from None
-                    elif op == 46:  # OP_BINARY_STORE_INT (fused)
-                        b = pop()
-                        value = ins[1](pop(), b)
-                        addr = pop() + ins[3]
+                            raise Trap(oob_message(ins[4], addr, memdata,
+                                                   "load")) from None
+                        pc += 1
+                        continue
+                    elif op == 55:  # OP_QSTORE_MASK: (_, bound_pack, offset,
+                        #               mask, width)
+                        value = pop()
+                        addr = pop() + ins[2]
                         try:
-                            pack_into(ins[2], memdata, addr, value & ins[4])
+                            ins[1](memdata, addr, value & ins[3])
                         except struct.error:
-                            raise Trap(self._oob(ins[2], addr, memdata,
-                                                 "store")) from None
-                    else:  # op == 49, OP_SET_LOCAL_CONST (fused)
-                        locals_[ins[1]] = pop()
-                        append(ins[2])
-                    pc += 2
-                    continue
+                            raise Trap(oob_message(ins[4], addr, memdata,
+                                                   "store")) from None
+                        pc += 1
+                        continue
+                    else:  # op == 56, OP_CALL_INDIRECT_IC: (_, expected,
+                        #               n_params, cell)
+                        table_idx = pop()
+                        cell = ins[3]
+                        if (cell[0] == table_idx
+                                and table.entries[table_idx] == cell[1]):
+                            # monomorphic hit: same slot still holds the same
+                            # function address, so the memoized callee is valid
+                            callee = cell[2]
+                        else:
+                            func_addr = table.get(table_idx)
+                            callee = functions[func_addr]
+                            if callee.functype != ins[1]:
+                                raise Trap(
+                                    f"indirect call type mismatch: entry "
+                                    f"{table_idx} has {callee.functype}, "
+                                    f"expected {ins[1]}")
+                            cell[0] = table_idx
+                            cell[1] = func_addr
+                            cell[2] = callee
+                        n_params = ins[2]
+                        if n_params:
+                            call_args = stack[-n_params:]
+                            del stack[-n_params:]
+                        else:
+                            call_args = []
+                        results = self._invoke_callee(callee, call_args)
+                        if results:
+                            stack.extend(results)
+                        pc += 1
+                        continue
 
                 if op == 0:  # OP_GET_LOCAL
                     append(locals_[ins[1]])
@@ -1145,14 +1020,6 @@ class Machine:
                 raise
         return stack[len(stack) - result_arity:] if result_arity else []
 
-    @staticmethod
-    def _oob(fmt: str | int, addr: int, memdata: bytearray | None,
-             what: str) -> str:
-        # quickened twins carry the access width directly; fused memory
-        # slots carry the struct format string
-        width = fmt if isinstance(fmt, int) else struct.calcsize(fmt)
-        return oob_message(width, addr, memdata, what)
-
     # -- the legacy interpreter loop ---------------------------------------------
 
     def _exec(self, wfunc: WasmFunction, args: list[int | float]) -> list[int | float]:
@@ -1160,11 +1027,10 @@ class Machine:
 
         It executes 1:1 with the source body, so it is also the
         self-profiler's loop: with a profiler attached, each executed pc is
-        charged to ``op_counts`` (and, when it directly follows the
-        previous one, to ``pair_counts``) by its id in ``wfunc.op_ids``;
-        every ``sample_interval`` instructions the live call stack is
-        sampled. Skipped slots (-1, the folded operands of a hook call
-        site) are not charged.
+        charged to ``op_counts`` by its id in ``wfunc.op_ids``; every
+        ``sample_interval`` instructions the live call stack is sampled.
+        Skipped slots (-1, the folded operands of a hook call site) are not
+        charged.
         """
         instance = wfunc.instance
         body = wfunc.func.body
@@ -1188,12 +1054,6 @@ class Machine:
         if profiler is not None:
             op_ids = wfunc.op_ids
             op_counts = profiler.op_counts
-            pair_counts = profiler.pair_counts
-            n_opcodes = len(op_counts)
-            # a pair is two instructions executed back to back at adjacent
-            # pcs (prev_base = prev_op * n_opcodes)
-            prev_pc = -2
-            prev_base = 0
             profiler.enter(wfunc.name)
 
         try:
@@ -1202,10 +1062,6 @@ class Machine:
                     op_id = op_ids[pc]
                     if op_id >= 0:
                         op_counts[op_id] += 1
-                        if prev_pc + 1 == pc:
-                            pair_counts[prev_base + op_id] += 1
-                        prev_pc = pc
-                        prev_base = op_id * n_opcodes
                         executed += 1
                         profiler.ticks = ticks = profiler.ticks + 1
                         if ticks >= profiler.next_sample:

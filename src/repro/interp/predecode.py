@@ -17,7 +17,10 @@ dicts. This module translates each function body *once* into a flat array of
   pcs (subsuming the legacy ``BlockMatching`` side tables), and
 * ``call``/``call_indirect`` carry their callee's parameter count (and, for
   indirect calls, the expected :class:`FuncType`) so the call sequence does
-  no type-table lookups at run time, and
+  no type-table lookups at run time,
+* straight-line runs compile into one Python function each (a *segment*),
+  and four fixed adjacent pairs (:data:`_PAIR_RULES`) fuse into one
+  dispatch where a run is too short for a segment, and
 * calls into the Wasabi hook namespace (:data:`HOOK_IMPORT_MODULE`,
   identified via the module's import section) are recorded as *hook call
   sites*. At instantiation time the machine fuses each
@@ -26,13 +29,14 @@ dicts. This module translates each function body *once* into a flat array of
   so an executed hook does no location marshalling and no static-info
   lookups (see ``repro.interp.machine.bind_hook_sites``).
 
-The decoded stream is cached *on the* :class:`~repro.wasm.module.Function`
-*object itself* (``func._decoded``), so re-instantiating the same module —
-which the benchmark harness does constantly — pays the decode cost once.
-The cache is validated against the identity and length of ``func.body``; a
-function whose body list is replaced is transparently re-decoded. In-place
-mutation of a body that already executed is not supported (the legacy loop
-has the same limitation through its precomputed matching tables).
+Each :class:`~repro.wasm.module.Function` caches exactly one decoded
+stream *on the object itself* (``func._decoded``), so re-instantiating the
+same module — which the benchmark harness does constantly — pays the decode
+cost once. The cache is validated against the identity and length of
+``func.body``; a function whose body list is replaced is transparently
+re-decoded. In-place mutation of a body that already executed is not
+supported (the legacy loop has the same limitation through its precomputed
+matching tables).
 
 Decoded pcs map 1:1 onto body indices: instruction ``i`` of the source body
 is entry ``i`` of the decoded stream, which keeps branch resolution and
@@ -84,17 +88,11 @@ OP_UNREACHABLE = 28
 OP_RAISE = 29
 
 # Fused superinstructions. :func:`_fuse_pairs` rewrites slot *i* to execute
-# both instruction *i* and *i+1* (then skip ahead two pcs) for hot adjacent
-# pairs in compiled expression code — address arithmetic is almost
-# entirely ``get_local``/``const`` feeding a binary op. Slot *i+1* keeps its
-# ordinary decoding, so a branch that lands there still executes it solo and
-# the stream stays 1:1 with the source body.
-#
-# Which pairs actually get fused is table-driven: :data:`FUSION_RULES` is
-# the full menu of *implementable* pairs, :data:`DEFAULT_FUSION_PAIRS` the
-# hand-picked subset used when no profile is supplied, and a PGO table
-# derived from recorded ``repro.profile/1`` artifacts (see
-# :mod:`repro.interp.pgo`) selects a data-driven subset per machine.
+# both instruction *i* and *i+1* (then skip ahead two pcs) for the adjacent
+# pairs in :data:`_PAIR_RULES` — address arithmetic in compiled expression
+# code is almost entirely ``get_local``/``const`` feeding a binary op. Slot
+# *i+1* keeps its ordinary decoding, so a branch that lands there still
+# executes it solo and the stream stays 1:1 with the source body.
 OP_GET_LOCAL_CONST = 30    # (_, local_idx, const) — push local, push const
 OP_CONST_BINARY = 31       # (_, fn, const)       — stack[-1] = fn(top, const)
 OP_GET_LOCAL_BINARY = 32   # (_, fn, local_idx)   — stack[-1] = fn(top, local)
@@ -110,33 +108,13 @@ OP_GET2_LOCAL = 33         # (_, i, j)            — push two locals
 # into, in practice) hook sequence still behave like the source program.
 OP_HOOK = 34
 
-# The profile-guided extension of the fusion menu (PR 7). Same contract as
-# the four classic fusions above: execute source instructions *i* and *i+1*
-# in one dispatch, skip two pcs, leave slot *i+1* decodable for branches.
-OP_BINARY_CONST = 35       # (_, fn, const)          — binary, then push const
-OP_BINARY_BINARY = 36      # (_, fn1, fn2)           — two stacked binaries
-OP_BINARY_GET_LOCAL = 37   # (_, fn, idx)            — binary, push local
-OP_CONST_GET_LOCAL = 38    # (_, const, idx)         — push const, push local
-OP_CONST_CONST = 39        # (_, c1, c2)             — push two consts
-OP_BINARY_SET_LOCAL = 40   # (_, fn, idx)            — local[idx] = binary
-OP_BINARY_UNARY = 41       # (_, fn, un)             — un(binary)
-OP_UNARY_BR_IF = 42        # (_, un, label)          — branch on un(top)
-OP_BINARY_LOAD_FLOAT = 43  # (_, fn, fmt, off)       — load at binary address
-OP_BINARY_LOAD_INT = 44    # (_, fn, fmt, off, mask)
-OP_BINARY_STORE_FLOAT = 45  # (_, fn, fmt, off)      — store binary result
-OP_BINARY_STORE_INT = 46   # (_, fn, fmt, off, mask)
-OP_LOAD_FLOAT_BINARY = 47  # (_, fmt, off, fn)       — binary on loaded value
-OP_LOAD_INT_BINARY = 48    # (_, fmt, off, mask, fn)
-OP_SET_LOCAL_CONST = 49    # (_, idx, const)         — pop to local, push const
-OP_LOAD_FLOAT_CONST = 50   # (_, fmt, off, const)    — load, then push const
-
 # Quickening (PR 7). The machine's stream (``decode_function(fuse=True)``)
 # replaces every memory op left bare after fusion with its pre-resolved
 # twin: the twin holds a bound ``struct.Struct.unpack_from``/``pack_into``
 # method (no per-access format-cache probe) and drops the canonicalization
 # mask where the format already guarantees canonical values. The base ids
 # 4-7 therefore never reach the interpreter loop; they stay the vocabulary
-# of the unfused stream, the fusion rules and the segment compiler.
+# of the unfused stream and the segment compiler.
 OP_QLOAD = 52              # (_, unpack, off, width) — no mask needed
 OP_QLOAD_MASK = 53         # (_, unpack, off, mask, width)
 OP_QSTORE = 54             # (_, pack, off, width)   — full-width store
@@ -207,22 +185,6 @@ OP_NAMES: dict[int, str] = {
     OP_GET_LOCAL_BINARY: "get_local+binary",
     OP_GET2_LOCAL: "get_local+get_local",
     OP_HOOK: "hook",
-    OP_BINARY_CONST: "binary+const",
-    OP_BINARY_BINARY: "binary+binary",
-    OP_BINARY_GET_LOCAL: "binary+get_local",
-    OP_CONST_GET_LOCAL: "const+get_local",
-    OP_CONST_CONST: "const+const",
-    OP_BINARY_SET_LOCAL: "binary+set_local",
-    OP_BINARY_UNARY: "binary+unary",
-    OP_UNARY_BR_IF: "unary+br_if",
-    OP_BINARY_LOAD_FLOAT: "binary+load.float",
-    OP_BINARY_LOAD_INT: "binary+load.int",
-    OP_BINARY_STORE_FLOAT: "binary+store.float",
-    OP_BINARY_STORE_INT: "binary+store.int",
-    OP_LOAD_FLOAT_BINARY: "load.float+binary",
-    OP_LOAD_INT_BINARY: "load.int+binary",
-    OP_SET_LOCAL_CONST: "set_local+const",
-    OP_LOAD_FLOAT_CONST: "load.float+const",
     OP_QLOAD: "load.quick",
     OP_QLOAD_MASK: "load.quick.mask",
     OP_QSTORE: "store.quick",
@@ -435,90 +397,30 @@ def _hook_import_indices(module: Module) -> frozenset[int]:
     return frozenset(indices)
 
 
-#: The full menu of *implementable* pair fusions: ``(first_op, second_op)``
-#: → builder taking the two decoded tuples and returning the fused tuple.
-#: A PGO table (or :data:`DEFAULT_FUSION_PAIRS`) selects which entries a
-#: decode actually applies; pairs outside this menu can be profiled but
-#: never fused. The menu itself was chosen from recorded PolyBench +
-#: synthetic pair profiles (see ``repro pgo``): together these shapes cover
-#: the overwhelming majority of back-to-back executions in compiled
-#: numeric code.
-FUSION_RULES: dict[tuple[int, int], object] = {
-    (OP_GET_LOCAL, OP_CONST):
-        lambda f, s: (OP_GET_LOCAL_CONST, f[1], s[1]),
-    (OP_GET_LOCAL, OP_BINARY):
-        lambda f, s: (OP_GET_LOCAL_BINARY, s[1], f[1]),
-    (OP_GET_LOCAL, OP_GET_LOCAL):
-        lambda f, s: (OP_GET2_LOCAL, f[1], s[1]),
-    (OP_CONST, OP_BINARY):
-        lambda f, s: (OP_CONST_BINARY, s[1], f[1]),
-    (OP_CONST, OP_GET_LOCAL):
-        lambda f, s: (OP_CONST_GET_LOCAL, f[1], s[1]),
-    (OP_CONST, OP_CONST):
-        lambda f, s: (OP_CONST_CONST, f[1], s[1]),
-    (OP_BINARY, OP_CONST):
-        lambda f, s: (OP_BINARY_CONST, f[1], s[1]),
-    (OP_BINARY, OP_BINARY):
-        lambda f, s: (OP_BINARY_BINARY, f[1], s[1]),
-    (OP_BINARY, OP_GET_LOCAL):
-        lambda f, s: (OP_BINARY_GET_LOCAL, f[1], s[1]),
-    (OP_BINARY, OP_SET_LOCAL):
-        lambda f, s: (OP_BINARY_SET_LOCAL, f[1], s[1]),
-    (OP_BINARY, OP_UNARY):
-        lambda f, s: (OP_BINARY_UNARY, f[1], s[1]),
-    (OP_UNARY, OP_BR_IF):
-        lambda f, s: (OP_UNARY_BR_IF, f[1], s[1]),
-    (OP_BINARY, OP_LOAD_FLOAT):
-        lambda f, s: (OP_BINARY_LOAD_FLOAT, f[1], s[1], s[2]),
-    (OP_BINARY, OP_LOAD_INT):
-        lambda f, s: (OP_BINARY_LOAD_INT, f[1], s[1], s[2], s[3]),
-    (OP_BINARY, OP_STORE_FLOAT):
-        lambda f, s: (OP_BINARY_STORE_FLOAT, f[1], s[1], s[2]),
-    (OP_BINARY, OP_STORE_INT):
-        lambda f, s: (OP_BINARY_STORE_INT, f[1], s[1], s[2], s[3]),
-    (OP_LOAD_FLOAT, OP_BINARY):
-        lambda f, s: (OP_LOAD_FLOAT_BINARY, f[1], f[2], s[1]),
-    (OP_LOAD_INT, OP_BINARY):
-        lambda f, s: (OP_LOAD_INT_BINARY, f[1], f[2], f[3], s[1]),
-    (OP_SET_LOCAL, OP_CONST):
-        lambda f, s: (OP_SET_LOCAL_CONST, f[1], s[1]),
-    (OP_LOAD_FLOAT, OP_CONST):
-        lambda f, s: (OP_LOAD_FLOAT_CONST, f[1], f[2], s[1]),
+#: The fused pairs: ``(first_op, second_op)`` → builder taking the two
+#: decoded tuples and returning the fused tuple. Runs long enough to matter
+#: become compiled segments; these four shapes still save a dispatch on the
+#: short runs segments skip, such as a loop condition
+#: (``get_local; const; lt; br_if``) or the code between two hook sites.
+_PAIR_RULES = {
+    (OP_GET_LOCAL, OP_CONST): lambda f, s: (OP_GET_LOCAL_CONST, f[1], s[1]),
+    (OP_GET_LOCAL, OP_BINARY): lambda f, s: (OP_GET_LOCAL_BINARY, s[1], f[1]),
+    (OP_GET_LOCAL, OP_GET_LOCAL): lambda f, s: (OP_GET2_LOCAL, f[1], s[1]),
+    (OP_CONST, OP_BINARY): lambda f, s: (OP_CONST_BINARY, s[1], f[1]),
 }
-
-#: The hand-picked pair set predating profile-guided selection — the
-#: default whenever no PGO profile is supplied, so engines without a
-#: profile behave exactly as before. ``Machine(pgo_profile=...)`` swaps in
-#: a table derived from recorded pair frequencies instead.
-DEFAULT_FUSION_PAIRS: frozenset[tuple[int, int]] = frozenset({
-    (OP_GET_LOCAL, OP_CONST),
-    (OP_GET_LOCAL, OP_BINARY),
-    (OP_GET_LOCAL, OP_GET_LOCAL),
-    (OP_CONST, OP_BINARY),
-})
-
-_DEFAULT_RULES = {pair: FUSION_RULES[pair] for pair in DEFAULT_FUSION_PAIRS}
 
 
 def _fuse_pairs(code: list[tuple],
-                blocked: frozenset[int] | set[int] = frozenset(),
-                pairs: frozenset[tuple[int, int]] | None = None) -> None:
-    """Rewrite hot adjacent pairs into superinstructions, in place.
+                blocked: frozenset[int] | set[int] = frozenset()) -> None:
+    """Rewrite the :data:`_PAIR_RULES` pairs into superinstructions, in place.
 
-    ``pairs`` selects which :data:`FUSION_RULES` entries apply (``None``
-    means :data:`DEFAULT_FUSION_PAIRS`). Overlapping fusions are fine: a
-    fused slot is only *entered* at its own pc, and it always skips exactly
-    one slot, whose unfused decoding is kept for branches that target it
-    directly. Slots in ``blocked`` (the leading location constant of a hook
-    call site) are never fused in either position, so the machine's
-    hook-site rewrite stays reachable.
+    Overlapping fusions are fine: a fused slot is only *entered* at its own
+    pc, and it always skips exactly one slot, whose unfused decoding is kept
+    for branches that target it directly. Slots in ``blocked`` (the leading
+    location constant of a hook call site) are never fused in either
+    position, so the machine's hook-site rewrite stays reachable.
     """
-    if pairs is None:
-        rules = _DEFAULT_RULES
-    else:
-        rules = {pair: FUSION_RULES[pair] for pair in pairs
-                 if pair in FUSION_RULES}
-    get = rules.get
+    get = _PAIR_RULES.get
     for pc in range(len(code) - 1):
         if pc in blocked or pc + 1 in blocked:
             continue
@@ -790,19 +692,17 @@ def _compile_segments(code: list[tuple],
 
 
 def decode_function(func: Function, module: Module,
-                    fuse: bool = True,
-                    pairs: frozenset[tuple[int, int]] | None = None) -> DecodedFunction:
+                    fuse: bool = True) -> DecodedFunction:
     """Decode one function body into its threaded form (uncached).
 
     ``fuse=True`` (the default) produces the stream the machine executes:
-    straight-line runs become compiled segments, hot adjacent pairs are
-    fused from ``pairs`` (``None`` = :data:`DEFAULT_FUSION_PAIRS`), bare
-    memory ops become their pre-resolved twins, and ``call_indirect`` slots
-    are recorded in ``indirect_sites`` for the machine's per-instance
-    inline-cache rewrite. ``fuse=False`` stops after the base decode,
-    leaving every slot a base opcode — the self-profiler takes its per-pc
-    opcode ids from such a stream so its counts attribute 1:1 to source
-    instructions.
+    straight-line runs become compiled segments, the :data:`_PAIR_RULES`
+    pairs are fused, bare memory ops become their pre-resolved twins, and
+    ``call_indirect`` slots are recorded in ``indirect_sites`` for the
+    machine's per-instance inline-cache rewrite. ``fuse=False`` stops after
+    the base decode, leaving every slot a base opcode — the self-profiler
+    takes its per-pc opcode ids from such a stream so its counts attribute
+    1:1 to source instructions.
     """
     body = func.body
     end_of, else_of = match_blocks(body)
@@ -836,45 +736,31 @@ def decode_function(func: Function, module: Module,
     # can never swallow it), while the covered slots fall through to
     # fusion + quickening as branch-target fallbacks
     _compile_segments(code, blocked)
-    _fuse_pairs(code, blocked, pairs)
+    _fuse_pairs(code, blocked)
     _quicken_slots(code)
     indirect_sites = tuple(
         pc for pc, ins in enumerate(code) if ins[0] == OP_CALL_INDIRECT)
     return DecodedFunction(code, body, hook_sites, indirect_sites)
 
 
-def cached_decode(func: Function, module: Module,
-                  pairs: frozenset[tuple[int, int]] | None = None
-                  ) -> tuple[DecodedFunction, bool]:
+def cached_decode(func: Function, module: Module) -> tuple[DecodedFunction, bool]:
     """Decode ``func`` for execution, reusing the per-``Function`` cache.
 
-    The cache (``func._decoded``) is keyed by fusion table, so machines
-    with different PGO tables never observe each other's streams. Nothing
-    writes into a cached stream after decode: the machine's per-instance
-    rewrites (hook sites, inline caches) run on copies. Replacing
-    ``func.body`` invalidates every cached table at once. Returns
+    ``func._decoded`` holds the one stream every machine executes. Nothing
+    writes into it after decode: the machine's per-instance rewrites (hook
+    sites, inline caches) run on copies. Replacing ``func.body`` (or
+    changing its length) makes the next call decode afresh. Returns
     ``(decoded, was_cache_hit)``.
     """
-    cache: dict | None = getattr(func, "_decoded", None)
-    if cache is not None:
-        decoded = cache.get(pairs)
-        if (
-            decoded is not None
-            and decoded.source_body is func.body
-            and len(decoded.code) == len(func.body)
-        ):
-            return decoded, True
-        # any stale variant means the body was replaced (or mutated):
-        # every cached stream decoded from the old body is now invalid
-        stale = next(iter(cache.values()), None)
-        if stale is not None and (stale.source_body is not func.body
-                                  or len(stale.code) != len(func.body)):
-            cache = None
-    if cache is None:
-        cache = {}
-        func._decoded = cache  # type: ignore[attr-defined]
-    decoded = decode_function(func, module, pairs=pairs)
-    cache[pairs] = decoded
+    decoded: DecodedFunction | None = getattr(func, "_decoded", None)
+    if (
+        decoded is not None
+        and decoded.source_body is func.body
+        and len(decoded.code) == len(func.body)
+    ):
+        return decoded, True
+    decoded = decode_function(func, module)
+    func._decoded = decoded  # type: ignore[attr-defined]
     return decoded, False
 
 

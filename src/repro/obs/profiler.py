@@ -10,10 +10,6 @@ runs every function it instantiates on its legacy loop
   (exact dynamic opcode counts — the legacy loop executes unfused, 1:1
   with the source body; ids come from the unfused decode, and a Wasabi
   hook call site counts once as ``hook``),
-* increments one slot of a dense opcode-*pair* array for every pair of
-  instructions executed back to back at adjacent pcs — exactly the pairs
-  superinstruction fusion could merge; this is the input of the
-  profile-guided pair selection in :mod:`repro.interp.pgo`,
 * attributes executed-instruction counts to the function frame that ran
   them (exact per-function *self* work, the hot-function ranking), and
 * every ``sample_interval`` instructions records the live Wasm call stack
@@ -60,14 +56,6 @@ OP_CLASSES: dict[int, str] = {
     # any opcode id
     _pd.OP_GET_LOCAL_CONST: "fused", _pd.OP_CONST_BINARY: "fused",
     _pd.OP_GET_LOCAL_BINARY: "fused", _pd.OP_GET2_LOCAL: "fused",
-    _pd.OP_BINARY_CONST: "fused", _pd.OP_BINARY_BINARY: "fused",
-    _pd.OP_BINARY_GET_LOCAL: "fused", _pd.OP_CONST_GET_LOCAL: "fused",
-    _pd.OP_CONST_CONST: "fused", _pd.OP_BINARY_SET_LOCAL: "fused",
-    _pd.OP_BINARY_UNARY: "fused", _pd.OP_UNARY_BR_IF: "fused",
-    _pd.OP_BINARY_LOAD_FLOAT: "fused", _pd.OP_BINARY_LOAD_INT: "fused",
-    _pd.OP_BINARY_STORE_FLOAT: "fused", _pd.OP_BINARY_STORE_INT: "fused",
-    _pd.OP_LOAD_FLOAT_BINARY: "fused", _pd.OP_LOAD_INT_BINARY: "fused",
-    _pd.OP_SET_LOCAL_CONST: "fused", _pd.OP_LOAD_FLOAT_CONST: "fused",
     _pd.OP_QLOAD: "memory", _pd.OP_QLOAD_MASK: "memory",
     _pd.OP_QSTORE: "memory", _pd.OP_QSTORE_MASK: "memory",
     _pd.OP_CALL_INDIRECT_IC: "call",
@@ -89,10 +77,6 @@ class Profiler:
             raise ValueError("sample_interval must be >= 1")
         self.sample_interval = sample_interval
         self.op_counts: list[int] = [0] * N_OPCODES
-        # dense (first, second) pair counts, indexed first * N_OPCODES +
-        # second; charged by the counting loop whenever two instructions
-        # execute back to back at adjacent pcs (the fusible pairs)
-        self.pair_counts: list[int] = [0] * (N_OPCODES * N_OPCODES)
         self.func_counts: dict[str, int] = {}
         self.samples: dict[tuple[str, ...], int] = {}
         self.call_stack: list[str] = []
@@ -136,25 +120,6 @@ class Profiler:
             key=lambda kv: -kv[1])
         return [(name, count, count / total) for name, count in ranked[:top]]
 
-    @property
-    def total_pairs(self) -> int:
-        return sum(self.pair_counts)
-
-    def hot_pairs(self, top: int = 10) -> list[tuple[str, str, int, float]]:
-        """``(first_name, second_name, count, share)`` descending.
-
-        A "pair" is two instructions executed back to back at adjacent
-        decoded pcs — exactly the candidates superinstruction fusion could
-        merge into one dispatch. Shares are of all executed pairs.
-        """
-        total = self.total_pairs or 1
-        ranked = sorted(
-            ((divmod(idx, N_OPCODES), count)
-             for idx, count in enumerate(self.pair_counts) if count),
-            key=lambda kv: -kv[1])
-        return [(OP_NAMES[first], OP_NAMES[second], count, count / total)
-                for (first, second), count in ranked[:top]]
-
     def opcode_class_counts(self) -> dict[str, int]:
         """Executed-instruction totals aggregated by opcode class."""
         totals: dict[str, int] = {}
@@ -180,9 +145,6 @@ class Profiler:
             "total_instructions": self.total_instructions,
             "opcodes": {OP_NAMES[op]: count
                         for op, count in enumerate(self.op_counts) if count},
-            "pairs": [[first, second, count]
-                      for first, second, count, _ in
-                      self.hot_pairs(top=len(self.pair_counts))],
             "opcode_classes": self.opcode_class_counts(),
             "functions": dict(sorted(self.func_counts.items(),
                                      key=lambda kv: -kv[1])),

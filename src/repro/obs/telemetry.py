@@ -327,22 +327,6 @@ def render_report(payload: dict, top: int = 10) -> str:
                          key=lambda kv: -kv[1])[:top]
         for name, count in opcodes:
             lines.append(f"  {name:<28} {count:>12}  {count / total:>6.1%}")
-        pairs = profile.get("pairs")
-        if pairs:
-            # what a profile-guided fusion table would merge: the hottest
-            # back-to-back pairs of the recorded (unfused) stream, marked
-            # by whether an implementable superinstruction exists
-            from ..interp.pgo import PROFILE_SCHEMA, unfused_hot_pairs
-            rows = unfused_hot_pairs(
-                {"schema": PROFILE_SCHEMA,
-                 "total_pairs": sum(count for _, _, count in pairs),
-                 "pairs": pairs}, top=top)
-            lines.append("")
-            lines.append("top unfused hot pairs (see `repro pgo`):")
-            for first, second, count, share, fusable in rows:
-                tag = "fusable" if fusable else "no rule"
-                lines.append(f"  {first + ' ; ' + second:<28} {count:>12}  "
-                             f"{share:>6.1%}  {tag}")
         samples = profile.get("samples", {})
         if samples:
             lines.append("")

@@ -1,5 +1,5 @@
-"""Golden pins for hook dispatch, the self-profiler, the PGO artifacts, the
-decoded streams and the binary decoder.
+"""Golden pins for hook dispatch, the self-profiler, the decoded streams and
+the binary decoder.
 
 Every digest below was recorded once and must never drift: they are the
 independent oracle for the one remaining hook-dispatch path, for the
@@ -8,11 +8,8 @@ executes and for the decoder's accept/reject decisions.
 
 * the ``ExecutionTracer`` event stream of every program in the hook-dispatch
   differential corpus (``tests/test_hook_dispatch.py``), on both engines;
-* ``profiler.as_dict()`` without its pair counts (opcode counts, opcode
-  classes, per-function work and sampled stacks) of instrumented PolyBench
-  runs, on both engines;
-* ``benchmarks/results/PGO_corpus_profile.json`` and
-  ``PGO_fusion_table.json``, regenerated byte for byte;
+* ``profiler.as_dict()`` (opcode counts, opcode classes, per-function work
+  and sampled stacks) of instrumented PolyBench runs, on both engines;
 * the shape of every decoded stream (op id per slot, span per compiled
   segment) of the PolyBench kernels, two synthetic binaries and an
   all-hooks-instrumented kernel;
@@ -25,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -35,7 +31,6 @@ from repro.core.instrument import InstrumentationConfig, instrument_module
 from repro.eval.faultinject import mutant_rng, mutate, seed_corpus
 from repro.eval.workloads import polybench_workloads
 from repro.interp import Machine
-from repro.interp.pgo import fusion_table_payload, record_corpus_profile
 from repro.interp.predecode import OP_SEGMENT, decode_function
 from repro.minic import compile_source
 from repro.obs.telemetry import Telemetry
@@ -45,8 +40,6 @@ from repro.workloads.polybench import compile_kernel, kernel_names
 
 from .test_hook_dispatch import (I64_SOURCE, INDIRECT_SOURCE, MIXED_SOURCE,
                                  NO_LOCATION_GROUPS, br_table_module, stream)
-
-RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 ENGINES = {"predecoded": True, "legacy": False}
 
@@ -156,9 +149,7 @@ def _instrumented_profile(kernel: str, analysis_name: str,
                               linker=workload.linker(), telemetry=telemetry,
                               machine=Machine(predecode=predecode))
     session.invoke(workload.entry, workload.args)
-    profile = telemetry.profiler.as_dict()
-    del profile["pairs"]  # pinned without the opcode-pair counts
-    return profile
+    return telemetry.profiler.as_dict()
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -169,19 +160,6 @@ def test_instrumented_profile_golden(kernel, analysis_name, engine):
     assert profile["total_instructions"] > 0 and profile["samples"]
     assert _digest(json.dumps(profile, sort_keys=True)) == \
         PROFILE_DIGESTS[(kernel, analysis_name)]
-
-
-# -- PGO artifacts ---------------------------------------------------------------
-
-
-def test_pgo_artifacts_regenerate_byte_identical():
-    """``repro pgo``'s corpus profile and derived fusion table, serialized
-    as ``write_profile`` does, equal the checked-in artifacts."""
-    profile = record_corpus_profile()
-    assert json.dumps(profile, indent=2) + "\n" == \
-        (RESULTS / "PGO_corpus_profile.json").read_text()
-    assert json.dumps(fusion_table_payload(profile), indent=2) + "\n" == \
-        (RESULTS / "PGO_fusion_table.json").read_text()
 
 
 # -- decoded stream shapes -------------------------------------------------------

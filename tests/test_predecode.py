@@ -270,7 +270,6 @@ EXECUTABLE = frozenset({
     pd.OP_MEMORY_SIZE, pd.OP_MEMORY_GROW, pd.OP_NOP, pd.OP_UNREACHABLE,
     pd.OP_RAISE, pd.OP_GET_LOCAL_CONST, pd.OP_CONST_BINARY,
     pd.OP_GET_LOCAL_BINARY, pd.OP_GET2_LOCAL, pd.OP_HOOK,
-    *range(35, 51),  # the profile-guided fused pairs
     pd.OP_QLOAD, pd.OP_QLOAD_MASK, pd.OP_QSTORE, pd.OP_QSTORE_MASK,
     pd.OP_CALL_INDIRECT_IC, pd.OP_SEGMENT,
 })

@@ -1,14 +1,12 @@
-"""The profile→dispatch loop: PGO artifacts, quickening, compiled segments.
+"""The quickened engine against the legacy string-dispatch loop.
 
-Differential coverage for the quickened engine (superinstruction segments,
-pre-resolved memory-op slots, call_indirect inline caches) against the
-legacy string-dispatch loop — the oracle every quickened stream must match
-bit-for-bit — plus unit coverage
-for the ``repro.profile/1`` / ``repro.fusion/1`` artifacts and the CLI
-verbs that close the loop.
+Differential coverage for what the decoded engine runs beyond the base
+opcodes — compiled straight-line segments, pre-resolved memory-op slots
+and call_indirect inline caches — against the legacy loop, the oracle
+every quickened stream must match bit for bit, including trap messages and
+snapshot/restore.
 """
 
-import json
 import struct
 
 import pytest
@@ -16,18 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.eval import polybench_workloads
 from repro.interp import Machine
-from repro.interp.pgo import (FUSION_SCHEMA,
-                              PROFILE_SCHEMA, fusion_table_payload,
-                              load_profile, merge_profiles,
-                              record_workload_profile, resolve_fusion_pairs,
-                              select_pairs, write_profile)
-from repro.interp.predecode import (DEFAULT_FUSION_PAIRS, OP_SEGMENT,
-                                    _SEGMENT_MIN, _compile_segments,
-                                    decode_function)
+from repro.interp.predecode import (OP_SEGMENT, _SEGMENT_MIN,
+                                    _compile_segments, decode_function)
 from repro.interp.snapshot import (Snapshot, diff_instance, restore_instance,
                                    snapshot_instance)
 from repro.minic import compile_source
-from repro.wasm import Trap, encode_module
+from repro.wasm import Trap
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.types import FuncType, I32
 
@@ -344,107 +336,3 @@ class TestSnapshotQuickened:
         # dispatch to 'inc'
         fresh.table.set(0, dbl)
         assert fresh.invoke("dispatch", [0, 10]) == [20]
-
-
-# -- artifacts and pair selection ----------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def tiny_profile():
-    return record_workload_profile(polybench_workloads(["trisolv"], n=8)[0])
-
-
-class TestArtifacts:
-    def test_profile_round_trip(self, tiny_profile, tmp_path):
-        path = write_profile(tiny_profile, tmp_path / "p.json")
-        loaded = load_profile(path)
-        assert loaded == tiny_profile
-        assert loaded["schema"] == PROFILE_SCHEMA
-        assert loaded["total_instructions"] > 0
-
-    def test_wrong_schema_rejected(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"schema": "repro.metrics/1"}))
-        from repro.wasm import WasmError
-        with pytest.raises(WasmError, match="schema"):
-            load_profile(path)
-
-    def test_merge_sums_counts(self, tiny_profile):
-        merged = merge_profiles([tiny_profile, tiny_profile])
-        assert merged["total_instructions"] == \
-            2 * tiny_profile["total_instructions"]
-        assert len(merged["corpus"]) == 2
-
-    def test_select_pairs_min_share_and_cap(self, tiny_profile):
-        everything = select_pairs(tiny_profile, min_share=0.0)
-        assert select_pairs(tiny_profile, min_share=2.0) == []
-        capped = select_pairs(tiny_profile, min_share=0.0, max_pairs=3)
-        assert capped == everything[:3]
-
-    def test_fusion_table_resolves_to_rule_backed_ids(self, tiny_profile):
-        table = fusion_table_payload(tiny_profile)
-        assert table["schema"] == FUSION_SCHEMA
-        resolved = resolve_fusion_pairs(table)
-        assert resolved  # a PolyBench kernel always has fusable hot pairs
-        # a profile resolves the same way as the table derived from it
-        assert resolve_fusion_pairs(tiny_profile) == resolved
-
-    def test_unknown_pair_names_ignored(self):
-        table = {"schema": FUSION_SCHEMA,
-                 "pairs": [["warp.fold", "warp.unfold", 0.5]]}
-        assert resolve_fusion_pairs(table) == frozenset()
-
-    def test_default_pairs_used_without_profile(self):
-        machine = Machine(predecode=True)
-        assert machine.fusion_pairs is None  # decode falls back to the
-        # classic built-in set
-        assert DEFAULT_FUSION_PAIRS
-
-
-# -- CLI: the closed loop -------------------------------------------------------
-
-
-class TestCLI:
-    def test_pgo_verb_writes_both_artifacts(self, tmp_path, capsys):
-        from repro.cli import main
-        out = tmp_path / "profile.json"
-        fusion = tmp_path / "fusion.json"
-        assert main(["pgo", "-o", str(out), "--fusion-out", str(fusion),
-                     "--workloads", "trisolv", "--n", "8",
-                     "--no-realworld"]) == 0
-        profile = load_profile(out)
-        table = load_profile(fusion)
-        assert profile["schema"] == PROFILE_SCHEMA
-        assert table["schema"] == FUSION_SCHEMA
-        captured = capsys.readouterr().out
-        assert "derived fusion table" in captured
-
-    def test_run_with_pgo_profile(self, tmp_path, capsys):
-        from repro.cli import main
-        module = compile_source("""
-            export func main(n: i32) -> f64 {
-                var s: f64 = 0.0;
-                var i: i32;
-                for (i = 0; i < n; i = i + 1) { s = s + f64(i) * 0.5; }
-                return s;
-            }
-        """)
-        wasm = tmp_path / "prog.wasm"
-        wasm.write_bytes(encode_module(module))
-        fusion = tmp_path / "fusion.json"
-        assert main(["pgo", "-o", str(tmp_path / "p.json"),
-                     "--fusion-out", str(fusion), "--workloads", "trisolv",
-                     "--n", "8", "--no-realworld"]) == 0
-        capsys.readouterr()
-        assert main(["run", str(wasm), "main", "8",
-                     "--pgo-profile", str(fusion)]) == 0
-        assert "14" in capsys.readouterr().out
-
-    def test_run_with_bad_profile_path_fails_cleanly(self, tmp_path, capsys):
-        from repro.cli import main
-        module = compile_source("export func main() -> i32 { return 1; }")
-        wasm = tmp_path / "prog.wasm"
-        wasm.write_bytes(encode_module(module))
-        assert main(["run", str(wasm), "main",
-                     "--pgo-profile", str(tmp_path / "missing.json")]) != 0
-        assert "cannot load PGO profile" in capsys.readouterr().err

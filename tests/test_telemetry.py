@@ -479,6 +479,18 @@ class TestTelemetryFacade:
         assert "hot functions" in report
         assert "fib" in report
 
+    def test_render_report_ignores_old_pair_counts(self, fib_module):
+        # artifacts from before the pair array was dropped carry a
+        # "pairs" list in their profile section; it must not break rendering
+        tele = Telemetry(profile=True)
+        machine = Machine(predecode=True, telemetry=tele)
+        machine.instantiate(fib_module, Linker()).invoke("main", [])
+        payload = tele.metrics_payload(machine.resource_usage())
+        assert "pairs" not in payload["profile"]
+        report = render_report(payload)
+        payload["profile"]["pairs"] = [["get_local", "const", 12]]
+        assert render_report(payload) == report
+
     def test_usage_gauges_and_summary(self, spin_module):
         tele = Telemetry()
         machine = Machine(telemetry=tele,
