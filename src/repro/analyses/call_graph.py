@@ -7,12 +7,14 @@ or malware reverse engineering. Only needs the ``call_pre`` hook.
 
 from __future__ import annotations
 
-from collections import Counter
-
-import networkx as nx
+from collections import Counter, deque
+from typing import TYPE_CHECKING
 
 from ..core.analysis import Analysis
 from ..core.metadata import ModuleInfo
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is optional, see graph()
+    import networkx as nx
 
 
 class CallGraphAnalysis(Analysis):
@@ -27,12 +29,15 @@ class CallGraphAnalysis(Analysis):
     # reporting -----------------------------------------------------------------
 
     def graph(self, module_info: ModuleInfo | None = None) -> "nx.MultiDiGraph":
-        """The dynamic call graph as a networkx multigraph.
+        """The dynamic call graph as a networkx multigraph, for export.
 
         Nodes are function indices (annotated with names when
         ``module_info`` is given); parallel direct/indirect edges are kept
-        apart, each carrying its call count.
+        apart, each carrying its call count. The only method that needs
+        networkx, so it is imported here rather than with the package.
         """
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         for (caller, callee, indirect), count in self.edges.items():
             graph.add_edge(caller, callee, indirect=indirect, count=count)
@@ -44,10 +49,17 @@ class CallGraphAnalysis(Analysis):
 
     def reachable_from(self, root: int) -> set[int]:
         """Functions transitively called from ``root`` (dynamically observed)."""
-        graph = self.graph()
-        if root not in graph:
-            return {root}
-        return {root} | nx.descendants(graph, root)
+        callees: dict[int, set[int]] = {}
+        for caller, callee, _indirect in self.edges:
+            callees.setdefault(caller, set()).add(callee)
+        reached = {root}
+        queue = deque([root])
+        while queue:
+            for callee in callees.get(queue.popleft(), ()):
+                if callee not in reached:
+                    reached.add(callee)
+                    queue.append(callee)
+        return reached
 
     def dynamically_dead(self, module_info: ModuleInfo,
                          roots: list[int]) -> set[int]:

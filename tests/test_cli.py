@@ -2,6 +2,10 @@
 plus the exit-status taxonomy and the record/replay/bundle verbs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,29 @@ class TestCompileAndRun:
         main(["compile", str(minic_file), "-o", str(out)])
         assert main(["run", str(out), "main", "4", "--analysis", "blocks"]) == 0
         assert "loop" in capsys.readouterr().out
+
+    def test_callgraph_run_without_networkx(self, minic_file, tmp_path):
+        """networkx is optional: with it blocked from importing, the CLI
+        still loads and a call-graph run prints exactly what it prints with
+        networkx installed."""
+        out = tmp_path / "prog.wasm"
+        main(["compile", str(minic_file), "-o", str(out)])
+        script = ("import sys\n"
+                  "if sys.argv[1] == 'blocked':\n"
+                  "    sys.modules['networkx'] = None\n"
+                  "from repro.cli import main\n"
+                  "sys.exit(main(['run', sys.argv[2], 'main', '3',\n"
+                  "                '--analysis', 'callgraph']))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = {mode: subprocess.run(
+                    [sys.executable, "-c", script, mode, str(out)],
+                    capture_output=True, text=True, timeout=120,
+                    env={**os.environ, "PYTHONPATH": str(src)})
+                for mode in ("blocked", "installed")}
+        for run in runs.values():
+            assert run.returncode == 0, run.stderr
+        assert runs["blocked"].stdout == runs["installed"].stdout
+        assert "main(3) = [1.5]" in runs["blocked"].stdout
 
 
 # a module that calls env.print_i32 once, then traps OOB when passed >= 65533
