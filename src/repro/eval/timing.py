@@ -82,7 +82,7 @@ class InterpBenchReport:
     legacy_seconds: float
     predecoded_seconds: float
     repeats: int
-    opcode_classes: dict[str, float] | None = None
+    opcode_classes: dict[str, float]
 
     @property
     def speedup(self) -> float:
@@ -143,9 +143,8 @@ def bench_interpreter(workloads: list[Workload], repeats: int = 3,
                                clock=clock, tracer=tracer)
         predecoded = time_workload(workload, repeats, predecode=True,
                                    clock=clock, tracer=tracer)
-        reports.append(InterpBenchReport(
-            workload.name, legacy, predecoded, repeats,
-            opcode_classes=opcode_class_mix(workload)))
+        reports.append(InterpBenchReport(workload.name, legacy, predecoded,
+                                         repeats, opcode_class_mix(workload)))
     return reports
 
 

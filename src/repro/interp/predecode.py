@@ -397,11 +397,11 @@ def _hook_import_indices(module: Module) -> frozenset[int]:
     return frozenset(indices)
 
 
-#: The fused pairs: ``(first_op, second_op)`` → builder taking the two
+#: The fused pairs: ``(first_op, second_op)`` → a function taking the two
 #: decoded tuples and returning the fused tuple. Runs long enough to matter
-#: become compiled segments; these four shapes still save a dispatch on the
-#: short runs segments skip, such as a loop condition
-#: (``get_local; const; lt; br_if``) or the code between two hook sites.
+#: become compiled segments; a fused pair saves one dispatch on a run too
+#: short for one, such as a loop condition (``get_local; const; lt;
+#: br_if``) or the code between two hook sites.
 _PAIR_RULES = {
     (OP_GET_LOCAL, OP_CONST): lambda f, s: (OP_GET_LOCAL_CONST, f[1], s[1]),
     (OP_GET_LOCAL, OP_BINARY): lambda f, s: (OP_GET_LOCAL_BINARY, s[1], f[1]),

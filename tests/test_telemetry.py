@@ -479,7 +479,7 @@ class TestTelemetryFacade:
         assert "hot functions" in report
         assert "fib" in report
 
-    def test_render_report_ignores_old_pair_counts(self, fib_module):
+    def test_render_report_ignores_old_pairs_key(self, fib_module):
         # artifacts from before the pair array was dropped carry a
         # "pairs" list in their profile section; it must not break rendering
         tele = Telemetry(profile=True)
