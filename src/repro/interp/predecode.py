@@ -431,13 +431,14 @@ def _fuse_pairs(code: list[tuple],
             code[pc] = rule(first, second)
 
 
-#: ``(fmt, mask)`` pairs whose store mask is redundant: the operand stack
-#: only holds canonical values, so a full-width store can never overflow
-#: its pack format. Narrow stores (store8/16/32) still need the mask.
-_FULL_WIDTH_STORES = frozenset({("<I", MASK32), ("<Q", MASK64)})
+#: Stores whose mask is redundant: the operand stack only holds canonical
+#: values, so a store as wide as its value type can never overflow its pack
+#: format. Narrow stores (store8/16, and ``i64.store32``, whose ``(fmt,
+#: mask)`` equals ``i32.store``'s) still need the mask.
+_FULL_WIDTH_STORES = frozenset({"i32.store", "i64.store"})
 
 
-def _quicken_slots(code: list[tuple]) -> None:
+def _quicken_slots(code: list[tuple], body: list[Instr]) -> None:
     """Replace bare memory ops with their pre-resolved twins, in place.
 
     Each twin pre-resolves what a base slot would re-derive on every
@@ -466,7 +467,7 @@ def _quicken_slots(code: list[tuple]) -> None:
         elif op == OP_STORE_INT:
             fmt = ins[1]
             s = structs.get(fmt) or structs.setdefault(fmt, Struct(fmt))
-            if (fmt, ins[3]) in _FULL_WIDTH_STORES:
+            if body[pc].op in _FULL_WIDTH_STORES:
                 code[pc] = (OP_QSTORE, s.pack_into, ins[2], s.size)
             else:
                 code[pc] = (OP_QSTORE_MASK, s.pack_into, ins[2], ins[3], s.size)
@@ -737,7 +738,7 @@ def decode_function(func: Function, module: Module,
     # fusion + quickening as branch-target fallbacks
     _compile_segments(code, blocked)
     _fuse_pairs(code, blocked)
-    _quicken_slots(code)
+    _quicken_slots(code, body)
     indirect_sites = tuple(
         pc for pc, ins in enumerate(code) if ins[0] == OP_CALL_INDIRECT)
     return DecodedFunction(code, body, hook_sites, indirect_sites)

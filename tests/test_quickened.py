@@ -14,14 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.eval import polybench_workloads
 from repro.interp import Machine
-from repro.interp.predecode import (OP_SEGMENT, _SEGMENT_MIN,
+from repro.interp.predecode import (OP_QLOAD, OP_QLOAD_MASK, OP_QSTORE,
+                                    OP_QSTORE_MASK, OP_SEGMENT, _SEGMENT_MIN,
                                     _compile_segments, decode_function)
 from repro.interp.snapshot import (Snapshot, diff_instance, restore_instance,
                                    snapshot_instance)
 from repro.minic import compile_source
 from repro.wasm import Trap
 from repro.wasm.builder import ModuleBuilder
-from repro.wasm.types import FuncType, I32
+from repro.wasm.types import F32, F64, I32, I64, FuncType
 
 
 ENGINES = [
@@ -280,6 +281,72 @@ class TestMemoryBoundary:
                         for kwargs in ENGINES}
             assert len(messages) == 1, messages
             assert "out of bounds memory access" in next(iter(messages))
+
+    #: one access per quickened slot kind: (mnemonic, value type, width in
+    #: bytes, the slot decode installs for it)
+    ACCESSES = [
+        ("i32.load", I32, 4, OP_QLOAD),
+        ("i32.load16_u", I32, 2, OP_QLOAD),
+        ("f64.load", F64, 8, OP_QLOAD),
+        ("i64.load8_s", I64, 1, OP_QLOAD_MASK),
+        ("i64.store", I64, 8, OP_QSTORE),
+        ("f32.store", F32, 4, OP_QSTORE),
+        ("i32.store8", I32, 1, OP_QSTORE_MASK),
+        ("i64.store32", I64, 4, OP_QSTORE_MASK),
+    ]
+
+    @pytest.mark.parametrize("mnemonic,valtype,width,slot", ACCESSES,
+                             ids=[access[0] for access in ACCESSES])
+    def test_oob_message_names_access_and_width(self, mnemonic, valtype,
+                                                width, slot):
+        # the access (offset=1 included) overhangs the one page by one
+        # byte; both engines name the same kind, width and address
+        builder = ModuleBuilder("access")
+        builder.add_memory(1)
+        is_load = ".load" in mnemonic
+        if is_load:
+            fb = builder.function((I32,), (valtype,), name="f", export="f")
+            fb.get_local(0).load(mnemonic, offset=1)
+        else:
+            fb = builder.function((I32, valtype), (), name="f", export="f")
+            fb.get_local(0).get_local(1).store(mnemonic, offset=1)
+        fb.finish()
+        module = builder.build()
+        body = module.functions[0].body
+        pc = next(i for i, ins in enumerate(body) if ins.op == mnemonic)
+        assert decode_function(module.functions[0], module).code[pc][0] == slot
+        addr = 65536 - width + 1
+        zero = 0.0 if valtype.is_float else 0
+        args = [addr - 1] if is_load else [addr - 1, zero]
+        messages = {_trap_on(module, "f", args, **kwargs) for kwargs in ENGINES}
+        what = "load" if is_load else "store"
+        assert messages == {f"out of bounds memory access ({what} of {width} "
+                            f"bytes at address {addr}, memory is 65536 bytes)"}
+
+    @pytest.mark.parametrize("mnemonic,low_bits",
+                             [("i64.store8", 0x98), ("i64.store16", 0xBA98),
+                              ("i64.store32", 0xFEDCBA98)],
+                             ids=["i64.store8", "i64.store16", "i64.store32"])
+    def test_narrow_store_of_wide_value_keeps_low_bytes(self, mnemonic,
+                                                        low_bits):
+        # an i64 wider than the store: i64.store32 shares i32.store's
+        # (fmt, mask), yet its quickened slot must still mask the value
+        builder = ModuleBuilder("narrow")
+        builder.add_memory(1)
+        fb = builder.function((I32, I64), (), name="st", export="st")
+        fb.get_local(0).get_local(1).store(mnemonic)
+        fb.finish()
+        fb = builder.function((I32,), (I64,), name="ld", export="ld")
+        fb.get_local(0).load("i64.load")
+        fb.finish()
+        module = builder.build()
+        runs = []
+        for kwargs in ENGINES:
+            instance = Machine(**kwargs).instantiate(module)
+            instance.invoke("st", [8, 0x76543210FEDCBA98])
+            runs.append([instance.invoke("ld", [8])])
+        _assert_identical(runs)
+        assert runs[0] == [[low_bits]]
 
     def test_access_valid_only_after_grow(self):
         # index 8192 is the first slot of page 2: traps at 1 page, succeeds
