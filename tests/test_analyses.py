@@ -139,6 +139,35 @@ class TestCallGraph:
         analyze(module, cga, entry="main")
         assert cga.indirect_call_sites() == {(1, 0)}
 
+    def test_reachable_from_matches_networkx(self):
+        # the BFS over the edge counter must agree with networkx's
+        # descendants across mutual recursion, an indirect edge, and roots
+        # that call nothing or never ran
+        import networkx as nx
+        module = compile_source("""
+            type op = func(i32) -> i32;
+            func leaf(x: i32) -> i32 { return x + 1; }
+            func twice(x: i32) -> i32 { return leaf(leaf(x)); }
+            func even(n: i32) -> i32 { if (n == 0) { return 1; } return odd(n - 1); }
+            func odd(n: i32) -> i32 { if (n == 0) { return 0; } return even(n - 1); }
+            func unused(x: i32) -> i32 { return x; }
+            table [twice, leaf];
+            export func main(n: i32) -> i32 {
+                return call_indirect[op](0, n) + even(n);
+            }
+        """)
+        cga = CallGraphAnalysis()
+        analyze(module, cga, entry="main", args=(3,))
+        graph = cga.graph()
+        assert cga.indirect_call_sites() == {(5, 1)}
+        for root in range(len(module.functions)):
+            expected = {root}
+            if root in graph:
+                expected |= nx.descendants(graph, root)
+            assert cga.reachable_from(root) == expected, root
+        assert cga.reachable_from(5) == {0, 1, 2, 3, 5}
+        assert cga.reachable_from(4) == {4}
+
 
 class TestCryptominer:
     def test_miner_like_program_detected(self):

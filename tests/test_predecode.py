@@ -21,8 +21,9 @@ from repro.interp import (Machine, WasmFunction, cached_decode,
                           decode_function, predecode_default)
 from repro.interp.host import HostFunction, Linker
 from repro.interp.predecode import (OP_CALL_INDIRECT_IC, OP_CONST_BINARY,
-                                    OP_GET2_LOCAL, OP_GET_LOCAL_CONST, OP_HOOK,
-                                    OP_RAISE)
+                                    OP_GET2_LOCAL, OP_GET_LOCAL_BINARY,
+                                    OP_GET_LOCAL_CONST, OP_HOOK, OP_RAISE,
+                                    OP_SEGMENT)
 from repro.minic import compile_source
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import ExhaustionError, Trap, WasmError
@@ -81,6 +82,20 @@ class TestDecodeCache:
         assert not hit
         _, hit = cached_decode(func, add_module)
         assert hit
+
+    def test_in_place_length_change_invalidates(self, add_module):
+        # the one cached stream is stale once the same body list changes
+        # length, even though it is still the list the stream was built from
+        func = add_module.functions[0]
+        func.body = list(func.body)
+        decoded, _ = cached_decode(func, add_module)
+        assert func._decoded is decoded
+        func.body[-1:-1] = [Instr("i32.const", value=1), Instr("i32.add")]
+        fresh, hit = cached_decode(func, add_module)
+        assert not hit and fresh is not decoded and func._decoded is fresh
+        assert len(fresh.code) == len(func.body)
+        instance = Machine(predecode=True).instantiate(add_module)
+        assert instance.invoke("add", [2, 3]) == [6]
 
     def test_legacy_machine_does_not_decode(self, add_module):
         machine = Machine(predecode=False)
@@ -253,6 +268,43 @@ class TestDecodeDetails:
         assert fused & {OP_GET_LOCAL_CONST, OP_CONST_BINARY, OP_GET2_LOCAL}
         legacy, fast = _both_engines(module, "addressish", [3, 5])
         assert legacy == fast == [116]
+
+
+#: Each built-in pair placed at a pc the call enters, in a run too short to
+#: become a compiled segment (``nop`` breaks a run without fusing): the body
+#: of ``f(a, b)``, the fused slot's pc and op id, and the expected result.
+#: The binary op is ``i32.sub`` so swapped operands would show.
+PAIRS = {
+    "get_local+const": (
+        lambda fb: fb.get_local(0).emit("i32.const", value=7).emit("i32.sub"),
+        0, OP_GET_LOCAL_CONST, lambda a, b: a - 7),
+    "const+binary": (
+        lambda fb: fb.get_local(0).emit("nop").emit("i32.const", value=7)
+        .emit("i32.sub"),
+        2, OP_CONST_BINARY, lambda a, b: a - 7),
+    "get_local+binary": (
+        lambda fb: fb.get_local(0).emit("nop").get_local(1).emit("i32.sub"),
+        2, OP_GET_LOCAL_BINARY, lambda a, b: a - b),
+    "get_local+get_local": (
+        lambda fb: fb.get_local(1).get_local(0).emit("i32.sub"),
+        0, OP_GET2_LOCAL, lambda a, b: b - a),
+}
+
+
+class TestPairFusion:
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_builtin_pair_fuses_and_matches_legacy(self, pair):
+        emit, pc, fused_op, expected = PAIRS[pair]
+        builder = ModuleBuilder("pair")
+        emit(builder.function((I32, I32), (I32,), name="f",
+                              export="f")).finish()
+        module = builder.build()
+        code = decode_function(module.functions[0], module).code
+        assert code[pc][0] == fused_op
+        assert OP_SEGMENT not in {ins[0] for ins in code}
+        for a, b in ((3, 10), (10, 3)):
+            legacy, fast = _both_engines(module, "f", [a, b])
+            assert legacy == fast == [expected(a, b) & 0xFFFFFFFF]
 
 
 # -- the streams instances execute ------------------------------------------------

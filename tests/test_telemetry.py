@@ -538,6 +538,35 @@ class TestEvalTelemetry:
         assert len(spans) == 3
         assert spans[0].attrs["workload"] == "spin"
 
+    def test_interp_bench_payload_under_fake_clock(self, spin_module):
+        from repro.eval.timing import (bench_interpreter,
+                                       interp_bench_payload, opcode_class_mix)
+        from repro.eval.workloads import Workload
+        workload = Workload(name="spin", group="test",
+                            module_fn=lambda: spin_module, entry="spin",
+                            args=(10,), needs_print=False)
+        tracer = Tracer(clock=fake_clock())
+        reports = bench_interpreter([workload], repeats=2, clock=fake_clock(),
+                                    tracer=tracer)
+        payload = interp_bench_payload(reports)
+        (row,) = payload["workloads"]
+        # one column per engine; the speedup is legacy over predecoded
+        assert set(row) == {"name", "legacy_seconds", "predecoded_seconds",
+                            "speedup", "opcode_classes", "repeats"}
+        assert row["legacy_seconds"] == pytest.approx(1e-3)
+        assert row["predecoded_seconds"] == pytest.approx(1e-3)
+        assert row["speedup"] == pytest.approx(1.0)
+        assert payload["geomean_speedup"] == pytest.approx(1.0)
+        assert {s.attrs["engine"] for s in tracer.spans
+                if s.name == "workload_invoke"} == {"legacy", "predecode"}
+        # the opcode-class mix of one profiled run: shares of every executed
+        # instruction, largest first
+        mix = row["opcode_classes"]
+        assert mix == opcode_class_mix(workload)
+        assert sum(mix.values()) == pytest.approx(1.0)
+        shares = list(mix.values())
+        assert shares == sorted(shares, reverse=True)
+
 
 # -- CLI surface ---------------------------------------------------------------
 
