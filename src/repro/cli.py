@@ -60,7 +60,6 @@ from .interp import (Linker, Machine, Recorder, ResourceLimits,
                      load_crash_bundle, replay_linker, snapshot_instance,
                      write_crash_bundle)
 from .interp.snapshot import decode_values, encode_values
-from .minic import compile_source
 from .obs import Telemetry, maybe_span, render_report
 from .wasm import (AnalysisError, BreakerOpen, DecodeError, EncodeError,
                    ReplayDivergence, ResourceExhausted, ServiceError,
@@ -232,6 +231,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         from .wasm import parse_wat
         module = parse_wat(source)
     else:
+        from .minic import compile_source
         module = compile_source(source, Path(args.input).stem)
     validate_module(module)
     output = args.output or (Path(args.input).stem + ".wasm")

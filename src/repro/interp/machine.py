@@ -37,8 +37,8 @@ from .host import GlobalInstance, HostFunction, Linker
 from .limits import Meter, ResourceLimits, ResourceUsage
 from .memory import Memory
 from .predecode import (OP_CALL, OP_CALL_INDIRECT, OP_CALL_INDIRECT_IC,
-                        OP_CONST, OP_HOOK, DecodedFunction, cached_decode,
-                        decode_function, oob_message)
+                        OP_CONST, OP_HOOK, DecodedFunction, _segment_code,
+                        cached_decode, decode_function, oob_message)
 from .table import Table
 from .values import BINOPS, MASK32, MASK64, UNOPS, default_value
 
@@ -507,12 +507,23 @@ class Machine:
 
     def instantiate(self, module: Module, linker: Linker | None = None,
                     run_start: bool = True) -> Instance:
-        """Create an instance, resolving imports through ``linker``."""
+        """Create an instance, resolving imports through ``linker``.
+
+        With telemetry attached, the segments this instantiation compiled
+        and those it took from the process-wide code cache are charged to
+        ``n_segment_compiles``/``n_segment_cache_hits``.
+        """
         tele = self._telemetry
         if tele is None:
             return self._instantiate(module, linker, run_start)
-        with tele.span("instantiate", functions=len(module.functions)):
-            return self._instantiate(module, linker, run_start)
+        before = _segment_code.cache_info()
+        try:
+            with tele.span("instantiate", functions=len(module.functions)):
+                return self._instantiate(module, linker, run_start)
+        finally:
+            after = _segment_code.cache_info()
+            tele.n_segment_compiles += after.misses - before.misses
+            tele.n_segment_cache_hits += after.hits - before.hits
 
     def _instantiate(self, module: Module, linker: Linker | None,
                      run_start: bool) -> Instance:

@@ -86,6 +86,8 @@ class Telemetry:
         self.n_traps = 0          # traps escaping a top-level invocation
         self.n_mem_grow = 0       # executed memory.grow instructions
         self.n_replayed_host_calls = 0  # host calls served from a replay log
+        self.n_segment_compiles = 0    # segment sources compiled at instantiate
+        self.n_segment_cache_hits = 0  # segments whose code the cache supplied
         self.mem_pages = 0        # last linear-memory size seen at a grow
         self._spans_folded = 0
 
@@ -155,6 +157,10 @@ class Telemetry:
              "executed memory.grow instructions"),
             ("repro_replayed_host_calls_total", self.n_replayed_host_calls,
              "host calls served from a replay log instead of the host"),
+            ("repro_segment_compiles_total", self.n_segment_compiles,
+             "compiled-segment sources compiled while instantiating"),
+            ("repro_segment_cache_hits_total", self.n_segment_cache_hits,
+             "compiled segments whose code came from the process-wide cache"),
         ]
         for name, value, help_text in interp:
             registry.counter(name, help=help_text).set(value)

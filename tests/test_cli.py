@@ -156,6 +156,29 @@ class TestCompileAndRun:
         assert runs["blocked"].stdout == runs["installed"].stdout
         assert "main(3) = [1.5]" in runs["blocked"].stdout
 
+    def test_cli_import_leaves_minic_unloaded(self, minic_file, tmp_path,
+                                              capsys):
+        """``import repro.cli`` does not load the MiniC compiler; ``repro
+        compile`` imports it when it needs it."""
+        out = tmp_path / "prog.wasm"
+        script = ("import sys\n"
+                  "import repro.cli\n"
+                  "print(sorted(m for m in sys.modules\n"
+                  "             if m.startswith('repro.minic')))\n"
+                  "sys.exit(repro.cli.main(['compile', sys.argv[1],\n"
+                  "                         '-o', sys.argv[2]]))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(minic_file), str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert run.returncode == 0, run.stderr
+        loaded, compiled = run.stdout.splitlines()
+        assert loaded == "[]"
+        assert compiled.startswith(f"compiled {minic_file} -> {out}")
+        assert main(["run", str(out), "main", "3"]) == 0
+        assert "main(3) = [1.5]" in capsys.readouterr().out
+
 
 # a module that calls env.print_i32 once, then traps OOB when passed >= 65533
 TRAP_WAT = """

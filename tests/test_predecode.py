@@ -25,10 +25,12 @@ from repro.interp.predecode import (OP_CALL_INDIRECT_IC, OP_CONST_BINARY,
                                     OP_GET_LOCAL_CONST, OP_HOOK, OP_RAISE,
                                     OP_SEGMENT)
 from repro.minic import compile_source
+from repro.wasm import decode_module, encode_module
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import ExhaustionError, Trap, WasmError
 from repro.wasm.module import BrTable, Instr
 from repro.wasm.types import F32, F64, I32, I64, FuncType
+from repro.workloads.polybench import compile_kernel
 
 
 def _bits(values: list[int | float]) -> list[bytes]:
@@ -377,6 +379,78 @@ class TestExecutedStreams:
             fresh = decode_function(func, module)
             assert [ins[0] for ins in cached.code] == \
                 [ins[0] for ins in fresh.code]
+
+
+# -- segment code sharing -----------------------------------------------------------
+
+
+def _segments(module) -> list:
+    """The compiled segment functions of every function of ``module``."""
+    return [ins[1] for func in module.functions
+            for ins in decode_function(func, module).code if ins[0] == OP_SEGMENT]
+
+
+def _f64(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: Constants a segment binds by name (``k{n}``) instead of printing them:
+#: both infinities and two quiet NaNs with different payloads.
+NON_FINITE = {"inf": 0x7FF0000000000000, "neg_inf": 0xFFF0000000000000,
+              "nan_1": 0x7FF8000000000001, "neg_nan_abcd": 0xFFF800000000ABCD}
+
+
+class TestSegmentCodeSharing:
+    def test_second_decode_of_a_kernel_compiles_nothing(self):
+        data = encode_module(compile_kernel("gemm"))
+        first = _segments(decode_module(data))
+        misses = pd._segment_code.cache_info().misses
+        second = _segments(decode_module(data))
+        assert pd._segment_code.cache_info().misses == misses
+        assert first and len(first) == len(second)
+        for old, new in zip(first, second):
+            assert old is not new
+            assert old.__code__ is new.__code__
+            assert old.__globals__ is not new.__globals__
+
+    def test_non_finite_constants_stay_private_to_each_segment(self):
+        builder = ModuleBuilder("consts")
+        for name, bits in NON_FINITE.items():
+            fb = builder.function((), (F64,), name=name, export=name)
+            local = fb.add_local(F64)
+            fb.f64_const(_f64(bits)).set_local(local).get_local(local)
+            fb.get_local(local).emit("drop").finish()
+        module = builder.build()
+        assert len({fn.__code__ for fn in _segments(module)}) == 1
+        for name, bits in NON_FINITE.items():
+            legacy, fast = _both_engines(module, name, [])
+            assert _bits(legacy) == _bits(fast) == [struct.pack("<Q", bits)]
+
+    @pytest.mark.parametrize("op, width, what", [("f64.load", 8, "load"),
+                                                 ("i32.store16", 2, "store")])
+    def test_trap_in_shared_segment_names_its_own_access(self, op, width, what):
+        builder = ModuleBuilder("oob")
+        builder.add_memory(1)
+        for name in ("f", "g"):
+            fb = builder.function((I32,), (F64,) if what == "load" else (),
+                                  name=name, export=name)
+            fb.get_local(0).i32_const(3).emit("i32.add")
+            if what == "load":
+                fb.load(op, offset=16)
+            else:
+                fb.get_local(0).store(op, offset=16)
+            fb.finish()
+        module = builder.build()
+        assert len({fn.__code__ for fn in _segments(module)}) == 1
+        for name, arg in (("f", 65536 - 20), ("g", 70000)):
+            messages = []
+            for predecode in (False, True):
+                instance = Machine(predecode=predecode).instantiate(module)
+                with pytest.raises(Trap) as excinfo:
+                    instance.invoke(name, [arg])
+                messages.append(str(excinfo.value))
+            assert messages[0] == messages[1]
+            assert f"({what} of {width} bytes at address {arg + 19}," in messages[0]
 
 
 # -- host-function result coercion (regression: silent float→i32 truncation) -----

@@ -25,6 +25,8 @@ from repro.obs import (HOOK_LATENCY_BUCKETS, METRICS_SCHEMA, Histogram,
                        MetricsRegistry, Telemetry, Tracer, measure,
                        parse_prometheus, render_report, spans_from_chrome_trace,
                        spans_from_jsonl, spans_to_chrome_trace, spans_to_jsonl)
+from repro.wasm import encode_module
+from repro.workloads.polybench import compile_kernel
 
 ENGINES = [True, False]
 
@@ -618,6 +620,28 @@ class TestCli:
         spans = spans_from_jsonl(jsonl.read_text())
         assert [s.name for s in spans] == \
             ["decode", "instrument", "instantiate", "invoke"]
+
+    def test_second_run_of_a_kernel_compiles_no_segment(self, tmp_path,
+                                                         capsys, monkeypatch):
+        """Segment code is shared per process: a second run of one kernel,
+        decoded afresh, takes every segment's code from the cache."""
+        monkeypatch.setenv("REPRO_PREDECODE", "1")
+        kernel = tmp_path / "trisolv.wasm"
+        kernel.write_bytes(encode_module(compile_kernel("trisolv")))
+        runs = []
+        for run in ("first", "second"):
+            metrics = tmp_path / f"{run}.json"
+            assert main(["run", str(kernel), "main",
+                         "--metrics-out", str(metrics)]) == 0
+            counters = {c["name"]: c["value"] for c in
+                        json.loads(metrics.read_text())["metrics"]["counters"]}
+            runs.append((counters["repro_segment_compiles_total"],
+                         counters["repro_segment_cache_hits_total"]))
+        capsys.readouterr()
+        (compiles, hits), (compiles_again, hits_again) = runs
+        assert compiles + hits > 0
+        assert compiles_again == 0
+        assert hits_again == compiles + hits
 
     def test_report_renders_metrics_artifact(self, fib_wasm, tmp_path,
                                              capsys):
