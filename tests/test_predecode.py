@@ -9,6 +9,8 @@ these tests mean the same thing under the CI differential job, which sets
 from __future__ import annotations
 
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,8 +19,8 @@ from repro.analyses import InstructionMixAnalysis
 from repro.core import AnalysisSession
 from repro.eval.workloads import (POLYBENCH_FAST_SUBSET, polybench_workloads,
                                   realworld_workloads)
-from repro.interp import (Machine, WasmFunction, cached_decode,
-                          decode_function, predecode_default)
+from repro.interp import (Machine, ResourceLimits, WasmFunction,
+                          cached_decode, decode_function, predecode_default)
 from repro.interp.host import HostFunction, Linker
 from repro.interp.predecode import (OP_CALL_INDIRECT_IC, OP_CONST_BINARY,
                                     OP_GET2_LOCAL, OP_GET_LOCAL_BINARY,
@@ -451,6 +453,36 @@ class TestSegmentCodeSharing:
                 messages.append(str(excinfo.value))
             assert messages[0] == messages[1]
             assert f"({what} of {width} bytes at address {arg + 19}," in messages[0]
+
+    def test_threads_compiling_one_kernel_print_the_legacy_output(self):
+        """More threads than cores decode and run one kernel at once, from
+        an empty cache and under a short switch interval; each prints what
+        the legacy loop prints. Fuel (the run needs 450) stops a run that a
+        wrongly bound segment sends into an endless loop."""
+        workload, = polybench_workloads(["gemm"], n=6)
+        data = encode_module(workload.module())
+
+        def run(predecode: bool) -> list:
+            sink: list = []
+            machine = Machine(predecode=predecode,
+                              limits=ResourceLimits(fuel=100_000))
+            instance = machine.instantiate(decode_module(data),
+                                           workload.linker(sink))
+            instance.invoke(workload.entry, workload.args)
+            return sink
+
+        expected = run(False)
+        pd._segment_code.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, True) for _ in range(16)]
+                outputs = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert expected
+        assert all(_bits(output) == _bits(expected) for output in outputs)
 
 
 # -- host-function result coercion (regression: silent float→i32 truncation) -----
