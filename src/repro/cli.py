@@ -51,98 +51,30 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .analyses import (BasicBlockProfiler, BranchCoverage, CallGraphAnalysis,
-                       CryptominerDetector, InstructionCoverage,
-                       InstructionMixAnalysis, MemoryTracer)
-from .core import (ALL_GROUPS, ERROR_POLICIES, Analysis, AnalysisSession,
+from .core import (ALL_GROUPS, ERROR_POLICIES, AnalysisSession,
                    instrument_module)
-from .interp import (Linker, Machine, Recorder, ResourceLimits,
-                     load_crash_bundle, replay_linker, snapshot_instance,
-                     write_crash_bundle)
+from .interp import (Machine, Recorder, ResourceLimits, load_crash_bundle,
+                     replay_linker, snapshot_instance, write_crash_bundle)
+from .interp.limits import ResourceUsage
 from .interp.snapshot import decode_values, encode_values
 from .obs import Telemetry, maybe_span, render_report
-from .wasm import (AnalysisError, BreakerOpen, DecodeError, EncodeError,
-                   ReplayDivergence, ResourceExhausted, ServiceError,
-                   ServiceUnavailable,
-                   SnapshotError, Trap, ValidationError, WasmError,
-                   WorkerKilled, decode_module, encode_module, format_module,
-                   validate_module)
-from .wasm.types import F64, I32, FuncType
+from .run import ANALYSES, analysis_for, default_linker, run_response
+from .wasm import (ReplayDivergence, ServiceError, ServiceUnavailable,
+                   WasmError, WorkerKilled, decode_module, encode_module,
+                   format_module, load_module, validate_module)
+from .wasm.errors import (EXIT_ANALYSIS_FAULT, EXIT_BREAKER_OPEN,
+                          EXIT_FAILURE, EXIT_MALFORMED, EXIT_OK,
+                          EXIT_REPLAY_DIVERGENCE, EXIT_RESOURCE_EXHAUSTED,
+                          EXIT_TRAP, EXIT_USAGE, EXIT_WORKER_KILLED,
+                          error_info, exit_status)
 
-# -- exit-status taxonomy (documented in README, pinned by tests/test_cli.py) --
-
-EXIT_OK = 0
-#: Generic failure: any WasmError outside the specific classes below.
-EXIT_FAILURE = 1
-EXIT_USAGE = 2
-#: The guest trapped (unreachable, OOB access, stack exhaustion, …).
-EXIT_TRAP = 3
-#: A run aborted by a ResourceLimits bound (fuel/deadline/memory).
-EXIT_RESOURCE_EXHAUSTED = 4
-#: The module is malformed or invalid (decode/validate/encode stage).
-EXIT_MALFORMED = 5
-#: An analysis hook raised under the ``raise``/``abort`` policy.
-EXIT_ANALYSIS_FAULT = 6
-#: A replayed run diverged from its recorded log.
-EXIT_REPLAY_DIVERGENCE = 7
-#: The service supervisor killed the request (hard timeout/OOM/crash).
-EXIT_WORKER_KILLED = 8
-#: The service circuit breaker quarantined this input.
-EXIT_BREAKER_OPEN = 9
-
-
-def exit_status(exc: BaseException) -> int:
-    """Map an error to its exit status.
-
-    Order matters: :class:`ReplayDivergence` beats everything (a divergent
-    replay may surface any error class); :class:`AnalysisError` is checked
-    before :class:`Trap` because :class:`AnalysisAbort` subclasses both
-    and the *cause* is the analysis; :class:`ResourceExhausted` is a Trap
-    subclass and keeps its own status. The service statuses are disjoint
-    from the rest (:class:`ServiceError` subclasses only ``WasmError``);
-    :class:`~repro.wasm.ServiceUnavailable` stays a generic failure.
-    """
-    if isinstance(exc, BreakerOpen):
-        return EXIT_BREAKER_OPEN
-    if isinstance(exc, WorkerKilled):
-        return EXIT_WORKER_KILLED
-    if isinstance(exc, ReplayDivergence):
-        return EXIT_REPLAY_DIVERGENCE
-    if isinstance(exc, AnalysisError):
-        return EXIT_ANALYSIS_FAULT
-    if isinstance(exc, ResourceExhausted):
-        return EXIT_RESOURCE_EXHAUSTED
-    if isinstance(exc, Trap):
-        return EXIT_TRAP
-    if isinstance(exc, (DecodeError, ValidationError, EncodeError)):
-        return EXIT_MALFORMED
-    return EXIT_FAILURE
-
-ANALYSES = {
-    "mix": InstructionMixAnalysis,
-    "blocks": BasicBlockProfiler,
-    "coverage": InstructionCoverage,
-    "branches": BranchCoverage,
-    "callgraph": CallGraphAnalysis,
-    "cryptominer": CryptominerDetector,
-    "memtrace": MemoryTracer,
-    "none": Analysis,
-}
-
-
-def _load(path: str):
-    return decode_module(Path(path).read_bytes())
-
-
-def _default_linker(printed: list | None = None) -> Linker:
-    """Host imports that MiniC-compiled programs conventionally use."""
-    sink = printed if printed is not None else []
-    linker = Linker()
-    linker.define_function("env", "print_f64", FuncType((F64,), ()),
-                           lambda args: sink.append(args[0]))
-    linker.define_function("env", "print_i32", FuncType((I32,), ()),
-                           lambda args: sink.append(args[0]))
-    return linker
+# the exit taxonomy lives beside the error classes; the CLI re-exports it
+__all__ = [
+    "ANALYSES", "EXIT_ANALYSIS_FAULT", "EXIT_BREAKER_OPEN", "EXIT_FAILURE",
+    "EXIT_MALFORMED", "EXIT_OK", "EXIT_REPLAY_DIVERGENCE",
+    "EXIT_RESOURCE_EXHAUSTED", "EXIT_TRAP", "EXIT_USAGE",
+    "EXIT_WORKER_KILLED", "build_parser", "exit_status", "main",
+]
 
 
 def _telemetry_from_args(args: argparse.Namespace) -> Telemetry | None:
@@ -171,7 +103,7 @@ def cmd_instrument(args: argparse.Namespace) -> int:
         return _instrument_via_service(args)
     telemetry = _telemetry_from_args(args)
     with maybe_span(telemetry, "decode", path=args.input):
-        module = _load(args.input)
+        module = load_module(Path(args.input).read_bytes())
     groups = None
     if args.hooks != "all":
         groups = frozenset(args.hooks.split(","))
@@ -208,19 +140,16 @@ def cmd_instrument(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        validate_module(_load(args.input))
+        load_module(Path(args.input).read_bytes())
     except WasmError as exc:
         print(f"{args.input}: INVALID: {exc}", file=sys.stderr)
         return exit_status(exc)  # EXIT_MALFORMED for decode/validate errors
-    except OSError as exc:
-        print(f"{args.input}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     print(f"{args.input}: ok")
     return 0
 
 
 def cmd_objdump(args: argparse.Namespace) -> int:
-    print(format_module(_load(args.input)))
+    print(format_module(decode_module(Path(args.input).read_bytes())))
     return 0
 
 
@@ -296,61 +225,88 @@ def _wasi_from_args(args: argparse.Namespace, module, limits, telemetry,
                        telemetry=telemetry, replay=recorder)
 
 
-def _normalize_proc_exit(error):
-    """``proc_exit(0)`` is a clean guest exit, not a failure."""
-    from .wasm.errors import ProcExit
-    if isinstance(error, ProcExit) and error.code == 0:
-        return None
-    return error
-
-
-def _emit_wasi_streams(wasi) -> None:
-    """Write the guest's captured stdout/stderr to the real streams."""
-    out = wasi.stdout_bytes()
-    if out:
-        sys.stdout.buffer.write(out)
-        sys.stdout.buffer.flush()
-    err = wasi.stderr_bytes()
-    if err:
-        sys.stderr.buffer.write(err)
-        sys.stderr.buffer.flush()
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     telemetry = _telemetry_from_args(args)
-    if telemetry is not None and getattr(args, "serve", None):
+    if telemetry is not None and args.serve:
         # service route: open the trace now so the local decode span joins
         # the same stitched client->daemon->worker tree
         telemetry.tracer.process = "client"
         telemetry.tracer.ensure_trace()
-    try:
-        with maybe_span(telemetry, "decode", path=args.input):
-            module = _load(args.input)
-    except WasmError as exc:
-        print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exit_status(exc)
+    with maybe_span(telemetry, "decode", path=args.input):
+        module = load_module(Path(args.input).read_bytes())
     call_args = [float(a) if "." in a else int(a) for a in args.args]
     limits = _limits_from_args(args)
-    if getattr(args, "serve", None):
-        try:
-            wasi = _wasi_from_args(args, module, None, None, None)
-        except OSError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
+    if args.serve:
+        wasi = _wasi_from_args(args, module, None, None, None)
         return _run_via_service(args, call_args, limits, telemetry,
                                 wasi_cfg=wasi.config() if wasi else None)
+    return _run(args, module, call_args, limits, telemetry)
+
+
+def _run(args: argparse.Namespace, module, call_args,
+         limits: ResourceLimits | None, telemetry: Telemetry | None) -> int:
+    """Run locally through the shared run path, recording a bundle when
+    asked, and print the outcome from its response dict."""
     printed: list = []
-    linker = _default_linker(printed)
+    linker = default_linker(printed)
     recorder = Recorder() if (args.record or args.crash_dir) else None
-    try:
-        wasi = _wasi_from_args(args, module, limits, telemetry, recorder)
-    except OSError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    wasi = _wasi_from_args(args, module, limits, telemetry, recorder)
     if wasi is not None:
         wasi.register(linker)
-    return _run(args, module, call_args, printed, linker, limits, telemetry,
-                recorder, wasi=wasi)
+    session = AnalysisSession(
+        module, analysis_for(args.analysis, args.instrument), linker=linker,
+        limits=limits, on_analysis_error=args.on_analysis_error,
+        telemetry=telemetry, replay=recorder)
+    instance = session.instance
+    if wasi is not None:
+        wasi.bind_memory(instance)
+    # the pre-invocation state snapshot anchoring a recorded bundle
+    pre = snapshot_instance(instance) if recorder is not None else None
+    error: WasmError | None = None
+    result = None
+    try:
+        result = instance.invoke(args.entry, call_args)
+    except WasmError as exc:
+        error = exc
+    usage = session.resource_usage()
+
+    if recorder is not None:
+        target = args.record or (args.crash_dir and error is not None
+                                 and str(Path(args.crash_dir)
+                                         / Path(args.input).stem))
+        if target:
+            manifest = {
+                "kind": "invoke",
+                "invocations": [{"export": args.entry,
+                                 "args": encode_values(call_args)}],
+                "engine": {"predecode": session.machine.predecode},
+                "limits": asdict(limits) if limits is not None else None,
+                "analysis": args.analysis,
+                "instrument": bool(args.instrument),
+                "on_analysis_error": args.on_analysis_error,
+                # the raw error: replay must see a proc_exit(0) as well
+                "error": error_info(error) if error is not None else None,
+                "metrics": usage.as_dict(),
+            }
+            if wasi is not None:
+                # the replay path rebuilds an equivalent context from this
+                manifest["wasi"] = wasi.config()
+            if error is None:
+                manifest["results"] = encode_values(result)
+            # post-invocation state, for the bit-identical replay check
+            post = snapshot_instance(instance)
+            manifest["post"] = {
+                "memory_digest": (post.memory or {}).get("digest"),
+                "globals": encode_values(post.globals_),
+            }
+            write_crash_bundle(target, Path(args.input).read_bytes(), manifest,
+                               snapshot=pre, recorder=recorder)
+            print(f"repro: crash bundle written to {target}", file=sys.stderr)
+
+    status = _render_run(args, call_args,
+                         run_response(session, error, result, printed, wasi))
+    _write_artifacts(telemetry, args, usage)
+    return status
 
 
 def _run_via_service(args: argparse.Namespace, call_args,
@@ -369,66 +325,55 @@ def _run_via_service(args: argparse.Namespace, call_args,
               "(the daemon owns bundling)", file=sys.stderr)
         return EXIT_USAGE
     client = ServeClient(args.serve, telemetry=telemetry)
-    try:
-        response = client.run(
-            Path(args.input).read_bytes(), args.entry, call_args,
-            analysis=args.analysis, instrument=bool(args.instrument),
-            limits=asdict(limits) if limits is not None else None,
-            on_analysis_error=args.on_analysis_error,
-            request_timeout=args.serve_timeout, wasi=wasi_cfg)
-    except (BreakerOpen, WorkerKilled) as exc:
-        print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exit_status(exc)
-    except ServiceUnavailable as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    status = _render_service_run(args, call_args, response)
+    response = client.run(
+        Path(args.input).read_bytes(), args.entry, call_args,
+        analysis=args.analysis, instrument=bool(args.instrument),
+        limits=asdict(limits) if limits is not None else None,
+        on_analysis_error=args.on_analysis_error,
+        request_timeout=args.serve_timeout, wasi=wasi_cfg)
+    status = _render_run(args, call_args, response)
     _write_artifacts(telemetry, args)
     return status
 
 
-def _render_service_run(args: argparse.Namespace, call_args,
-                        response: dict) -> int:
-    """Print a service run's response exactly like a local ``repro run``."""
-    if response.get("stdout"):
-        sys.stdout.buffer.write(response["stdout"])
-        sys.stdout.buffer.flush()
-    if response.get("stderr"):
-        sys.stderr.buffer.write(response["stderr"])
-        sys.stderr.buffer.flush()
+def _render_run(args: argparse.Namespace, call_args, response: dict) -> int:
+    """Print one run, local or served, from its response dict; return its
+    exit status. Only a served response carries a ``pid``."""
+    for stream, key in ((sys.stdout, "stdout"), (sys.stderr, "stderr")):
+        if response.get(key):
+            stream.buffer.write(response[key])
+            stream.buffer.flush()
     if not response.get("ok"):
         error = response.get("error", {})
-        detail = f"{error.get('type')}: {error.get('message')}"
+        status = int(response.get("status", EXIT_FAILURE))
+        if status == EXIT_RESOURCE_EXHAUSTED:
+            detail = f"resource limit hit: {error.get('message')}"
+        else:
+            detail = f"{error.get('type')}: {error.get('message')}"
         if error.get("kill_class"):
             detail += f" [killed: {error['kill_class']}]"
         print(f"repro: {detail}", file=sys.stderr)
         if response.get("bundle"):
             print(f"repro: crash bundle written to {response['bundle']}",
                   file=sys.stderr)
-        return int(response.get("status", EXIT_FAILURE))
-    if response.get("analysis_report"):
-        print(response["analysis_report"], end="")
+        return status
+    print(response.get("analysis_report", ""), end="")
     for value in decode_values(response.get("printed", [])):
         print(f"[print] {value}")
-    results = decode_values(response.get("results", []))
-    print(f"{args.entry}({', '.join(map(str, call_args))}) = {results}")
+    shown = ("proc_exit(0)" if response.get("graceful_exit")
+             else decode_values(response.get("results", [])))
+    print(f"{args.entry}({', '.join(map(str, call_args))}) = {shown}")
     if args.verbose:
-        usage = response.get("usage", {})
-        summary = " ".join(f"{key}={value}"
-                           for key, value in sorted(usage.items())
-                           if value is not None)
-        origin = ("warm instance" if response.get("warm")
-                  else "cold instance")
-        if not response.get("supervised", True):
-            origin += ", UNSUPERVISED (service degraded)"
-        print(f"repro: served by pid {response.get('pid')} ({origin})",
-              file=sys.stderr)
-        if summary:
-            print(f"repro: {summary}", file=sys.stderr)
-        if response.get("wasi_usage"):
+        if "pid" in response:
+            origin = ("warm instance" if response.get("warm")
+                      else "cold instance")
+            if not response.get("supervised", True):
+                origin += ", UNSUPERVISED (service degraded)"
+            print(f"repro: served by pid {response['pid']} ({origin})",
+                  file=sys.stderr)
+        usage = ResourceUsage(**response.get("usage", {}))
+        print(f"repro: {usage.summary()}", file=sys.stderr)
+        if "wasi_usage" in response:
             wasi_summary = " ".join(
                 f"{key}={value}"
                 for key, value in sorted(response["wasi_usage"].items()))
@@ -445,14 +390,7 @@ def _instrument_via_service(args: argparse.Namespace) -> int:
         groups = sorted(set(args.hooks.split(",")))
     telemetry = _telemetry_from_args(args)
     client = ServeClient(args.serve, telemetry=telemetry)
-    try:
-        response = client.instrument(Path(args.input).read_bytes(), groups)
-    except ServiceUnavailable as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    response = client.instrument(Path(args.input).read_bytes(), groups)
     if not response.get("ok"):
         error = response.get("error", {})
         print(f"repro: {error.get('type')}: {error.get('message')}",
@@ -627,129 +565,6 @@ def cmd_top(args: argparse.Namespace) -> int:
         return EXIT_OK
 
 
-def _report_analysis(analysis: Analysis) -> None:
-    if isinstance(analysis, InstructionMixAnalysis):
-        print(analysis.report())
-    elif isinstance(analysis, CryptominerDetector):
-        print(f"signature fraction: {analysis.signature_fraction:.2%}; "
-              f"suspicious: {analysis.is_suspicious()}")
-    elif isinstance(analysis, MemoryTracer):
-        print(f"{len(analysis.trace)} accesses, "
-              f"{analysis.unique_addresses()} unique addresses")
-    elif isinstance(analysis, BasicBlockProfiler):
-        for (loc, kind), count in analysis.hottest(10):
-            print(f"  {kind:<9} {loc}: {count}")
-
-
-def _error_info(error: WasmError | None) -> dict | None:
-    """The manifest's error record: class, message, and (when the error
-    carries one) the guest Location and faulting hook name."""
-    if error is None:
-        return None
-    info = {"type": type(error).__name__, "message": str(error)}
-    location = getattr(error, "location", None)
-    if location is not None:
-        info["location"] = str(location)
-    hook = getattr(error, "hook_name", None)
-    if hook is not None:
-        info["hook"] = hook
-    return info
-
-
-def _run(args: argparse.Namespace, module, call_args, printed, linker,
-         limits: ResourceLimits | None, telemetry: Telemetry | None,
-         recorder: Recorder | None = None, wasi=None) -> int:
-    analysis = None
-    if args.analysis == "none" and not args.instrument:
-        machine = Machine(limits=limits, telemetry=telemetry, replay=recorder)
-        instance = machine.instantiate(module, linker)
-        session = None
-    else:
-        analysis = ANALYSES[args.analysis]()
-        session = AnalysisSession(module, analysis, linker=linker,
-                                  limits=limits,
-                                  on_analysis_error=args.on_analysis_error,
-                                  telemetry=telemetry, replay=recorder)
-        machine, instance = session.machine, session.instance
-    if wasi is not None:
-        wasi.bind_memory(instance)
-    # the pre-invocation state snapshot anchoring a recorded bundle
-    pre = snapshot_instance(instance) if recorder is not None else None
-    error: WasmError | None = None
-    result = None
-    try:
-        result = instance.invoke(args.entry, call_args)
-    except WasmError as exc:
-        error = exc
-    usage = machine.resource_usage() if session is None \
-        else session.resource_usage()
-
-    if recorder is not None:
-        target = args.record or (args.crash_dir and error is not None
-                                 and str(Path(args.crash_dir)
-                                         / Path(args.input).stem))
-        if target:
-            manifest = {
-                "kind": "invoke",
-                "invocations": [{"export": args.entry,
-                                 "args": encode_values(call_args)}],
-                "engine": {"predecode": machine.predecode},
-                "limits": asdict(limits) if limits is not None else None,
-                "analysis": args.analysis,
-                "instrument": bool(args.instrument),
-                "on_analysis_error": args.on_analysis_error,
-                "error": _error_info(error),
-                "metrics": usage.as_dict(),
-            }
-            if wasi is not None:
-                # the replay path rebuilds an equivalent context from this
-                manifest["wasi"] = wasi.config()
-            if error is None:
-                manifest["results"] = encode_values(result)
-            # post-invocation state, for the bit-identical replay check
-            post = snapshot_instance(instance)
-            manifest["post"] = {
-                "memory_digest": (post.memory or {}).get("digest"),
-                "globals": encode_values(post.globals_),
-            }
-            write_crash_bundle(target, Path(args.input).read_bytes(), manifest,
-                               snapshot=pre, recorder=recorder)
-            print(f"repro: crash bundle written to {target}", file=sys.stderr)
-
-    graceful_exit = False
-    if wasi is not None:
-        _emit_wasi_streams(wasi)
-        # the bundle manifest above keeps the raw ProcExit (replay must see
-        # the identical outcome); the CLI surface treats proc_exit(0) as a
-        # clean exit with no return value
-        normalized = _normalize_proc_exit(error)
-        graceful_exit = normalized is None and error is not None
-        error = normalized
-
-    if error is not None:
-        if isinstance(error, ResourceExhausted):
-            print(f"repro: resource limit hit: {error}", file=sys.stderr)
-        else:
-            print(f"repro: {type(error).__name__}: {error}", file=sys.stderr)
-        _write_artifacts(telemetry, args, usage)
-        return exit_status(error)
-
-    if analysis is not None:
-        _report_analysis(analysis)
-    for value in printed:
-        print(f"[print] {value}")
-    shown = "proc_exit(0)" if graceful_exit else result
-    print(f"{args.entry}({', '.join(map(str, call_args))}) = {shown}")
-    if args.verbose:
-        print(f"repro: {usage.summary()}", file=sys.stderr)
-        if wasi is not None:
-            wasi_summary = " ".join(f"{key}={value}" for key, value
-                                    in sorted(wasi.usage().items()))
-            print(f"repro: wasi {wasi_summary}", file=sys.stderr)
-    _write_artifacts(telemetry, args, usage)
-    return 0
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Run a seeded fuzz campaign through repro.eval.fuzz.
 
@@ -815,11 +630,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_bundle(args: argparse.Namespace) -> int:
     """Inspect (and verify the integrity of) a crash bundle directory."""
-    try:
-        bundle = load_crash_bundle(args.bundle)
-    except (WasmError, OSError) as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return exit_status(exc) if isinstance(exc, WasmError) else EXIT_FAILURE
+    bundle = load_crash_bundle(args.bundle)
     manifest = bundle.manifest
     print(f"{bundle.path}: {manifest.get('kind', '?')} crash bundle")
     print(f"  module: {len(bundle.module_bytes)} bytes{_stream_info(bundle)}")
@@ -880,8 +691,6 @@ def _stream_info(bundle) -> str:
               f"{summary['host_call_sites']} host call sites"]
     if summary["hook_sites"]:
         extras.append(f"{summary['hook_sites']} hook sites")
-    if summary["raising"]:
-        extras.append(f"{summary['raising']} undecodable instrs")
     return f" ({', '.join(extras)})"
 
 
@@ -920,11 +729,7 @@ def _verify_bundle(bundle) -> list[str]:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Re-execute a crash bundle and compare against its recorded outcome."""
-    try:
-        bundle = load_crash_bundle(args.bundle)
-    except (WasmError, OSError) as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return exit_status(exc) if isinstance(exc, WasmError) else EXIT_FAILURE
+    bundle = load_crash_bundle(args.bundle)
     if bundle.manifest.get("kind") == "pipeline":
         return _replay_pipeline_bundle(args, bundle)
     if bundle.manifest.get("kind") == "service":
@@ -994,14 +799,9 @@ def _replay_invoke_bundle(args: argparse.Namespace, bundle) -> int:
     """Reconstruct the recorded run: same module, limits, analysis, and
     host-boundary log; optionally a different engine (``--engine``)."""
     manifest = bundle.manifest
-    try:
-        module = decode_module(bundle.module_bytes)
-    except WasmError as exc:
-        # invoke bundles record modules that decoded when written; one that
-        # no longer does is bundle damage, reported taxonomically
-        print(f"repro: {bundle.path}: bundle module does not decode: {exc}",
-              file=sys.stderr)
-        return exit_status(exc)
+    # invoke bundles record modules that loaded when written; one that no
+    # longer does is bundle damage, reported taxonomically by main()
+    module = load_module(bundle.module_bytes)
     # bundles written while hook dispatch had a generic/per-site switch
     # also record that switch under "engine"; both engines now dispatch
     # through the same per-site closures, so only "predecode" is read
@@ -1028,17 +828,14 @@ def _replay_invoke_bundle(args: argparse.Namespace, bundle) -> int:
         wasi_ctx = WasiContext.from_config(manifest["wasi"], replay=replayer)
         wasi_ctx.register(linker)
 
-    analysis_name = manifest.get("analysis", "none")
+    analysis = analysis_for(manifest.get("analysis", "none"),
+                            bool(manifest.get("instrument")))
     machine = Machine(predecode=predecode, limits=limits, replay=replayer)
     try:
-        if analysis_name == "none" and not manifest.get("instrument"):
-            instance = machine.instantiate(module, linker)
-        else:
-            session = AnalysisSession(
-                module, ANALYSES[analysis_name](), linker=linker,
-                machine=machine,
-                on_analysis_error=manifest.get("on_analysis_error", "raise"))
-            instance = session.instance
+        instance = AnalysisSession(
+            module, analysis, linker=linker, machine=machine,
+            on_analysis_error=manifest.get("on_analysis_error", "raise"),
+        ).instance
         if bundle.snapshot is not None:
             instance.restore(bundle.snapshot)
         if wasi_ctx is not None:
@@ -1058,10 +855,6 @@ def _replay_invoke_bundle(args: argparse.Namespace, bundle) -> int:
     except ReplayDivergence as div:
         print(f"{bundle.path}: DIVERGED: {div}", file=sys.stderr)
         return EXIT_REPLAY_DIVERGENCE
-    except SnapshotError as exc:
-        # a corrupted snapshot is a broken bundle, not a divergence
-        print(f"repro: {bundle.path}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
 
     mismatches = _compare_outcome(manifest, error, results, instance)
     if not mismatches:
@@ -1082,7 +875,7 @@ def _compare_outcome(manifest: dict, error: WasmError | None, results,
     identical results), and bit-identical post-invocation state."""
     mismatches = []
     recorded = manifest.get("error")
-    live = _error_info(error)
+    live = error_info(error) if error is not None else None
     if recorded is None and live is not None:
         mismatches.append(f"recorded success, live failed: "
                           f"{live['type']}: {live['message']}")
@@ -1125,7 +918,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    module = _load(args.input)
+    module = decode_module(Path(args.input).read_bytes())
     size = Path(args.input).stat().st_size
     print(f"{args.input}: {size} bytes")
     print(f"  types: {len(module.types)}")
@@ -1380,8 +1173,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb. Whatever error escapes it becomes one ``repro:`` line
+    and its exit status (an ``OSError`` exits 1)."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except WasmError as exc:
+        print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exit_status(exc)
+    except OSError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":  # pragma: no cover

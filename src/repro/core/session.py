@@ -27,6 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs → interp)
 class AnalysisSession:
     """An instrumented module instance wired to an analysis.
 
+    With ``analysis=None`` the session instantiates ``module`` as it is:
+    no instrumentation, no runtime, ``result`` and ``runtime`` None. The
+    run paths (:mod:`repro.run`) use that for plain runs, so a plain and
+    an analysed run differ only in the analysis passed.
+
     ``limits`` applies :class:`~repro.interp.limits.ResourceLimits` to the
     machine the session constructs (mutually exclusive with passing a
     pre-built ``machine``); ``on_analysis_error`` selects the runtime's
@@ -43,7 +48,7 @@ class AnalysisSession:
     log captures every nondeterminism source of an analysis run.
     """
 
-    def __init__(self, module: Module, analysis: Analysis,
+    def __init__(self, module: Module, analysis: Analysis | None,
                  linker: Linker | None = None,
                  groups: frozenset[str] | set[str] | None = None,
                  config: InstrumentationConfig | None = None,
@@ -64,40 +69,47 @@ class AnalysisSession:
         self.original = module
         self.analysis = analysis
         self.telemetry = telemetry
-        if groups is None:
-            # selective instrumentation (§2.4.2): only instrument for the
-            # hooks the analysis actually overrides
-            groups = analysis.used_groups()
-        self.groups: frozenset[str] = frozenset(groups)
-        if telemetry is None:
-            self.result: InstrumentationResult = instrument_module(
-                module, groups=self.groups, config=config)
-        else:
-            with telemetry.span("instrument", groups=len(self.groups)):
-                self.result = instrument_module(
-                    module, groups=self.groups, config=config)
+        self.groups: frozenset[str] = frozenset()
+        self.result: InstrumentationResult | None = None
+        self.runtime: WasabiRuntime | None = None
         if machine is not None:
             # a pre-built machine brings its own recorder/replayer; the
             # runtime must share it so hook faults land in the same log
             replay = machine._replay
         self.replay = replay
-        self.runtime = WasabiRuntime(self.result, analysis,
-                                     on_analysis_error=on_analysis_error,
-                                     telemetry=telemetry,
-                                     replay=replay)
-
-        linker = linker or Linker()
-        for name, host_func in self.runtime.host_functions().items():
-            linker.define(HOOK_MODULE, name, host_func)
+        if analysis is not None:
+            if groups is None:
+                # selective instrumentation (§2.4.2): only instrument for
+                # the hooks the analysis actually overrides
+                groups = analysis.used_groups()
+            self.groups = frozenset(groups)
+            if telemetry is None:
+                self.result = instrument_module(
+                    module, groups=self.groups, config=config)
+            else:
+                with telemetry.span("instrument", groups=len(self.groups)):
+                    self.result = instrument_module(
+                        module, groups=self.groups, config=config)
+            self.runtime = WasabiRuntime(self.result, analysis,
+                                         on_analysis_error=on_analysis_error,
+                                         telemetry=telemetry,
+                                         replay=replay)
+            linker = linker or Linker()
+            for name, host_func in self.runtime.host_functions().items():
+                linker.define(HOOK_MODULE, name, host_func)
 
         self.machine = machine or Machine(limits=limits, replay=replay)
         if telemetry is not None:
             # attach before instantiation so profiled machines decode the
             # instrumented module unfused (idempotent for a shared sink)
             self.machine.attach_telemetry(telemetry)
+        if analysis is None:
+            self.instance: Instance = self.machine.instantiate(
+                module, linker, run_start=run_start)
+            return
         # Instantiate without running start: the runtime must be bound (and
         # the high-level start hook fired) before any hook executes.
-        self.instance: Instance = self.machine.instantiate(
+        self.instance = self.machine.instantiate(
             self.result.module, linker, run_start=False)
         self.runtime.bind(self.instance)
         if run_start and self.result.module.start is not None:
@@ -112,12 +124,12 @@ class AnalysisSession:
     @property
     def hook_faults(self):
         """Contained hook faults recorded by the runtime, in order."""
-        return self.runtime.hook_faults
+        return self.runtime.hook_faults if self.runtime is not None else []
 
     def resource_usage(self) -> ResourceUsage:
         """The machine's resource usage plus the runtime's fault count."""
         usage = self.machine.resource_usage()
-        usage.hook_faults = len(self.runtime.hook_faults)
+        usage.hook_faults = len(self.hook_faults)
         return usage
 
     def invoke(self, export_name: str,

@@ -1019,8 +1019,8 @@ class Machine:
                     pass
                 elif op == 28:  # OP_UNREACHABLE
                     raise Trap("unreachable executed")
-                else:  # OP_RAISE: malformed instruction decoded to a placeholder
-                    raise ins[1]
+                else:  # decode emits no id without an arm above
+                    raise WasmError(f"no interpreter arm for op id {op}")
                 pc += 1
         except IndexError:
             # the only legitimate way out: pc reached the implicit

@@ -92,7 +92,7 @@ OP_MEMORY_SIZE = 25
 OP_MEMORY_GROW = 26
 OP_NOP = 27
 OP_UNREACHABLE = 28
-OP_RAISE = 29
+# id 29 is unassigned: ids are never renumbered
 
 # Fused superinstructions. :func:`_fuse_pairs` rewrites slot *i* to execute
 # both instruction *i* and *i+1* (then skip ahead two pcs) for the adjacent
@@ -186,7 +186,6 @@ OP_NAMES: dict[int, str] = {
     OP_MEMORY_GROW: "memory.grow",
     OP_NOP: "nop",
     OP_UNREACHABLE: "unreachable",
-    OP_RAISE: "raise",
     OP_GET_LOCAL_CONST: "get_local+const",
     OP_CONST_BINARY: "const+binary",
     OP_GET_LOCAL_BINARY: "get_local+binary",
@@ -747,11 +746,9 @@ def decode_function(func: Function, module: Module,
         try:
             code.append(_decode_instr(instr, pc, module, end_of, else_of))
         except Exception as exc:
-            # Malformed instructions (missing immediates, unclosed blocks)
-            # fail at *execution* time in the legacy loop; mirror that by
-            # decoding them to a raising placeholder instead of refusing to
-            # instantiate.
-            code.append((OP_RAISE, WasmError(f"cannot execute {instr}: {exc}")))
+            # only a module that skipped validation gets here (missing
+            # immediates, unclosed blocks); refuse it at instantiation
+            raise WasmError(f"cannot execute {instr}: {exc}") from exc
     hook_sites: tuple[int, ...] = ()
     blocked: set[int] = set()
     if hook_imports:
@@ -805,28 +802,24 @@ def stream_summary(module: Module) -> dict:
     Decodes every defined function (through the per-``Function`` cache)
     and aggregates what crash-bundle inspection wants to show at a
     glance: total decoded instructions, Wasabi hook call sites (non-zero
-    means the binary was instrumented), instructions that decoded to
-    raising :data:`OP_RAISE` placeholders (malformed bodies a fuzz mutant
-    smuggled past validation), and direct host-boundary call sites —
-    the slots whose results a replay log must supply.
+    means the binary was instrumented), and direct host-boundary call
+    sites — the slots whose results a replay log must supply. Raises
+    :class:`WasmError` on a body that does not decode.
     """
     host_imports = set()
     for idx, imp in enumerate(i for i in module.imports if isinstance(i.desc, int)):
         if imp.module != HOOK_IMPORT_MODULE:
             host_imports.add(idx)
-    instructions = hook_sites = raising = host_call_sites = 0
+    instructions = hook_sites = host_call_sites = 0
     for func in module.functions:
         decoded, _ = cached_decode(func, module)
         instructions += len(decoded.code)
         hook_sites += len(decoded.hook_sites)
         for ins in decoded.code:
-            if ins[0] == OP_RAISE:
-                raising += 1
-            elif ins[0] == OP_CALL and ins[1] in host_imports:
+            if ins[0] == OP_CALL and ins[1] in host_imports:
                 host_call_sites += 1
     return {
         "instructions": instructions,
         "hook_sites": hook_sites,
-        "raising": raising,
         "host_call_sites": host_call_sites,
     }

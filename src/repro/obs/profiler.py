@@ -47,7 +47,7 @@ OP_CLASSES: dict[int, str] = {
     _pd.OP_BLOCK: "control", _pd.OP_LOOP: "control",
     _pd.OP_END: "control", _pd.OP_JUMP: "control",
     _pd.OP_RETURN: "control", _pd.OP_NOP: "control",
-    _pd.OP_UNREACHABLE: "control", _pd.OP_RAISE: "control",
+    _pd.OP_UNREACHABLE: "control",
     _pd.OP_CALL: "call", _pd.OP_CALL_INDIRECT: "call",
     _pd.OP_SELECT: "stack", _pd.OP_DROP: "stack",
     _pd.OP_HOOK: "hook",

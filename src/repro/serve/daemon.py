@@ -53,7 +53,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import SERVE_LATENCY_BUCKETS
 from ..obs.spans import SpanContext, Tracer
 from ..obs.telemetry import Telemetry
-from ..wasm.errors import BreakerOpen, WasmError, WorkerKilled
+from ..wasm.errors import BreakerOpen, WorkerKilled, error_response
 from . import wire
 from .pool import WorkerPool
 
@@ -234,30 +234,11 @@ class ServeDaemon:
                                         tracer=tracer)
             if not response.get("ok", False):
                 outcome = "error"
-        except BreakerOpen as exc:
-            outcome = "breaker"
-            response = {"ok": False, "status": 9,
-                        "error": {"type": "BreakerOpen", "message": str(exc)}}
-        except WorkerKilled as exc:
-            outcome = "killed"
-            response = {"ok": False, "status": 8,
-                        "error": {"type": "WorkerKilled",
-                                  "message": str(exc),
-                                  "kill_class": exc.kill_class}}
-            bundle = getattr(exc, "bundle", None)
-            if bundle:
-                response["bundle"] = bundle
-        except WasmError as exc:
-            from ..cli import exit_status
-            outcome = "error"
-            response = {"ok": False, "status": exit_status(exc),
-                        "error": {"type": type(exc).__name__,
-                                  "message": str(exc)}}
         except Exception as exc:
-            outcome = "error"
-            response = {"ok": False, "status": 1,
-                        "error": {"type": type(exc).__name__,
-                                  "message": str(exc)}}
+            outcome = ("breaker" if isinstance(exc, BreakerOpen)
+                       else "killed" if isinstance(exc, WorkerKilled)
+                       else "error")
+            response = error_response(exc)
         finally:
             elapsed = time.perf_counter() - started
             if span is not None:

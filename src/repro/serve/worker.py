@@ -9,13 +9,14 @@ through exactly one code path.
 Request kinds:
 
 * ``ping`` — liveness handshake.
-* ``run`` — decode + instantiate + invoke, mirroring ``repro run``.
+* ``run`` — load + instantiate + invoke through ``repro run``'s path
+  (:mod:`repro.run`); the response is the dict ``repro run`` prints.
   Uninstrumented runs are **warm-started**: the worker instantiates a
   module once per (digest, limits, engine flags), snapshots the fresh
   instance, and restores the snapshot per request instead of
   re-instantiating (:mod:`repro.interp.snapshot`). Analysis runs always
   build a fresh session — analyses accumulate state by design.
-* ``instrument`` — decode + instrument + encode through the
+* ``instrument`` — load + instrument + encode through the
   content-addressed :class:`~repro.serve.cache.ArtifactCache`.
 * ``fuzz_shard`` — one fuzz-campaign shard
   (:func:`repro.eval.fuzz._shard_worker`) so supervised campaigns get
@@ -24,41 +25,28 @@ Request kinds:
   flaky / sleep / raise), only honored when the supervisor was configured
   with ``allow_test_ops``.
 
-Every guest failure — traps, resource exhaustion, malformed modules,
-analysis faults — is caught and answered as an ordinary error response
-carrying the CLI's exit-status taxonomy. Only genuinely abnormal process
-death reaches the supervisor as a kill.
+Every guest failure — traps, resource exhaustion, malformed or invalid
+modules, analysis faults — is caught and answered as an ordinary error
+response carrying the CLI's exit-status taxonomy. Only genuinely abnormal
+process death reaches the supervisor as a kill.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import os
 import signal
 import time
 from collections import OrderedDict
 
-from ..interp.snapshot import (decode_values, encode_values,
-                               restore_instance, snapshot_instance)
+from ..interp.snapshot import decode_values, restore_instance, snapshot_instance
 from ..obs.spans import SpanContext, Tracer
-from ..wasm.errors import WasmError
+from ..wasm.errors import WasmError, error_response
 
-#: Warm instances kept per worker (LRU); each holds a machine + snapshot.
+#: Warm instances kept per worker (LRU); each holds a session + snapshot.
 WARM_CACHE_CAPACITY = 8
-
-
-def _error_response(exc: BaseException) -> dict:
-    from ..cli import exit_status
-    response = {"ok": False,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-                "status": exit_status(exc) if isinstance(exc, WasmError) else 1}
-    location = getattr(exc, "location", None)
-    if location is not None:
-        response["error"]["location"] = str(location)
-    return response
 
 
 def _tspan(tracer: Tracer | None, name: str, **attrs):
@@ -78,8 +66,9 @@ class RequestHandler:
         if cache_dir is not None:
             from .cache import ArtifactCache
             self.cache = ArtifactCache(cache_dir)
-        #: (module digest, limits json, flags json) -> warm entry
-        self._warm: OrderedDict[tuple, dict] = OrderedDict()
+        #: (module digest, limits json, engine flag) ->
+        #: (session, printed sink, pristine snapshot)
+        self._warm: OrderedDict[tuple, tuple] = OrderedDict()
         self._module_cache: OrderedDict[str, object] = OrderedDict()
         self._tracer: Tracer | None = None  # per-request, set by handle()
 
@@ -105,10 +94,8 @@ class RequestHandler:
                     response = self._dispatch(kind, request)
             else:
                 response = self._dispatch(kind, request)
-        except WasmError as exc:
-            response = _error_response(exc)
-        except Exception as exc:  # an escape: report, never kill the loop
-            response = _error_response(exc)
+        except Exception as exc:  # guest error or escape: report, never die
+            response = error_response(exc)
         finally:
             self._tracer = None
         if tracer is not None and isinstance(response, dict):
@@ -134,11 +121,12 @@ class RequestHandler:
     # -- run ------------------------------------------------------------------
 
     def _decode_cached(self, module_bytes: bytes, digest: str):
-        """Decode once per module digest (decoded streams are reused too)."""
-        from ..wasm import decode_module
+        """Load (decode + validate) once per module digest; decoded
+        streams are reused too."""
+        from ..wasm import load_module
         module = self._module_cache.get(digest)
         if module is None:
-            module = decode_module(module_bytes)
+            module = load_module(module_bytes)
             self._module_cache[digest] = module
             if len(self._module_cache) > WARM_CACHE_CAPACITY:
                 self._module_cache.popitem(last=False)
@@ -147,16 +135,15 @@ class RequestHandler:
         return module
 
     def _handle_run(self, request: dict) -> dict:
-        from ..cli import ANALYSES, _default_linker, _report_analysis
         from ..core import AnalysisSession
         from ..interp import Machine, ResourceLimits
+        from ..run import analysis_for, default_linker, run_response
 
         module_bytes: bytes = request["module"]
         digest = hashlib.sha256(module_bytes).hexdigest()
         entry: str = request["entry"]
         call_args = decode_values(request.get("args", []))
         analysis_name = request.get("analysis", "none")
-        instrument = bool(request.get("instrument", False))
         limits_dict = request.get("limits")
         limits = ResourceLimits(**limits_dict) if limits_dict else None
         predecode = request.get("predecode")
@@ -168,112 +155,66 @@ class RequestHandler:
         tracer = self._tracer
         with _tspan(tracer, "decode", cached=digest in self._module_cache):
             module = self._decode_cached(module_bytes, digest)
-        warm = False
-        printed: list = []
-        analysis = None
-        base_snapshot = None
-
-        if analysis_name == "none" and not instrument and wasi is None:
+        analysis = analysis_for(analysis_name,
+                                bool(request.get("instrument", False)))
+        # only plain runs warm-start: analyses accumulate state, and a
+        # WASI run's FS image, fault-plane cursor and syscall counters are
+        # per-request state
+        warm_key = None
+        if analysis is None and wasi is None:
             warm_key = (digest,
                         json.dumps(limits_dict, sort_keys=True),
                         bool(predecode) if predecode is not None else None)
-            entry_state = self._warm.get(warm_key)
-            if entry_state is not None:
-                self._warm.move_to_end(warm_key)
-                machine = entry_state["machine"]
-                instance = entry_state["instance"]
-                printed = entry_state["printed"]
-                printed.clear()
-                base_snapshot = entry_state["base"]
-                with _tspan(tracer, "warm_restore"):
-                    restore_instance(instance, base_snapshot)
-                warm = True
-            else:
-                linker = _default_linker(printed)
-                machine = (Machine(limits=limits) if predecode is None
-                           else Machine(limits=limits, predecode=predecode))
-                with _tspan(tracer, "instantiate"):
-                    instance = machine.instantiate(module, linker)
-                with _tspan(tracer, "snapshot"):
-                    base_snapshot = snapshot_instance(instance)
-                self._warm[warm_key] = {
-                    "machine": machine, "instance": instance,
-                    "printed": printed,
-                    "base": base_snapshot,
-                }
-                if len(self._warm) > WARM_CACHE_CAPACITY:
-                    self._warm.popitem(last=False)
-            session = None
-        elif analysis_name == "none" and not instrument:
-            # WASI runs never warm-start: the packed FS image, fault-plane
-            # cursor, and syscall counters are per-request state
-            linker = _default_linker(printed)
-            wasi.register(linker)
-            machine = (Machine(limits=limits) if predecode is None
-                       else Machine(limits=limits, predecode=predecode))
-            with _tspan(tracer, "instantiate", wasi=True):
-                instance = machine.instantiate(module, linker)
-            session = None
+        warm = warm_key in self._warm
+        if warm:
+            self._warm.move_to_end(warm_key)
+            session, printed, base_snapshot = self._warm[warm_key]
+            printed.clear()
+            with _tspan(tracer, "warm_restore"):
+                restore_instance(session.instance, base_snapshot)
         else:
-            linker = _default_linker(printed)
+            printed = []
+            linker = default_linker(printed)
             if wasi is not None:
                 wasi.register(linker)
-            analysis = ANALYSES[analysis_name]()
-            with _tspan(tracer, "instantiate", analysis=analysis_name):
+            machine = (Machine(limits=limits) if predecode is None
+                       else Machine(limits=limits, predecode=predecode))
+            with _tspan(tracer, "instantiate", analysis=analysis_name,
+                        wasi=wasi is not None):
                 session = AnalysisSession(
-                    module, analysis, linker=linker, limits=limits,
+                    module, analysis, linker=linker, machine=machine,
                     on_analysis_error=request.get("on_analysis_error",
                                                   "raise"))
-            machine, instance = session.machine, session.instance
+            base_snapshot = None
+            if warm_key is not None:
+                with _tspan(tracer, "snapshot"):
+                    base_snapshot = snapshot_instance(session.instance)
+                self._warm[warm_key] = (session, printed, base_snapshot)
+                if len(self._warm) > WARM_CACHE_CAPACITY:
+                    self._warm.popitem(last=False)
         if wasi is not None:
-            wasi.bind_memory(instance)
+            wasi.bind_memory(session.instance)
 
+        error = results = None
         try:
             with _tspan(tracer, "invoke", entry=entry, warm=warm):
-                results = instance.invoke(entry, call_args)
+                results = session.instance.invoke(entry, call_args)
         except WasmError as exc:
-            from ..wasm.errors import ProcExit
-            if isinstance(exc, ProcExit) and exc.code == 0:
-                results = None  # a clean WASI exit, not a failure
-            else:
-                # a failed run leaves arbitrary instance state; restore
-                # eagerly so a later warm hit never resumes from a
-                # poisoned instance
-                if base_snapshot is not None:
-                    restore_instance(instance, base_snapshot)
-                response = _error_response(exc)
-                response["warm"] = warm
-                if wasi is not None:
-                    response["stdout"] = wasi.stdout_bytes()
-                    response["stderr"] = wasi.stderr_bytes()
-                    response["wasi_usage"] = wasi.usage()
-                return response
-        usage = (machine.resource_usage() if session is None
-                 else session.resource_usage())
-        response = {
-            "ok": True,
-            "results": encode_values(results or []),
-            "printed": encode_values(printed),
-            "usage": usage.as_dict(),
-            "warm": warm,
-            "pid": os.getpid(),
-        }
-        if wasi is not None:
-            response["stdout"] = wasi.stdout_bytes()
-            response["stderr"] = wasi.stderr_bytes()
-            response["wasi_usage"] = wasi.usage()
-        if analysis is not None:
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
-                _report_analysis(analysis)
-            response["analysis_report"] = buffer.getvalue()
+            error = exc
+            # a failed run leaves arbitrary instance state; restore eagerly
+            # so a later warm hit never resumes from a poisoned instance
+            if base_snapshot is not None:
+                restore_instance(session.instance, base_snapshot)
+        response = run_response(session, error, results, printed, wasi)
+        response["warm"] = warm
+        response["pid"] = os.getpid()
         return response
 
     # -- instrument ------------------------------------------------------------
 
     def _handle_instrument(self, request: dict) -> dict:
         from ..core import ALL_GROUPS, instrument_module
-        from ..wasm import decode_module, encode_module
+        from ..wasm import encode_module
         from .cache import artifact_key
 
         module_bytes: bytes = request["module"]
@@ -299,7 +240,8 @@ class RequestHandler:
                         "cache_hit": True, "cache_evicted": 0,
                         "pid": os.getpid()}
         with _tspan(tracer, "instrument"):
-            module = decode_module(module_bytes)
+            module = self._decode_cached(
+                module_bytes, hashlib.sha256(module_bytes).hexdigest())
             result = instrument_module(module, groups=groups)
             raw = encode_module(result.module)
         if self.cache is not None:
@@ -387,7 +329,7 @@ def worker_main(conn, init: dict) -> None:
         try:
             response = handler.handle(request)
         except BaseException as exc:  # the loop itself must never die
-            response = _error_response(exc)
+            response = error_response(exc)
         try:
             conn.send(response)
         except (OSError, BrokenPipeError):  # pragma: no cover - parent gone

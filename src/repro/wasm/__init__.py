@@ -19,7 +19,8 @@ from .module import (BrTable, CustomSection, DataSegment, ElemSegment, Export,
 from .text import format_body, format_function, format_instr, format_module
 from .types import (F32, F64, I32, I64, PAGE_SIZE, FuncType, GlobalType,
                     Limits, MemoryType, TableType, ValType)
-from .validation import ExprValidator, validate_function, validate_module
+from .validation import (ExprValidator, load_module, validate_function,
+                         validate_module)
 from .wat import WatError, parse_wat
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "SnapshotError", "TableType", "Trap", "ValType",
     "ValidationError", "WasmError", "WorkerKilled",
     "WatError", "decode_module", "encode_module", "format_body",
-    "format_function", "format_instr", "format_module", "parse_wat",
+    "format_function", "format_instr", "format_module", "load_module",
+    "parse_wat",
     "validate_function", "validate_module",
 ]

@@ -3,6 +3,8 @@
 Mirrors the error classes a conforming implementation distinguishes:
 malformed binaries (decode errors), invalid modules (validation errors),
 and runtime traps (raised by the interpreter in :mod:`repro.interp`).
+:func:`exit_status` maps each class to the stable exit status every CLI
+verb and every service response reports.
 """
 
 from __future__ import annotations
@@ -184,3 +186,78 @@ class AnalysisAbort(AnalysisError, Trap):
     location) and :class:`Trap` (the guest sees clean trap semantics, so
     machine state stays consistent and further invokes work).
     """
+
+
+# -- exit-status taxonomy (documented in README, pinned by tests/test_cli.py) --
+
+EXIT_OK = 0
+#: Generic failure: any WasmError outside the specific classes below.
+EXIT_FAILURE = 1
+EXIT_USAGE = 2
+#: The guest trapped (unreachable, OOB access, stack exhaustion, …).
+EXIT_TRAP = 3
+#: A run aborted by a ResourceLimits bound (fuel/deadline/memory).
+EXIT_RESOURCE_EXHAUSTED = 4
+#: The module is malformed or invalid (decode/validate/encode stage).
+EXIT_MALFORMED = 5
+#: An analysis hook raised under the ``raise``/``abort`` policy.
+EXIT_ANALYSIS_FAULT = 6
+#: A replayed run diverged from its recorded log.
+EXIT_REPLAY_DIVERGENCE = 7
+#: The service supervisor killed the request (hard timeout/OOM/crash).
+EXIT_WORKER_KILLED = 8
+#: The service circuit breaker quarantined this input.
+EXIT_BREAKER_OPEN = 9
+
+
+def exit_status(exc: BaseException) -> int:
+    """Map an error to its exit status (and the service's ``status``).
+
+    Order matters: :class:`ReplayDivergence` beats everything (a divergent
+    replay may surface any error class); :class:`AnalysisError` is checked
+    before :class:`Trap` because :class:`AnalysisAbort` subclasses both
+    and the *cause* is the analysis; :class:`ResourceExhausted` is a Trap
+    subclass and keeps its own status. The service statuses are disjoint
+    from the rest (:class:`ServiceError` subclasses only ``WasmError``);
+    :class:`ServiceUnavailable` stays a generic failure, as does any
+    exception that is not a ``WasmError``.
+    """
+    if isinstance(exc, BreakerOpen):
+        return EXIT_BREAKER_OPEN
+    if isinstance(exc, WorkerKilled):
+        return EXIT_WORKER_KILLED
+    if isinstance(exc, ReplayDivergence):
+        return EXIT_REPLAY_DIVERGENCE
+    if isinstance(exc, AnalysisError):
+        return EXIT_ANALYSIS_FAULT
+    if isinstance(exc, ResourceExhausted):
+        return EXIT_RESOURCE_EXHAUSTED
+    if isinstance(exc, Trap):
+        return EXIT_TRAP
+    if isinstance(exc, (DecodeError, ValidationError, EncodeError)):
+        return EXIT_MALFORMED
+    return EXIT_FAILURE
+
+
+def error_info(exc: BaseException) -> dict:
+    """An error as a record: class, message, and (when the error carries
+    them) the guest location, the faulting hook and the kill class."""
+    info = {"type": type(exc).__name__, "message": str(exc)}
+    location = getattr(exc, "location", None)
+    if location is not None:
+        info["location"] = str(location)
+    for key, attr in (("hook", "hook_name"), ("kill_class", "kill_class")):
+        value = getattr(exc, attr, None)
+        if value is not None:
+            info[key] = value
+    return info
+
+
+def error_response(exc: BaseException) -> dict:
+    """The service's answer to a failed request, with its exit status."""
+    response = {"ok": False, "status": exit_status(exc),
+                "error": error_info(exc)}
+    bundle = getattr(exc, "bundle", None)
+    if bundle:
+        response["bundle"] = bundle
+    return response

@@ -7,6 +7,9 @@ unreachable code) and a stack of control frames. The instrumenter in
 step-by-step to know the concrete types of polymorphic instructions
 (``drop``, ``select``) — the paper's §2.4.3 "full type checking during
 instrumentation".
+
+:func:`load_module` is the one way bytes become a module the engines run:
+decode, then validate.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import opcodes
+from .decoder import decode_module
 from .errors import ValidationError
 from .module import Function, Instr, Module
 from .types import (I32, MAX_PAGES, FuncType, GlobalType, Limits, MemoryType,
@@ -478,3 +482,16 @@ def validate_module(module: Module) -> None:
     global_types = module.global_types()
     for func in module.functions:
         validate_function(module, func, func_types, global_types)
+
+
+def load_module(data: bytes) -> Module:
+    """Decode ``data`` and validate the result.
+
+    Every entry point that runs or instruments a binary (``repro run``,
+    ``repro instrument``, ``repro replay``, the serve worker) loads it
+    here, so an invalid module fails with a :class:`ValidationError`
+    before any engine or the instrumenter sees it.
+    """
+    module = decode_module(data)
+    validate_module(module)
+    return module

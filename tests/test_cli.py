@@ -196,6 +196,21 @@ TRAP_WAT = """
 """
 
 
+#: Modules that decode but do not validate: an operand of the wrong type,
+#: an empty operand stack, a missing local, a branch past the outermost
+#: block, a call past the last function, and a function whose empty body
+#: leaves its i32 result missing. Each exports ``bad``.
+INVALID_WATS = {
+    "add_f64": '(module (func (export "bad") (result i32) '
+               'f64.const 1 i32.const 1 i32.add))',
+    "add_empty": '(module (func (export "bad") (result i32) i32.add))',
+    "local_5": '(module (func (export "bad") (result i32) local.get 5))',
+    "br_7": '(module (func (export "bad") br 7))',
+    "call_9": '(module (func (export "bad") call 9))',
+    "empty_body": '(module (func (export "bad") (result i32)))',
+}
+
+
 @pytest.fixture
 def trap_file(tmp_path):
     path = tmp_path / "boom.wasm"
@@ -229,10 +244,52 @@ class TestExitTaxonomy:
         assert code == EXIT_RESOURCE_EXHAUSTED
         assert "resource limit hit" in capsys.readouterr().err
 
-    def test_malformed_run_input_exits_5(self, tmp_path, capsys):
+    @pytest.mark.parametrize("verb", ["run", "run --analysis mix",
+                                      "instrument"])
+    @pytest.mark.parametrize("name", sorted(INVALID_WATS))
+    def test_malformed_run_input_exits_5(self, name, verb, tmp_path, capsys):
+        """Loading validates: an invalid module never reaches an engine or
+        the instrumenter, and the failure is one line, not a traceback."""
+        bad = tmp_path / "bad.wasm"
+        bad.write_bytes(encode_module(parse_wat(INVALID_WATS[name])))
+        command, *flags = verb.split()
+        argv = ([command, str(bad), "bad", *flags] if command == "run"
+                else [command, str(bad), "-o", str(tmp_path / "out.wasm")])
+        assert main(argv) == EXIT_MALFORMED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        line, = captured.err.splitlines()
+        assert line.startswith("repro: ValidationError: ")
+        assert not (tmp_path / "out.wasm").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "instrument", "objdump",
+                                      "stats"])
+    def test_non_wasm_input_exits_5(self, verb, tmp_path, capsys):
         bad = tmp_path / "bad.wasm"
         bad.write_bytes(b"not wasm at all")
-        assert main(["run", str(bad), "main"]) == EXIT_MALFORMED
+        argv = [verb, str(bad)] + (["main"] if verb == "run" else [])
+        assert main(argv) == EXIT_MALFORMED
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro: DecodeError: ")
+
+    def test_missing_input_exits_1(self, tmp_path, capsys):
+        assert main(["stats", str(tmp_path / "absent.wasm")]) == 1
+        line, = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro: ") and "absent.wasm" in line
+
+    def test_run_in_subprocess_prints_no_traceback(self, tmp_path):
+        bad = tmp_path / "bad.wasm"
+        bad.write_bytes(encode_module(parse_wat(INVALID_WATS["empty_body"])))
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(bad), "bad"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert run.returncode == EXIT_MALFORMED
+        assert run.stdout == ""
+        assert run.stderr.startswith("repro: ValidationError: ")
+        assert "Traceback" not in run.stderr
 
 
 class TestRecordReplay:

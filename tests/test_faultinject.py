@@ -21,6 +21,36 @@ from repro.wasm.leb128 import (decode_signed, decode_unsigned,
 from repro.wasm.types import I32, Limits
 
 
+class TestCliStage:
+    """The pipeline users run agrees with the fuzz pipeline: a mutant the
+    campaign rejects at ``validate`` is refused at load by ``repro run``
+    and ``repro instrument`` with exit status 5."""
+
+    def test_validate_rejects_exit_5_from_run_and_instrument(self, tmp_path,
+                                                             capsys):
+        from repro.cli import EXIT_MALFORMED, main
+        corpus = seed_corpus()
+        rejected: list[bytes] = []
+        index = 0
+        while len(rejected) < 100:
+            for name in sorted(corpus):
+                mutant = regenerate_mutant(4242, name, index, corpus)
+                if classify(mutant, execute=False).stage == "validate":
+                    rejected.append(mutant)
+            index += 1
+        path, out = tmp_path / "mutant.wasm", tmp_path / "out.wasm"
+        for mutant in rejected[:100]:
+            path.write_bytes(mutant)
+            assert main(["run", str(path), "main"]) == EXIT_MALFORMED
+            assert main(["instrument", str(path), "-o", str(out)]) \
+                == EXIT_MALFORMED
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 200
+        assert all(line.startswith("repro: ValidationError: ")
+                   for line in lines)
+
+
 class TestCampaign:
     def test_small_campaign_has_no_escapes(self):
         result = run_fuzz_campaign(FuzzConfig(mutants=300, seed=1234))

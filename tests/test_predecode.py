@@ -24,8 +24,7 @@ from repro.interp import (Machine, ResourceLimits, WasmFunction,
 from repro.interp.host import HostFunction, Linker
 from repro.interp.predecode import (OP_CALL_INDIRECT_IC, OP_CONST_BINARY,
                                     OP_GET2_LOCAL, OP_GET_LOCAL_BINARY,
-                                    OP_GET_LOCAL_CONST, OP_HOOK, OP_RAISE,
-                                    OP_SEGMENT)
+                                    OP_GET_LOCAL_CONST, OP_HOOK, OP_SEGMENT)
 from repro.minic import compile_source
 from repro.wasm import decode_module, encode_module
 from repro.wasm.builder import ModuleBuilder
@@ -235,30 +234,34 @@ class TestEngineDifferential:
 
 
 class TestDecodeDetails:
-    def test_malformed_instruction_fails_at_run_time(self):
+    def test_malformed_instruction_fails_at_instantiation(self):
         builder = ModuleBuilder("bad")
         fb = builder.function((), (I32,), name="bad", export="bad")
         fb.emit("i32.const", value=1)
         fb.finish()
         module = builder.build()
         module.functions[0].body.insert(1, Instr("i32.bogus_op"))
-        # instantiation succeeds on both engines...
-        for predecode in (False, True):
-            instance = Machine(predecode=predecode).instantiate(module)
-            # ...the error surfaces only when the bad instruction executes
-            with pytest.raises(WasmError):
-                instance.invoke("bad", [])
+        # the decoded engine refuses the module while decoding its bodies
+        with pytest.raises(WasmError, match="cannot execute i32.bogus_op"):
+            Machine(predecode=True).instantiate(module)
+        # the legacy loop keeps its run-time fallback for modules built in
+        # memory that never went through load_module
+        instance = Machine(predecode=False).instantiate(module)
+        with pytest.raises(WasmError, match="cannot execute i32.bogus_op"):
+            instance.invoke("bad", [])
 
-    def test_raise_placeholder_in_stream(self):
+    def test_missing_immediate_rejected_at_instantiation(self):
         builder = ModuleBuilder("bad")
-        fb = builder.function((), (), name="f")
+        fb = builder.function((), (), name="f", export="f")
         fb.emit("nop")
         fb.finish()
         module = builder.build()
-        module.functions[0].body.insert(0, Instr("i32.bogus_op"))
-        decoded = decode_function(module.functions[0], module)
-        assert decoded.code[0][0] == OP_RAISE
-        assert len(decoded.code) == len(module.functions[0].body)
+        module.functions[0].body.insert(0, Instr("i32.const"))  # no value
+        with pytest.raises(WasmError, match="cannot execute"):
+            decode_function(module.functions[0], module)
+        with pytest.raises(WasmError, match="cannot execute"):
+            Machine(predecode=True).instantiate(module)
+        assert getattr(module.functions[0], "_decoded", None) is None
 
     def test_superinstruction_fusion(self):
         module = compile_source("""
@@ -317,14 +320,14 @@ class TestPairFusion:
 #: executed stream must stay inside this set. Bare memory ops (decode
 #: installs their quickened twins) and bare ``call_indirect`` (every site
 #: becomes an inline cache) have no arm, and any id without one would fall
-#: through to the ``OP_RAISE`` arm.
+#: through to the final arm, which raises.
 EXECUTABLE = frozenset({
     pd.OP_GET_LOCAL, pd.OP_BINARY, pd.OP_CONST, pd.OP_SET_LOCAL, pd.OP_BR_IF,
     pd.OP_UNARY, pd.OP_TEE_LOCAL, pd.OP_BR, pd.OP_END, pd.OP_LOOP, pd.OP_IF,
     pd.OP_BLOCK, pd.OP_JUMP, pd.OP_CALL, pd.OP_RETURN, pd.OP_GET_GLOBAL,
     pd.OP_SET_GLOBAL, pd.OP_SELECT, pd.OP_DROP, pd.OP_BR_TABLE,
     pd.OP_MEMORY_SIZE, pd.OP_MEMORY_GROW, pd.OP_NOP, pd.OP_UNREACHABLE,
-    pd.OP_RAISE, pd.OP_GET_LOCAL_CONST, pd.OP_CONST_BINARY,
+    pd.OP_GET_LOCAL_CONST, pd.OP_CONST_BINARY,
     pd.OP_GET_LOCAL_BINARY, pd.OP_GET2_LOCAL, pd.OP_HOOK,
     pd.OP_QLOAD, pd.OP_QLOAD_MASK, pd.OP_QSTORE, pd.OP_QSTORE_MASK,
     pd.OP_CALL_INDIRECT_IC, pd.OP_SEGMENT,
@@ -567,7 +570,8 @@ class TestStreamSummary:
                                               for f in module.functions)
         assert summary["host_call_sites"] == 1
         assert summary["hook_sites"] == 0
-        assert summary["raising"] == 0
+        assert set(summary) == {"instructions", "hook_sites",
+                                "host_call_sites"}
 
     def test_instrumented_module_has_hook_sites(self):
         from repro.core import instrument_module
@@ -579,10 +583,13 @@ class TestStreamSummary:
         instrumented = instrument_module(module).module
         assert stream_summary(instrumented)["hook_sites"] > 0
 
-    def test_malformed_body_counts_raising(self):
+    def test_malformed_body_is_rejected(self):
         from repro.interp.predecode import stream_summary
         module = compile_source("""
             export func f() -> i32 { return 3; }
         """, "broken")
         module.functions[0].body.insert(0, Instr("i32.const"))  # no immediate
-        assert stream_summary(module)["raising"] == 1
+        with pytest.raises(WasmError, match="cannot execute"):
+            stream_summary(module)
+        with pytest.raises(WasmError, match="cannot execute"):
+            Machine(predecode=True).instantiate(module)

@@ -24,17 +24,25 @@ exit / flaky / raise) so every kill class is deterministic.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.cli import EXIT_BREAKER_OPEN, EXIT_WORKER_KILLED, exit_status, main
+from repro.cli import (EXIT_BREAKER_OPEN, EXIT_MALFORMED, EXIT_WORKER_KILLED,
+                       exit_status, main)
 from repro.serve import (ArtifactCache, ServeClient, ServeConfig, ServeDaemon,
                          WorkerPool, artifact_key, rss_monitoring_available)
 from repro.serve import wire
+from repro.serve.worker import RequestHandler
 from repro.wasm import (BreakerOpen, ServiceUnavailable, WorkerKilled,
                         encode_module, parse_wat)
+
+from .test_cli import INVALID_WATS
 
 SPIN_WAT = """
 (module
@@ -62,6 +70,14 @@ SPIN_WAT = """
 """
 
 HANG_WAT = '(module (func (export "forever") loop br 0 end))'
+
+#: A WASI guest that exits cleanly through ``proc_exit(0)``.
+EXIT0_WAT = """
+(module
+  (import "wasi_snapshot_preview1" "proc_exit" (func (param i32)))
+  (memory (export "memory") 1)
+  (func (export "main") (result i32) i32.const 0 call 0 i32.const 1))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +389,39 @@ class TestWarmStart:
             pool.close()
 
 
+class TestLoadAtServe:
+    """The worker loads (decodes and validates) before running or
+    instrumenting, through the code ``repro run`` uses."""
+
+    @pytest.mark.parametrize("name", sorted(INVALID_WATS))
+    def test_invalid_module_answers_status_5(self, name):
+        raw = encode_module(parse_wat(INVALID_WATS[name]))
+        handler = RequestHandler()
+        for request in ({"kind": "run", "module": raw, "entry": "bad"},
+                        {"kind": "run", "module": raw, "entry": "bad",
+                         "analysis": "mix"},
+                        {"kind": "instrument", "module": raw}):
+            response = handler.handle(request)
+            assert response["ok"] is False
+            assert response["status"] == EXIT_MALFORMED
+            assert response["error"]["type"] == "ValidationError"
+
+    def test_run_request_leaves_the_cli_unimported(self, spin_bytes):
+        script = ("import sys\n"
+                  "from repro.serve.worker import RequestHandler\n"
+                  "response = RequestHandler().handle({'kind': 'run',\n"
+                  "    'module': bytes.fromhex(sys.argv[1]),\n"
+                  "    'entry': 'spin', 'args': [10], 'analysis': 'mix'})\n"
+                  "assert response['ok'], response\n"
+                  "print('repro.cli' in sys.modules)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run([sys.executable, "-c", script, spin_bytes.hex()],
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "False\n"
+
+
 class TestServiceBundles:
     def test_kill_writes_replayable_service_bundle(self, tmp_path):
         from pathlib import Path
@@ -565,6 +614,34 @@ class TestServeCLI:
         assert main(["run", str(spin_file), "spin", "1",
                      "--serve", str(tmp_path / "gone.sock")]) == 1
         assert "cannot reach" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["graceful_exit", "fuel", "verbose"])
+    def test_served_run_prints_what_the_local_run_prints(
+            self, served, spin_file, tmp_path, capsys, case):
+        """One renderer: the same lines locally and with ``--serve``,
+        apart from the served-only pid line under ``-v``."""
+        if case == "graceful_exit":
+            path = tmp_path / "exit0.wasm"
+            path.write_bytes(encode_module(parse_wat(EXIT0_WAT)))
+            argv = ["run", str(path), "main"]
+        elif case == "fuel":
+            argv = ["run", str(spin_file), "spin", "100000", "--fuel", "50"]
+        else:
+            argv = ["run", str(spin_file), "spin", "100", "-v"]
+        local_status = main(argv)
+        local = capsys.readouterr()
+        served_status = main(argv + ["--serve", served])
+        remote = capsys.readouterr()
+        assert served_status == local_status
+        assert remote.out == local.out
+        pid_lines = [line for line in remote.err.splitlines()
+                     if line.startswith("repro: served by pid ")]
+        assert len(pid_lines) == (1 if case == "verbose" else 0)
+        assert [line for line in remote.err.splitlines()
+                if line not in pid_lines] == local.err.splitlines()
+        expected = {"graceful_exit": "main() = proc_exit(0)\n",
+                    "fuel": "", "verbose": "spin(100) = [4950]\n"}[case]
+        assert local.out == expected
 
     def test_record_refused_with_serve(self, served, spin_file, tmp_path,
                                        capsys):
