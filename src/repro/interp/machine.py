@@ -93,11 +93,12 @@ def _generic_hook_dispatcher(host: HostFunction, extra: tuple):
     """Per-site dispatcher that calls the hook's host function.
 
     Bound for hook imports without a site factory, for sites whose factory
-    raised, and for bare hook calls. Semantically identical to executing the original const/const/call
-    sequence: the pre-fused constants are appended to the popped value args
-    and the host function is called. Wasabi-generated dispatchers
-    (``is_wasabi_hook``) are void by construction; anything else keeps the
-    strict host-result check of the generic call path.
+    raised, and for bare hook calls. Semantically identical to executing
+    the original const/const/call sequence: the pre-fused constants are
+    appended to the popped value args and the host function is called.
+    Wasabi-generated dispatchers (``is_wasabi_hook``) are void by
+    construction; anything else keeps the strict host-result check of the
+    generic call path.
     """
     fn = host.fn
     if getattr(host, "is_wasabi_hook", False):
@@ -637,7 +638,10 @@ class Machine:
                             f"got {len(args)}")
         args = [_coerce(t, v) for t, v in zip(functype.params, args)]
 
-        if self._depth >= self.max_call_depth:
+        # the limit nests WebAssembly calls only: a host callee at the limit
+        # runs, as on the pre-decoded engine (_invoke_callee, OP_HOOK)
+        if self._depth >= self.max_call_depth and \
+                not isinstance(func, HostFunction):
             raise ExhaustionError("call stack exhausted")
         meter = self._meter
         if meter is not None and self._depth == 0:

@@ -10,14 +10,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cli import EXIT_TRAP, main
 from repro.core import Analysis, AnalysisSession
 from repro.interp import Linker, Machine, Memory, ResourceLimits
 from repro.interp.limits import Meter, ResourceUsage
 from repro.minic import compile_source
 from repro.wasm import (DeadlineExceeded, ExhaustionError, FuelExhausted,
-                        ResourceExhausted, Trap)
-from repro.wasm.builder import ModuleBuilder
-from repro.wasm.types import I32, Limits
+                        ResourceExhausted, Trap, encode_module)
+from repro.wasm.types import I32, FuncType, Limits
 
 ENGINES = [True, False]
 
@@ -46,6 +46,18 @@ def recurse_module():
             return down(n - 1) + 1;
         }
     """, "recurse")
+
+
+@pytest.fixture
+def deep_host_module():
+    """deep(n) calls an import, then recurses without bound."""
+    return compile_source("""
+        import func print_i32(x: i32);
+        export func deep(n: i32) -> i32 {
+            print_i32(n);
+            return deep(n + 1);
+        }
+    """, "deep")
 
 
 @pytest.fixture
@@ -162,6 +174,43 @@ class TestStackAndDepth:
         instance = machine.instantiate(recurse_module, Linker())
         instance.invoke("down", [25])
         assert machine.resource_usage().peak_depth == 26
+
+    def test_host_call_at_depth_limit_is_engine_consistent(self,
+                                                          deep_host_module):
+        """A host callee at the depth limit runs on both engines: the limit
+        nests WebAssembly calls only, so metering agrees."""
+        outcomes = []
+        for predecode in ENGINES:
+            calls = []
+            linker = Linker()
+            linker.define_function("env", "print_i32", FuncType((I32,), ()),
+                                   calls.append)
+            machine = Machine(predecode=predecode, limits=ResourceLimits(
+                fuel=10**6, max_call_depth=5))
+            instance = machine.instantiate(deep_host_module, linker)
+            with pytest.raises(ExhaustionError):
+                instance.invoke("deep", [0])
+            usage = machine.resource_usage()
+            outcomes.append((len(calls), usage.peak_depth, usage.fuel_spent))
+        # five Wasm frames, each making one host call one level deeper
+        assert outcomes == [(5, 6, 10), (5, 6, 10)]
+
+    @pytest.mark.parametrize("record_engine", ["predecode", "legacy"])
+    def test_depth_limit_bundle_replays_cross_engine(
+            self, deep_host_module, record_engine, tmp_path, monkeypatch,
+            capsys):
+        """A run that calls the host at the default depth limit, recorded
+        on one engine, replays on the other without diverging."""
+        wasm = tmp_path / "deep.wasm"
+        wasm.write_bytes(encode_module(deep_host_module))
+        bundle = tmp_path / "bundle"
+        monkeypatch.setenv("REPRO_PREDECODE",
+                           "1" if record_engine == "predecode" else "0")
+        assert main(["run", str(wasm), "deep", "0",
+                     "--record", str(bundle)]) == EXIT_TRAP
+        other = "legacy" if record_engine == "predecode" else "predecode"
+        assert main(["replay", str(bundle), "--engine", other]) == 0
+        assert "reproduced: ExhaustionError" in capsys.readouterr().out
 
     def test_max_value_stack(self, spin_module):
         # the spin loop keeps a tiny stack; a bound of 0 can only trip if
