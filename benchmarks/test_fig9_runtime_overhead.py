@@ -12,13 +12,11 @@ PolyBench pays more for `binary`/`local` than the diverse real-world code.
 
 from __future__ import annotations
 
-import json
 import statistics
 
 from repro.eval import (FIGURE_GROUPS, POLYBENCH_FAST_SUBSET, baseline_runtime,
                         instrumented_runtime, overhead_sweep,
                         polybench_workloads, realworld_workloads, render_fig9)
-from repro.eval.timing import bench_interpreter, interp_bench_payload
 from repro.workloads.polybench import kernel_names
 
 from conftest import full_run
@@ -80,44 +78,3 @@ def test_fig9(benchmark, write_report):
     instrumented = benchmark.pedantic(run_all, rounds=1, iterations=1)
     assert instrumented > base
 
-
-def test_interp_predecode_speedup(benchmark, results_dir):
-    """Tentpole perf floor: the quickened engine must stay ≥3× faster
-    (geomean) than the legacy string-dispatch loop on the Fig. 9 PolyBench
-    uninstrumented baseline, with no single workload below 1.8×. Records
-    the numbers — each with its dynamic opcode-class mix, so per-workload
-    regressions are diagnosable — as BENCH_interp.json.
-
-    This doubles as the CI bench-smoke benchmark: the pytest-benchmark
-    fixture times an uninstrumented gemm run on the quickened engine, and
-    the CI job puts a wall-clock ceiling on the whole invocation so a
-    catastrophic interpreter slowdown fails the build.
-    """
-    repeats = 5 if full_run() else 3
-    workloads = polybench_workloads(POLYBENCH_FAST_SUBSET)
-    payload = interp_bench_payload(bench_interpreter(workloads, repeats=repeats))
-
-    path = results_dir / "BENCH_interp.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    for entry in payload["workloads"]:
-        mix = ", ".join(f"{cls} {share:.0%}"
-                        for cls, share in
-                        list(entry["opcode_classes"].items())[:4])
-        print(f"{entry['name']:16s} legacy={entry['legacy_seconds']:.4f}s "
-              f"predecoded={entry['predecoded_seconds']:.4f}s "
-              f"speedup={entry['speedup']:.2f}x [{mix}]")
-    print(f"geomean speedup: {payload['geomean_speedup']:.2f}x "
-          f"[recorded in {path}]")
-
-    assert payload["geomean_speedup"] >= 3.0, (
-        f"quickened engine regressed below the 3x floor: "
-        f"{payload['geomean_speedup']:.2f}x geomean")
-    for entry in payload["workloads"]:
-        assert entry["speedup"] >= 1.8, (
-            f"{entry['name']} below the 1.8x per-workload floor: "
-            f"{entry['speedup']:.2f}x")
-    # the pytest-benchmark number: uninstrumented gemm, quickened engine
-    from repro.eval.timing import time_workload
-    gemm = polybench_workloads(["gemm"])[0]
-    benchmark.pedantic(lambda: time_workload(gemm, repeats=1, predecode=True),
-                       rounds=1, iterations=1)

@@ -7,8 +7,10 @@ Two claims are pinned here:
    run: the :func:`~repro.wasi.module_imports_wasi` scan that decides
    whether to build a host context at all. The interpreter loops are
    untouched. The scan is timed directly (timeit, best-of) and expressed
-   as a fraction of the *fastest* Figure 9 kernel run — a deliberately
-   pessimistic denominator. Floor: <= 2%.
+   as a fraction of the *fastest* Figure 9 kernel run on the default
+   engine, timed by :func:`~repro.eval.timing.bench_engines` as in
+   ``BENCH_engine.json`` — a deliberately pessimistic denominator.
+   Floor: <= 2%.
 
 2. **The armed fault plane is cheap at the boundary.** Running the
    ``wasi_io`` kernels with a seeded :class:`~repro.wasi.FaultPlane` at
@@ -25,7 +27,7 @@ import statistics
 import time
 import timeit
 
-from repro.eval import POLYBENCH_FAST_SUBSET, polybench_workloads
+from repro.eval import POLYBENCH_FAST_SUBSET, bench_engines, polybench_workloads
 from repro.interp import Machine
 from repro.interp.host import Linker
 from repro.wasi import FaultPlane, WasiContext, module_imports_wasi
@@ -46,18 +48,6 @@ def _detect_cost_seconds(modules) -> float:
 
     total = min(timeit.repeat(scan, number=n, repeat=5)) / n
     return total / len(modules)
-
-
-def _time_plain_run(workload, repeats) -> float:
-    best = float("inf")
-    module = workload.module()
-    for _ in range(repeats):
-        machine = Machine()
-        instance = machine.instantiate(module, workload.linker())
-        start = time.perf_counter()
-        instance.invoke(workload.entry, workload.args)
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _time_wasi_run(name, repeats, faults=None):
@@ -87,8 +77,8 @@ def test_wasi_overhead(benchmark, results_dir):
 
     # (1) the disabled path: one detection scan per non-WASI run
     detect_s = _detect_cost_seconds([w.module() for w in workloads])
-    plain = {w.name: _time_plain_run(w, 3) for w in workloads}
-    fastest = min(plain.values())
+    fastest = min(b.seconds["default"]
+                  for b in bench_engines(workloads, {}, repeats=3))
     disabled_overhead = detect_s / fastest
 
     # (2) the syscall path, unarmed vs armed-but-silent fault plane

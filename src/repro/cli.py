@@ -573,8 +573,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     --coverage, --corpus-dir, --time-budget and --supervise scale it up
     (sharding, corpus evolution, signature dedup + auto-reduced bundles).
     --reduce additionally shrinks every escape bundle written under
-    --save-failures. Exits EXIT_FAILURE on escapes per the unified 0..7
-    taxonomy.
+    --save-failures. Exits EXIT_FAILURE on escapes per the exit-status
+    taxonomy (0–9, repro.wasm.errors).
     """
     from .eval.fuzz import FuzzConfig, fold_into_telemetry, run_fuzz_campaign
 

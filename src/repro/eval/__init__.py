@@ -23,26 +23,24 @@ from .overhead import (OverheadReport, baseline_runtime, instrumented_runtime,
                        overhead_sweep)
 from .report import render_fig8, render_fig9, render_table, render_table5
 from .sizes import SizeReport, measure_size, size_sweep
-from .timing import (InterpBenchReport, TimingReport, bench_interpreter,
-                     geomean_speedup, instrument_binary, interp_bench_payload,
-                     time_instrumentation, time_workload)
+from .timing import (EngineBench, TimingReport, bench_engines,
+                     instrument_binary, time_instrumentation)
 from .workloads import (POLYBENCH_FAST_SUBSET, Workload, default_workloads,
                         polybench_workloads, realworld_workloads)
 
 __all__ = [
     "CORPUS_SCHEMA", "Classification",
     "CorpusState", "CoverageCollector", "CoverageMap",
-    "DEFAULT_COVERAGE_MODULES", "FIGURE_GROUPS", "Failure",
-    "FaithfulnessResult", "FuzzConfig", "FuzzResult", "InterpBenchReport",
+    "DEFAULT_COVERAGE_MODULES", "EngineBench", "FIGURE_GROUPS", "Failure",
+    "FaithfulnessResult", "FuzzConfig", "FuzzResult",
     "MUTATOR_VERSION",
     "OverheadReport", "POLYBENCH_FAST_SUBSET", "Reduction", "SizeReport",
     "TimingReport",
-    "Workload", "baseline_runtime", "bench_interpreter", "bench_payload",
+    "Workload", "baseline_runtime", "bench_engines", "bench_payload",
     "check_workload",
     "classify", "collect_edges", "default_workloads", "fold_into_telemetry",
-    "geomean_speedup",
     "instrument_binary",
-    "instrumented_runtime", "interp_bench_payload", "load_corpus_entries",
+    "instrumented_runtime", "load_corpus_entries",
     "make_full_analysis",
     "make_group_analysis", "measure_size", "mutant_rng", "mutate",
     "overhead_sweep",
@@ -53,5 +51,5 @@ __all__ = [
     "run_fuzz_campaign", "run_instrumented",
     "run_original", "save_failure_bundle",
     "save_signature_bundle", "seed_corpus", "signature_key",
-    "size_sweep", "time_instrumentation", "time_workload",
+    "size_sweep", "time_instrumentation",
 ]

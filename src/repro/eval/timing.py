@@ -4,9 +4,9 @@ Measures the full binary→binary pipeline: decode the ``.wasm`` bytes,
 instrument for all hooks, re-encode — the same work Wasabi's CLI does.
 Reports mean ± stddev over repetitions, and throughput in MB/s.
 
-Also times the two interpreter engines against each other (the legacy
-string-dispatch loop vs. the pre-decoded threaded loop), which backs the
-``BENCH_interp.json`` artifact the CI perf floor is anchored to.
+Also times engine configurations (the legacy loop, metering, telemetry,
+recording) against the default quickened engine, interleaved round by
+round, which backs ``BENCH_engine.json`` and the CI floors read from it.
 
 All timing funnels through :func:`repro.obs.spans.measure`, so every
 measured repeat is a span over one injected clock: pass ``clock=`` for
@@ -16,7 +16,6 @@ aggregated report (the exporters then render them like any pipeline trace).
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 from typing import Callable
@@ -67,107 +66,79 @@ def time_instrumentation(name: str, module: Module, repeats: int = 5,
         repeats=repeats)
 
 
-# -- interpreter engine timing (predecoded vs. legacy dispatch) ---------------
+# -- engine configurations, timed interleaved ---------------------------------
+
+#: Builds a fresh machine for one timed run. Returns it with a reader of the
+#: guarded events that run charged, or None when the configuration counts none.
+MachineFactory = Callable[[], "tuple[Machine, Callable[[], int] | None]"]
 
 
 @dataclass
-class InterpBenchReport:
-    """One workload timed on both interpreter engines: the legacy
-    string-dispatch loop and the quickened predecoded engine.
-    ``opcode_classes`` carries the workload's *dynamic* opcode-class mix so
+class EngineBench:
+    """One workload timed on the default engine and on each configuration.
+
+    ``seconds`` (best invoke time) is keyed by configuration, ``"default"``
+    included; ``events`` holds the counts of the configurations that report
+    one. ``opcode_classes`` is the workload's *dynamic* opcode-class mix, so
     per-workload ratios are diagnosable.
     """
 
     name: str
-    legacy_seconds: float
-    predecoded_seconds: float
-    repeats: int
+    seconds: dict[str, float]
+    events: dict[str, int]
     opcode_classes: dict[str, float]
 
-    @property
-    def speedup(self) -> float:
-        """Legacy loop time over predecoded-engine time."""
-        if self.predecoded_seconds == 0:
-            return float("inf")
-        return self.legacy_seconds / self.predecoded_seconds
+    def ratio(self, config: str) -> float:
+        """The configuration's best time over the default engine's."""
+        return self.seconds[config] / self.seconds["default"]
 
 
-def time_workload(workload: Workload, repeats: int = 3,
-                  predecode: bool | None = None,
+def bench_engines(workloads: list[Workload],
+                  configs: dict[str, MachineFactory], repeats: int = 3,
                   clock: Callable[[], float] | None = None,
-                  tracer: Tracer | None = None) -> float:
-    """Best-of-``repeats`` uninstrumented runtime on the chosen engine.
+                  tracer: Tracer | None = None) -> list[EngineBench]:
+    """Best-of-``repeats`` invoke time of every workload on the default
+    (quickened) engine and on each configuration, interleaved.
 
-    Instantiates fresh per repeat (memory/globals reset) but times only the
-    invoke, so decode cost is excluded — matching how the overhead sweep
-    times its baseline. Each repeat is one ``workload_invoke`` span.
+    Each workload's module is built once. Every repeat runs the default
+    engine and then each configuration once, on a fresh instance (memory
+    and globals reset), so both sides of every ratio come from the same
+    rounds. Only the invoke is timed: one ``workload_invoke`` span per run,
+    tagged with the workload and the configuration.
     """
     if tracer is None:
         tracer = Tracer(clock=clock) if clock is not None else Tracer()
-    module = workload.module()
-    best = float("inf")
-    engine = "legacy" if predecode is not None and not predecode else "predecode"
-    for _ in range(repeats):
-        machine = Machine(predecode=predecode)
-        instance = machine.instantiate(module, workload.linker())
-        elapsed, = measure(
-            lambda: instance.invoke(workload.entry, workload.args), 1,
-            name="workload_invoke", tracer=tracer,
-            attrs={"workload": workload.name, "engine": engine})
-        best = min(best, elapsed)
-    return best
+    factories = {"default": lambda: (Machine(predecode=True), None), **configs}
+    benches = []
+    for workload in workloads:
+        module = workload.module()
+        seconds = dict.fromkeys(factories, float("inf"))
+        events: dict[str, int] = {}
+        for _ in range(repeats):
+            for config, factory in factories.items():
+                machine, count = factory()
+                instance = machine.instantiate(module, workload.linker())
+                elapsed, = measure(
+                    lambda: instance.invoke(workload.entry, workload.args), 1,
+                    name="workload_invoke", tracer=tracer,
+                    attrs={"workload": workload.name, "config": config})
+                seconds[config] = min(seconds[config], elapsed)
+                if count is not None:
+                    events[config] = count()
+        benches.append(EngineBench(workload.name, seconds, events,
+                                   _opcode_class_mix(workload, module)))
+    return benches
 
 
-def opcode_class_mix(workload: Workload) -> dict[str, float]:
+def _opcode_class_mix(workload: Workload, module: Module) -> dict[str, float]:
     """``{class: share_of_executed_instructions}`` of one profiled run,
     descending — a memory-heavy mix explains a memory-bound ratio."""
     telemetry = Telemetry(profile=True)
     instance = Machine(predecode=True, telemetry=telemetry).instantiate(
-        workload.module(), workload.linker())
+        module, workload.linker())
     instance.invoke(workload.entry, workload.args)
     profiler = telemetry.profiler
     total = profiler.total_instructions or 1
     return {cls: count / total
             for cls, count in sorted(profiler.opcode_class_counts().items(),
                                      key=lambda kv: (-kv[1], kv[0]))}
-
-
-def bench_interpreter(workloads: list[Workload], repeats: int = 3,
-                      clock: Callable[[], float] | None = None,
-                      tracer: Tracer | None = None
-                      ) -> list[InterpBenchReport]:
-    """Time every workload on both engines, with its opcode-class mix."""
-    reports = []
-    for workload in workloads:
-        legacy = time_workload(workload, repeats, predecode=False,
-                               clock=clock, tracer=tracer)
-        predecoded = time_workload(workload, repeats, predecode=True,
-                                   clock=clock, tracer=tracer)
-        reports.append(InterpBenchReport(workload.name, legacy, predecoded,
-                                         repeats, opcode_class_mix(workload)))
-    return reports
-
-
-def geomean_speedup(reports: list[InterpBenchReport]) -> float:
-    if not reports:
-        return 1.0
-    return math.exp(sum(math.log(r.speedup) for r in reports) / len(reports))
-
-
-def interp_bench_payload(reports: list[InterpBenchReport]) -> dict:
-    """The JSON payload recorded as ``BENCH_interp.json``; the headline is
-    ``geomean_speedup`` (legacy over predecoded)."""
-    return {
-        "workloads": [
-            {
-                "name": r.name,
-                "legacy_seconds": r.legacy_seconds,
-                "predecoded_seconds": r.predecoded_seconds,
-                "speedup": r.speedup,
-                "opcode_classes": r.opcode_classes,
-                "repeats": r.repeats,
-            }
-            for r in reports
-        ],
-        "geomean_speedup": geomean_speedup(reports),
-    }

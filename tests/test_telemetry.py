@@ -527,44 +527,31 @@ class TestEvalTelemetry:
         names = {s.name for s in tracer.spans}
         assert names == {"baseline_invoke", "instrumented_invoke"}
 
-    def test_time_workload_records_spans(self, spin_module):
-        from repro.eval.timing import time_workload
+    def test_bench_engines_interleaves_under_fake_clock(self, spin_module):
+        from repro.eval.timing import bench_engines
         from repro.eval.workloads import Workload
+        from repro.interp import Machine
         workload = Workload(name="spin", group="test",
                             module_fn=lambda: spin_module, entry="spin",
                             args=(10,), needs_print=False)
+        configs = {"a": lambda: (Machine(predecode=False), lambda: 7),
+                   "b": lambda: (Machine(predecode=True), None)}
         tracer = Tracer(clock=fake_clock())
-        best = time_workload(workload, repeats=3, tracer=tracer)
-        assert best == pytest.approx(1e-3)
+        (bench,) = bench_engines([workload], configs, repeats=2,
+                                 tracer=tracer)
+        # every configuration's best run is exactly one fake-clock step
+        assert bench.seconds == pytest.approx(
+            {"default": 1e-3, "a": 1e-3, "b": 1e-3})
+        assert bench.ratio("a") == pytest.approx(1.0)
+        # event counts are what each factory's reader reports
+        assert bench.events == {"a": 7}
+        # one span per run, interleaved within every repeat
         spans = [s for s in tracer.spans if s.name == "workload_invoke"]
-        assert len(spans) == 3
-        assert spans[0].attrs["workload"] == "spin"
-
-    def test_interp_bench_payload_under_fake_clock(self, spin_module):
-        from repro.eval.timing import (bench_interpreter,
-                                       interp_bench_payload, opcode_class_mix)
-        from repro.eval.workloads import Workload
-        workload = Workload(name="spin", group="test",
-                            module_fn=lambda: spin_module, entry="spin",
-                            args=(10,), needs_print=False)
-        tracer = Tracer(clock=fake_clock())
-        reports = bench_interpreter([workload], repeats=2, clock=fake_clock(),
-                                    tracer=tracer)
-        payload = interp_bench_payload(reports)
-        (row,) = payload["workloads"]
-        # one column per engine; the speedup is legacy over predecoded
-        assert set(row) == {"name", "legacy_seconds", "predecoded_seconds",
-                            "speedup", "opcode_classes", "repeats"}
-        assert row["legacy_seconds"] == pytest.approx(1e-3)
-        assert row["predecoded_seconds"] == pytest.approx(1e-3)
-        assert row["speedup"] == pytest.approx(1.0)
-        assert payload["geomean_speedup"] == pytest.approx(1.0)
-        assert {s.attrs["engine"] for s in tracer.spans
-                if s.name == "workload_invoke"} == {"legacy", "predecode"}
+        assert [s.attrs["config"] for s in spans] == ["default", "a", "b"] * 2
+        assert {s.attrs["workload"] for s in spans} == {"spin"}
         # the opcode-class mix of one profiled run: shares of every executed
         # instruction, largest first
-        mix = row["opcode_classes"]
-        assert mix == opcode_class_mix(workload)
+        mix = bench.opcode_classes
         assert sum(mix.values()) == pytest.approx(1.0)
         shares = list(mix.values())
         assert shares == sorted(shares, reverse=True)
