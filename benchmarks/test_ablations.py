@@ -11,11 +11,12 @@
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from repro.core import eager_hook_count, instrument_module
 from repro.core.instrument import InstrumentationConfig
-from repro.eval import (baseline_runtime, instrumented_runtime,
-                        polybench_workloads, render_table)
+from repro.eval import (analysis_config, bench_engines, make_full_analysis,
+                        make_group_analysis, polybench_workloads, render_table)
 from repro.wasm.encoder import encode_module
 from repro.workloads import engine_demo
 from repro.workloads.polybench import compile_kernel
@@ -26,26 +27,24 @@ def test_ablation_selective_instrumentation(benchmark, write_report):
     module = workload.module()
     original_size = len(encode_module(module))
 
+    analyses = {
+        "call only (call-graph analysis)": partial(make_group_analysis, "call"),
+        "begin only (block profiling)": partial(make_group_analysis, "begin"),
+        "load+store (memory tracing)": partial(make_group_analysis, "load",
+                                               "store"),
+        "binary only (cryptominer)": partial(make_group_analysis, "binary"),
+        "all hooks": make_full_analysis,
+    }
+    (bench,) = bench_engines(
+        [workload], {label: analysis_config(make)
+                     for label, make in analyses.items()}, repeats=5)
     rows = []
-    base = baseline_runtime(workload, repeats=2)
-    for label, groups in [("call only (call-graph analysis)", {"call"}),
-                          ("begin only (block profiling)", {"begin"}),
-                          ("load+store (memory tracing)", {"load", "store"}),
-                          ("binary only (cryptominer)", {"binary"}),
-                          ("all hooks", None)]:
-        config_name = "all" if groups is None else "+".join(sorted(groups))
-        result = instrument_module(module, groups=groups)
+    for label, make in analyses.items():
+        result = instrument_module(module, groups=make().used_groups())
         size = len(encode_module(result.module))
-        if groups is None:
-            runtime = instrumented_runtime(workload, "all", repeats=2)
-        else:
-            runtime = None
-            for group in groups:
-                t = instrumented_runtime(workload, group, repeats=2)
-                runtime = t if runtime is None else max(runtime, t)
         rows.append([label,
                      f"{100 * (size - original_size) / original_size:+.0f}%",
-                     f"{runtime / base:.2f}x", result.hook_count])
+                     f"{bench.ratio(label):.2f}x", result.hook_count])
     report = render_table(
         ["Configuration", "Size delta", "Relative runtime", "Hooks"],
         rows, title="Ablation: selective vs full instrumentation (trisolv)")

@@ -2,63 +2,50 @@
 
 The paper's Figure 9 measures instrumentation overhead with empty
 analyses; a natural follow-up question for adopters is what the shipped
-analyses cost end-to-end. This benchmark runs each Table-4 analysis on one
-PolyBench kernel and reports relative runtimes, ordered by the hooks they
-subscribe to (selective instrumentation at work: the begin-only profiler
-is far cheaper than the all-hooks taint analysis).
+analyses cost end-to-end. This benchmark times each Table-4 analysis on one
+PolyBench kernel, every run paired with an uninstrumented run of its own
+(:func:`repro.eval.timing.bench_engines`), and reports the median pair
+ratios, ordered by the hooks they subscribe to (selective instrumentation
+at work: the begin-only profiler is far cheaper than the all-hooks taint
+analysis).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.analyses import (BasicBlockProfiler, BranchCoverage,
                             CallGraphAnalysis, CryptominerDetector,
                             InstructionCoverage, InstructionMixAnalysis,
                             MemoryTracer, TaintAnalysis)
-from repro.core import AnalysisSession
-from repro.eval import baseline_runtime, polybench_workloads, render_table
+from repro.eval import (analysis_config, bench_engines, polybench_workloads,
+                        render_table)
+
+ANALYSES = {
+    "Basic block profiling": BasicBlockProfiler,
+    "Call graph": CallGraphAnalysis,
+    "Memory tracing": MemoryTracer,
+    "Cryptominer detection": CryptominerDetector,
+    "Branch coverage": BranchCoverage,
+    "Instruction coverage": InstructionCoverage,
+    "Instruction mix": InstructionMixAnalysis,
+    "Taint analysis": TaintAnalysis,
+}
 
 
 def test_real_analyses_overhead(benchmark, write_report):
-    workload = polybench_workloads(["trisolv"])[0]
-    base = baseline_runtime(workload, repeats=2)
-
-    def timed(analysis_factory) -> float:
-        best = float("inf")
-        for _ in range(2):
-            analysis = analysis_factory()
-            session = AnalysisSession(workload.module(), analysis,
-                                      linker=workload.linker())
-            start = time.perf_counter()
-            session.invoke(workload.entry, workload.args)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    analyses = [
-        ("Basic block profiling", BasicBlockProfiler),
-        ("Call graph", CallGraphAnalysis),
-        ("Memory tracing", MemoryTracer),
-        ("Cryptominer detection", CryptominerDetector),
-        ("Branch coverage", BranchCoverage),
-        ("Instruction coverage", InstructionCoverage),
-        ("Instruction mix", InstructionMixAnalysis),
-        ("Taint analysis", TaintAnalysis),
-    ]
-    rows = []
-    measured = {}
-    for name, factory in analyses:
-        elapsed = timed(factory)
-        measured[name] = elapsed / base
-        rows.append([name, f"{elapsed / base:.2f}x"])
+    workloads = polybench_workloads(["trisolv"])
+    configs = {name: analysis_config(cls) for name, cls in ANALYSES.items()}
+    (bench,) = bench_engines(workloads, configs, repeats=5)
+    rows = [[name, f"{bench.ratio(name):.2f}x"] for name in ANALYSES]
     report = render_table(["Analysis", "Relative runtime (trisolv)"], rows,
                           title="Extension: real Table-4 analyses, end-to-end")
     write_report("analyses_overhead", report)
 
     # selective instrumentation: narrow analyses are much cheaper than
     # the all-hooks ones
-    assert measured["Basic block profiling"] < measured["Instruction mix"]
-    assert measured["Call graph"] < measured["Taint analysis"]
+    assert bench.ratio("Basic block profiling") < bench.ratio("Instruction mix")
+    assert bench.ratio("Call graph") < bench.ratio("Taint analysis")
 
-    benchmark.pedantic(lambda: timed(BasicBlockProfiler), rounds=1,
-                       iterations=1)
+    benchmark.pedantic(
+        lambda: bench_engines(
+            workloads, {"bb": configs["Basic block profiling"]}, repeats=1),
+        rounds=1, iterations=1)

@@ -1,9 +1,9 @@
 """Engine configurations against the default engine, from one table.
 
 :func:`repro.eval.timing.bench_engines` times the Figure 9 PolyBench fast
-subset on the default quickened engine and on each configuration below,
-interleaved: every repeat runs each of them once, so both sides of every
-ratio come from the same rounds. Every floor is asserted from that table:
+subset on each configuration below, every run paired with a default-engine
+run of its own; a ratio is the median of its pair ratios. Every floor is
+asserted from that table:
 
 1. **The quickened engine pays.** The legacy loop is at least 3x slower
    than the default engine (geomean), and at least 1.8x on every kernel.
@@ -29,7 +29,8 @@ import timeit
 
 import pytest
 
-from repro.eval import POLYBENCH_FAST_SUBSET, bench_engines, polybench_workloads
+from repro.eval import (POLYBENCH_FAST_SUBSET, bench_engines, engine_config,
+                        polybench_workloads)
 from repro.interp import (Machine, Recorder, Replayer, ResourceLimits,
                           replay_linker)
 from repro.obs import Telemetry
@@ -41,27 +42,30 @@ from conftest import full_run
 GENEROUS = ResourceLimits(fuel=10**12, deadline_seconds=3600.0)
 
 
-def _metered():
+def _metered(module, linker):
     machine = Machine(predecode=True, limits=GENEROUS)
-    return machine, lambda: machine.resource_usage().fuel_spent
+    return (machine.instantiate(module, linker),
+            lambda: machine.resource_usage().fuel_spent)
 
 
 def _telemetry(profile: bool):
-    def factory():
+    def factory(module, linker):
         tele = Telemetry(profile=profile)
-        return (Machine(predecode=True, telemetry=tele),
+        machine = Machine(predecode=True, telemetry=tele)
+        return (machine.instantiate(module, linker),
                 lambda: tele.n_calls + tele.n_branches + tele.n_mem_grow)
     return factory
 
 
-def _recording():
+def _recording(module, linker):
     recorder = Recorder()
-    return (Machine(predecode=True, replay=recorder),
+    machine = Machine(predecode=True, replay=recorder)
+    return (machine.instantiate(module, linker),
             lambda: sum(e["kind"] == "host_call" for e in recorder.entries))
 
 
 CONFIGS = {
-    "legacy": lambda: (Machine(predecode=False), None),
+    "legacy": engine_config(predecode=False),
     "metered": _metered,
     "counted": _telemetry(profile=False),
     "profiled": _telemetry(profile=True),
@@ -90,6 +94,7 @@ def test_engine_configurations(benchmark, results_dir):
         "name": b.name,
         "seconds": b.seconds,
         "ratio": {c: b.ratio(c) for c in CONFIGS},
+        "pair_ratios": b.ratios,
         "events": b.events,
         "disabled_overhead": {c: b.events[c] * guard_s / b.seconds["default"]
                               for c in GUARDED},

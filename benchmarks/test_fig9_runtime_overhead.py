@@ -1,9 +1,11 @@
 """Figure 9: runtime overhead per instrumented hook group (RQ5).
 
-Runs each workload uninstrumented and under each selective configuration
-(plus 'all') with an empty analysis attached, reporting relative runtimes.
-By default a representative PolyBench subset keeps the sweep to a few
-minutes (REPRO_FULL=1 runs all 30 kernels, as the paper does).
+Times each workload under each selective configuration (plus 'all') with
+an empty analysis attached, every run paired with an uninstrumented run of
+its own (:func:`repro.eval.timing.bench_engines`), and reports the median
+pair ratios. By default a representative PolyBench subset and 3 repeats
+keep the sweep to about a minute (REPRO_FULL=1 runs all 30 kernels, as the
+paper does, with 5 repeats).
 
 Paper-shape expectations checked below: rare hooks ≈ 1.0x; call/return
 moderate; const/local/binary expensive; 'all' the most expensive; numeric
@@ -14,67 +16,55 @@ from __future__ import annotations
 
 import statistics
 
-from repro.eval import (FIGURE_GROUPS, POLYBENCH_FAST_SUBSET, baseline_runtime,
-                        instrumented_runtime, overhead_sweep,
-                        polybench_workloads, realworld_workloads, render_fig9)
+from repro.eval import (FIGURE_GROUPS, POLYBENCH_FAST_SUBSET, bench_engines,
+                        figure_configs, polybench_workloads,
+                        realworld_workloads, render_fig9)
 from repro.workloads.polybench import kernel_names
 
 from conftest import full_run
 
 
-def _geomean_for(reports, config):
-    values = [r.relative_runtime for r in reports if r.config == config]
-    return statistics.geometric_mean(values)
+def _geomean_for(benches, config):
+    return statistics.geometric_mean(b.ratio(config) for b in benches)
 
 
 def test_fig9(benchmark, write_report):
     if full_run():
-        poly_names = kernel_names()
-        repeats = 3
+        poly_names, repeats = kernel_names(), 5
     else:
-        poly_names = POLYBENCH_FAST_SUBSET
-        repeats = 1
-    configs = FIGURE_GROUPS
+        poly_names, repeats = POLYBENCH_FAST_SUBSET, 3
+    configs = figure_configs()
 
-    poly_reports = []
-    for workload in polybench_workloads(poly_names):
-        poly_reports.extend(overhead_sweep(workload, configs, repeats=repeats))
-    pdf_workload, engine_workload = realworld_workloads(rounds=6)
-    pdf_reports = overhead_sweep(pdf_workload, configs, repeats=repeats)
-    engine_reports = overhead_sweep(engine_workload, configs, repeats=repeats)
-
+    poly = bench_engines(polybench_workloads(poly_names), configs,
+                         repeats=repeats)
+    pdf, engine = bench_engines(realworld_workloads(rounds=6), configs,
+                                repeats=repeats)
     series = {
-        f"PolyBench ({len(poly_names)})": poly_reports,
-        "PSPDFKit~": pdf_reports,
-        "UnrealEngine~": engine_reports,
+        f"PolyBench ({len(poly_names)})": poly,
+        "PSPDFKit~": [pdf],
+        "UnrealEngine~": [engine],
     }
-    write_report("fig9_runtime_overhead",
-                 render_fig9(series, configs + ["all"]))
+    write_report("fig9_runtime_overhead", render_fig9(series, list(configs)))
 
     # paper-shape assertions (geomean over the PolyBench subset):
     # (1) hooks for instructions that rarely/never execute cost ~nothing
     for cheap in ["nop", "unreachable", "memory_size", "memory_grow"]:
-        assert _geomean_for(poly_reports, cheap) < 1.3
+        assert _geomean_for(poly, cheap) < 1.3
     # (2) the expensive hooks of the paper are the expensive hooks here
-    assert _geomean_for(poly_reports, "binary") > 1.5
-    assert _geomean_for(poly_reports, "local") > 1.5
-    assert _geomean_for(poly_reports, "const") > 1.2
+    assert _geomean_for(poly, "binary") > 1.5
+    assert _geomean_for(poly, "local") > 1.5
+    assert _geomean_for(poly, "const") > 1.2
     # (3) 'all' dominates every single group
-    all_overhead = _geomean_for(poly_reports, "all")
-    for config in configs:
-        assert all_overhead >= _geomean_for(poly_reports, config) * 0.9
+    all_overhead = _geomean_for(poly, "all")
+    for config in FIGURE_GROUPS:
+        assert all_overhead >= _geomean_for(poly, config) * 0.9
     assert all_overhead > 3.0
     # (4) numeric PolyBench pays more for `binary` than the diverse code
-    assert _geomean_for(poly_reports, "binary") >= \
-        _geomean_for(engine_reports, "binary") * 0.8
+    assert _geomean_for(poly, "binary") >= engine.ratio("binary") * 0.8
 
-    # the pytest-benchmark number: 'all'-instrumented gemm iteration
-    gemm = polybench_workloads(["gemm"])[0]
-    base = baseline_runtime(gemm, repeats=1)
-
-    def run_all():
-        return instrumented_runtime(gemm, "all", repeats=1)
-
-    instrumented = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    assert instrumented > base
-
+    # the pytest-benchmark number: one 'all'-instrumented gemm pair
+    gemm = polybench_workloads(["gemm"])
+    (bench,) = benchmark.pedantic(
+        lambda: bench_engines(gemm, {"all": configs["all"]}, repeats=1),
+        rounds=1, iterations=1)
+    assert bench.ratio("all") > 1

@@ -17,13 +17,11 @@ from .fuzz import (CORPUS_SCHEMA, MUTATOR_VERSION, CorpusState, FuzzConfig,
                    save_signature_bundle, signature_key)
 from .reduce import (Reduction, reduce_bundle, reduce_bytes, reduce_failure,
                      reduce_invocations)
-from .hooks_matrix import (FIGURE_GROUPS, make_full_analysis,
-                           make_group_analysis)
-from .overhead import (OverheadReport, baseline_runtime, instrumented_runtime,
-                       overhead_sweep)
+from .hooks_matrix import (FIGURE_GROUPS, analysis_config, figure_configs,
+                           make_full_analysis, make_group_analysis)
 from .report import render_fig8, render_fig9, render_table, render_table5
 from .sizes import SizeReport, measure_size, size_sweep
-from .timing import (EngineBench, TimingReport, bench_engines,
+from .timing import (EngineBench, TimingReport, bench_engines, engine_config,
                      instrument_binary, time_instrumentation)
 from .workloads import (POLYBENCH_FAST_SUBSET, Workload, default_workloads,
                         polybench_workloads, realworld_workloads)
@@ -34,16 +32,15 @@ __all__ = [
     "DEFAULT_COVERAGE_MODULES", "EngineBench", "FIGURE_GROUPS", "Failure",
     "FaithfulnessResult", "FuzzConfig", "FuzzResult",
     "MUTATOR_VERSION",
-    "OverheadReport", "POLYBENCH_FAST_SUBSET", "Reduction", "SizeReport",
+    "POLYBENCH_FAST_SUBSET", "Reduction", "SizeReport",
     "TimingReport",
-    "Workload", "baseline_runtime", "bench_engines", "bench_payload",
+    "Workload", "analysis_config", "bench_engines", "bench_payload",
     "check_workload",
-    "classify", "collect_edges", "default_workloads", "fold_into_telemetry",
-    "instrument_binary",
-    "instrumented_runtime", "load_corpus_entries",
+    "classify", "collect_edges", "default_workloads", "engine_config",
+    "figure_configs", "fold_into_telemetry",
+    "instrument_binary", "load_corpus_entries",
     "make_full_analysis",
     "make_group_analysis", "measure_size", "mutant_rng", "mutate",
-    "overhead_sweep",
     "polybench_workloads", "realworld_workloads", "reduce_bundle",
     "reduce_bytes", "reduce_failure", "reduce_invocations",
     "regenerate_mutant", "render_fig8",

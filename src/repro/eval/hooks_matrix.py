@@ -4,12 +4,20 @@ The paper's RQ4/RQ5 instrument each program once per hook group (selective
 instrumentation) and once for all hooks. The helpers below build "empty"
 analyses — hooks that are called but do nothing, mirroring the empty
 analyses used to measure framework overhead in Jalangi/RoadRunner — that
-trigger instrumentation of exactly one group (or all of them).
+trigger instrumentation of exactly the groups asked for (or all of them),
+and the configurations :func:`repro.eval.timing.bench_engines` times them
+under for Figure 9.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 from ..core.analysis import ALL_GROUPS, HOOK_METHOD_TO_GROUP, Analysis
+from ..core.session import AnalysisSession
+from ..interp.machine import Machine
+from .timing import ConfigFactory
 
 #: The x-axis order of the paper's Figures 8 and 9.
 FIGURE_GROUPS = [
@@ -29,11 +37,11 @@ def _noop_hook(*args, **kwargs) -> None:
     pass
 
 
-def make_group_analysis(group: str) -> Analysis:
-    """An analysis that implements exactly the hooks of one group (no-ops)."""
-    methods = _GROUP_TO_METHODS[group]
-    cls = type(f"Empty_{group}_Analysis", (Analysis,),
-               {method: _noop_hook for method in methods})
+def make_group_analysis(*groups: str) -> Analysis:
+    """An analysis that implements exactly the hooks of ``groups`` (no-ops)."""
+    cls = type(f"Empty_{'_'.join(groups)}_Analysis", (Analysis,),
+               {method: _noop_hook
+                for group in groups for method in _GROUP_TO_METHODS[group]})
     return cls()
 
 
@@ -42,3 +50,19 @@ def make_full_analysis() -> Analysis:
     cls = type("EmptyFullAnalysis", (Analysis,),
                {method: _noop_hook for method in HOOK_METHOD_TO_GROUP})
     return cls()
+
+
+def analysis_config(make_analysis: Callable[[], Analysis]) -> ConfigFactory:
+    """A configuration running a fresh ``make_analysis()`` on the default
+    engine, the module instrumented for exactly the hooks it implements."""
+    return lambda module, linker: (
+        AnalysisSession(module, make_analysis(), linker=linker,
+                        machine=Machine(predecode=True)), None)
+
+
+def figure_configs() -> dict[str, ConfigFactory]:
+    """Figure 9's 22 configurations: each hook group alone, then all hooks."""
+    configs = {group: analysis_config(partial(make_group_analysis, group))
+               for group in FIGURE_GROUPS}
+    configs["all"] = analysis_config(make_full_analysis)
+    return configs

@@ -8,12 +8,10 @@ output can be compared side by side with the paper.
 from __future__ import annotations
 
 import statistics
-from collections import defaultdict
 from typing import Iterable, Sequence
 
-from .overhead import OverheadReport
 from .sizes import SizeReport
-from .timing import TimingReport
+from .timing import EngineBench, TimingReport
 
 
 def _geomean(values: Sequence[float]) -> float:
@@ -60,13 +58,6 @@ def render_table5(reports: list[TimingReport],
         title="Table 5: time to instrument")
 
 
-def _by_config(reports):
-    grouped = defaultdict(list)
-    for r in reports:
-        grouped[r.config].append(r)
-    return grouped
-
-
 def render_fig8(reports_by_series: dict[str, list[SizeReport]],
                 configs: list[str]) -> str:
     """Figure 8: binary size increase (%) per instrumented hook group."""
@@ -85,22 +76,19 @@ def render_fig8(reports_by_series: dict[str, list[SizeReport]],
                         title="Figure 8: binary size increase per hook")
 
 
-def render_fig9(reports_by_series: dict[str, list[OverheadReport]],
+def render_fig9(benches_by_series: dict[str, list[EngineBench]],
                 configs: list[str]) -> str:
-    """Figure 9: relative runtime per instrumented hook group."""
-    headers = ["Hook"] + list(reports_by_series) + ["geomean"]
+    """Figure 9: relative runtime per instrumented hook group, the geomean
+    of each workload's median pair ratio (:meth:`EngineBench.ratio`)."""
+    headers = ["Hook"] + list(benches_by_series) + ["geomean"]
     rows = []
     for config in configs:
         row = [config]
         all_values = []
-        for series, reports in reports_by_series.items():
-            matching = [r.relative_runtime for r in reports if r.config == config]
-            if not matching:
-                row.append("-")
-            else:
-                value = _geomean(matching)
-                all_values.extend(matching)
-                row.append(f"{value:.2f}x")
+        for benches in benches_by_series.values():
+            values = [b.ratio(config) for b in benches if config in b.ratios]
+            all_values.extend(values)
+            row.append(f"{_geomean(values):.2f}x" if values else "-")
         row.append(f"{_geomean(all_values):.2f}x" if all_values else "-")
         rows.append(row)
     return render_table(headers, rows,

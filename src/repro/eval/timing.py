@@ -1,12 +1,14 @@
-"""RQ3: time to instrument (paper Table 5) and raw interpreter timing.
+"""RQ3 and RQ5: time to instrument (paper Table 5) and relative runtimes.
 
 Measures the full binary→binary pipeline: decode the ``.wasm`` bytes,
 instrument for all hooks, re-encode — the same work Wasabi's CLI does.
 Reports mean ± stddev over repetitions, and throughput in MB/s.
 
-Also times engine configurations (the legacy loop, metering, telemetry,
-recording) against the default quickened engine, interleaved round by
-round, which backs ``BENCH_engine.json`` and the CI floors read from it.
+Also times configurations against the default quickened engine, each run
+paired with a default run of its own: engine options (the legacy loop,
+metering, telemetry, recording) for ``BENCH_engine.json`` and its CI
+floors, and analysis sessions for Figure 9, the selective ablation and the
+analyses table (see :mod:`repro.eval.hooks_matrix`).
 
 All timing funnels through :func:`repro.obs.spans.measure`, so every
 measured repeat is a span over one injected clock: pass ``clock=`` for
@@ -16,11 +18,13 @@ aggregated report (the exporters then render them like any pipeline trace).
 
 from __future__ import annotations
 
+import gc
 import statistics
 from dataclasses import dataclass
 from typing import Callable
 
 from ..core.instrument import InstrumentationConfig, instrument_module
+from ..interp.host import Linker
 from ..interp.machine import Machine
 from ..obs.spans import Tracer, measure
 from ..obs.telemetry import Telemetry
@@ -66,11 +70,24 @@ def time_instrumentation(name: str, module: Module, repeats: int = 5,
         repeats=repeats)
 
 
-# -- engine configurations, timed interleaved ---------------------------------
+# -- configurations, timed in pairs against the default engine ----------------
 
-#: Builds a fresh machine for one timed run. Returns it with a reader of the
-#: guarded events that run charged, or None when the configuration counts none.
-MachineFactory = Callable[[], "tuple[Machine, Callable[[], int] | None]"]
+#: Builds one timed run from the workload's module and a fresh linker.
+#: Returns a runner, anything with ``invoke(entry, args)`` (an engine's
+#: instance, an analysis session), with a reader of the guarded events that
+#: run charged, or None when the configuration counts none.
+ConfigFactory = Callable[[Module, Linker],
+                         "tuple[object, Callable[[], int] | None]"]
+
+
+def engine_config(**options) -> ConfigFactory:
+    """A configuration running the module on ``Machine(**options)``."""
+    return lambda module, linker: (
+        Machine(**options).instantiate(module, linker), None)
+
+
+#: the denominator of every ratio: the quickened engine, no options
+DEFAULT_CONFIG = engine_config(predecode=True)
 
 
 @dataclass
@@ -78,54 +95,67 @@ class EngineBench:
     """One workload timed on the default engine and on each configuration.
 
     ``seconds`` (best invoke time) is keyed by configuration, ``"default"``
-    included; ``events`` holds the counts of the configurations that report
-    one. ``opcode_classes`` is the workload's *dynamic* opcode-class mix, so
-    per-workload ratios are diagnosable.
+    included; ``ratios`` holds each configuration's time over that of the
+    default run just before it, one per repeat; ``events`` holds the counts
+    of the configurations that report one. ``opcode_classes`` is the
+    workload's *dynamic* opcode-class mix, so per-workload ratios are
+    diagnosable.
     """
 
     name: str
     seconds: dict[str, float]
+    ratios: dict[str, list[float]]
     events: dict[str, int]
     opcode_classes: dict[str, float]
 
     def ratio(self, config: str) -> float:
-        """The configuration's best time over the default engine's."""
-        return self.seconds[config] / self.seconds["default"]
+        """The median of the configuration's pair ratios."""
+        return statistics.median(self.ratios[config])
 
 
 def bench_engines(workloads: list[Workload],
-                  configs: dict[str, MachineFactory], repeats: int = 3,
+                  configs: dict[str, ConfigFactory], repeats: int = 3,
                   clock: Callable[[], float] | None = None,
                   tracer: Tracer | None = None) -> list[EngineBench]:
-    """Best-of-``repeats`` invoke time of every workload on the default
-    (quickened) engine and on each configuration, interleaved.
+    """Invoke time of every workload on the default (quickened) engine and
+    on each configuration, in pairs.
 
-    Each workload's module is built once. Every repeat runs the default
-    engine and then each configuration once, on a fresh instance (memory
-    and globals reset), so both sides of every ratio come from the same
-    rounds. Only the invoke is timed: one ``workload_invoke`` span per run,
+    Each workload's module is built once. Every repeat runs each
+    configuration right after a default run of its own (a lone default run
+    when there are no configurations), so the two sides of a ratio see the
+    host in the same state. Every run gets a fresh runner (memory and
+    globals reset), and cyclic garbage is collected, untimed, before its
+    invoke. Only the invoke is timed: one ``workload_invoke`` span per run,
     tagged with the workload and the configuration.
     """
     if tracer is None:
         tracer = Tracer(clock=clock) if clock is not None else Tracer()
-    factories = {"default": lambda: (Machine(predecode=True), None), **configs}
     benches = []
     for workload in workloads:
         module = workload.module()
-        seconds = dict.fromkeys(factories, float("inf"))
+        seconds = dict.fromkeys(["default", *configs], float("inf"))
+        ratios: dict[str, list[float]] = {config: [] for config in configs}
         events: dict[str, int] = {}
+
+        def timed(config: str, factory: ConfigFactory) -> float:
+            runner, count = factory(module, workload.linker())
+            gc.collect()
+            elapsed, = measure(
+                lambda: runner.invoke(workload.entry, workload.args), 1,
+                name="workload_invoke", tracer=tracer,
+                attrs={"workload": workload.name, "config": config})
+            seconds[config] = min(seconds[config], elapsed)
+            if count is not None:
+                events[config] = count()
+            return elapsed
+
         for _ in range(repeats):
-            for config, factory in factories.items():
-                machine, count = factory()
-                instance = machine.instantiate(module, workload.linker())
-                elapsed, = measure(
-                    lambda: instance.invoke(workload.entry, workload.args), 1,
-                    name="workload_invoke", tracer=tracer,
-                    attrs={"workload": workload.name, "config": config})
-                seconds[config] = min(seconds[config], elapsed)
-                if count is not None:
-                    events[config] = count()
-        benches.append(EngineBench(workload.name, seconds, events,
+            if not configs:
+                timed("default", DEFAULT_CONFIG)
+            for config, factory in configs.items():
+                default = timed("default", DEFAULT_CONFIG)
+                ratios[config].append(timed(config, factory) / default)
+        benches.append(EngineBench(workload.name, seconds, ratios, events,
                                    _opcode_class_mix(workload, module)))
     return benches
 

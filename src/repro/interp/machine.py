@@ -630,53 +630,33 @@ class Machine:
 
     def call(self, instance: Instance, func_idx: int,
              args: list[int | float]) -> list[int | float]:
-        """Call any function in the instance's function index space."""
+        """Call any function in the instance's function index space.
+
+        Checks arity and coerces ``args``, then runs the call sequence both
+        engines share (:meth:`_invoke_callee`), so a host frame counts
+        toward ``max_call_depth`` on neither.
+        """
         func = instance.functions[func_idx]
         functype = func.functype
         if len(args) != len(functype.params):
             raise WasmError(f"expected {len(functype.params)} arguments, "
                             f"got {len(args)}")
         args = [_coerce(t, v) for t, v in zip(functype.params, args)]
-
-        # the limit nests WebAssembly calls only: a host callee at the limit
-        # runs, as on the pre-decoded engine (_invoke_callee, OP_HOOK)
-        if self._depth >= self.max_call_depth and \
-                not isinstance(func, HostFunction):
-            raise ExhaustionError("call stack exhausted")
-        meter = self._meter
-        if meter is not None and self._depth == 0:
+        # a fresh list: _invoke_callee may return the shared _NO_RESULTS
+        if self._depth:
+            return list(self._invoke_callee(func, args))
+        if self._meter is not None:
             # fuel and deadline budgets are per top-level invocation, so a
             # fresh invoke after an exhaustion trap gets a fresh budget
-            meter.arm()
-        tele = self._telemetry
-        self._depth += 1
+            self._meter.arm()
         try:
-            if meter is not None:
-                meter.enter_call(self._depth)
-            if tele is not None:
-                tele.n_calls += 1
-            if isinstance(func, HostFunction):
-                if tele is not None:
-                    tele.n_host_calls += 1
-                replay = self._replay
-                if replay is not None and \
-                        not getattr(func, "is_wasabi_hook", False) and \
-                        not getattr(func, "is_wasi", False):
-                    return replay.host_call(
-                        func.name, args,
-                        lambda: self._host_results(func, func.fn(args)))
-                return self._host_results(func, func.fn(args))
-            if func.decoded is not None:
-                return self._exec_decoded(func, args)
-            return self._exec(func, args)
+            return list(self._invoke_callee(func, args))
         except Trap:
-            if tele is not None and self._depth == 1:
-                # count only traps escaping the top-level invocation, not
-                # each frame the same trap unwinds through
-                tele.n_traps += 1
+            # count only traps escaping the top-level invocation, not each
+            # frame the same trap unwinds through
+            if self._telemetry is not None:
+                self._telemetry.n_traps += 1
             raise
-        finally:
-            self._depth -= 1
 
     @staticmethod
     def _host_results(func: HostFunction, raw: object) -> list[int | float]:
@@ -697,11 +677,13 @@ class Machine:
 
     def _invoke_callee(self, callee: "HostFunction | WasmFunction",
                        call_args: list[int | float]) -> list[int | float]:
-        """Call sequence for the pre-decoded engine.
+        """The call sequence of both engines.
 
-        Wasm values on the operand stack are already canonical, so wasm→wasm
-        and wasm→host calls skip the argument re-coercion and arity check of
-        :meth:`call` (the host-call fast path of the Wasabi runtime hooks).
+        Wasm values on the operand stack are already canonical, so the
+        pre-decoded engine's wasm→wasm and wasm→host calls skip the argument
+        re-coercion and arity check of :meth:`call` (the host-call fast path
+        of the Wasabi runtime hooks). Only WebAssembly frames nest the depth
+        limit; a host call is charged as one call event one level deeper.
         """
         if callee.__class__ is WasmFunction:
             if self._depth >= self.max_call_depth:
@@ -721,8 +703,6 @@ class Machine:
                 self._depth -= 1
         meter = self._meter
         if meter is not None:
-            # mirror the legacy engine, where host calls also pass through
-            # call() and are charged as one call event
             meter.enter_call(self._depth + 1)
         tele = self._telemetry
         if tele is not None:

@@ -33,9 +33,8 @@ Exporters:
   :mod:`repro.obs.telemetry`).
 
 :func:`measure` is the shared clock-and-report path of the evaluation
-harness: ``eval/timing.py`` and ``eval/overhead.py`` time every repeat as a
-span through it, so BENCH artifacts and telemetry cannot drift onto
-different clocks.
+harness: ``eval/timing.py`` times every repeat as a span through it, so
+BENCH artifacts and telemetry cannot drift onto different clocks.
 """
 
 from __future__ import annotations

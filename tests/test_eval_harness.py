@@ -1,15 +1,18 @@
 """The evaluation harness itself: sweeps, reports, and the hook matrix."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core.analysis import ALL_GROUPS, used_groups
-from repro.eval import (FIGURE_GROUPS, OverheadReport, SizeReport,
-                        baseline_runtime, instrumented_runtime,
-                        make_full_analysis, make_group_analysis,
-                        overhead_sweep, polybench_workloads, render_fig8,
+from repro.eval import (FIGURE_GROUPS, EngineBench, SizeReport, bench_engines,
+                        engine_config, figure_configs, make_full_analysis,
+                        make_group_analysis, polybench_workloads, render_fig8,
                         render_fig9, render_table, render_table5, size_sweep,
                         time_instrumentation)
 from repro.eval.faithfulness import run_instrumented, run_original
+from repro.interp import Linker
 from repro.workloads.polybench import compile_kernel
 
 
@@ -29,6 +32,23 @@ class TestHooksMatrix:
     def test_group_analyses_are_noops(self):
         analysis = make_group_analysis("binary")
         analysis.binary(None, "i32.add", 1, 2, 3)  # must not raise
+
+    def test_group_analysis_of_several_groups(self):
+        analysis = make_group_analysis("load", "store")
+        assert used_groups(analysis) == frozenset({"load", "store"})
+
+    def test_figure_configs_instrument_one_group_each(self, fib_module):
+        """Figure 9's configurations: every group alone, then all, each a
+        fresh session instrumented for exactly its groups that still
+        computes what the uninstrumented module does."""
+        configs = figure_configs()
+        assert list(configs) == FIGURE_GROUPS + ["all"]
+        for config, factory in configs.items():
+            session, count = factory(fib_module, Linker())
+            assert count is None
+            expected = ALL_GROUPS if config == "all" else {config}
+            assert session.groups == frozenset(expected)
+            assert session.invoke("fib", [10]) == [55]
 
 
 class TestSizeSweep:
@@ -53,23 +73,24 @@ class TestTimingAndOverhead:
         assert report.throughput_mb_per_s > 0
         assert report.repeats == 2
 
-    def test_baseline_and_instrumented(self):
+    def test_engine_bench_ratio_is_median_of_pairs(self):
+        bench = EngineBench("x", {"default": 1.0, "a": 1.5},
+                            {"a": [4.0, 1.5, 2.0]}, {}, {})
+        # not best over best (1.5x): the pair ratios' median
+        assert bench.ratio("a") == 2.0
+
+    def test_bench_engines_pairs_real_runs(self):
         workload = polybench_workloads(["trisolv"])[0]
-        base = baseline_runtime(workload, repeats=1)
-        heavy = instrumented_runtime(workload, "all", repeats=1)
-        assert heavy > base
-
-    def test_overhead_sweep_subset(self):
-        workload = polybench_workloads(["durbin"])[0]
-        reports = overhead_sweep(workload, ["nop", "binary"], repeats=1)
-        by_config = {r.config: r for r in reports}
-        assert set(by_config) == {"nop", "binary", "all"}
-        assert by_config["binary"].relative_runtime > \
-            by_config["nop"].relative_runtime * 0.8
-
-    def test_overhead_report_math(self):
-        report = OverheadReport("x", "all", 1.0, 42.0)
-        assert report.relative_runtime == 42.0
+        configs = figure_configs()
+        (bench,) = bench_engines(
+            [workload], {"nop": configs["nop"], "all": configs["all"],
+                         "legacy": engine_config(predecode=False)},
+            repeats=2)
+        assert set(bench.seconds) == {"default", "nop", "all", "legacy"}
+        assert {c: len(r) for c, r in bench.ratios.items()} == \
+            {"nop": 2, "all": 2, "legacy": 2}
+        assert all(0 < s < float("inf") for s in bench.seconds.values())
+        assert bench.ratio("all") > 1
 
 
 class TestFaithfulnessHelpers:
@@ -107,7 +128,23 @@ class TestRendering:
         assert "+1.0%" in text and "+600.0%" in text
 
     def test_render_fig9_geomean(self):
-        reports = {"s": [OverheadReport("a", "all", 1.0, 4.0)],
-                   "t": [OverheadReport("b", "all", 1.0, 9.0)]}
-        text = render_fig9(reports, ["all"])
+        series = {"s": [EngineBench("a", {}, {"all": [3.0, 4.0, 5.0]}, {}, {})],
+                  "t": [EngineBench("b", {}, {"all": [9.0]}, {}, {})]}
+        text = render_fig9(series, ["all", "nop"])
         assert "4.00x" in text and "9.00x" in text and "6.00x" in text
+        assert text.splitlines()[-1].split() == ["nop", "-", "-", "-"]
+
+    @pytest.mark.parametrize("name", ["fig9_runtime_overhead",
+                                      "ablation_selective",
+                                      "analyses_overhead"])
+    def test_experiments_quotes_result_file(self, name):
+        """EXPERIMENTS.md quotes these regenerated results between markers
+        rather than retyping their numbers; a stale quote fails here."""
+        root = Path(__file__).resolve().parent.parent
+        match = re.search(
+            rf"<!-- quote: results/{name}.txt -->\n```text\n(.*?)```\n",
+            (root / "EXPERIMENTS.md").read_text(), re.S)
+        assert match, f"EXPERIMENTS.md does not quote results/{name}.txt"
+        result = (root / "benchmarks" / "results" / f"{name}.txt").read_text()
+        assert [line.rstrip() for line in match[1].splitlines()] == \
+            [line.rstrip() for line in result.splitlines()]

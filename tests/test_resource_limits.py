@@ -195,6 +195,33 @@ class TestStackAndDepth:
         # five Wasm frames, each making one host call one level deeper
         assert outcomes == [(5, 6, 10), (5, 6, 10)]
 
+    @pytest.mark.parametrize("limit", [5, 10])
+    def test_reentrant_host_frames_do_not_count(self, limit):
+        """An import that re-invokes the export nests five WebAssembly
+        frames and four host frames; only the five count toward the limit,
+        on both engines."""
+        module = compile_source("""
+            import func again(n: i32) -> i32;
+            export func f(n: i32) -> i32 {
+                if (n <= 0) { return 0; }
+                return again(n - 1) + 1;
+            }
+        """, "reenter")
+        outcomes = []
+        for predecode in ENGINES:
+            instances = []
+            linker = Linker()
+            linker.define_function(
+                "env", "again", FuncType((I32,), (I32,)),
+                lambda args: instances[0].invoke("f", args)[0])
+            machine = Machine(predecode=predecode, limits=ResourceLimits(
+                fuel=10**6, max_call_depth=limit))
+            instances.append(machine.instantiate(module, linker))
+            result = instances[0].invoke("f", [4])
+            usage = machine.resource_usage()
+            outcomes.append((result, usage.peak_depth, usage.fuel_spent))
+        assert outcomes == [([4], 5, 9), ([4], 5, 9)]
+
     @pytest.mark.parametrize("record_engine", ["predecode", "legacy"])
     def test_depth_limit_bundle_replays_cross_engine(
             self, deep_host_module, record_engine, tmp_path, monkeypatch,

@@ -11,8 +11,11 @@ fault events, pipeline spans, the self-profiler, and the CLI surface
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -509,52 +512,94 @@ class TestTelemetryFacade:
 
 
 class TestEvalTelemetry:
-    def test_overhead_sweep_deterministic_under_fake_clock(self, spin_module):
-        from repro.eval.overhead import overhead_sweep
+    @staticmethod
+    def _spin_workload(spin_module, n):
         from repro.eval.workloads import Workload
-        workload = Workload(name="spin", group="test",
-                            module_fn=lambda: spin_module, entry="spin",
-                            args=(50,), needs_print=False)
+        return Workload(name="spin", group="test",
+                        module_fn=lambda: spin_module, entry="spin",
+                        args=(n,), needs_print=False)
+
+    def test_analysis_configs_deterministic_under_fake_clock(self,
+                                                             spin_module):
+        from repro.eval import bench_engines, figure_configs
+        workload = self._spin_workload(spin_module, 50)
         tracer = Tracer(clock=fake_clock())
-        reports = overhead_sweep(workload, configs=["call"], repeats=2,
-                                 include_all=False, clock=fake_clock(),
-                                 tracer=tracer)
-        (report,) = reports
-        # every repeat is exactly one fake-clock step on both sides
-        assert report.baseline_seconds == pytest.approx(1e-3)
-        assert report.instrumented_seconds == pytest.approx(1e-3)
-        assert report.relative_runtime == pytest.approx(1.0)
-        names = {s.name for s in tracer.spans}
-        assert names == {"baseline_invoke", "instrumented_invoke"}
+        (bench,) = bench_engines([workload],
+                                 {"call": figure_configs()["call"]},
+                                 repeats=2, tracer=tracer)
+        # every run is exactly one fake-clock step on both sides of a pair
+        assert bench.seconds == pytest.approx({"default": 1e-3, "call": 1e-3})
+        assert bench.ratios["call"] == pytest.approx([1.0, 1.0])
+        assert [s.attrs["config"] for s in tracer.spans] == \
+            ["default", "call"] * 2
+        assert {s.name for s in tracer.spans} == {"workload_invoke"}
 
     def test_bench_engines_interleaves_under_fake_clock(self, spin_module):
-        from repro.eval.timing import bench_engines
-        from repro.eval.workloads import Workload
-        from repro.interp import Machine
-        workload = Workload(name="spin", group="test",
-                            module_fn=lambda: spin_module, entry="spin",
-                            args=(10,), needs_print=False)
-        configs = {"a": lambda: (Machine(predecode=False), lambda: 7),
-                   "b": lambda: (Machine(predecode=True), None)}
-        tracer = Tracer(clock=fake_clock())
-        (bench,) = bench_engines([workload], configs, repeats=2,
+        from repro.eval.timing import bench_engines, engine_config
+        workload = self._spin_workload(spin_module, 10)
+
+        def legacy_counting_7(module, linker):
+            runner, _ = engine_config(predecode=False)(module, linker)
+            return runner, lambda: 7
+
+        configs = {"a": legacy_counting_7, "b": engine_config(predecode=True)}
+        # run durations in ms, per repeat: default, a, default, b
+        durations = [1, 3, 2, 3,
+                     2, 2, 1, 4,
+                     4, 6, 4, 8]
+        readings, now = [], 0.0
+        for ms in durations:  # each span reads the clock at start and end
+            readings += [now, now + ms * 1e-3]
+            now += ms * 1e-3
+        tracer = Tracer(clock=iter(readings).__next__)
+        (bench,) = bench_engines([workload], configs, repeats=3,
                                  tracer=tracer)
-        # every configuration's best run is exactly one fake-clock step
+        # one span per run, each configuration right after a default run
+        spans = [s for s in tracer.spans if s.name == "workload_invoke"]
+        assert [s.attrs["config"] for s in spans] == \
+            ["default", "a", "default", "b"] * 3
+        assert {s.attrs["workload"] for s in spans} == {"spin"}
+        # seconds keeps each configuration's best run
         assert bench.seconds == pytest.approx(
-            {"default": 1e-3, "a": 1e-3, "b": 1e-3})
-        assert bench.ratio("a") == pytest.approx(1.0)
+            {"default": 1e-3, "a": 2e-3, "b": 3e-3})
+        # a ratio is the median of the pair ratios, not best over best
+        assert bench.ratios["a"] == pytest.approx([3.0, 1.0, 1.5])
+        assert bench.ratios["b"] == pytest.approx([1.5, 4.0, 2.0])
+        assert bench.ratio("a") == pytest.approx(1.5)  # best/best: 2.0
+        assert bench.ratio("b") == pytest.approx(2.0)  # best/best: 3.0
         # event counts are what each factory's reader reports
         assert bench.events == {"a": 7}
-        # one span per run, interleaved within every repeat
-        spans = [s for s in tracer.spans if s.name == "workload_invoke"]
-        assert [s.attrs["config"] for s in spans] == ["default", "a", "b"] * 2
-        assert {s.attrs["workload"] for s in spans} == {"spin"}
         # the opcode-class mix of one profiled run: shares of every executed
         # instruction, largest first
         mix = bench.opcode_classes
         assert sum(mix.values()) == pytest.approx(1.0)
         shares = list(mix.values())
         assert shares == sorted(shares, reverse=True)
+
+    def test_factory_garbage_is_collected_before_invoke(self, spin_module):
+        """Cyclic garbage a factory leaves behind (an instrumenter's, say)
+        is gone before the timed invoke starts, so no collection of it
+        lands inside the timed region."""
+        from repro.eval import bench_engines
+
+        class Node:
+            pass
+
+        seen = []
+
+        def factory(module, linker):
+            node = Node()
+            node.cycle = node  # only the cycle collector frees it
+            ref = weakref.ref(node)
+            return SimpleNamespace(invoke=lambda *_: seen.append(ref())), None
+
+        gc.disable()  # no automatic collection can stand in for the harness
+        try:
+            bench_engines([self._spin_workload(spin_module, 10)],
+                          {"cyclic": factory}, repeats=2)
+        finally:
+            gc.enable()
+        assert seen == [None, None]
 
 
 # -- CLI surface ---------------------------------------------------------------
