@@ -23,9 +23,10 @@ converters once and returns a dispatcher over the popped value arguments.
 The engines reach it two ways:
 
 * the pre-decoding engine calls the ``site_factory`` host-function
-  attribute once per fused ``const/const/call`` site at instantiation time
-  and binds the returned closure into an ``OP_HOOK`` superinstruction, so
-  per event nothing is looked up;
+  attribute once per ``const/const/call`` site at instantiation time and
+  stores the returned closure in the instance's dispatcher table, which
+  the site's ``OP_HOOK`` slot or compiled hook segment calls, so per event
+  nothing is looked up;
 * every other hook call (the legacy engine, or a site the engine could
   not fuse) calls the host function itself, which looks the bound
   dispatcher up by the trailing ``(func, instr)`` location arguments and
@@ -40,10 +41,10 @@ containment wrapper: an exception escaping a hook is wrapped in
 :class:`Location`, and then handled per the runtime's
 ``on_analysis_error`` policy — ``raise`` (propagate to the embedder),
 ``abort`` (trap the guest with :class:`~repro.wasm.errors.AnalysisAbort`),
-``quarantine`` (atomically swap that hook's dispatchers — ``OP_HOOK``
-sites included, via the host functions' site registries — for
-the shared no-op and keep the guest running), or ``log`` (record, report on
-stderr, keep dispatching).
+``quarantine`` (atomically swap that hook's dispatchers — its entries in
+the instances' dispatcher tables included, via the host functions' site
+registries — for the shared no-op and keep the guest running), or ``log``
+(record, report on stderr, keep dispatching).
 """
 
 from __future__ import annotations
@@ -208,8 +209,9 @@ class WasabiRuntime:
                 self._timed(self._lookup_dispatcher(bind), spec.name), spec.name)
             host = HostFunction(spec.functype, dispatcher, name=spec.name)
             host.is_wasabi_hook = True
-            # every OP_HOOK site bound from this host is recorded here by
-            # bind_hook_sites, so quarantine() can swap them for the no-op
+            # every dispatcher-table entry bound from this host is recorded
+            # here by bind_hook_sites, so quarantine() can swap it for the
+            # no-op
             host.site_registry = []
             if self._with_locations:
                 host.site_factory = self._site_factory(spec.name, bind)
@@ -321,11 +323,12 @@ class WasabiRuntime:
         """Atomically replace every dispatcher of one hook with the no-op.
 
         Swaps the host function's ``fn`` (the host-call dispatch path) and
-        every ``OP_HOOK`` site recorded in its site registry. Each swap is
-        a single reference assignment, so a swap is
-        atomic under the GIL and takes effect immediately — the engines read
-        dispatchers from the live instruction stream, so even sites reached
-        later in the *current* invocation dispatch to the no-op.
+        every dispatcher-table entry recorded in its site registry. Each
+        swap is a single reference assignment, so a swap is atomic under
+        the GIL and takes effect immediately — the engines read the table
+        at every event, so even sites reached later in the *current*
+        invocation, in the same compiled segment included, dispatch to the
+        no-op.
         """
         self._quarantined.add(hook_name)
         if self.telemetry is not None:
@@ -336,9 +339,8 @@ class WasabiRuntime:
         if host is None:
             return
         host.fn = _noop_dispatcher
-        for code, pc in host.site_registry:
-            ins = code[pc]
-            code[pc] = (ins[0], _noop_dispatcher, ins[2], ins[3])
+        for table, site in host.site_registry:
+            table[site] = _noop_dispatcher
 
     def _original_func_idx(self, instrumented_idx: int) -> int:
         """Map a function index of the instrumented module back to the

@@ -36,9 +36,9 @@ from ..wasm.types import FuncType, GlobalType, MemoryType, TableType, ValType
 from .host import GlobalInstance, HostFunction, Linker
 from .limits import Meter, ResourceLimits, ResourceUsage
 from .memory import Memory
-from .predecode import (OP_CALL, OP_CALL_INDIRECT, OP_CALL_INDIRECT_IC,
-                        OP_CONST, OP_HOOK, DecodedFunction, _segment_code,
-                        cached_decode, decode_function, oob_message)
+from .predecode import (OP_CALL_INDIRECT, OP_CALL_INDIRECT_IC, OP_HOOK,
+                        DecodedFunction, _segment_code, cached_decode,
+                        decode_function, oob_message)
 from .table import Table
 from .values import BINOPS, MASK32, MASK64, UNOPS, default_value
 
@@ -123,71 +123,42 @@ def _generic_hook_dispatcher(host: HostFunction, extra: tuple):
     return dispatch
 
 
-def _is_hook_idiom(code: list[tuple], pc: int) -> bool:
-    """Whether the hook call at ``pc`` is the instrumentation idiom
-    ``i32.const func; i32.const instr; call <hook>``."""
-    return (pc >= 2 and code[pc][2] >= 2
-            and code[pc - 1][0] == OP_CONST and code[pc - 2][0] == OP_CONST)
+def bind_hook_sites(decoded: DecodedFunction, functions: list) -> list:
+    """Build one instance's dispatcher table for a decoded stream.
 
-
-def bind_hook_sites(decoded: DecodedFunction,
-                    functions: list) -> DecodedFunction:
-    """Bind a decoded stream's hook call sites for one instance.
-
-    For every recorded site, the linked host function is resolved and the
-    site is rewritten into an ``OP_HOOK`` superinstruction carrying a
-    pre-bound dispatcher closure:
+    Entry ``k`` is the dispatcher of ``decoded.hook_sites[k]``, which the
+    stream's ``OP_HOOK`` slots and compiled hook segments call:
 
     * hosts annotated with a ``site_factory`` (the Wasabi runtime's
       location-aware hooks) get a closure bound to this exact call site —
       Location, static info, and presentation converters all resolved once;
-    * any other hook import gets a generic closure that merely pre-fuses
-      the constant operands (still skipping per-event marshalling).
+    * any other hook import, a site whose factory raised, and a bare hook
+      call get a generic closure that merely pre-fuses the constant
+      operands (still skipping per-event marshalling).
 
     The shared per-:class:`~repro.wasm.module.Function` decode cache is
-    never mutated: the returned stream is a per-instance copy.
+    never mutated. Hosts carrying a ``site_registry`` (the Wasabi
+    runtime's) record ``(table, k)`` for each entry they bound, so fault
+    containment can swap a quarantined hook's entries for its no-op.
     """
-    code = list(decoded.code)
-    original = decoded.code
-    for pc in decoded.hook_sites:
-        ins = original[pc]
-        if ins[0] != OP_CALL:  # pragma: no cover - sites always decode to calls
-            continue
-        host = functions[ins[1]]
-        if not isinstance(host, HostFunction):  # pragma: no cover - imports are host fns
-            continue
-        n_params = ins[2]
+    table: list = []
+    for site, (_, func_idx, consts) in enumerate(decoded.hook_sites):
+        host = functions[func_idx]
         factory = getattr(host, "site_factory", None)
-        # hosts built by the Wasabi runtime carry a site registry so that
-        # fault containment can atomically swap bound sites for the shared
-        # no-op after a hook fault (quarantine policy)
-        registry = getattr(host, "site_registry", None)
-        if _is_hook_idiom(original, pc):
-            func_const = original[pc - 2][1]
-            instr_const = original[pc - 1][1]
+        try:
+            bound = factory(*consts) if factory is not None and consts else None
+        except Exception:
+            # a site the runtime has no static info for: keep the
+            # host-call path, which fails (or not) at event time
+            # exactly like the legacy engine
             bound = None
-            if factory is not None:
-                try:
-                    bound = factory(func_const, instr_const)
-                except Exception:
-                    # a site the runtime has no static info for: keep the
-                    # host-call path, which fails (or not) at event time
-                    # exactly like the legacy engine
-                    bound = None
-            if bound is None:
-                bound = _generic_hook_dispatcher(host, (func_const, instr_const))
-            code[pc - 2] = (OP_HOOK, bound, n_params - 2, 3)
-            if registry is not None:
-                registry.append((code, pc - 2))
-        else:
-            # bare hook call (e.g. emit_locations=False): the host function
-            # is itself the per-hook dispatcher; bind it without the
-            # _invoke_callee indirection
-            code[pc] = (OP_HOOK, _generic_hook_dispatcher(host, ()), n_params, 1)
-            if registry is not None:
-                registry.append((code, pc))
-    return DecodedFunction(code, decoded.source_body, decoded.hook_sites,
-                           decoded.indirect_sites)
+        if bound is None:
+            bound = _generic_hook_dispatcher(host, consts)
+        table.append(bound)
+        registry = getattr(host, "site_registry", None)
+        if registry is not None:
+            registry.append((table, site))
+    return table
 
 
 def profile_op_ids(func: Function, module: Module) -> list[int]:
@@ -197,12 +168,12 @@ def profile_op_ids(func: Function, module: Module) -> list[int]:
     to source instructions. A hook call site counts as one ``OP_HOOK``:
     at its first location constant for the ``const/const/call`` idiom,
     whose other two slots are skipped (-1), or at the call for a bare one
-    — the same charge ``bind_hook_sites`` makes on the decoded engine.
+    — the slot the decoded engine's ``OP_HOOK`` occupies.
     """
     decoded = decode_function(func, module, fuse=False)
     op_ids = [ins[0] for ins in decoded.code]
-    for pc in decoded.hook_sites:
-        if _is_hook_idiom(decoded.code, pc):
+    for pc, _, consts in decoded.hook_sites:
+        if consts:
             op_ids[pc - 2] = OP_HOOK
             op_ids[pc - 1] = op_ids[pc] = -1
         else:
@@ -238,16 +209,19 @@ def bind_indirect_caches(decoded: DecodedFunction,
 class WasmFunction:
     """A defined function bound to its instance, with precomputed dispatch.
 
-    ``decoded`` holds the pre-decoded threaded stream, with its hook call
-    sites bound per instance into ``OP_HOOK`` dispatchers. It is None on
-    machines with ``predecode=False`` and for functions instantiated while
-    a profiler is attached: those run on the legacy loop. ``matching`` is
-    the legacy block-matching table and ``op_ids`` the profiler's per-pc
-    opcode ids, both built lazily so other runs never pay for them.
+    ``decoded`` holds the pre-decoded threaded stream, shared with every
+    other instance of the module unless it has ``call_indirect`` inline
+    caches. ``hooks`` is this instance's dispatcher table, one entry per
+    hook call site of the stream (see :func:`bind_hook_sites`). Both are
+    None on machines with ``predecode=False`` and for functions
+    instantiated while a profiler is attached: those run on the legacy
+    loop. ``matching`` is the legacy block-matching table and ``op_ids``
+    the profiler's per-pc opcode ids, both built lazily so other runs never
+    pay for them.
     """
 
     __slots__ = ("instance", "func", "functype", "local_types", "default_locals",
-                 "result_arity", "decoded", "_matching", "_op_ids")
+                 "result_arity", "decoded", "hooks", "_matching", "_op_ids")
 
     def __init__(self, instance: "Instance", func: Function, functype: FuncType):
         self.instance = instance
@@ -258,16 +232,15 @@ class WasmFunction:
         self.result_arity = len(functype.results)
         self._matching: BlockMatching | None = None
         self._op_ids: list[int] | None = None
+        self.hooks: list | None = None
         machine = instance.machine
         if machine.predecode and not machine._profiling:
             decoded, hit = cached_decode(func, instance.module)
             if decoded.indirect_sites:
-                # per-instance copy with call_indirect inline caches; must
-                # precede hook binding so the quarantine registry ends up
-                # referencing the same (final) code list the engine runs
+                # per-instance copy with call_indirect inline caches
                 decoded = bind_indirect_caches(decoded, instance)
             if decoded.hook_sites:
-                decoded = bind_hook_sites(decoded, instance.functions)
+                self.hooks = bind_hook_sites(decoded, instance.functions)
             self.decoded: DecodedFunction | None = decoded
             if hit:
                 machine.predecode_cache_hits += 1
@@ -403,8 +376,9 @@ class Machine:
 
     Both engines dispatch Wasabi hooks through the same per-site closures
     (:meth:`repro.core.runtime.WasabiRuntime._site_binder`): the pre-decoded
-    engine binds them into ``OP_HOOK`` superinstructions at instantiation,
-    the legacy engine reaches them through the hook's host function.
+    engine binds them into each instance's dispatcher table at
+    instantiation, which its ``OP_HOOK`` slots and compiled hook segments
+    call; the legacy engine reaches them through the hook's host function.
 
     ``limits`` attaches a :class:`~repro.interp.limits.ResourceLimits`
     bundle: fuel and wall-clock deadlines are charged on back-edges and
@@ -744,6 +718,7 @@ class Machine:
         # memory.grow extends the bytearray in place, so its identity is
         # stable for the lifetime of the instance and safe to cache here
         memdata = memory.data if memory is not None else None
+        hooks = wfunc.hooks
         locals_ = args + wfunc.default_locals
         stack: list[int | float] = []
         append = stack.append
@@ -766,13 +741,18 @@ class Machine:
 
                 if op >= 52:
                     # Quickened memory twins (52-55), the call_indirect
-                    # inline cache (56) and compiled segments (57).
-                    # Dispatching them from this guarded side chain keeps
-                    # the main chain in its original, hotness-tuned order:
-                    # the base opcodes pay exactly one extra range check
-                    # per instruction.
+                    # inline cache (56) and compiled segments (57, and 58
+                    # for those holding hook sites). Dispatching them from
+                    # this guarded side chain keeps the main chain in its
+                    # original, hotness-tuned order: the base opcodes pay
+                    # exactly one extra range check per instruction.
                     if op == 57:  # OP_SEGMENT: (_, compiled_fn, span)
                         ins[1](stack, locals_, memdata)
+                        pc += ins[2]
+                        continue
+                    elif op == 58:  # OP_HOOK_SEGMENT: (_, compiled_fn,
+                        #               span, first_site)
+                        ins[1](stack, locals_, memdata, hooks, ins[3])
                         pc += ins[2]
                         continue
                     elif op == 52:  # OP_QLOAD: (_, bound_unpack, offset, width)
@@ -874,14 +854,14 @@ class Machine:
                     append(locals_[ins[2]])
                     pc += 2
                     continue
-                elif op == 34:  # OP_HOOK: (_, bound_dispatcher, n_args, skip)
+                elif op == 34:  # OP_HOOK: (_, site, n_args, skip)
                     n_params = ins[2]
                     if n_params:
                         call_args = stack[-n_params:]
                         del stack[-n_params:]
                     else:
                         call_args = []
-                    ins[1](call_args)
+                    hooks[ins[1]](call_args)
                     pc += ins[3]
                     continue
                 elif op == 8:  # OP_BR_IF

@@ -18,16 +18,19 @@ dicts. This module translates each function body *once* into a flat array of
 * ``call``/``call_indirect`` carry their callee's parameter count (and, for
   indirect calls, the expected :class:`FuncType`) so the call sequence does
   no type-table lookups at run time,
-* straight-line runs compile into one Python function each (a *segment*),
-  and four fixed adjacent pairs (:data:`_PAIR_RULES`) fuse into one
-  dispatch where a run is too short for a segment, and
 * calls into the Wasabi hook namespace (:data:`HOOK_IMPORT_MODULE`,
   identified via the module's import section) are recorded as *hook call
-  sites*. At instantiation time the machine fuses each
-  ``i32.const func / i32.const instr / call <hook>`` site into an
-  :data:`OP_HOOK` superinstruction bound to a per-site dispatcher closure,
+  sites*, numbered in stream order. Each
+  ``i32.const func / i32.const instr / call <hook>`` site decodes into one
+  :data:`OP_HOOK` slot that calls entry ``site`` of the executing
+  instance's dispatcher table, which the machine fills at instantiation
+  with per-site closures (see ``repro.interp.machine.bind_hook_sites``),
   so an executed hook does no location marshalling and no static-info
-  lookups (see ``repro.interp.machine.bind_hook_sites``).
+  lookups, and
+* straight-line runs, hook sites included, compile into one Python
+  function each (a *segment*), and four fixed adjacent pairs
+  (:data:`_PAIR_RULES`) fuse into one dispatch where a run is too short
+  for a segment.
 
 Each :class:`~repro.wasm.module.Function` caches exactly one decoded
 stream *on the object itself* (``func._decoded``), so re-instantiating the
@@ -105,14 +108,15 @@ OP_CONST_BINARY = 31       # (_, fn, const)       — stack[-1] = fn(top, const)
 OP_GET_LOCAL_BINARY = 32   # (_, fn, local_idx)   — stack[-1] = fn(top, local)
 OP_GET2_LOCAL = 33         # (_, i, j)            — push two locals
 
-# Per-call-site hook dispatch. Decoding records *where* calls into
-# the Wasabi hook import namespace happen (``DecodedFunction.hook_sites``);
-# the machine rewrites those slots per instance into
-# ``(OP_HOOK, bound_dispatcher, n_value_args, skip)``: pop the value args,
-# call the pre-bound closure, advance ``skip`` pcs (3 when the two location
-# constants were fused in, 1 for a bare call). The const/call slots keep
-# their ordinary decoding so branches into the middle of a (never-branched-
-# into, in practice) hook sequence still behave like the source program.
+# Per-call-site hook dispatch. Decoding records every call into the Wasabi
+# hook import namespace (``DecodedFunction.hook_sites``) and installs
+# ``(OP_HOOK, site, n_value_args, skip)`` at the site's first slot: pop the
+# value args, call ``table[site]`` of the executing instance's dispatcher
+# table (``WasmFunction.hooks``), advance ``skip`` pcs (3 when the two
+# location constants are folded in, 1 for a bare call). The const/call
+# slots keep their ordinary decoding so branches into the middle of a
+# (never-branched-into, in practice) hook sequence still behave like the
+# source program.
 OP_HOOK = 34
 
 # Quickening (PR 7). The machine's stream (``decode_function(fuse=True)``)
@@ -137,16 +141,21 @@ OP_QSTORE_MASK = 55        # (_, pack, off, mask, width)
 OP_CALL_INDIRECT_IC = 56
 
 # The logical endpoint of superinstruction formation (PR 7): a *compiled
-# straight-line segment*. At decode time, maximal runs of pure
-# stack-machine ops (consts, locals, arithmetic, loads/stores, drop — no
-# control flow, no calls, no hook sites) are translated once into a small
-# Python function with every constant, mask, and bound struct method baked
-# in, and the run's first slot becomes ``(OP_SEGMENT, fn, span)``: one
-# dispatch executes the whole run, then skips ``span`` pcs. The covered
-# slots keep their ordinary decoding, so a branch landing inside the
-# segment executes the original (pair-fusable, quickenable) instructions —
-# the same fallback contract fused pairs honour.
+# straight-line segment*. At decode time, maximal runs of stack-machine
+# ops (consts, locals, arithmetic, loads/stores, drop and hook sites — no
+# control flow, no other calls) are translated once into a small Python
+# function with every constant, mask, and bound struct method baked in,
+# and the run's first slot becomes ``(OP_SEGMENT, fn, span)``: one
+# dispatch executes the whole run, then skips ``span`` pcs. A run holding
+# hook sites becomes ``(OP_HOOK_SEGMENT, fn, span, first_site)`` instead:
+# ``fn`` also takes the instance's dispatcher table and ``first_site``,
+# and calls ``table[first_site + j]`` for its j-th site, reading the table
+# at every event. The covered slots keep their ordinary decoding, so a
+# branch landing inside the segment executes the original (pair-fusable,
+# quickenable) instructions — the same fallback contract fused pairs
+# honour.
 OP_SEGMENT = 57
+OP_HOOK_SEGMENT = 58
 
 #: Import namespace of Wasabi's generated low-level hooks. The instrumenter
 #: (``repro.core.hooks.HOOK_MODULE``) aliases this constant, so the engine
@@ -197,6 +206,7 @@ OP_NAMES: dict[int, str] = {
     OP_QSTORE_MASK: "store.quick.mask",
     OP_CALL_INDIRECT_IC: "call_indirect.ic",
     OP_SEGMENT: "segment",
+    OP_HOOK_SEGMENT: "hook_segment",
 }
 
 #: Size of a dense per-opcode counter array covering every opcode id.
@@ -254,19 +264,24 @@ class DecodedFunction:
     ``code`` is a flat list of tuples, one per source instruction (1:1 with
     ``source_body``). ``source_body`` keeps a strong reference to the body
     list the stream was decoded from, which both prevents ``id`` recycling
-    and lets the cache detect body replacement. ``hook_sites`` lists the
-    pcs of ``call`` instructions targeting Wasabi hook imports; it is empty
-    for uninstrumented modules, whose decode is entirely unaffected.
-    ``indirect_sites`` lists the pcs of ``call_indirect`` slots — the
-    machine rewrites those per instance into monomorphic inline caches
-    (:data:`OP_CALL_INDIRECT_IC`).
+    and lets the cache detect body replacement. ``hook_sites`` holds one
+    ``(call_pc, import_idx, location_consts)`` record per call targeting a
+    Wasabi hook import, in stream order, so site ``k`` of an ``OP_HOOK``
+    slot is ``hook_sites[k]``; ``location_consts`` is the ``(func, instr)``
+    pair of the ``const/const/call`` idiom, or ``()`` for a bare call. It
+    is empty for uninstrumented modules, whose decode is entirely
+    unaffected. ``indirect_sites`` lists the pcs of ``call_indirect``
+    slots — the machine rewrites those per instance into monomorphic
+    inline caches (:data:`OP_CALL_INDIRECT_IC`).
     """
 
     __slots__ = ("code", "source_body", "hook_sites", "indirect_sites")
 
     def __init__(
-        self, code: list[tuple], source_body: list[Instr],
-        hook_sites: tuple[int, ...] = (),
+        self,
+        code: list[tuple],
+        source_body: list[Instr],
+        hook_sites: tuple[tuple[int, int, tuple], ...] = (),
         indirect_sites: tuple[int, ...] = (),
     ):
         self.code = code
@@ -430,20 +445,16 @@ _PAIR_RULES = {
 }
 
 
-def _fuse_pairs(code: list[tuple],
-                blocked: frozenset[int] | set[int] = frozenset()) -> None:
+def _fuse_pairs(code: list[tuple]) -> None:
     """Rewrite the :data:`_PAIR_RULES` pairs into superinstructions, in place.
 
     Overlapping fusions are fine: a fused slot is only *entered* at its own
     pc, and it always skips exactly one slot, whose unfused decoding is kept
-    for branches that target it directly. Slots in ``blocked`` (the leading
-    location constant of a hook call site) are never fused in either
-    position, so the machine's hook-site rewrite stays reachable.
+    for branches that target it directly. An installed ``OP_HOOK`` slot
+    matches no rule in either position.
     """
     get = _PAIR_RULES.get
     for pc in range(len(code) - 1):
-        if pc in blocked or pc + 1 in blocked:
-            continue
         first = code[pc]
         second = code[pc + 1]
         rule = get((first[0], second[0]))
@@ -509,14 +520,15 @@ def oob_message(width: int, addr: int, memdata, what: str) -> str:
 #: compiled segment costs about as much as the dispatches it saves.
 _SEGMENT_MIN = 4
 
-#: Ops a compiled segment may contain: pure operand-stack work with no
-#: control flow, no calls, and no observable effects besides locals and
-#: linear memory — exactly the part of the stream where dispatch overhead
-#: is pure loss.
+#: Ops a compiled segment may contain: operand-stack work with no control
+#: flow and no observable effects besides locals, linear memory and hook
+#: dispatch — exactly the part of the stream where dispatch overhead is
+#: pure loss. A hook site is a call into the analysis, which cannot write
+#: a Wasm local of the running frame.
 _SEGMENT_VOCAB = frozenset({
     OP_GET_LOCAL, OP_BINARY, OP_CONST, OP_SET_LOCAL, OP_LOAD_INT,
     OP_LOAD_FLOAT, OP_STORE_INT, OP_STORE_FLOAT, OP_UNARY, OP_TEE_LOCAL,
-    OP_DROP,
+    OP_DROP, OP_HOOK,
 })
 
 #: Binary handlers with an exact inline expression template, keyed by the
@@ -578,11 +590,21 @@ def _compile_segment(slots: list[tuple]):
     handlers. Non-finite constants and table functions are referenced by
     name and bound in the segment's own ``env``; the source text alone
     picks the shared code object (:func:`_segment_code`).
+
+    Locals are forwarded: a ``get_local`` of an index the run already read
+    or wrote reuses that value instead of reading ``locals_`` again, which
+    is exact because nothing a segment calls can write a Wasm local. A hook
+    site becomes ``tab[b + j]([operands])``, a call through the instance's
+    dispatcher table at every event, with ``j`` counted from the run's
+    first site so equal runs print equal source wherever they sit; such a
+    run's function takes ``tab`` and ``b`` as two more arguments.
     """
     env: dict = {"_se": _struct_error, "_Trap": Trap, "_oob": oob_message}
     lines: list[str] = []
     vstack: list[str] = []
+    local_values: dict[int, str] = {}
     counters = {"args": 0, "tmp": 0}
+    first_site = None
 
     def vpop() -> str:
         if vstack:
@@ -651,9 +673,11 @@ def _compile_segment(slots: list[tuple]):
     for ins in slots:
         op = ins[0]
         if op == OP_GET_LOCAL:
-            out = tmp()
-            lines.append(f"{out} = locals_[{ins[1]}]")
-            vstack.append(out)
+            value = local_values.get(ins[1])
+            if value is None:
+                value = local_values[ins[1]] = tmp()
+                lines.append(f"{value} = locals_[{ins[1]}]")
+            vstack.append(value)
         elif op == OP_CONST:
             vstack.append(lit(ins[1]))
         elif op == OP_BINARY:
@@ -667,9 +691,17 @@ def _compile_segment(slots: list[tuple]):
                 lines.append(f"{out} = {ref(ins[1])}({a}, {b})")
             vstack.append(out)
         elif op == OP_SET_LOCAL:
-            lines.append(f"locals_[{ins[1]}] = {vpop()}")
+            value = local_values[ins[1]] = vpop()
+            lines.append(f"locals_[{ins[1]}] = {value}")
         elif op == OP_TEE_LOCAL:
-            lines.append(f"locals_[{ins[1]}] = {vpeek()}")
+            value = local_values[ins[1]] = vpeek()
+            lines.append(f"locals_[{ins[1]}] = {value}")
+        elif op == OP_HOOK:  # (_, site, n_value_args, skip)
+            if first_site is None:
+                first_site = ins[1]
+            operands = [vpop() for _ in range(ins[2])]
+            index = f"b + {ins[1] - first_site}" if ins[1] > first_site else "b"
+            lines.append(f"tab[{index}]([{', '.join(reversed(operands))}])")
         elif op == OP_UNARY:
             out = tmp()
             lines.append(f"{out} = {ref(ins[1])}({vpop()})")
@@ -692,37 +724,61 @@ def _compile_segment(slots: list[tuple]):
     body = prologue + lines + [f"stack.append({v})" for v in vstack]
     if not body:
         return None
-    src = "def _segment(stack, locals_, memdata):\n" + "\n".join(
-        "    " + line for line in body)
+    params = "stack, locals_, memdata" if first_site is None else "stack, locals_, memdata, tab, b"
+    src = f"def _segment({params}):\n" + "\n".join("    " + line for line in body)
     exec(_segment_code(src), env)
     return env["_segment"]
 
 
-def _compile_segments(code: list[tuple],
-                      blocked: frozenset[int] | set[int] = frozenset()) -> None:
-    """Replace straight-line runs with :data:`OP_SEGMENT` slots, in place.
+def _compile_segments(code: list[tuple]) -> None:
+    """Replace straight-line runs with compiled-segment slots, in place.
 
     Runs before pair fusion: the segment takes the run's first slot (so
     fusion can never consume it), while the covered slots keep their
     ordinary decoding as the branch-target fallback — fusion and memory-op
     quickening still apply to them, so a branch into the middle of a
-    segment executes at fused-pair speed. Hook sites (``blocked``) never
-    join a segment; the machine's per-instance OP_HOOK rewrite stays
-    reachable.
+    segment executes at fused-pair speed. A hook site's ``OP_HOOK`` slot
+    joins a run together with the location constants and call it skips; a
+    run holding hook sites becomes :data:`OP_HOOK_SEGMENT`, any other
+    :data:`OP_SEGMENT`.
     """
     n = len(code)
     pc = 0
     while pc < n:
-        if code[pc][0] in _SEGMENT_VOCAB and pc not in blocked:
-            start = pc
-            while pc < n and code[pc][0] in _SEGMENT_VOCAB and pc not in blocked:
-                pc += 1
-            if pc - start >= _SEGMENT_MIN:
-                fn = _compile_segment(code[start:pc])
-                if fn is not None:
-                    code[start] = (OP_SEGMENT, fn, pc - start)
-        else:
+        if code[pc][0] not in _SEGMENT_VOCAB:
             pc += 1
+            continue
+        start = pc
+        slots = []
+        while pc < n and code[pc][0] in _SEGMENT_VOCAB:
+            ins = code[pc]
+            slots.append(ins)
+            pc += ins[3] if ins[0] == OP_HOOK else 1
+        if pc - start < _SEGMENT_MIN:
+            continue
+        fn = _compile_segment(slots)
+        if fn is None:
+            continue
+        sites = [ins[1] for ins in slots if ins[0] == OP_HOOK]
+        if sites:
+            code[start] = (OP_HOOK_SEGMENT, fn, pc - start, sites[0])
+        else:
+            code[start] = (OP_SEGMENT, fn, pc - start)
+
+
+def _hook_sites(code: list[tuple], hook_imports: frozenset[int]) -> tuple:
+    """The ``DecodedFunction.hook_sites`` records of a base-decoded stream."""
+    sites = []
+    for pc, ins in enumerate(code):
+        if ins[0] != OP_CALL or ins[1] not in hook_imports:
+            continue
+        # the instrumentation idiom: two i32.const location operands
+        # directly before the hook call fold into the site
+        if pc >= 2 and ins[2] >= 2 and code[pc - 1][0] == OP_CONST and code[pc - 2][0] == OP_CONST:
+            sites.append((pc, ins[1], (code[pc - 2][1], code[pc - 1][1])))
+        else:
+            sites.append((pc, ins[1], ()))
+    return tuple(sites)
 
 
 def decode_function(func: Function, module: Module,
@@ -730,13 +786,14 @@ def decode_function(func: Function, module: Module,
     """Decode one function body into its threaded form (uncached).
 
     ``fuse=True`` (the default) produces the stream the machine executes:
-    straight-line runs become compiled segments, the :data:`_PAIR_RULES`
-    pairs are fused, bare memory ops become their pre-resolved twins, and
-    ``call_indirect`` slots are recorded in ``indirect_sites`` for the
-    machine's per-instance inline-cache rewrite. ``fuse=False`` stops after
-    the base decode, leaving every slot a base opcode — the self-profiler
-    takes its per-pc opcode ids from such a stream so its counts attribute
-    1:1 to source instructions.
+    hook sites become :data:`OP_HOOK` slots, straight-line runs become
+    compiled segments, the :data:`_PAIR_RULES` pairs are fused, bare memory
+    ops become their pre-resolved twins, and ``call_indirect`` slots are
+    recorded in ``indirect_sites`` for the machine's per-instance
+    inline-cache rewrite. ``fuse=False`` stops after the base decode,
+    leaving every slot a base opcode — the self-profiler takes its per-pc
+    opcode ids from such a stream so its counts attribute 1:1 to source
+    instructions. Both record the same ``hook_sites``.
     """
     body = func.body
     end_of, else_of = match_blocks(body)
@@ -749,26 +806,20 @@ def decode_function(func: Function, module: Module,
             # only a module that skipped validation gets here (missing
             # immediates, unclosed blocks); refuse it at instantiation
             raise WasmError(f"cannot execute {instr}: {exc}") from exc
-    hook_sites: tuple[int, ...] = ()
-    blocked: set[int] = set()
-    if hook_imports:
-        hook_sites = tuple(
-            pc for pc, ins in enumerate(code) if ins[0] == OP_CALL and ins[1] in hook_imports
-        )
-        for pc in hook_sites:
-            # the instrumentation idiom: two i32.const location operands
-            # directly before the hook call — reserve the first const slot
-            # for the machine's OP_HOOK rewrite
-            consts = pc >= 2 and code[pc - 1][0] == OP_CONST and code[pc - 2][0] == OP_CONST
-            if consts and code[pc][2] >= 2:
-                blocked.add(pc - 2)
+    hook_sites = _hook_sites(code, hook_imports) if hook_imports else ()
     if not fuse:
         return DecodedFunction(code, body, hook_sites)
+    for site, (pc, _, consts) in enumerate(hook_sites):
+        n_params = code[pc][2]
+        if consts:
+            code[pc - 2] = (OP_HOOK, site, n_params - 2, 3)
+        else:
+            code[pc] = (OP_HOOK, site, n_params, 1)
     # segments first: each claims its run's first slot (so a fusion pair
     # can never swallow it), while the covered slots fall through to
     # fusion + quickening as branch-target fallbacks
-    _compile_segments(code, blocked)
-    _fuse_pairs(code, blocked)
+    _compile_segments(code)
+    _fuse_pairs(code)
     _quicken_slots(code, body)
     indirect_sites = tuple(
         pc for pc, ins in enumerate(code) if ins[0] == OP_CALL_INDIRECT)
@@ -779,8 +830,9 @@ def cached_decode(func: Function, module: Module) -> tuple[DecodedFunction, bool
     """Decode ``func`` for execution, reusing the per-``Function`` cache.
 
     ``func._decoded`` holds the one stream every machine executes. Nothing
-    writes into it after decode: the machine's per-instance rewrites (hook
-    sites, inline caches) run on copies. Replacing ``func.body`` (or
+    writes into it after decode: hook sites dispatch through per-instance
+    tables, and the per-instance inline-cache rewrite runs on a copy.
+    Replacing ``func.body`` (or
     changing its length) makes the next call decode afresh. Returns
     ``(decoded, was_cache_hit)``.
     """

@@ -59,7 +59,7 @@ OP_CLASSES: dict[int, str] = {
     _pd.OP_QLOAD: "memory", _pd.OP_QLOAD_MASK: "memory",
     _pd.OP_QSTORE: "memory", _pd.OP_QSTORE_MASK: "memory",
     _pd.OP_CALL_INDIRECT_IC: "call",
-    _pd.OP_SEGMENT: "fused",
+    _pd.OP_SEGMENT: "fused", _pd.OP_HOOK_SEGMENT: "fused",
 }
 
 

@@ -1,16 +1,19 @@
 """Per-call-site hook dispatch (OP_HOOK fusion).
 
 The pre-decoding engine recognizes the instrumentation idiom
-``i32.const f; i32.const i; call <hook>`` and fuses it into a pre-bound
-``OP_HOOK`` superinstruction whose dispatcher has the Location and all
-per-site static information resolved at instantiation time; the legacy
-engine reaches the same per-site dispatchers through the hook's host
-function. These tests pin down
+``i32.const f; i32.const i; call <hook>`` and decodes it into one
+``OP_HOOK`` slot that calls its entry of the instance's dispatcher table,
+whose dispatcher has the Location and all per-site static information
+resolved at instantiation time; straight-line runs holding such sites
+compile into hook segments. The legacy engine reaches the same per-site
+dispatchers through the hook's host function. These tests pin down
 
-* the decode-time site recording and pair-fusion interaction,
+* the decode-time site recording, the shared stream's ``OP_HOOK`` slots
+  and compiled hook segments, and each instance's dispatcher table,
 * that the pre-decoded engine produces event streams identical to the
-  legacy string-dispatch engine (differential corpus + hypothesis; the
-  corpus streams are also pinned by digest in ``test_golden_pins.py``),
+  legacy string-dispatch engine (differential corpus + hypothesis over
+  random hook groups; the corpus streams are also pinned by digest in
+  ``test_golden_pins.py``),
 * the shared no-op dispatcher for un-overridden hooks,
 * ``Analysis.used_groups()`` and ``AnalysisSession(groups=None)``
   auto-narrowing, and
@@ -22,14 +25,17 @@ from hypothesis import given, settings, strategies as st
 from repro.analyses.tracer import ExecutionTracer
 from repro.core import Analysis, AnalysisSession, analyze
 from repro.core.analysis import ALL_GROUPS, Location
-from repro.core.instrument import InstrumentationConfig
+from repro.core.hooks import HOOK_MODULE
+from repro.core.instrument import InstrumentationConfig, instrument_module
 from repro.core.runtime import WasabiRuntime, _noop_dispatcher
-from repro.interp import Machine
-from repro.interp.predecode import OP_CALL, OP_CONST, OP_HOOK, cached_decode
+from repro.interp import Linker, Machine, WasmFunction
+from repro.interp.predecode import (OP_CALL, OP_CONST, OP_HOOK, OP_HOOK_SEGMENT,
+                                    cached_decode)
 from repro.minic import compile_source
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.module import BrTable
 from repro.wasm.types import I32
+from repro.workloads.polybench import compile_kernel
 
 from .test_instrument_properties import minic_program
 
@@ -152,21 +158,26 @@ class TestDifferentialCorpus:
 
 @settings(max_examples=20, deadline=None)
 @given(minic_program(), st.integers(min_value=-8, max_value=8),
-       st.integers(min_value=-8, max_value=8))
-def test_differential_hypothesis(source, a, b):
-    """The default engine and the legacy engine agree on random programs."""
+       st.integers(min_value=-8, max_value=8),
+       st.sets(st.sampled_from(sorted(ALL_GROUPS)), min_size=1))
+def test_differential_hypothesis(source, a, b, groups):
+    """The default engine and the legacy engine agree on random programs
+    instrumented for a random subset of hook groups, so compiled segments
+    mix hooked and unhooked code."""
     module = compile_source(source)
     try:
-        predecoded = stream(module, Machine(), "main", (a, b))
+        predecoded = stream(module, Machine(), "main", (a, b), groups=groups)
     except Exception as exc:
         # traps must reproduce identically on the legacy engine
         try:
-            stream(module, Machine(predecode=False), "main", (a, b))
+            stream(module, Machine(predecode=False), "main", (a, b),
+                   groups=groups)
         except Exception as legacy_exc:
             assert type(legacy_exc) is type(exc)
             return
         raise AssertionError("default engine trapped, legacy did not")
-    legacy = stream(module, Machine(predecode=False), "main", (a, b))
+    legacy = stream(module, Machine(predecode=False), "main", (a, b),
+                    groups=groups)
     assert predecoded == legacy
 
 
@@ -174,7 +185,7 @@ def test_differential_hypothesis(source, a, b):
 
 
 class TestFusion:
-    def test_decode_records_sites_and_keeps_cache_unfused(self):
+    def test_decode_installs_sites_in_the_shared_stream(self):
         module = compile_source(MIXED_SOURCE)
         tracer = ExecutionTracer()
         session = AnalysisSession(module, tracer, run_start=False)
@@ -182,15 +193,56 @@ class TestFusion:
         func = next(f for f in instrumented.functions if f.body)
         decoded, _ = cached_decode(func, instrumented)
         assert decoded.hook_sites
-        # the shared cache holds the unfused stream: sites are still plain
-        # calls, preceded by the two un-consumed location constants
-        ops = [ins[0] for ins in decoded.code]
-        assert OP_HOOK not in ops
-        for pc in decoded.hook_sites:
-            assert decoded.code[pc][0] == OP_CALL
-            if pc >= 2 and decoded.code[pc][2] >= 2:
-                assert decoded.code[pc - 1][0] == OP_CONST
-                assert decoded.code[pc - 2][0] == OP_CONST
+        hooks = {index for index, imp in enumerate(instrumented.imports)
+                 if imp.module == HOOK_MODULE}
+        hook_segments = [ins for ins in decoded.code if ins[0] == OP_HOOK_SEGMENT]
+        assert hook_segments
+        for site, (pc, import_idx, consts) in enumerate(decoded.hook_sites):
+            # the call and its location constants keep their decoding as
+            # branch-target fallbacks; the site's first slot dispatches it
+            call = decoded.code[pc]
+            assert call[0] == OP_CALL and call[1] == import_idx in hooks
+            slot = decoded.code[pc - 2 if consts else pc]
+            if slot[0] == OP_HOOK:
+                assert slot == (OP_HOOK, site, call[2] - len(consts),
+                                3 if consts else 1)
+            else:
+                assert slot[0] == OP_HOOK_SEGMENT and slot[3] == site
+            if consts:
+                assert decoded.code[pc - 1] == (OP_CONST, consts[1])
+
+    def test_instances_share_the_stream_with_own_tables(self):
+        module = compile_source(MIXED_SOURCE)
+        session = AnalysisSession(module, ExecutionTracer(), run_start=False,
+                                  machine=Machine(predecode=True))
+        linker = Linker()
+        for name, host in session.runtime.host_functions().items():
+            linker.define(HOOK_MODULE, name, host)
+        other = Machine(predecode=True).instantiate(
+            session.result.module, linker, run_start=False)
+        pairs = [(a, b) for a, b in zip(session.instance.functions,
+                                        other.functions)
+                 if isinstance(a, WasmFunction) and a.hooks]
+        assert pairs
+        for first, second in pairs:
+            assert not first.decoded.indirect_sites
+            assert first.decoded is second.decoded
+            assert first.hooks is not second.hooks
+            assert len(first.hooks) == len(first.decoded.hook_sites)
+
+    def test_gemm_hook_sites_join_hook_segments(self):
+        module = instrument_module(compile_kernel("gemm")).module
+        inside = total = 0
+        for func in module.functions:
+            decoded, _ = cached_decode(func, module)
+            covered = set()
+            for pc, ins in enumerate(decoded.code):
+                if ins[0] == OP_HOOK_SEGMENT:
+                    covered.update(range(pc, pc + ins[2]))
+            for pc, _, consts in decoded.hook_sites:
+                total += 1
+                inside += (pc - 2 if consts else pc) in covered
+        assert total and inside >= 0.9 * total
 
     def test_instance_code_is_fused(self):
         module = compile_source(MIXED_SOURCE)

@@ -10,9 +10,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Analysis, AnalysisSession
-from repro.interp import Linker, Machine
+from repro.core.runtime import _noop_dispatcher
+from repro.interp import Linker, Machine, WasmFunction
+from repro.interp.predecode import OP_HOOK_SEGMENT
 from repro.minic import compile_source
 from repro.wasm import AnalysisAbort, AnalysisError, Trap
+from repro.wasm.builder import ModuleBuilder
+from repro.wasm.types import I32
 
 #: The two engines (``predecode``).
 CONFIGS = [True, False]
@@ -219,3 +223,56 @@ class TestQuarantineDifferential:
         assert (instance.invoke("work", [8])
                 == baseline.invoke("work", [8]))
         assert analysis.counts["i32.mul"] == 1  # still quarantined
+
+
+def two_mul_module():
+    """``f(a, b) = a * b * a``: one straight-line run holding two sites of
+    the same low-level hook (``i32.mul`` binary events)."""
+    builder = ModuleBuilder()
+    fb = builder.function((I32, I32), (I32,), export="f")
+    fb.get_local(0).get_local(1).emit("i32.mul").get_local(0).emit("i32.mul")
+    fb.finish()
+    return builder.build()
+
+
+class TestQuarantineInsideOneSegment:
+    """A quarantine takes effect at the next site of the segment that
+    faulted: a compiled hook segment reads the dispatcher table at every
+    event."""
+
+    def test_both_sites_lie_in_one_hook_segment(self):
+        session = AnalysisSession(two_mul_module(), FlakyAnalysis(1),
+                                  machine=Machine(predecode=True))
+        wfunc, = (f for f in session.instance.functions
+                  if isinstance(f, WasmFunction))
+        decoded = wfunc.decoded
+        assert len(decoded.hook_sites) == 2
+        assert len({import_idx for _, import_idx, _ in decoded.hook_sites}) == 1
+        segments = [(pc, ins) for pc, ins in enumerate(decoded.code)
+                    if ins[0] == OP_HOOK_SEGMENT]
+        assert len(segments) == 1
+        (start, (_, _, span, first_site)), = segments
+        assert first_site == 0
+        for pc, _, consts in decoded.hook_sites:
+            assert consts and start <= pc - 2 < start + span
+
+    @pytest.mark.parametrize("predecode", CONFIGS)
+    @pytest.mark.parametrize("policy, dispatched", [("quarantine", 1),
+                                                    ("log", 2)])
+    def test_policy_applies_at_the_next_site(self, predecode, policy,
+                                             dispatched, capsys):
+        analysis = FlakyAnalysis(1)
+        session = AnalysisSession(two_mul_module(), analysis,
+                                  machine=Machine(predecode=predecode),
+                                  on_analysis_error=policy)
+        assert session.invoke("f", [3, 5]) == [45]
+        # one fault; under quarantine the second site of the same run
+        # already dispatched the no-op, under log it reached the analysis
+        assert len(session.hook_faults) == 1
+        assert analysis.events == dispatched
+        if predecode:
+            wfunc, = (f for f in session.instance.functions
+                      if isinstance(f, WasmFunction))
+            swapped = [entry is _noop_dispatcher for entry in wfunc.hooks]
+            assert swapped == [policy == "quarantine"] * 2
+        assert "contained" in capsys.readouterr().err

@@ -24,7 +24,8 @@ from repro.interp import (Machine, ResourceLimits, WasmFunction,
 from repro.interp.host import HostFunction, Linker
 from repro.interp.predecode import (OP_CALL_INDIRECT_IC, OP_CONST_BINARY,
                                     OP_GET2_LOCAL, OP_GET_LOCAL_BINARY,
-                                    OP_GET_LOCAL_CONST, OP_HOOK, OP_SEGMENT)
+                                    OP_GET_LOCAL_CONST, OP_HOOK,
+                                    OP_HOOK_SEGMENT, OP_SEGMENT)
 from repro.minic import compile_source
 from repro.wasm import decode_module, encode_module
 from repro.wasm.builder import ModuleBuilder
@@ -330,7 +331,7 @@ EXECUTABLE = frozenset({
     pd.OP_GET_LOCAL_CONST, pd.OP_CONST_BINARY,
     pd.OP_GET_LOCAL_BINARY, pd.OP_GET2_LOCAL, pd.OP_HOOK,
     pd.OP_QLOAD, pd.OP_QLOAD_MASK, pd.OP_QSTORE, pd.OP_QSTORE_MASK,
-    pd.OP_CALL_INDIRECT_IC, pd.OP_SEGMENT,
+    pd.OP_CALL_INDIRECT_IC, pd.OP_SEGMENT, pd.OP_HOOK_SEGMENT,
 })
 
 
@@ -371,7 +372,7 @@ class TestExecutedStreams:
                                   machine=Machine(predecode=True))
         session.invoke(workload.entry, workload.args)
         ops = _executed_ops(session.instance)
-        assert OP_HOOK in ops and ops <= EXECUTABLE
+        assert {OP_HOOK, OP_HOOK_SEGMENT} <= ops <= EXECUTABLE
 
     def test_execution_leaves_the_shared_cache_untouched(self):
         workload, = polybench_workloads(["gemm"], n=6)

@@ -7,16 +7,19 @@ every quickened stream must match bit for bit, including trap messages and
 snapshot/restore.
 """
 
+import re
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.interp.predecode as pd
+from repro.core.instrument import instrument_module
 from repro.eval import polybench_workloads
 from repro.interp import Machine
-from repro.interp.predecode import (OP_QLOAD, OP_QLOAD_MASK, OP_QSTORE,
-                                    OP_QSTORE_MASK, OP_SEGMENT, _SEGMENT_MIN,
-                                    _compile_segments, decode_function)
+from repro.interp.predecode import (OP_HOOK, OP_HOOK_SEGMENT, OP_QLOAD,
+                                    OP_QLOAD_MASK, OP_QSTORE, OP_QSTORE_MASK,
+                                    OP_SEGMENT, _SEGMENT_MIN, decode_function)
 from repro.interp.snapshot import (Snapshot, diff_instance, restore_instance,
                                    snapshot_instance)
 from repro.minic import compile_source
@@ -163,22 +166,87 @@ class TestCompiledSegments:
         code = decode_function(func, module).code
         assert not any(ins[0] == OP_SEGMENT for ins in code)
 
-    def test_blocked_pcs_never_join_segments(self):
-        module = compile_source(self.SRC)
-        func = next(f for f in module.functions if f.body is not None)
-        decoded = decode_function(func, module, fuse=False)
-        code = list(decoded.code)
-        # block a pc in the middle of what would otherwise be a run
-        starts = [pc for pc, ins in enumerate(code)]
-        target = starts[4]
-        _compile_segments(code, blocked={target})
-        for pc, ins in enumerate(code):
-            if ins[0] == OP_SEGMENT:
-                assert not (pc <= target < pc + ins[2])
+    def test_hook_sites_join_segments(self):
+        """Hook sites join the runs around them: a run holding sites is one
+        OP_HOOK_SEGMENT numbered from its first site, whose function also
+        takes the dispatcher table; hookless runs keep OP_SEGMENT."""
+        module = instrument_module(compile_source(self.SRC)).module
+        func, = (f for f in module.functions if f.body is not None)
+        decoded = decode_function(func, module)
+        code = decoded.code
+        slots = [pc - 2 if consts else pc for pc, _, consts in decoded.hook_sites]
+        for site, pc in enumerate(slots):
+            # a site's slot is its OP_HOOK, or the hook segment it starts
+            assert code[pc][0] in (OP_HOOK, OP_HOOK_SEGMENT)
+            assert code[pc][0] == OP_HOOK_SEGMENT or code[pc][1] == site
+        hook_segments = [(pc, ins) for pc, ins in enumerate(code)
+                         if ins[0] == OP_HOOK_SEGMENT]
+        assert hook_segments
+        for start, (_, fn, span, first_site) in hook_segments:
+            inside = [site for site, pc in enumerate(slots)
+                      if start <= pc < start + span]
+            assert inside == list(range(first_site, first_site + len(inside)))
+            assert inside and fn.__code__.co_argcount == 5
+        assert all(ins[1].__code__.co_argcount == 3
+                   for ins in code if ins[0] == OP_SEGMENT)
 
     def test_segment_results_match_legacy(self):
         module = compile_source(self.SRC)
         _assert_identical(_all_engines(module, "kernel", [7, 2.5]))
+
+
+def _forwarding_module():
+    """One straight-line run that reads local 0, does ``set_local 0``, does
+    ``tee_local 0`` on a value pushed before the run and reads local 0
+    again; the code after the ``nop`` barriers reads the locals back."""
+    builder = ModuleBuilder("forward")
+    builder.add_memory(1)
+    builder.add_global(I32, init=-7)
+    fb = builder.function((I32, I32), (I32,), export="f")
+    scratch = fb.add_local(I32)
+    fb.get_global(0)                         # below the run's own pushes
+    fb.get_local(0).i32_const(0x7FFFFFFF).emit("i32.add").set_local(0)
+    fb.tee_local(0).get_local(0).emit("i32.mul").set_local(scratch)
+    fb.i32_const(0).get_local(scratch).store("i32.store")
+    fb.get_local(0).get_local(1).emit("i32.sub")
+    fb.emit("nop")
+    fb.i32_const(4).get_local(0).store("i32.store")
+    fb.emit("nop")
+    fb.i32_const(8).get_local(scratch).store("i32.store")
+    fb.finish()
+    return builder.build()
+
+
+class TestLocalForwarding:
+    def test_run_reads_each_local_once(self, monkeypatch):
+        sources = []
+        compile_code = pd._segment_code
+
+        def capture(src):
+            sources.append(src)
+            return compile_code(src)
+
+        monkeypatch.setattr(pd, "_segment_code", capture)
+        module = _forwarding_module()
+        func, = module.functions
+        code = decode_function(func, module).code
+        segments = [ins for ins in code if ins[0] == OP_SEGMENT]
+        assert len(segments) == len(sources) == 1
+        assert segments[0][2] == 14  # the whole run up to the first nop
+        src, = sources
+        assert len(re.findall(r"= locals_\[0\]$", src, re.MULTILINE)) == 1
+        assert "= locals_[1]" in src and "= locals_[2]" not in src
+
+    @pytest.mark.parametrize("args", [[5, 3], [0x80000000, 1], [-1, -9]])
+    def test_forwarded_run_matches_legacy(self, args):
+        module = _forwarding_module()
+        runs = []
+        for kwargs in ENGINES:
+            instance = Machine(**kwargs).instantiate(module)
+            result = instance.invoke("f", args)
+            runs.append((result, bytes(instance.memory.data[:12])))
+        assert _bits_of([runs[0][0]]) == _bits_of([runs[1][0]])
+        assert runs[0][1] == runs[1][1]
 
 
 # -- call_indirect inline caches ------------------------------------------------
