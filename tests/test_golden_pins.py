@@ -31,7 +31,7 @@ from repro.core.instrument import InstrumentationConfig, instrument_module
 from repro.eval.faultinject import mutant_rng, mutate, seed_corpus
 from repro.eval.workloads import polybench_workloads
 from repro.interp import Machine
-from repro.interp.predecode import OP_SEGMENT, decode_function
+from repro.interp.predecode import OP_HOOK_SEGMENT, OP_SEGMENT, decode_function
 from repro.minic import compile_source
 from repro.obs.telemetry import Telemetry
 from repro.wasm import decode_module, encode_module
@@ -165,7 +165,7 @@ def test_instrumented_profile_golden(kernel, analysis_name, engine):
 # -- decoded stream shapes -------------------------------------------------------
 
 STREAM_SHAPE_DIGEST = \
-    "df1efef7dbea98f99c73fbfbcc82c367fcf1dd85ec473cf016db879cc6b7cb15"
+    "2b271f6303caa0215f8451f79d132e54c25d5c0cfeb5a988e714a2824bc6dad0"
 
 
 def _stream_shape_modules():
@@ -178,9 +178,11 @@ def _stream_shape_modules():
 
 def _stream_shape(module) -> str:
     """One line per function: the op id of every slot of the stream the
-    decoded engine runs, and each compiled segment's span."""
+    decoded engine runs, and each compiled segment's span, hook segments
+    included."""
     return "\n".join(
-        " ".join(f"{ins[0]}:{ins[2]}" if ins[0] == OP_SEGMENT else str(ins[0])
+        " ".join(f"{ins[0]}:{ins[2]}" if ins[0] in (OP_SEGMENT, OP_HOOK_SEGMENT)
+                 else str(ins[0])
                  for ins in decode_function(func, module).code)
         for func in module.functions)
 
