@@ -353,7 +353,7 @@ class WasabiRuntime:
 
     def _site_factory(self, hook_name: str, bind: "_Binder | None"
                       ) -> Callable[[int, int], Callable[[list], None]]:
-        """The factory the pre-decoding engine calls once per fused
+        """The factory the pre-decoding engine calls once per
         ``const/const/call`` hook site with the two raw location constants.
 
         It returns that site's bound dispatcher, wrapped for timing and

@@ -556,9 +556,10 @@ _INLINE_BINOPS: dict[int, str] = {
 }
 
 #: Capacity of the segment code cache. One ``analyze`` block (30 PolyBench
-#: kernels under each of the seven analyses) compiles 2,142 distinct
-#: segment sources, so a whole block fits with room to spare, and a
-#: long-lived process such as a serve worker cannot grow it without bound.
+#: kernels under each of the seven analyses) compiles 1,803 distinct
+#: segment sources (1.57 MB of text), so a whole block fits with room to
+#: spare, and a long-lived process such as a serve worker cannot grow it
+#: without bound.
 _SEGMENT_CACHE_SIZE = 4096
 
 
@@ -576,7 +577,7 @@ def _segment_code(src: str):
     return compile(src, "<quickened-segment>", "exec")
 
 
-def _compile_segment(slots: list[tuple]):
+def _compile_segment(slots: list[tuple], first_site: int | None = None):
     """Translate a straight-line run of decoded slots into one function.
 
     Symbolically executes the run against a virtual operand stack of
@@ -596,15 +597,14 @@ def _compile_segment(slots: list[tuple]):
     is exact because nothing a segment calls can write a Wasm local. A hook
     site becomes ``tab[b + j]([operands])``, a call through the instance's
     dispatcher table at every event, with ``j`` counted from the run's
-    first site so equal runs print equal source wherever they sit; such a
-    run's function takes ``tab`` and ``b`` as two more arguments.
+    ``first_site`` so equal runs print equal source wherever they sit; such
+    a run's function takes ``tab`` and ``b`` as two more arguments.
     """
     env: dict = {"_se": _struct_error, "_Trap": Trap, "_oob": oob_message}
     lines: list[str] = []
     vstack: list[str] = []
     local_values: dict[int, str] = {}
     counters = {"args": 0, "tmp": 0}
-    first_site = None
 
     def vpop() -> str:
         if vstack:
@@ -697,10 +697,9 @@ def _compile_segment(slots: list[tuple]):
             value = local_values[ins[1]] = vpeek()
             lines.append(f"locals_[{ins[1]}] = {value}")
         elif op == OP_HOOK:  # (_, site, n_value_args, skip)
-            if first_site is None:
-                first_site = ins[1]
             operands = [vpop() for _ in range(ins[2])]
-            index = f"b + {ins[1] - first_site}" if ins[1] > first_site else "b"
+            j = ins[1] - first_site
+            index = f"b + {j}" if j else "b"
             lines.append(f"tab[{index}]([{', '.join(reversed(operands))}])")
         elif op == OP_UNARY:
             out = tmp()
@@ -756,14 +755,14 @@ def _compile_segments(code: list[tuple]) -> None:
             pc += ins[3] if ins[0] == OP_HOOK else 1
         if pc - start < _SEGMENT_MIN:
             continue
-        fn = _compile_segment(slots)
+        first_site = next((ins[1] for ins in slots if ins[0] == OP_HOOK), None)
+        fn = _compile_segment(slots, first_site)
         if fn is None:
             continue
-        sites = [ins[1] for ins in slots if ins[0] == OP_HOOK]
-        if sites:
-            code[start] = (OP_HOOK_SEGMENT, fn, pc - start, sites[0])
-        else:
+        if first_site is None:
             code[start] = (OP_SEGMENT, fn, pc - start)
+        else:
+            code[start] = (OP_HOOK_SEGMENT, fn, pc - start, first_site)
 
 
 def _hook_sites(code: list[tuple], hook_imports: frozenset[int]) -> tuple:
