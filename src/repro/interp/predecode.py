@@ -577,7 +577,7 @@ def _segment_code(src: str):
     return compile(src, "<quickened-segment>", "exec")
 
 
-def _compile_segment(slots: list[tuple], first_site: int | None = None):
+def _compile_segment(slots: list[tuple], first_site: int | None):
     """Translate a straight-line run of decoded slots into one function.
 
     Symbolically executes the run against a virtual operand stack of
@@ -597,8 +597,9 @@ def _compile_segment(slots: list[tuple], first_site: int | None = None):
     is exact because nothing a segment calls can write a Wasm local. A hook
     site becomes ``tab[b + j]([operands])``, a call through the instance's
     dispatcher table at every event, with ``j`` counted from the run's
-    ``first_site`` so equal runs print equal source wherever they sit; such
-    a run's function takes ``tab`` and ``b`` as two more arguments.
+    ``first_site`` (None for a run without hook sites) so equal runs print
+    equal source wherever they sit; such a run's function takes ``tab``
+    and ``b`` as two more arguments.
     """
     env: dict = {"_se": _struct_error, "_Trap": Trap, "_oob": oob_message}
     lines: list[str] = []
