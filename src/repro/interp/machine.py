@@ -836,24 +836,6 @@ class Machine:
                     append(ins[1])
                 elif op == 3:  # OP_SET_LOCAL
                     locals_[ins[1]] = pop()
-                elif op == 30:  # OP_GET_LOCAL_CONST (fused)
-                    append(locals_[ins[1]])
-                    append(ins[2])
-                    pc += 2
-                    continue
-                elif op == 31:  # OP_CONST_BINARY (fused)
-                    stack[-1] = ins[1](stack[-1], ins[2])
-                    pc += 2
-                    continue
-                elif op == 32:  # OP_GET_LOCAL_BINARY (fused)
-                    stack[-1] = ins[1](stack[-1], locals_[ins[2]])
-                    pc += 2
-                    continue
-                elif op == 33:  # OP_GET2_LOCAL (fused)
-                    append(locals_[ins[1]])
-                    append(locals_[ins[2]])
-                    pc += 2
-                    continue
                 elif op == 34:  # OP_HOOK: (_, site, n_args, skip)
                     n_params = ins[2]
                     if n_params:

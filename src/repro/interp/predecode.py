@@ -28,9 +28,8 @@ dicts. This module translates each function body *once* into a flat array of
   so an executed hook does no location marshalling and no static-info
   lookups, and
 * straight-line runs, hook sites included, compile into one Python
-  function each (a *segment*), and four fixed adjacent pairs
-  (:data:`_PAIR_RULES`) fuse into one dispatch where a run is too short
-  for a segment.
+  function each (a *segment*), the stream's only superinstruction; a run
+  too short for a segment executes slot by slot.
 
 Each :class:`~repro.wasm.module.Function` caches exactly one decoded
 stream *on the object itself* (``func._decoded``), so re-instantiating the
@@ -95,18 +94,7 @@ OP_MEMORY_SIZE = 25
 OP_MEMORY_GROW = 26
 OP_NOP = 27
 OP_UNREACHABLE = 28
-# id 29 is unassigned: ids are never renumbered
-
-# Fused superinstructions. :func:`_fuse_pairs` rewrites slot *i* to execute
-# both instruction *i* and *i+1* (then skip ahead two pcs) for the adjacent
-# pairs in :data:`_PAIR_RULES` — address arithmetic in compiled expression
-# code is almost entirely ``get_local``/``const`` feeding a binary op. Slot
-# *i+1* keeps its ordinary decoding, so a branch that lands there still
-# executes it solo and the stream stays 1:1 with the source body.
-OP_GET_LOCAL_CONST = 30    # (_, local_idx, const) — push local, push const
-OP_CONST_BINARY = 31       # (_, fn, const)       — stack[-1] = fn(top, const)
-OP_GET_LOCAL_BINARY = 32   # (_, fn, local_idx)   — stack[-1] = fn(top, local)
-OP_GET2_LOCAL = 33         # (_, i, j)            — push two locals
+# ids 29-33 are unassigned: ids are never renumbered
 
 # Per-call-site hook dispatch. Decoding records every call into the Wasabi
 # hook import namespace (``DecodedFunction.hook_sites``) and installs
@@ -119,13 +107,14 @@ OP_GET2_LOCAL = 33         # (_, i, j)            — push two locals
 # source program.
 OP_HOOK = 34
 
-# Quickening (PR 7). The machine's stream (``decode_function(fuse=True)``)
-# replaces every memory op left bare after fusion with its pre-resolved
-# twin: the twin holds a bound ``struct.Struct.unpack_from``/``pack_into``
-# method (no per-access format-cache probe) and drops the canonicalization
-# mask where the format already guarantees canonical values. The base ids
-# 4-7 therefore never reach the interpreter loop; they stay the vocabulary
-# of the unfused stream and the segment compiler.
+# Quickening. The machine's stream (``decode_function(fuse=True)``)
+# replaces every bare memory op, segment-covered slots included, with its
+# pre-resolved twin: the twin holds a bound
+# ``struct.Struct.unpack_from``/``pack_into`` method (no per-access
+# format-cache probe) and drops the canonicalization mask where the format
+# already guarantees canonical values. The base ids 4-7 therefore never
+# reach the interpreter loop; they stay the vocabulary of the base stream
+# and the segment compiler.
 OP_QLOAD = 52              # (_, unpack, off, width) — no mask needed
 OP_QLOAD_MASK = 53         # (_, unpack, off, mask, width)
 OP_QSTORE = 54             # (_, pack, off, width)   — full-width store
@@ -140,8 +129,8 @@ OP_QSTORE_MASK = 55        # (_, pack, off, mask, width)
 # snapshot-restore fall back to the full resolve+type-check path.
 OP_CALL_INDIRECT_IC = 56
 
-# The logical endpoint of superinstruction formation (PR 7): a *compiled
-# straight-line segment*. At decode time, maximal runs of stack-machine
+# The decoded stream's one superinstruction: a *compiled straight-line
+# segment*. At decode time, maximal runs of stack-machine
 # ops (consts, locals, arithmetic, loads/stores, drop and hook sites — no
 # control flow, no other calls) are translated once into a small Python
 # function with every constant, mask, and bound struct method baked in,
@@ -150,10 +139,9 @@ OP_CALL_INDIRECT_IC = 56
 # hook sites becomes ``(OP_HOOK_SEGMENT, fn, span, first_site)`` instead:
 # ``fn`` also takes the instance's dispatcher table and ``first_site``,
 # and calls ``table[first_site + j]`` for its j-th site, reading the table
-# at every event. The covered slots keep their ordinary decoding, so a
-# branch landing inside the segment executes the original (pair-fusable,
-# quickenable) instructions — the same fallback contract fused pairs
-# honour.
+# at every event. The covered slots keep their ordinary (quickened)
+# decoding, so a branch landing inside the segment executes the original
+# instructions one slot at a time.
 OP_SEGMENT = 57
 OP_HOOK_SEGMENT = 58
 
@@ -163,8 +151,8 @@ OP_HOOK_SEGMENT = 58
 HOOK_IMPORT_MODULE = "__wasabi_hooks"
 
 #: Opcode id → display name, used by the self-profiler's hot-opcode ranking
-#: and anything else that renders decoded streams for humans. Fused forms
-#: are named after their constituents; ``OP_JUMP`` is the decoded ``else``.
+#: and anything else that renders decoded streams for humans. ``OP_JUMP`` is
+#: the decoded ``else``.
 OP_NAMES: dict[int, str] = {
     OP_GET_LOCAL: "get_local",
     OP_BINARY: "binary",
@@ -195,10 +183,6 @@ OP_NAMES: dict[int, str] = {
     OP_MEMORY_GROW: "memory.grow",
     OP_NOP: "nop",
     OP_UNREACHABLE: "unreachable",
-    OP_GET_LOCAL_CONST: "get_local+const",
-    OP_CONST_BINARY: "const+binary",
-    OP_GET_LOCAL_BINARY: "get_local+binary",
-    OP_GET2_LOCAL: "get_local+get_local",
     OP_HOOK: "hook",
     OP_QLOAD: "load.quick",
     OP_QLOAD_MASK: "load.quick.mask",
@@ -430,36 +414,6 @@ def _hook_import_indices(module: Module) -> frozenset[int]:
                 indices.append(func_idx)
             func_idx += 1
     return frozenset(indices)
-
-
-#: The fused pairs: ``(first_op, second_op)`` → a function taking the two
-#: decoded tuples and returning the fused tuple. Runs long enough to matter
-#: become compiled segments; a fused pair saves one dispatch on a run too
-#: short for one, such as a loop condition (``get_local; const; lt;
-#: br_if``) or the code between two hook sites.
-_PAIR_RULES = {
-    (OP_GET_LOCAL, OP_CONST): lambda f, s: (OP_GET_LOCAL_CONST, f[1], s[1]),
-    (OP_GET_LOCAL, OP_BINARY): lambda f, s: (OP_GET_LOCAL_BINARY, s[1], f[1]),
-    (OP_GET_LOCAL, OP_GET_LOCAL): lambda f, s: (OP_GET2_LOCAL, f[1], s[1]),
-    (OP_CONST, OP_BINARY): lambda f, s: (OP_CONST_BINARY, s[1], f[1]),
-}
-
-
-def _fuse_pairs(code: list[tuple]) -> None:
-    """Rewrite the :data:`_PAIR_RULES` pairs into superinstructions, in place.
-
-    Overlapping fusions are fine: a fused slot is only *entered* at its own
-    pc, and it always skips exactly one slot, whose unfused decoding is kept
-    for branches that target it directly. An installed ``OP_HOOK`` slot
-    matches no rule in either position.
-    """
-    get = _PAIR_RULES.get
-    for pc in range(len(code) - 1):
-        first = code[pc]
-        second = code[pc + 1]
-        rule = get((first[0], second[0]))
-        if rule is not None:
-            code[pc] = rule(first, second)
 
 
 #: Stores whose mask is redundant: the operand stack only holds canonical
@@ -733,14 +687,13 @@ def _compile_segment(slots: list[tuple], first_site: int | None):
 def _compile_segments(code: list[tuple]) -> None:
     """Replace straight-line runs with compiled-segment slots, in place.
 
-    Runs before pair fusion: the segment takes the run's first slot (so
-    fusion can never consume it), while the covered slots keep their
-    ordinary decoding as the branch-target fallback — fusion and memory-op
-    quickening still apply to them, so a branch into the middle of a
-    segment executes at fused-pair speed. A hook site's ``OP_HOOK`` slot
-    joins a run together with the location constants and call it skips; a
-    run holding hook sites becomes :data:`OP_HOOK_SEGMENT`, any other
-    :data:`OP_SEGMENT`.
+    The segment takes the run's first slot, while the covered slots keep
+    their ordinary decoding as the branch-target fallback (memory-op
+    quickening still applies to them). A run shorter than
+    :data:`_SEGMENT_MIN` stays as it is and executes slot by slot. A hook
+    site's ``OP_HOOK`` slot joins a run together with the location
+    constants and call it skips; a run holding hook sites becomes
+    :data:`OP_HOOK_SEGMENT`, any other :data:`OP_SEGMENT`.
     """
     n = len(code)
     pc = 0
@@ -787,13 +740,13 @@ def decode_function(func: Function, module: Module,
 
     ``fuse=True`` (the default) produces the stream the machine executes:
     hook sites become :data:`OP_HOOK` slots, straight-line runs become
-    compiled segments, the :data:`_PAIR_RULES` pairs are fused, bare memory
-    ops become their pre-resolved twins, and ``call_indirect`` slots are
-    recorded in ``indirect_sites`` for the machine's per-instance
-    inline-cache rewrite. ``fuse=False`` stops after the base decode,
-    leaving every slot a base opcode — the self-profiler takes its per-pc
-    opcode ids from such a stream so its counts attribute 1:1 to source
-    instructions. Both record the same ``hook_sites``.
+    compiled segments, bare memory ops become their pre-resolved twins,
+    and ``call_indirect`` slots are recorded in ``indirect_sites`` for the
+    machine's per-instance inline-cache rewrite. ``fuse=False`` stops
+    after the base decode, leaving every slot a base opcode — the
+    self-profiler takes its per-pc opcode ids from such a stream so its
+    counts attribute 1:1 to source instructions. Both record the same
+    ``hook_sites``.
     """
     body = func.body
     end_of, else_of = match_blocks(body)
@@ -815,11 +768,7 @@ def decode_function(func: Function, module: Module,
             code[pc - 2] = (OP_HOOK, site, n_params - 2, 3)
         else:
             code[pc] = (OP_HOOK, site, n_params, 1)
-    # segments first: each claims its run's first slot (so a fusion pair
-    # can never swallow it), while the covered slots fall through to
-    # fusion + quickening as branch-target fallbacks
     _compile_segments(code)
-    _fuse_pairs(code)
     _quicken_slots(code, body)
     indirect_sites = tuple(
         pc for pc, ins in enumerate(code) if ins[0] == OP_CALL_INDIRECT)

@@ -19,7 +19,7 @@ Counting instructions rather than sampling wall-clock makes the profile
 deterministic for a given guest execution — two runs of the same program
 produce the same ranking — and independent of the engine, which is what
 the differential tests pin. The profiler is strictly opt-in: without it
-the pre-decoded engine runs its ordinary fused loop and pays nothing.
+the pre-decoded engine runs its ordinary decoded loop and pays nothing.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ OP_CLASSES: dict[int, str] = {
     _pd.OP_CALL: "call", _pd.OP_CALL_INDIRECT: "call",
     _pd.OP_SELECT: "stack", _pd.OP_DROP: "stack",
     _pd.OP_HOOK: "hook",
-    # fused/quickened forms are never charged (ids come from the base
-    # decode), but keep the map total so aggregation cannot KeyError on
-    # any opcode id
-    _pd.OP_GET_LOCAL_CONST: "fused", _pd.OP_CONST_BINARY: "fused",
-    _pd.OP_GET_LOCAL_BINARY: "fused", _pd.OP_GET2_LOCAL: "fused",
+    # quickened twins, inline caches and segments are never charged (ids
+    # come from the base decode), but keep the map total so aggregation
+    # cannot KeyError on any opcode id
     _pd.OP_QLOAD: "memory", _pd.OP_QLOAD_MASK: "memory",
     _pd.OP_QSTORE: "memory", _pd.OP_QSTORE_MASK: "memory",
     _pd.OP_CALL_INDIRECT_IC: "call",

@@ -22,17 +22,19 @@ from repro.eval.workloads import (POLYBENCH_FAST_SUBSET, polybench_workloads,
 from repro.interp import (Machine, ResourceLimits, WasmFunction,
                           cached_decode, decode_function, predecode_default)
 from repro.interp.host import HostFunction, Linker
-from repro.interp.predecode import (OP_CALL_INDIRECT_IC, OP_CONST_BINARY,
-                                    OP_GET2_LOCAL, OP_GET_LOCAL_BINARY,
-                                    OP_GET_LOCAL_CONST, OP_HOOK,
-                                    OP_HOOK_SEGMENT, OP_SEGMENT)
+from repro.interp.predecode import (OP_CALL_INDIRECT_IC, OP_CONST,
+                                    OP_GET_LOCAL, OP_HOOK, OP_HOOK_SEGMENT,
+                                    OP_SEGMENT)
 from repro.minic import compile_source
+from repro.wasi import WasiContext
 from repro.wasm import decode_module, encode_module
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import ExhaustionError, Trap, WasmError
 from repro.wasm.module import BrTable, Instr
 from repro.wasm.types import F32, F64, I32, I64, FuncType
 from repro.workloads.polybench import compile_kernel
+from repro.workloads.wasi_io import (SAMPLE_FILES, SAMPLE_STDIN,
+                                     wasi_io_entry, wasi_io_module)
 
 
 def _bits(values: list[int | float]) -> list[bytes]:
@@ -264,51 +266,38 @@ class TestDecodeDetails:
             Machine(predecode=True).instantiate(module)
         assert getattr(module.functions[0], "_decoded", None) is None
 
-    def test_superinstruction_fusion(self):
-        module = compile_source("""
-            export func addressish(i: i32, j: i32) -> i32 {
-                return (i * 8 + j) * 4;
-            }
-        """)
-        func = module.functions[0]
-        decoded = decode_function(func, module)
-        fused = {ins[0] for ins in decoded.code}
-        assert fused & {OP_GET_LOCAL_CONST, OP_CONST_BINARY, OP_GET2_LOCAL}
-        legacy, fast = _both_engines(module, "addressish", [3, 5])
-        assert legacy == fast == [116]
 
-
-#: Each built-in pair placed at a pc the call enters, in a run too short to
-#: become a compiled segment (``nop`` breaks a run without fusing): the body
-#: of ``f(a, b)``, the fused slot's pc and op id, and the expected result.
-#: The binary op is ``i32.sub`` so swapped operands would show.
-PAIRS = {
+#: Runs too short to become a compiled segment (``nop`` breaks a run),
+#: each starting at a pc the call enters: the body of ``f(a, b)``, that
+#: pc and the plain op it decodes to, and the expected result. The binary
+#: op is ``i32.sub`` so swapped operands would show.
+SHORT_RUNS = {
     "get_local+const": (
         lambda fb: fb.get_local(0).emit("i32.const", value=7).emit("i32.sub"),
-        0, OP_GET_LOCAL_CONST, lambda a, b: a - 7),
+        0, OP_GET_LOCAL, lambda a, b: a - 7),
     "const+binary": (
         lambda fb: fb.get_local(0).emit("nop").emit("i32.const", value=7)
         .emit("i32.sub"),
-        2, OP_CONST_BINARY, lambda a, b: a - 7),
+        2, OP_CONST, lambda a, b: a - 7),
     "get_local+binary": (
         lambda fb: fb.get_local(0).emit("nop").get_local(1).emit("i32.sub"),
-        2, OP_GET_LOCAL_BINARY, lambda a, b: a - b),
+        2, OP_GET_LOCAL, lambda a, b: a - b),
     "get_local+get_local": (
         lambda fb: fb.get_local(1).get_local(0).emit("i32.sub"),
-        0, OP_GET2_LOCAL, lambda a, b: b - a),
+        0, OP_GET_LOCAL, lambda a, b: b - a),
 }
 
 
-class TestPairFusion:
-    @pytest.mark.parametrize("pair", sorted(PAIRS))
-    def test_builtin_pair_fuses_and_matches_legacy(self, pair):
-        emit, pc, fused_op, expected = PAIRS[pair]
-        builder = ModuleBuilder("pair")
+class TestShortRuns:
+    @pytest.mark.parametrize("run", sorted(SHORT_RUNS))
+    def test_short_run_executes_slot_by_slot(self, run):
+        emit, pc, plain_op, expected = SHORT_RUNS[run]
+        builder = ModuleBuilder("short")
         emit(builder.function((I32, I32), (I32,), name="f",
                               export="f")).finish()
         module = builder.build()
         code = decode_function(module.functions[0], module).code
-        assert code[pc][0] == fused_op
+        assert code[pc][0] == plain_op
         assert OP_SEGMENT not in {ins[0] for ins in code}
         for a, b in ((3, 10), (10, 3)):
             legacy, fast = _both_engines(module, "f", [a, b])
@@ -328,8 +317,7 @@ EXECUTABLE = frozenset({
     pd.OP_BLOCK, pd.OP_JUMP, pd.OP_CALL, pd.OP_RETURN, pd.OP_GET_GLOBAL,
     pd.OP_SET_GLOBAL, pd.OP_SELECT, pd.OP_DROP, pd.OP_BR_TABLE,
     pd.OP_MEMORY_SIZE, pd.OP_MEMORY_GROW, pd.OP_NOP, pd.OP_UNREACHABLE,
-    pd.OP_GET_LOCAL_CONST, pd.OP_CONST_BINARY,
-    pd.OP_GET_LOCAL_BINARY, pd.OP_GET2_LOCAL, pd.OP_HOOK,
+    pd.OP_HOOK,
     pd.OP_QLOAD, pd.OP_QLOAD_MASK, pd.OP_QSTORE, pd.OP_QSTORE_MASK,
     pd.OP_CALL_INDIRECT_IC, pd.OP_SEGMENT, pd.OP_HOOK_SEGMENT,
 })
@@ -364,6 +352,22 @@ class TestExecutedStreams:
         if name == "engine_demo":
             # the stand-in that exercises call_indirect got its caches
             assert OP_CALL_INDIRECT_IC in ops
+
+    @pytest.mark.parametrize("name", ["line_filter", "checksum", "extract"])
+    def test_wasi_io_streams_have_no_base_ops(self, name):
+        """The WASI programs of e2e ``execute``: many short runs between
+        syscalls and conditions, which execute slot by slot."""
+        ctx = WasiContext(args=["prog"], stdin=SAMPLE_STDIN,
+                          files=dict(SAMPLE_FILES))
+        linker = Linker()
+        ctx.register(linker)
+        instance = Machine(predecode=True).instantiate(wasi_io_module(name),
+                                                       linker)
+        ctx.bind_memory(instance)
+        entry, args = wasi_io_entry(name)
+        instance.invoke(entry, args)
+        ops = _executed_ops(instance)
+        assert ops and ops <= EXECUTABLE
 
     def test_instrumented_streams_have_no_base_ops(self):
         workload, = polybench_workloads(["trisolv"], n=6)

@@ -23,11 +23,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cli import main
 from repro.core import Analysis, AnalysisSession
 from repro.interp import Linker, Machine, ResourceLimits
+from repro.interp.predecode import OP_NAMES
 from repro.minic import compile_source
 from repro.obs import (HOOK_LATENCY_BUCKETS, METRICS_SCHEMA, Histogram,
                        MetricsRegistry, Telemetry, Tracer, measure,
                        parse_prometheus, render_report, spans_from_chrome_trace,
                        spans_from_jsonl, spans_to_chrome_trace, spans_to_jsonl)
+from repro.obs.profiler import OP_CLASSES
 from repro.wasm import encode_module
 from repro.workloads.polybench import compile_kernel
 
@@ -314,6 +316,11 @@ class TestDisabledTelemetryDifferential:
 
 
 class TestProfiler:
+    def test_opcode_classes_cover_every_opcode_id(self):
+        """A class for every named opcode id and for nothing else, so
+        aggregating any counter array cannot KeyError."""
+        assert OP_CLASSES.keys() == OP_NAMES.keys()
+
     def test_hot_function_ranking(self, fib_module):
         tele = Telemetry(profile=True, sample_interval=50)
         machine = Machine(predecode=True, telemetry=tele)
