@@ -165,7 +165,7 @@ def test_instrumented_profile_golden(kernel, analysis_name, engine):
 # -- decoded stream shapes -------------------------------------------------------
 
 STREAM_SHAPE_DIGEST = \
-    "2b271f6303caa0215f8451f79d132e54c25d5c0cfeb5a988e714a2824bc6dad0"
+    "216e8a66103c4c5f9b275ee62e7b33b3eae9c9920886130f6f875ba463af70f0"
 
 
 def _stream_shape_modules():
