@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 from typing import Callable
 
 from ..wasm.errors import Trap
@@ -167,10 +166,6 @@ def _ffloor(x: float) -> float:
     if math.isnan(x) or math.isinf(x) or x == 0.0:
         return x
     return float(math.floor(x))
-
-
-def _fadd32(a, b):
-    return f32_round(a + b)
 
 
 def _fcopysign(a: float, b: float) -> float:
@@ -328,14 +323,3 @@ assert len(OP_HANDLERS) == len(UNOPS) + len(BINOPS), "unary/binary mnemonic clas
 def default_value(valtype) -> int | float:
     """The zero value of a value type (used for locals and globals)."""
     return 0.0 if valtype.value.startswith("f") else 0
-
-
-def pack_value(valtype, value) -> bytes:
-    """Serialize a runtime value to its little-endian byte representation."""
-    fmt = {"i32": "<I", "i64": "<Q", "f32": "<f", "f64": "<d"}[valtype.value]
-    return struct.pack(fmt, value)
-
-
-def unpack_value(valtype, data: bytes) -> int | float:
-    fmt = {"i32": "<I", "i64": "<Q", "f32": "<f", "f64": "<d"}[valtype.value]
-    return struct.unpack(fmt, data)[0]

@@ -103,12 +103,6 @@ class Telemetry:
         self.events.append(event)
         return event
 
-    def adopt_spans(self, entries: list[dict] | None,
-                    default_process: str | None = None) -> int:
-        """Fold remote span dicts (a ``repro.serve/1`` response's ``spans``)
-        into this run's tracer; they export and fold like local spans."""
-        return self.tracer.adopt(entries, default_process)
-
     def note_grow(self, pages_now: int) -> None:
         """Charge one executed ``memory.grow`` (called from the engines)."""
         self.n_mem_grow += 1

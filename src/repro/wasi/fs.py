@@ -18,8 +18,6 @@ lives a layer up in :class:`repro.wasi.preview1.WasiContext`.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .abi import (ERRNO_BADF, ERRNO_INVAL, ERRNO_MFILE, ERRNO_NOENT,
                   ERRNO_NOSPC, ERRNO_SUCCESS, FILETYPE_CHARACTER_DEVICE,
                   FILETYPE_DIRECTORY, FILETYPE_REGULAR_FILE, OFLAGS_CREAT,
@@ -95,16 +93,6 @@ class WasiFS:
             PREOPEN_FD: OpenFd(PREOPEN_FD, "preopen"),
         }
         self._next_fd = PREOPEN_FD + 1
-
-    @classmethod
-    def from_dir(cls, directory: str | Path, **kwargs) -> "WasiFS":
-        """Load every regular file of a host directory (sorted, top-level
-        only) into a fresh in-memory FS — a one-time ingest; execution
-        never touches the host FS again."""
-        directory = Path(directory)
-        files = {entry.name: entry.read_bytes()
-                 for entry in sorted(directory.iterdir()) if entry.is_file()}
-        return cls(files=files, **kwargs)
 
     # -- accounting ------------------------------------------------------------
 

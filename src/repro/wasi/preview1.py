@@ -161,9 +161,6 @@ class WasiContext:
         """Point syscalls at the instantiated guest's linear memory."""
         self._memory = instance.memory
 
-    def attach_replay(self, replay) -> None:
-        self._replay = replay
-
     # -- the syscall spine -----------------------------------------------------
 
     def _call(self, name: str, args: list, impl):

@@ -50,7 +50,3 @@ def f64_bits(x: float) -> int:
 
 def f64_from_bits(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits & 0xFFFFFFFFFFFFFFFF))[0]
-
-
-def is_canonical_nan(x: float) -> bool:
-    return math.isnan(x)

@@ -84,13 +84,6 @@ class OpInfo:
     def is_block_start(self) -> bool:
         return self.mnemonic in ("block", "loop", "if")
 
-    @property
-    def is_control(self) -> bool:
-        return self.mnemonic in (
-            "unreachable", "nop", "block", "loop", "if", "else", "end",
-            "br", "br_if", "br_table", "return", "call", "call_indirect",
-        )
-
 
 _T = {"i32": I32, "i64": I64, "f32": F32, "f64": F64}
 

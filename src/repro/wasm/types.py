@@ -37,10 +37,6 @@ class ValType(enum.Enum):
     def bit_width(self) -> int:
         return {ValType.I32: 32, ValType.I64: 64, ValType.F32: 32, ValType.F64: 64}[self]
 
-    @property
-    def byte_width(self) -> int:
-        return self.bit_width // 8
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
