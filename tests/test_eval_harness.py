@@ -1,5 +1,6 @@
 """The evaluation harness itself: sweeps, reports, and the hook matrix."""
 
+import json
 import re
 from pathlib import Path
 
@@ -14,6 +15,40 @@ from repro.eval import (FIGURE_GROUPS, EngineBench, SizeReport, bench_engines,
 from repro.eval.faithfulness import run_instrumented, run_original
 from repro.interp import Linker
 from repro.workloads.polybench import compile_kernel
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _legacy_ratios(bench: dict) -> list[float]:
+    return [w["ratio"]["legacy"] for w in bench["workloads"]]
+
+
+#: Each README sentence that prints numbers from BENCH_engine.json: a
+#: pattern over the README with runs of whitespace collapsed, and the
+#: values its groups print (factors, and worst disabled-path estimates in
+#: percent).
+README_ENGINE_NUMBERS = {
+    "legacy": (
+        r"\*\*≈([\d.]+)× geomean\*\* over the legacy loop, "
+        r"per-kernel ([\d.]+)–([\d.]+)×",
+        lambda b: (b["geomean"]["legacy"], min(_legacy_ratios(b)),
+                   max(_legacy_ratios(b)))),
+    "metered": (
+        r"measured ≲([\d.]+)% \(floor: ≤2%\) on the Fig\. 9 subset, see the "
+        r"`metered` entries of `benchmarks/results/BENCH_engine\.json`; "
+        r"active metering costs ≈([\d.]+)×",
+        lambda b: (100 * b["max_disabled_overhead"]["metered"],
+                   b["geomean"]["metered"])),
+    "recording": (
+        r"≲([\d.]+)% on the Fig\. 9 subset, recording ≈([\d.]+)×",
+        lambda b: (100 * b["max_disabled_overhead"]["recording"],
+                   b["geomean"]["recording"])),
+    "counted": (
+        r"disabled-path cost is ≲([\d.]+)% against a ≤2% floor, attached "
+        r"counting ≈([\d.]+)×, full profiling ≈([\d.]+)×",
+        lambda b: (100 * b["max_disabled_overhead"]["counted"],
+                   b["geomean"]["counted"], b["geomean"]["profiled"])),
+}
 
 
 class TestHooksMatrix:
@@ -140,11 +175,25 @@ class TestRendering:
     def test_experiments_quotes_result_file(self, name):
         """EXPERIMENTS.md quotes these regenerated results between markers
         rather than retyping their numbers; a stale quote fails here."""
-        root = Path(__file__).resolve().parent.parent
         match = re.search(
             rf"<!-- quote: results/{name}.txt -->\n```text\n(.*?)```\n",
-            (root / "EXPERIMENTS.md").read_text(), re.S)
+            (ROOT / "EXPERIMENTS.md").read_text(), re.S)
         assert match, f"EXPERIMENTS.md does not quote results/{name}.txt"
-        result = (root / "benchmarks" / "results" / f"{name}.txt").read_text()
+        result = (ROOT / "benchmarks" / "results" / f"{name}.txt").read_text()
         assert [line.rstrip() for line in match[1].splitlines()] == \
             [line.rstrip() for line in result.splitlines()]
+
+    @pytest.mark.parametrize("sentence", sorted(README_ENGINE_NUMBERS))
+    def test_readme_engine_numbers_match_bench(self, sentence):
+        """The README's engine numbers are BENCH_engine.json's, rounded to
+        the digits printed; regenerating the JSON without updating the
+        README fails here."""
+        pattern, values = README_ENGINE_NUMBERS[sentence]
+        readme = " ".join((ROOT / "README.md").read_text().split())
+        match = re.search(pattern, readme)
+        assert match, f"README.md lost the {sentence} sentence"
+        bench = json.loads(
+            (ROOT / "benchmarks/results/BENCH_engine.json").read_text())
+        for printed, value in zip(match.groups(), values(bench), strict=True):
+            digits = len(printed.partition(".")[2])
+            assert printed == f"{value:.{digits}f}", (sentence, printed, value)
