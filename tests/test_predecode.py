@@ -26,15 +26,14 @@ from repro.interp.predecode import (OP_CALL_INDIRECT_IC, OP_CONST,
                                     OP_GET_LOCAL, OP_HOOK, OP_HOOK_SEGMENT,
                                     OP_SEGMENT)
 from repro.minic import compile_source
-from repro.wasi import WasiContext
 from repro.wasm import decode_module, encode_module
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import ExhaustionError, Trap, WasmError
 from repro.wasm.module import BrTable, Instr
 from repro.wasm.types import F32, F64, I32, I64, FuncType
 from repro.workloads.polybench import compile_kernel
-from repro.workloads.wasi_io import (SAMPLE_FILES, SAMPLE_STDIN,
-                                     wasi_io_entry, wasi_io_module)
+
+from .test_wasi import run_workload
 
 
 def _bits(values: list[int | float]) -> list[bytes]:
@@ -355,18 +354,11 @@ class TestExecutedStreams:
 
     @pytest.mark.parametrize("name", ["line_filter", "checksum", "extract"])
     def test_wasi_io_streams_have_no_base_ops(self, name):
-        """The WASI programs of e2e ``execute``: many short runs between
-        syscalls and conditions, which execute slot by slot."""
-        ctx = WasiContext(args=["prog"], stdin=SAMPLE_STDIN,
-                          files=dict(SAMPLE_FILES))
-        linker = Linker()
-        ctx.register(linker)
-        instance = Machine(predecode=True).instantiate(wasi_io_module(name),
-                                                       linker)
-        ctx.bind_memory(instance)
-        entry, args = wasi_io_entry(name)
-        instance.invoke(entry, args)
-        ops = _executed_ops(instance)
+        """The WASI programs of e2e ``execute``, whose many runs too short
+        for a segment execute slot by slot."""
+        run = run_workload(name, predecode=True)
+        assert run["error"] is None
+        ops = _executed_ops(run["instance"])
         assert ops and ops <= EXECUTABLE
 
     def test_instrumented_streams_have_no_base_ops(self):
