@@ -7,7 +7,8 @@ profiler's exact instruction counting, for the stream the decoded engine
 executes and for the decoder's accept/reject decisions.
 
 * the ``ExecutionTracer`` event stream of every program in the hook-dispatch
-  differential corpus (``tests/test_hook_dispatch.py``), on both engines;
+  differential corpus (``tests/test_hook_dispatch.py``), on both engines,
+  and of every spec-corpus program under all hooks, on the legacy loop;
 * ``profiler.as_dict()`` (opcode counts, opcode classes, per-function work
   and sampled stacks) of instrumented PolyBench runs, on both engines;
 * the shape of every decoded stream (op id per slot, span per compiled
@@ -25,7 +26,7 @@ import json
 
 import pytest
 
-from repro.analyses import BranchCoverage, InstructionMixAnalysis
+from repro.analyses import BranchCoverage, ExecutionTracer, InstructionMixAnalysis
 from repro.core import AnalysisSession
 from repro.core.instrument import InstrumentationConfig, instrument_module
 from repro.eval.faultinject import mutant_rng, mutate, seed_corpus
@@ -34,9 +35,10 @@ from repro.interp import Machine
 from repro.interp.predecode import OP_HOOK_SEGMENT, OP_SEGMENT, decode_function
 from repro.minic import compile_source
 from repro.obs.telemetry import Telemetry
-from repro.wasm import decode_module, encode_module
+from repro.wasm import Trap, decode_module, encode_module
 from repro.workloads import engine_demo, pdf_toolkit
 from repro.workloads.polybench import compile_kernel, kernel_names
+from repro.workloads.spec_corpus import corpus
 
 from .test_hook_dispatch import (I64_SOURCE, INDIRECT_SOURCE, MIXED_SOURCE,
                                  NO_LOCATION_GROUPS, br_table_module, stream)
@@ -117,6 +119,28 @@ def test_event_stream_golden(name, engine, memory_module):
                     Machine(predecode=ENGINES[engine]), entry, args, **kwargs)
     assert events
     assert _digest(repr(events)) == STREAM_DIGESTS[name]
+
+
+SPEC_CORPUS_STREAM_DIGEST = \
+    "aea3ae9e994ebe110ff1fd3a2c0c4ab91813402159f0edea89dbbceba7de2525"
+
+
+def test_spec_corpus_event_stream():
+    """Every spec-corpus program under an all-hooks ``ExecutionTracer``:
+    its outcome and its full event stream (49,426 events of 21 kinds), so
+    every hook kind's value conversion runs on real operands. Pinned on
+    the legacy loop only; both engines reach the same dispatchers."""
+    parts = []
+    for program in corpus():
+        tracer = ExecutionTracer()
+        session = AnalysisSession(program.module, tracer,
+                                  machine=Machine(predecode=False))
+        try:
+            outcome = session.invoke(program.entry, program.args)
+        except Trap as trap:
+            outcome = f"trap {type(trap).__name__}: {trap}"
+        parts.append(repr((program.name, outcome, tracer.events)))
+    assert _digest("".join(parts)) == SPEC_CORPUS_STREAM_DIGEST
 
 
 # -- instrumented self-profiles --------------------------------------------------
