@@ -1,56 +1,47 @@
 """The Wasabi runtime: generated low-level hooks dispatching to the analysis.
 
 For every :class:`HookSpec` the instrumenter generated, the runtime creates
-a host function (the analogue of the paper's generated JavaScript low-level
-hooks). These functions
+a host function, the analogue of the paper's generated JavaScript
+low-level hooks, and like Wasabi it generates them. :data:`_TRANSLATIONS`
+has one row per hook kind: the analysis method(s) it calls, the statics
+resolved once per call site (§2.3 "pre-computed information"), and the
+call, written as source over the popped values. :func:`_bind_source`
+expands a live hook's row and value types into the source of
+``bind(location)``, compiled once per process (:func:`_bind_code`).
+``bind`` resolves one site's statics and returns its dispatcher, which in
+one frame re-joins split i64 halves (§2.4.6), presents values as Figure 5
+does, calls the analysis and contains faults. Two rows call helpers:
+indirect ``call_pre`` reads the callee from the live table (§2.3), and
+``br_table`` fires the end hooks of the blocks the taken entry leaves
+(§2.4.5). Only the table's text and index expressions are compiled; the
+analysis, the mnemonic and the static info are bound in the namespace the
+code is exec'd into.
 
-* re-join split i64 halves into full-width integers (§2.4.6),
-* convert raw i32 condition values to booleans (Figure 5),
-* attach pre-computed static information — resolved branch targets, memory
-  offsets, variable indices, call targets (§2.3 "pre-computed information"),
-* resolve indirect-call table indices to the actually called function by
-  reading the live table (§2.3), and
-* for ``br_table``, select the taken entry and fire the end hooks of all
-  traversed blocks at runtime (§2.4.5),
+The pre-decoding engine calls each host function's ``site_factory`` once
+per ``const/const/call`` site at instantiation and stores the dispatcher
+in the instance's dispatcher table, which the site's ``OP_HOOK`` slot or
+compiled hook segment calls. Every other hook call (the legacy engine, a
+site the engine could not fuse) reaches the host function, which binds
+the site's dispatcher by its trailing ``(func, instr)`` arguments on first
+use. Dead hooks, whose methods the analysis does not override, dispatch to
+a shared no-op.
 
-before invoking the user's high-level hooks.
-
-Every hook kind's translation lives in one place,
-:meth:`WasabiRuntime._site_binder`: given a call site's :class:`Location`
-it resolves that site's static information (branch targets, memarg
-offsets, variable indices, call targets, begin/end matching) and value
-converters once and returns a dispatcher over the popped value arguments.
-The engines reach it two ways:
-
-* the pre-decoding engine calls the ``site_factory`` host-function
-  attribute once per ``const/const/call`` site at instantiation time and
-  stores the returned closure in the instance's dispatcher table, which
-  the site's ``OP_HOOK`` slot or compiled hook segment calls, so per event
-  nothing is looked up;
-* every other hook call (the legacy engine, or a site the engine could
-  not fuse) calls the host function itself, which looks the bound
-  dispatcher up by the trailing ``(func, instr)`` location arguments and
-  binds it on first use.
-
-Hooks whose high-level methods the analysis does not override dispatch to a
-shared no-op on both paths.
-
-**Fault containment.** Every dispatch runs the analysis under exactly one
-containment wrapper: an exception escaping a hook is wrapped in
+**Fault containment.** An exception escaping a hook is wrapped in
 :class:`~repro.wasm.errors.AnalysisError` carrying the hook name and
-:class:`Location`, and then handled per the runtime's
-``on_analysis_error`` policy — ``raise`` (propagate to the embedder),
-``abort`` (trap the guest with :class:`~repro.wasm.errors.AnalysisAbort`),
-``quarantine`` (atomically swap that hook's dispatchers — its entries in
-the instances' dispatcher tables included, via the host functions' site
-registries — for the shared no-op and keep the guest running), or ``log``
-(record, report on stderr, keep dispatching).
+:class:`Location`, and handled per the ``on_analysis_error`` policy:
+``raise`` (propagate to the embedder), ``abort`` (trap the guest with
+:class:`~repro.wasm.errors.AnalysisAbort`), ``quarantine`` (atomically
+swap every dispatcher of that hook, dispatcher-table entries included, for
+the no-op and keep the guest running), or ``log`` (record, report on
+stderr, keep dispatching). A site with no static info fails to bind, and
+that failure is handled the same way at the site's first event.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Callable
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..interp.host import HostFunction
 from ..interp.machine import Instance
@@ -69,32 +60,141 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs → interp)
 ERROR_POLICIES = ("raise", "abort", "quarantine", "log")
 
 
-#: hook kind → analysis method(s) a dispatcher for that kind may invoke.
-_KIND_TO_METHODS: dict[str, tuple[str, ...]] = {
-    "const": ("const_",),
-    "drop": ("drop",),
-    "select": ("select",),
-    "unary": ("unary",),
-    "binary": ("binary",),
-    "load": ("load",),
-    "store": ("store",),
-    "local": ("local",),
-    "global": ("global_",),
-    "memory_size": ("memory_size",),
-    "memory_grow": ("memory_grow",),
-    "call_pre": ("call_pre",),
-    "call_post": ("call_post",),
-    "return": ("return_",),
-    "br": ("br",),
-    "br_if": ("br_if",),
-    # the br_table dispatcher also fires the end hooks of traversed blocks
-    "br_table": ("br_table", "end"),
-    "if": ("if_",),
-    "begin": ("begin",),
-    "end": ("end",),
-    "nop": ("nop",),
-    "unreachable": ("unreachable",),
+class _Row(NamedTuple):
+    """How one hook kind reaches the analysis.
+
+    ``call`` is source over the popped ``args``: ``{v0}``, ``{v1}`` … are
+    the values as analyses see them (Figure 5: integers signed, split i64
+    halves re-joined, floats untouched), ``{r0}`` … the same values raw,
+    ``{values}`` all presented values and ``{rest}`` those after the first.
+    ``hook`` is the analysis method (or the kind's helper), ``op`` the
+    hook's mnemonic or block kind; ``statics`` runs once per call site.
+    """
+
+    methods: tuple[str, ...]
+    call: str
+    statics: str = ""
+
+
+_OFFSET = "offset = info.memarg_offset(loc.func, loc.instr)"
+_INDEX = "index = info.var_index(loc.func, loc.instr)"
+_BR_TARGET = "target = info.br_target(loc.func, loc.instr)"
+
+#: hook kind → its translation; indirect ``call_pre`` has its own row.
+_TRANSLATIONS: dict[str, _Row] = {
+    "const": _Row(("const_",), "hook(loc, {v0})"),
+    "drop": _Row(("drop",), "hook(loc, {v0})"),
+    "select": _Row(("select",), "hook(loc, bool({r2}), {v0}, {v1})"),
+    "unary": _Row(("unary",), "hook(loc, op, {v0}, {v1})"),
+    "binary": _Row(("binary",), "hook(loc, op, {v0}, {v1}, {v2})"),
+    "load": _Row(("load",), "hook(loc, op, MemArg({r0}, offset), {v1})", _OFFSET),
+    "store": _Row(("store",), "hook(loc, op, MemArg({r0}, offset), {v1})", _OFFSET),
+    "local": _Row(("local",), "hook(loc, op, index, {v0})", _INDEX),
+    "global": _Row(("global_",), "hook(loc, op, index, {v0})", _INDEX),
+    "memory_size": _Row(("memory_size",), "hook(loc, {r0})"),
+    "memory_grow": _Row(("memory_grow",), "hook(loc, {r0}, {r1})"),
+    "call_pre": _Row(("call_pre",), "hook(loc, target, [{values}], None)",
+                     "target = info.call_target(loc.func, loc.instr)"),
+    "call_pre_indirect": _Row(("call_pre",),
+                              "hook(loc, callee({r0}), [{rest}], {r0})"),
+    "call_post": _Row(("call_post",), "hook(loc, [{values}])"),
+    "return": _Row(("return_",), "hook(loc, [{values}])"),
+    "br": _Row(("br",), "hook(loc, target)", _BR_TARGET),
+    "br_if": _Row(("br_if",), "hook(loc, target, bool({r0}))", _BR_TARGET),
+    # the helper hook also fires the end hooks of the traversed blocks
+    "br_table": _Row(("br_table", "end"), "hook(loc, table, {r0})",
+                     "table = info.br_table_info(loc.func, loc.instr)"),
+    "if": _Row(("if_",), "hook(loc, bool({r0}))"),
+    "begin": _Row(("begin",), "hook(loc, op)"),
+    "end": _Row(("end",), "hook(loc, op, begin)",
+                "begin = info.begin_location(loc.func, loc.instr, op)"),
+    "nop": _Row(("nop",), "hook(loc)"),
+    "unreachable": _Row(("unreachable",), "hook(loc)"),
 }
+
+
+def _row_key(spec: HookSpec) -> str:
+    """The :data:`_TRANSLATIONS` key of one hook."""
+    if spec.kind == "call_pre" and spec.payload[0] == "indirect":
+        return "call_pre_indirect"
+    return spec.kind
+
+
+#: An :class:`AnalysisError` (a nested dispatch's, or an ``AnalysisAbort``
+#: trap in flight) propagates unwrapped; ``KeyboardInterrupt`` and
+#: ``SystemExit`` are no ``Exception`` and are never contained.
+_BIND_SOURCE = """\
+def bind(loc):
+    {statics}
+    def dispatch(args):
+        {start}
+        try:
+            {call}
+        except AnalysisError:
+            raise
+        except Exception as exc:
+            fault(exc, loc)
+        {finish}
+    return dispatch
+"""
+
+
+def _value_exprs(value_types: tuple[ValType, ...]) -> tuple[list, list]:
+    """Per logical hook value, its ``(raw, presented)`` source over ``args``.
+
+    ``args`` is the flat (post-i64-split) argument list. ``raw`` keeps the
+    engine's canonical unsigned form (addresses, table indices),
+    ``presented`` applies the Figure-5 conversion: integers become signed
+    Python ints, floats pass through. Split i64 halves are re-joined by
+    both.
+    """
+    raw: list[str] = []
+    presented: list[str] = []
+    i = 0
+    for valtype in value_types:
+        if valtype is I64:
+            joined = f"(args[{i}] | (args[{i + 1}] << 32))"
+            raw.append(joined)
+            # branch-free sign conversion: (x ^ 2**63) - 2**63
+            presented.append(f"(({joined} ^ 0x8000000000000000) - 0x8000000000000000)")
+            i += 2
+        else:
+            raw.append(f"args[{i}]")
+            presented.append(f"((args[{i}] ^ 0x80000000) - 0x80000000)"
+                             if valtype is ValType.I32 else f"args[{i}]")
+            i += 1
+    return raw, presented
+
+
+def _bind_source(row: _Row, value_types: tuple[ValType, ...],
+                 timed: bool) -> str:
+    """The source of ``bind(loc)`` for one row and hook signature.
+
+    Timed dispatchers observe each event's latency, fault handling
+    included, into the hook's histogram.
+    """
+    raw, presented = _value_exprs(value_types)
+    call = row.call.format(
+        values=", ".join(presented), rest=", ".join(presented[1:]),
+        **{f"v{k}": v for k, v in enumerate(presented)},
+        **{f"r{k}": r for k, r in enumerate(raw)})
+    return _BIND_SOURCE.format(
+        statics=row.statics, call=call,
+        start="start = clock()" if timed else "",
+        finish=("finally:\n            observe(clock() - start)"
+                if timed else ""))
+
+
+@lru_cache(maxsize=1024)
+def _bind_code(src: str):
+    """The code object of one ``bind`` source, compiled once per process.
+
+    One ``analyze`` block (30 PolyBench kernels under each of the seven
+    analyses) needs 23 sources; the bound keeps a long-lived process from
+    growing the cache. It is kept apart from the segment cache, whose
+    counters the machine charges as segment compiles.
+    """
+    return compile(src, "<wasabi-hook>", "exec")
 
 
 def _overrides(analysis: Analysis, method_name: str) -> bool:
@@ -105,43 +205,6 @@ def _overrides(analysis: Analysis, method_name: str) -> bool:
     """
     impl = getattr(analysis, method_name)
     return getattr(impl, "__func__", impl) is not getattr(Analysis, method_name)
-
-
-_SIGN32 = 1 << 31
-_SIGN64 = 1 << 63
-
-
-def _part_extractors(value_types: tuple[ValType, ...]):
-    """Per logical hook value: ``(raw, presented)`` extractor pairs.
-
-    Each extractor takes the flat (post-i64-split) raw argument list and
-    returns one logical value; ``raw`` keeps the engine's canonical unsigned
-    form (used for addresses and table indices), ``presented`` applies the
-    Figure-5 conversion (integers become signed Python ints, the JavaScript
-    ``number`` / long.js view; floats pass through). Split i64 halves are
-    re-joined by both. Index arithmetic happens here, once per hook.
-    """
-    raws: list = []
-    presented: list = []
-    cursor = 0
-    for valtype in value_types:
-        if valtype is I64:
-            lo, hi = cursor, cursor + 1
-            raws.append(lambda a, lo=lo, hi=hi: a[lo] | (a[hi] << 32))
-            # branch-free sign conversion: (x ^ 2**63) - 2**63
-            presented.append(
-                lambda a, lo=lo, hi=hi:
-                ((a[lo] | (a[hi] << 32)) ^ _SIGN64) - _SIGN64)
-            cursor += 2
-        else:
-            i = cursor
-            raws.append(lambda a, i=i: a[i])
-            if valtype is ValType.I32:
-                presented.append(lambda a, i=i: (a[i] ^ _SIGN32) - _SIGN32)
-            else:
-                presented.append(lambda a, i=i: a[i])
-            cursor += 1
-    return raws, presented
 
 
 def _noop_dispatcher(args: list) -> None:
@@ -186,7 +249,6 @@ class WasabiRuntime:
             first = self.info.hooks[0]
             self._with_locations = (len(first.wasm_params)
                                     == len(split_i64(first.value_types)) + 2)
-        self.enabled = True  # allows pausing an analysis mid-run
 
     def bind(self, instance: Instance) -> None:
         """Attach the instrumented instance (needed for table lookups)."""
@@ -205,13 +267,12 @@ class WasabiRuntime:
         out: dict[str, HostFunction] = {}
         for spec in self.info.hooks:
             bind = self._site_binder(spec) if self._hook_is_live(spec) else None
-            dispatcher = self._contain(
-                self._timed(self._lookup_dispatcher(bind), spec.name), spec.name)
-            host = HostFunction(spec.functype, dispatcher, name=spec.name)
+            host = HostFunction(spec.functype,
+                                self._lookup_dispatcher(spec.name, bind),
+                                name=spec.name)
             host.is_wasabi_hook = True
-            # every dispatcher-table entry bound from this host is recorded
-            # here by bind_hook_sites, so quarantine() can swap it for the
-            # no-op
+            # bind_hook_sites records every table entry bound from this
+            # host here, so quarantine() can swap it for the no-op
             host.site_registry = []
             if self._with_locations:
                 host.site_factory = self._site_factory(spec.name, bind)
@@ -222,73 +283,15 @@ class WasabiRuntime:
     def _hook_is_live(self, spec: HookSpec) -> bool:
         """Whether any analysis method this hook dispatches to is overridden."""
         return any(_overrides(self.analysis, method)
-                   for method in _KIND_TO_METHODS[spec.kind])
-
-    # -- telemetry ---------------------------------------------------------------
-
-    def _timed(self, inner: Callable[[list], None],
-               hook_name: str) -> Callable[[list], None]:
-        """Wrap a dispatcher so each dispatch is timed into the telemetry's
-        per-hook latency histogram.
-
-        The histogram (and its ``.observe``) is resolved once per hook at
-        wrap time, so the per-dispatch cost is two clock reads and one
-        bisect. Without telemetry (or for the shared no-op of a dead hook)
-        the dispatcher passes through untouched — the disabled path adds
-        nothing. Containment wraps *outside* this, so a faulting dispatch
-        still records its latency before the policy applies.
-        """
-        tele = self.telemetry
-        if tele is None or inner is _noop_dispatcher:
-            return inner
-        observe = tele.hook_histogram(hook_name).observe
-        clock = tele.clock
-
-        def timed(args: list) -> None:
-            start = clock()
-            try:
-                inner(args)
-            finally:
-                observe(clock() - start)
-
-        return timed
+                   for method in _TRANSLATIONS[_row_key(spec)].methods)
 
     # -- fault containment ---------------------------------------------------
 
-    def _contain(self, inner: Callable[[list], None], hook_name: str,
-                 location: Location | None = None) -> Callable[[list], None]:
-        """Wrap a dispatcher so hook exceptions are contained per policy.
-
-        The shared no-op passes through unwrapped (it cannot raise), so
-        dead hooks keep identity-comparable no-op dispatch. Exceptions that
-        are already :class:`AnalysisError` (a nested contained dispatch, or
-        an :class:`AnalysisAbort` trap in flight) propagate unwrapped.
-        ``KeyboardInterrupt``/``SystemExit`` are never contained.
-        """
-        if inner is _noop_dispatcher:
-            return inner
-
-        def contained(args: list) -> None:
-            try:
-                inner(args)
-            except AnalysisError:
-                raise
-            except Exception as exc:
-                self._hook_fault(exc, hook_name, location, args)
-
-        return contained
-
-    def _hook_fault(self, exc: Exception, hook_name: str,
-                    location: Location | None, args: list) -> None:
+    def _hook_fault(self, hook_name: str, exc: Exception,
+                    location: Location | None) -> None:
         """Record one contained hook fault and apply the error policy."""
-        if location is None:
-            # host-call dispatch has no statically bound Location; recover
-            # it from the trailing location parameters when present
-            if self._with_locations and len(args) >= 2:
-                try:
-                    location = Location(args[-2], to_signed(args[-1], 32))
-                except (TypeError, IndexError):
-                    location = None
+        if not self._with_locations:
+            location = None  # the hook's Location(-1, -1) is a placeholder
         where = f" at {location}" if location is not None else ""
         message = (f"analysis hook {hook_name!r} raised "
                    f"{type(exc).__name__}: {exc}{where}")
@@ -322,13 +325,11 @@ class WasabiRuntime:
     def quarantine(self, hook_name: str) -> None:
         """Atomically replace every dispatcher of one hook with the no-op.
 
-        Swaps the host function's ``fn`` (the host-call dispatch path) and
-        every dispatcher-table entry recorded in its site registry. Each
-        swap is a single reference assignment, so a swap is atomic under
-        the GIL and takes effect immediately — the engines read the table
-        at every event, so even sites reached later in the *current*
-        invocation, in the same compiled segment included, dispatch to the
-        no-op.
+        Swaps the host function's ``fn`` (the host-call path) and every
+        dispatcher-table entry in its site registry. Each swap is one
+        reference assignment, atomic under the GIL; the engines read the
+        table at every event, so sites reached later in the *current*
+        invocation, in the same compiled segment included, see the no-op.
         """
         self._quarantined.add(hook_name)
         if self.telemetry is not None:
@@ -342,302 +343,107 @@ class WasabiRuntime:
         for table, site in host.site_registry:
             table[site] = _noop_dispatcher
 
-    def _original_func_idx(self, instrumented_idx: int) -> int:
-        """Map a function index of the instrumented module back to the
-        original index space (inverse of the instrumenter's remapping)."""
-        if instrumented_idx < self._num_original_imports:
-            return instrumented_idx
-        return instrumented_idx - self._num_hooks
+    def _callee(self, table_index: int) -> int:
+        """The original index of the function at ``table_index`` of the
+        live table (the inverse of the instrumenter's remapping), or -1."""
+        instance = self.instance
+        if instance is None or instance.table is None:
+            return -1
+        entry = instance.table.lookup(table_index)
+        if entry is None:
+            return -1
+        return entry if entry < self._num_original_imports else entry - self._num_hooks
+
+    def _br_table_hook(self) -> Callable:
+        """The ``br_table`` row's helper: the ``br_table`` event, then the
+        ``end`` events of the blocks the taken entry leaves (§2.4.5)."""
+        analysis = self.analysis
+        br_table = analysis.br_table if _overrides(analysis, "br_table") else None
+        end = analysis.end if _overrides(analysis, "end") else None
+
+        def fire(loc: Location, table, table_index: int) -> None:
+            if br_table is not None:
+                br_table(loc, table.targets, table.default, table_index)
+            if end is not None:
+                for event in table.select(table_index)[1]:
+                    end(event.end, event.kind, event.begin)
+        return fire
 
     # -- per-call-site dispatch ---------------------------------------------------
 
     def _site_factory(self, hook_name: str, bind: "_Binder | None"
                       ) -> Callable[[int, int], Callable[[list], None]]:
         """The factory the pre-decoding engine calls once per
-        ``const/const/call`` hook site with the two raw location constants.
-
-        It returns that site's bound dispatcher, wrapped for timing and
-        containment (or the shared no-op for a dead or quarantined hook).
-        A factory raising (a site with no static info) makes the engine
-        keep the host-call path, which raises at event time instead.
-        """
+        ``const/const/call`` hook site with its two raw location constants:
+        that site's dispatcher, or the no-op for a dead or quarantined hook.
+        If it raises (no static info), the engine keeps the host-call path,
+        which faults at event time instead."""
 
         def factory(func_const: int, instr_const: int) -> Callable[[list], None]:
             if bind is None or hook_name in self._quarantined:
                 return _noop_dispatcher
             # the begin-function hook's instr index is emitted as -1 and
             # arrives pre-masked; the func index is always nonnegative
-            location = Location(func_const, to_signed(instr_const, 32))
-            return self._contain(self._timed(bind(location), hook_name),
-                                 hook_name, location)
+            return bind(Location(func_const, to_signed(instr_const, 32)))
         return factory
 
-    def _lookup_dispatcher(self, bind: "_Binder | None") -> Callable[[list], None]:
+    def _lookup_dispatcher(self, hook_name: str,
+                           bind: "_Binder | None") -> Callable[[list], None]:
         """The host-call dispatcher over the same per-site ``bind``.
 
-        Hook calls that reach the host function (the legacy engine, sites
-        the engine did not fuse) carry the location as their two trailing
-        arguments: the dispatcher bound for that location is built on first
-        use and memoized. Without location parameters every call shares
-        one dispatcher bound to ``Location(-1, -1)``. A ``bind`` failure
-        raises here, at event time, inside the caller's containment.
+        Hook calls that reach the host function carry the location as their
+        two trailing arguments; each location's dispatcher is bound on first
+        use and memoized. Without location parameters every call shares one
+        bound to ``Location(-1, -1)``. A ``bind`` failure is a hook fault at
+        that event, and binding is retried at the next.
         """
         if bind is None:
             return _noop_dispatcher
-        if not self._with_locations:
-            unlocated = None
-
-            def dispatch_unlocated(args: list) -> None:
-                nonlocal unlocated
-                if unlocated is None:
-                    unlocated = bind(Location(-1, -1))
-                unlocated(args)
-            return dispatch_unlocated
-
         sites: dict[tuple[int, int], Callable[[list], None]] = {}
+
+        def bind_site(func: int, instr: int) -> Callable[[list], None]:
+            location = Location(func, to_signed(instr, 32))
+            try:
+                site = sites[func, instr] = bind(location)
+            except Exception as exc:  # a location with no static info
+                self._hook_fault(hook_name, exc, location)
+                return _noop_dispatcher
+            return site
+
+        if not self._with_locations:
+            def dispatch_unlocated(args: list) -> None:
+                (sites.get((-1, -1)) or bind_site(-1, -1))(args)
+            return dispatch_unlocated
 
         def dispatch(args: list) -> None:
             key = (args[-2], args[-1])
             site = sites.get(key)
             if site is None:
-                site = sites[key] = bind(Location(key[0], to_signed(key[1], 32)))
+                site = bind_site(*key)
             site(args[:-2])
         return dispatch
 
     def _site_binder(self, spec: HookSpec) -> "_Binder":
-        """Per-kind translation of one live hook: ``bind(location)``.
+        """``bind(location)`` of one live hook, generated from its row.
 
-        ``bind`` returns a dispatcher over the popped value arguments with
-        everything constant at that site — the :class:`Location`, memarg
-        offset, variable index, direct-call target, branch targets,
-        br_table entries, begin/end matching, and the value converters —
-        resolved once, never per event. It raises (``KeyError``) for a
-        location with no static info of the kind the hook needs.
+        ``bind`` resolves the site's statics once and returns its
+        dispatcher; it raises (``KeyError``) for a location with no static
+        info of the kind the hook needs.
         """
-        analysis = self.analysis
-        kind = spec.kind
-        payload = spec.payload
-        info = self.info
-
-        raws, presented = _part_extractors(spec.value_types)
-        # the hottest dispatchers (pure-i32 and pure-float shapes) are
-        # flattened below to avoid even the per-value extractor calls
-        all_i32 = all(t is ValType.I32 for t in spec.value_types)
-        all_float = all(t not in (ValType.I32, I64) for t in spec.value_types)
-
-        if kind in ("const", "drop"):
-            hook = analysis.const_ if kind == "const" else analysis.drop
-            if all_i32:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, (args[0] ^ _SIGN32) - _SIGN32)
-                    return dispatch
-            elif all_float:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, args[0])
-                    return dispatch
-            else:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, ((args[0] | (args[1] << 32)) ^ _SIGN64)
-                             - _SIGN64)
-                    return dispatch
-        elif kind == "select":
-            hook = analysis.select
-            first, second, condition = presented[0], presented[1], raws[2]
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
-                    hook(loc, bool(condition(args)), first(args), second(args))
-                return dispatch
-        elif kind == "unary":
-            hook = analysis.unary
-            op = payload[0]
-            if all_i32:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, (args[0] ^ _SIGN32) - _SIGN32,
-                             (args[1] ^ _SIGN32) - _SIGN32)
-                    return dispatch
-            elif all_float:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, args[0], args[1])
-                    return dispatch
-            else:
-                inp, res = presented[0], presented[1]
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, inp(args), res(args))
-                    return dispatch
-        elif kind == "binary":
-            hook = analysis.binary
-            op = payload[0]
-            if all_i32:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, (args[0] ^ _SIGN32) - _SIGN32,
-                             (args[1] ^ _SIGN32) - _SIGN32,
-                             (args[2] ^ _SIGN32) - _SIGN32)
-                    return dispatch
-            elif all_float:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, args[0], args[1], args[2])
-                    return dispatch
-            else:
-                first, second, res = presented[0], presented[1], presented[2]
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, first(args), second(args), res(args))
-                    return dispatch
-        elif kind in ("load", "store"):
-            hook = analysis.load if kind == "load" else analysis.store
-            op = payload[0]
-            valtype = spec.value_types[1]  # (address, value)
-            if valtype is ValType.I32:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    offset = info.memarg_offset(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, MemArg(args[0], offset),
-                             (args[1] ^ _SIGN32) - _SIGN32)
-                    return dispatch
-            elif valtype is I64:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    offset = info.memarg_offset(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, MemArg(args[0], offset),
-                             ((args[1] | (args[2] << 32)) ^ _SIGN64) - _SIGN64)
-                    return dispatch
-            else:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    offset = info.memarg_offset(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, MemArg(args[0], offset), args[1])
-                    return dispatch
-        elif kind in ("local", "global"):
-            hook = analysis.local if kind == "local" else analysis.global_
-            op = payload[0]
-            if all_i32:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    index = info.var_index(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, index, (args[0] ^ _SIGN32) - _SIGN32)
-                    return dispatch
-            elif all_float:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    index = info.var_index(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, index, args[0])
-                    return dispatch
-            else:
-                def bind(loc: Location) -> Callable[[list], None]:
-                    index = info.var_index(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, op, index,
-                             ((args[0] | (args[1] << 32)) ^ _SIGN64)
-                             - _SIGN64)
-                    return dispatch
-        elif kind == "memory_size":
-            hook = analysis.memory_size
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
-                    hook(loc, args[0])
-                return dispatch
-        elif kind == "memory_grow":
-            hook = analysis.memory_grow
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
-                    hook(loc, args[0], args[1])
-                return dispatch
-        elif kind == "call_pre":
-            hook = analysis.call_pre
-            if payload[0] == "indirect":
-                arg_parts = presented[1:]  # raws[0] is the raw table index
-                def bind(loc: Location) -> Callable[[list], None]:
-                    def dispatch(args: list) -> None:
-                        table_index = args[0]
-                        call_args = [part(args) for part in arg_parts]
-                        target = -1
-                        instance = self.instance
-                        if instance is not None and instance.table is not None:
-                            entry = instance.table.lookup(table_index)
-                            if entry is not None:
-                                target = self._original_func_idx(entry)
-                        hook(loc, target, call_args, table_index)
-                    return dispatch
-            else:
-                arg_parts = presented
-                def bind(loc: Location) -> Callable[[list], None]:
-                    target = info.call_target(loc.func, loc.instr)
-                    def dispatch(args: list) -> None:
-                        hook(loc, target, [part(args) for part in arg_parts], None)
-                    return dispatch
-        elif kind in ("call_post", "return"):
-            hook = analysis.call_post if kind == "call_post" else analysis.return_
-            parts = presented
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
-                    hook(loc, [part(args) for part in parts])
-                return dispatch
-        elif kind == "br":
-            hook = analysis.br
-            def bind(loc: Location) -> Callable[[list], None]:
-                target = info.br_target(loc.func, loc.instr)
-                def dispatch(args: list) -> None:
-                    hook(loc, target)
-                return dispatch
-        elif kind == "br_if":
-            hook = analysis.br_if
-            def bind(loc: Location) -> Callable[[list], None]:
-                target = info.br_target(loc.func, loc.instr)
-                def dispatch(args: list) -> None:
-                    hook(loc, target, bool(args[0]))
-                return dispatch
-        elif kind == "br_table":
-            br_hook = analysis.br_table if _overrides(analysis, "br_table") else None
-            end_hook = analysis.end if _overrides(analysis, "end") else None
-            def bind(loc: Location) -> Callable[[list], None]:
-                table_info = info.br_table_info(loc.func, loc.instr)
-                targets, default = table_info.targets, table_info.default
-                ended, n_entries = table_info.ended, len(table_info.targets)
-                def dispatch(args: list) -> None:
-                    table_index = args[0]
-                    if br_hook is not None:
-                        br_hook(loc, targets, default, table_index)
-                    if end_hook is not None:
-                        taken = table_index if table_index < n_entries else -1
-                        for event in ended[taken]:
-                            end_hook(event.end, event.kind, event.begin)
-                return dispatch
-        elif kind == "if":
-            hook = analysis.if_
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
-                    hook(loc, bool(args[0]))
-                return dispatch
-        elif kind == "begin":
-            hook = analysis.begin
-            block_type = payload[0]
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
-                    hook(loc, block_type)
-                return dispatch
-        elif kind == "end":
-            hook = analysis.end
-            block_type = payload[0]
-            def bind(loc: Location) -> Callable[[list], None]:
-                begin = info.begin_location(loc.func, loc.instr, block_type)
-                def dispatch(args: list) -> None:
-                    hook(loc, block_type, begin)
-                return dispatch
-        elif kind in ("nop", "unreachable"):
-            hook = analysis.nop if kind == "nop" else analysis.unreachable
-            def bind(loc: Location) -> Callable[[list], None]:
-                def dispatch(args: list) -> None:
-                    hook(loc)
-                return dispatch
-        else:  # pragma: no cover - registry only produces known kinds
-            raise ValueError(f"unknown hook kind {kind!r}")
-
-        return bind
+        key = _row_key(spec)
+        row = _TRANSLATIONS[key]
+        tele = self.telemetry
+        namespace = {
+            "hook": (self._br_table_hook() if key == "br_table"
+                     else getattr(self.analysis, row.methods[0])),
+            "op": spec.payload[0] if spec.payload else None,
+            "info": self.info, "MemArg": MemArg, "callee": self._callee,
+            "AnalysisError": AnalysisError,
+            "fault": partial(self._hook_fault, spec.name),
+        }
+        if tele is not None:
+            namespace["clock"] = tele.clock
+            namespace["observe"] = tele.hook_histogram(spec.name).observe
+        exec(_bind_code(_bind_source(row, spec.value_types, tele is not None)),
+             namespace)
+        return namespace["bind"]

@@ -374,11 +374,12 @@ class Machine:
     threaded loop, False for the legacy string-dispatch loop, None (default)
     to follow the ``REPRO_PREDECODE`` environment variable.
 
-    Both engines dispatch Wasabi hooks through the same per-site closures
-    (:meth:`repro.core.runtime.WasabiRuntime._site_binder`): the pre-decoded
-    engine binds them into each instance's dispatcher table at
-    instantiation, which its ``OP_HOOK`` slots and compiled hook segments
-    call; the legacy engine reaches them through the hook's host function.
+    Both engines dispatch Wasabi hooks through the same per-site
+    dispatchers, which :mod:`repro.core.runtime` generates from its
+    translation table: the pre-decoded engine binds them into each
+    instance's dispatcher table at instantiation, which its ``OP_HOOK``
+    slots and compiled hook segments call; the legacy engine reaches them
+    through the hook's host function.
 
     ``limits`` attaches a :class:`~repro.interp.limits.ResourceLimits`
     bundle: fuel and wall-clock deadlines are charged on back-edges and

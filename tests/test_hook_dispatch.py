@@ -17,8 +17,17 @@ dispatchers through the hook's host function. These tests pin down
 * the shared no-op dispatcher for un-overridden hooks,
 * ``Analysis.used_groups()`` and ``AnalysisSession(groups=None)``
   auto-narrowing, and
-* the ``emit_locations=False`` regression (args passed through, not copied).
+* the ``emit_locations=False`` regression (args passed through, not copied),
+  and
+* the generated dispatchers: a translation-table row for every emitted hook
+  kind, no outside text in their source, one frame between a compiled
+  segment and the analysis, and one compile per source per process.
 """
+
+import io
+import sys
+import tokenize
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +36,9 @@ from repro.core import Analysis, AnalysisSession, analyze
 from repro.core.analysis import ALL_GROUPS, Location
 from repro.core.hooks import HOOK_MODULE
 from repro.core.instrument import InstrumentationConfig, instrument_module
-from repro.core.runtime import WasabiRuntime, _noop_dispatcher
+from repro.core.runtime import (_TRANSLATIONS, WasabiRuntime, _bind_code,
+                                _bind_source, _noop_dispatcher, _row_key)
+from repro.eval.workloads import polybench_workloads
 from repro.interp import Linker, Machine, WasmFunction
 from repro.interp.predecode import (OP_CALL, OP_CONST, OP_HOOK, OP_HOOK_SEGMENT,
                                     cached_decode)
@@ -35,6 +46,7 @@ from repro.minic import compile_source
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.module import BrTable
 from repro.wasm.types import I32
+from repro.workloads import engine_demo, pdf_toolkit
 from repro.workloads.polybench import compile_kernel
 
 from .test_instrument_properties import minic_program
@@ -385,3 +397,66 @@ def test_noop_dispatcher_identity_is_shared_across_specs():
     dispatchers = {name: h.fn for name, h in runtime.host_functions().items()}
     assert dispatchers
     assert set(dispatchers.values()) == {_noop_dispatcher}
+
+
+class _BinaryCallers(ExecutionTracer):
+    """Records nothing but the two frames above each ``binary`` event."""
+
+    def __init__(self):
+        super().__init__(max_events=0)
+        self.callers = Counter()
+
+    def binary(self, loc, op, a, b, r):
+        self.callers[(sys._getframe(1).f_code.co_filename,
+                      sys._getframe(2).f_code.co_filename)] += 1
+
+
+class TestGeneratedHooks:
+    """The low-level hooks are generated from ``_TRANSLATIONS``."""
+
+    def _specs(self):
+        for module in (engine_demo(), pdf_toolkit(), br_table_module(),
+                       compile_source(I64_SOURCE)):
+            yield from instrument_module(module).info.hooks
+
+    def test_every_emitted_kind_has_a_row(self):
+        keys = {_row_key(spec) for spec in self._specs()}
+        assert keys <= set(_TRANSLATIONS)
+        assert {"call_pre", "call_pre_indirect", "br_table"} <= keys
+
+    def test_source_holds_no_payload_text(self):
+        """Only the table's text and index expressions reach ``compile``:
+        no string literal at all, and no name from the hook's payload."""
+        for spec in self._specs():
+            payload = {spec.name} | {item for item in spec.payload
+                                     if isinstance(item, str)}
+            for timed in (False, True):
+                src = _bind_source(_TRANSLATIONS[_row_key(spec)],
+                                   spec.value_types, timed)
+                tokens = list(tokenize.generate_tokens(
+                    io.StringIO(src).readline))
+                assert not any(tok.type == tokenize.STRING for tok in tokens)
+                assert not any(tok.string in payload for tok in tokens)
+
+    def test_analysis_is_called_from_the_generated_dispatcher(self):
+        """On the decoded engine every ``binary`` event of all-hooks gemm
+        reaches the analysis from a generated dispatcher that a compiled
+        hook segment calls directly: no wrapper frame in between."""
+        workload, = polybench_workloads(["gemm"], n=6)
+        analysis = _BinaryCallers()
+        session = AnalysisSession(workload.module(), analysis,
+                                  linker=workload.linker(),
+                                  machine=Machine(predecode=True))
+        session.invoke(workload.entry, workload.args)
+        assert set(analysis.callers) == {("<wasabi-hook>",
+                                          "<quickened-segment>")}
+        assert sum(analysis.callers.values()) > 0
+
+    def test_second_session_compiles_nothing(self):
+        module = compile_source(MIXED_SOURCE)
+        AnalysisSession(module, ExecutionTracer(), run_start=False)
+        before = _bind_code.cache_info()
+        AnalysisSession(module, ExecutionTracer(), run_start=False)
+        after = _bind_code.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits

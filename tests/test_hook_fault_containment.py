@@ -7,10 +7,13 @@ to an un-instrumented run, on both engines.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core import Analysis, AnalysisSession
-from repro.core.runtime import _noop_dispatcher
+from repro.core import Analysis, AnalysisSession, Location, instrument_module
+from repro.core.hooks import HOOK_MODULE
+from repro.core.runtime import WasabiRuntime, _noop_dispatcher
 from repro.interp import Linker, Machine, WasmFunction
 from repro.interp.predecode import OP_HOOK_SEGMENT
 from repro.minic import compile_source
@@ -275,4 +278,65 @@ class TestQuarantineInsideOneSegment:
                       if isinstance(f, WasmFunction))
             swapped = [entry is _noop_dispatcher for entry in wfunc.hooks]
             assert swapped == [policy == "quarantine"] * 2
+        assert "contained" in capsys.readouterr().err
+
+
+class LocalCounter(Analysis):
+    def __init__(self):
+        self.calls = 0
+
+    def local(self, loc, op, index, value):
+        self.calls += 1
+
+
+def _session_with_unbindable_site(predecode: bool, policy: str):
+    """``f`` instrumented for local hooks, with the location constant of its
+    first ``local_*`` hook call moved to an instruction the static info has
+    no variable index for, so that site's dispatcher fails to bind."""
+    module = compile_source("""
+        export func f(x: i32) -> i32 { var y: i32 = x * 3; return y + 1; }
+    """)
+    result = instrument_module(module, groups={"local"})
+    hook_names = [imp.name for imp in result.module.imported_functions()]
+    body = result.module.functions[0].body
+    call_pc = next(pc for pc, ins in enumerate(body) if ins.op == "call"
+                   and hook_names[ins.idx].startswith("local_"))
+    assert body[call_pc - 1].op == "i32.const"
+    body[call_pc - 1] = replace(body[call_pc - 1], value=99999)
+    analysis = LocalCounter()
+    runtime = WasabiRuntime(result, analysis, on_analysis_error=policy)
+    linker = Linker()
+    for name, host in runtime.host_functions().items():
+        linker.define(HOOK_MODULE, name, host)
+    instance = Machine(predecode=predecode).instantiate(result.module, linker)
+    runtime.bind(instance)
+    return instance, runtime, analysis
+
+
+class TestBindFailure:
+    """A site with no static info fails to bind; at its first event that
+    failure is a hook fault at the site's location, on both engines."""
+
+    @pytest.mark.parametrize("predecode", CONFIGS)
+    def test_raise(self, predecode):
+        instance, runtime, analysis = _session_with_unbindable_site(
+            predecode, "raise")
+        with pytest.raises(AnalysisError) as excinfo:
+            instance.invoke("f", [5])
+        assert str(excinfo.value) == ("analysis hook 'local_get_local_i32' "
+                                      "raised KeyError: (0, 99999) at 0:99999")
+        assert excinfo.value.location == Location(0, 99999)
+        assert isinstance(excinfo.value.__cause__, KeyError)
+        assert analysis.calls == 0 and len(runtime.hook_faults) == 1
+
+    @pytest.mark.parametrize("predecode", CONFIGS)
+    @pytest.mark.parametrize("policy, calls", [("log", 2), ("quarantine", 1)])
+    def test_contained(self, predecode, policy, calls, capsys):
+        instance, runtime, analysis = _session_with_unbindable_site(
+            predecode, policy)
+        assert instance.invoke("f", [5]) == [16]
+        # under quarantine the other get_local site of the same hook is
+        # silenced too; only the set_local event reaches the analysis
+        assert analysis.calls == calls
+        assert len(runtime.hook_faults) == 1
         assert "contained" in capsys.readouterr().err
