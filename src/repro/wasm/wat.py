@@ -172,7 +172,6 @@ class _WatParser:
         self.module = Module()
         self.funcs = _Names("function")
         self.globals = _Names("global")
-        self.types_by_sig: dict[FuncType, int] = {}
         self._pending_funcs: list[tuple[list, int]] = []
 
     def parse(self) -> Module:
