@@ -102,8 +102,7 @@ def cmd_instrument(args: argparse.Namespace) -> int:
     if getattr(args, "serve", None):
         return _instrument_via_service(args)
     telemetry = _telemetry_from_args(args)
-    with maybe_span(telemetry, "decode", path=args.input):
-        module = load_module(Path(args.input).read_bytes())
+    module = load_module(Path(args.input).read_bytes(), telemetry)
     groups = None
     if args.hooks != "all":
         groups = frozenset(args.hooks.split(","))
@@ -228,12 +227,11 @@ def _wasi_from_args(args: argparse.Namespace, module, limits, telemetry,
 def cmd_run(args: argparse.Namespace) -> int:
     telemetry = _telemetry_from_args(args)
     if telemetry is not None and args.serve:
-        # service route: open the trace now so the local decode span joins
-        # the same stitched client->daemon->worker tree
+        # service route: open the trace now so the local decode and
+        # validate spans join the same stitched client->daemon->worker tree
         telemetry.tracer.process = "client"
         telemetry.tracer.ensure_trace()
-    with maybe_span(telemetry, "decode", path=args.input):
-        module = load_module(Path(args.input).read_bytes())
+    module = load_module(Path(args.input).read_bytes(), telemetry)
     call_args = [float(a) if "." in a else int(a) for a in args.args]
     limits = _limits_from_args(args)
     if args.serve:

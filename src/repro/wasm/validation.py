@@ -15,6 +15,7 @@ decode, then validate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import opcodes
 from .decoder import decode_module
@@ -22,6 +23,9 @@ from .errors import ValidationError
 from .module import Function, Instr, Module
 from .types import (I32, MAX_PAGES, FuncType, GlobalType, Limits, MemoryType,
                     TableType, ValType)
+
+if TYPE_CHECKING:  # pragma: no cover - repro.wasm does not import repro.obs
+    from ..obs.telemetry import Telemetry
 
 
 class _Unknown:
@@ -484,14 +488,21 @@ def validate_module(module: Module) -> None:
         validate_function(module, func, func_types, global_types)
 
 
-def load_module(data: bytes) -> Module:
+def load_module(data: bytes, telemetry: "Telemetry | None" = None) -> Module:
     """Decode ``data`` and validate the result.
 
     Every entry point that runs or instruments a binary (``repro run``,
     ``repro instrument``, ``repro replay``, the serve worker) loads it
     here, so an invalid module fails with a :class:`ValidationError`
-    before any engine or the instrumenter sees it.
+    before any engine or the instrumenter sees it. ``telemetry`` records
+    the two steps as sibling ``decode`` and ``validate`` spans.
     """
-    module = decode_module(data)
-    validate_module(module)
+    if telemetry is None:
+        module = decode_module(data)
+        validate_module(module)
+        return module
+    with telemetry.span("decode", bytes=len(data)):
+        module = decode_module(data)
+    with telemetry.span("validate"):
+        validate_module(module)
     return module

@@ -640,7 +640,7 @@ class TestCli:
         chrome = json.loads(trace.read_text())
         assert chrome["displayTimeUnit"] == "ms"
         names = [e["name"] for e in chrome["traceEvents"] if e["ph"] == "X"]
-        assert names == ["decode", "instantiate", "invoke"]
+        assert names == ["decode", "validate", "instantiate", "invoke"]
         # capsys drained so artifact notices don't leak into other tests
         assert "metrics written" in capsys.readouterr().err
 
@@ -658,7 +658,7 @@ class TestCli:
                    for name in samples)
         spans = spans_from_jsonl(jsonl.read_text())
         assert [s.name for s in spans] == \
-            ["decode", "instrument", "instantiate", "invoke"]
+            ["decode", "validate", "instrument", "instantiate", "invoke"]
 
     def test_second_run_of_a_kernel_compiles_no_segment(self, tmp_path,
                                                          capsys, monkeypatch):
@@ -706,7 +706,7 @@ class TestCli:
                      "--trace-out", str(trace)]) == 0
         capsys.readouterr()
         assert [s.name for s in spans_from_jsonl(trace.read_text())] == \
-            ["decode", "instrument", "encode"]
+            ["decode", "validate", "instrument", "encode"]
 
     def test_fuzz_metrics(self, tmp_path, capsys):
         metrics = tmp_path / "fuzz.json"
