@@ -10,19 +10,19 @@
 
 from __future__ import annotations
 
-import time
 from functools import partial
 
 from repro.core import eager_hook_count, instrument_module
 from repro.core.instrument import InstrumentationConfig
-from repro.eval import (analysis_config, bench_engines, make_full_analysis,
-                        make_group_analysis, polybench_workloads, render_table)
+from repro.eval import (analysis_config, bench_engines, bench_pairs,
+                        make_full_analysis, make_group_analysis,
+                        polybench_workloads, render_table)
 from repro.wasm.encoder import encode_module
 from repro.workloads import engine_demo
 from repro.workloads.polybench import compile_kernel
 
 
-def test_ablation_selective_instrumentation(benchmark, write_report):
+def test_ablation_selective_instrumentation(write_report):
     workload = polybench_workloads(["trisolv"])[0]
     module = workload.module()
     original_size = len(encode_module(module))
@@ -55,12 +55,8 @@ def test_ablation_selective_instrumentation(benchmark, write_report):
     call_size = rows[0][1]
     assert int(call_size.rstrip("%")) < int(full_size.rstrip("%"))
 
-    benchmark.pedantic(
-        lambda: instrument_module(module, groups={"call"}), rounds=3,
-        iterations=1)
 
-
-def test_ablation_monomorphization(benchmark, write_report):
+def test_ablation_monomorphization(write_report):
     result = instrument_module(engine_demo())
     on_demand = result.hook_count
     widest = max(len(t.params) for t in engine_demo().types)
@@ -76,11 +72,8 @@ def test_ablation_monomorphization(benchmark, write_report):
     write_report("ablation_monomorphization", report)
     assert on_demand < 2000 < eager
 
-    benchmark.pedantic(lambda: instrument_module(engine_demo()).hook_count,
-                       rounds=2, iterations=1)
 
-
-def test_ablation_location_arguments(benchmark, write_report):
+def test_ablation_location_arguments(write_report):
     module = compile_kernel("gemm")
     original = len(encode_module(module))
     with_locations = len(encode_module(instrument_module(module).module))
@@ -97,29 +90,21 @@ def test_ablation_location_arguments(benchmark, write_report):
     write_report("ablation_locations", report)
     assert original < without < with_locations
 
-    benchmark.pedantic(
-        lambda: instrument_module(module, config=config), rounds=3,
-        iterations=1)
 
-
-def test_ablation_parallel_instrumentation(benchmark, write_report):
+def test_ablation_parallel_instrumentation(write_report):
     module = engine_demo(4.0)
 
-    def timed(workers: int) -> float:
-        config = InstrumentationConfig(parallel_workers=workers)
-        best = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            instrument_module(module, config=config)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def workers(n: int):
+        config = InstrumentationConfig(parallel_workers=n)
+        return lambda: partial(instrument_module, module, config=config)
 
-    sequential = timed(1)
-    parallel = timed(4)
+    pairs = bench_pairs({"1": workers(1), "4": workers(4)}, 3,
+                        name="instrument_module")
     report = render_table(
         ["Workers", "Seconds", "Speedup"],
-        [["1", f"{sequential:.3f}", "1.00x"],
-         ["4", f"{parallel:.3f}", f"{sequential / parallel:.2f}x"]],
+        [["1", f"{min(pairs.samples['1']):.3f}", "1.00x"],
+         ["4", f"{min(pairs.samples['4']):.3f}",
+          f"{1 / pairs.ratio('4'):.2f}x"]],
         title=("Ablation: parallel instrumentation (engine_demo x4). "
                "Paper (Rust, 2 cores): 1.7x; CPython's GIL bounds ours."))
     write_report("ablation_parallel", report)
@@ -130,5 +115,3 @@ def test_ablation_parallel_instrumentation(benchmark, write_report):
         module, config=InstrumentationConfig(parallel_workers=4))
     assert {s.name for s in seq_result.info.hooks} == \
         {s.name for s in par_result.info.hooks}
-
-    benchmark.pedantic(lambda: timed(4), rounds=1, iterations=1)

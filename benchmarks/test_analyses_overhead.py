@@ -31,7 +31,7 @@ ANALYSES = {
 }
 
 
-def test_real_analyses_overhead(benchmark, write_report):
+def test_real_analyses_overhead(write_report):
     workloads = polybench_workloads(["trisolv"])
     configs = {name: analysis_config(cls) for name, cls in ANALYSES.items()}
     (bench,) = bench_engines(workloads, configs, repeats=5)
@@ -44,8 +44,3 @@ def test_real_analyses_overhead(benchmark, write_report):
     # the all-hooks ones
     assert bench.ratio("Basic block profiling") < bench.ratio("Instruction mix")
     assert bench.ratio("Call graph") < bench.ratio("Taint analysis")
-
-    benchmark.pedantic(
-        lambda: bench_engines(
-            workloads, {"bb": configs["Basic block profiling"]}, repeats=1),
-        rounds=1, iterations=1)

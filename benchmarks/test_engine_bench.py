@@ -85,7 +85,7 @@ def _guard_seconds() -> float:
     return max(guarded - empty, 0.0)
 
 
-def test_engine_configurations(benchmark, results_dir):
+def test_engine_configurations(results_dir):
     repeats = 5 if full_run() else 3
     guard_s = _guard_seconds()
     benches = bench_engines(polybench_workloads(POLYBENCH_FAST_SUBSET),
@@ -125,13 +125,6 @@ def test_engine_configurations(benchmark, results_dir):
         assert max_disabled[c] <= 0.02, max_disabled  # (2)
         assert geomean[c] <= 1.5, geomean  # (3)
     # (4) profiled is recorded above, deliberately unasserted
-
-    # the pytest-benchmark number: uninstrumented gemm, default engine
-    gemm = polybench_workloads(["gemm"])[0]
-    benchmark.pedantic(
-        lambda: Machine(predecode=True).instantiate(
-            gemm.module(), gemm.linker()).invoke(gemm.entry, gemm.args),
-        rounds=1, iterations=1)
 
 
 def test_enabled_paths_are_live():

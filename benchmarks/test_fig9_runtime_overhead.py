@@ -28,7 +28,7 @@ def _geomean_for(benches, config):
     return statistics.geometric_mean(b.ratio(config) for b in benches)
 
 
-def test_fig9(benchmark, write_report):
+def test_fig9(write_report):
     if full_run():
         poly_names, repeats = kernel_names(), 5
     else:
@@ -64,10 +64,6 @@ def test_fig9(benchmark, write_report):
     assert all_overhead <= 8.0
     # (4) numeric PolyBench pays more for `binary` than the diverse code
     assert _geomean_for(poly, "binary") >= engine.ratio("binary") * 0.8
-
-    # the pytest-benchmark number: one 'all'-instrumented gemm pair
-    gemm = polybench_workloads(["gemm"])
-    (bench,) = benchmark.pedantic(
-        lambda: bench_engines(gemm, {"all": configs["all"]}, repeats=1),
-        rounds=1, iterations=1)
-    assert bench.ratio("all") > 1
+    # (6) gemm pays for 'all' on its own too, not only in the geomean
+    (gemm,) = (b for b in poly if b.name == "gemm")
+    assert gemm.ratio("all") > 1

@@ -5,7 +5,10 @@ Two claims, one JSON artifact:
 * **Throughput** — the sharded engine vs one in-process shard
   (``FuzzConfig(parallel=1)``) at the same budget and seed; blind
   aggregates do not depend on the shard count (pinned by tier-1
-  ``test_parallel_blind_matches_serial``). Absolute speedups depend
+  ``test_parallel_blind_matches_serial``). Each sharded campaign runs
+  right after a serial one of its own
+  (:func:`~repro.eval.timing.bench_pairs`), timed from outside like it,
+  and a speedup is one over that pair's ratio. Absolute speedups depend
   on the machine (this box may have one core, and on 3.10/3.11 the
   ``settrace`` coverage backend multiplies per-mutant cost ~5x), so the
   numbers are recorded honestly and the floors are gated on
@@ -25,8 +28,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 
+from repro.eval import bench_pairs
 from repro.eval.coverage import default_backend
 from repro.eval.fuzz import FuzzConfig, bench_payload, run_fuzz_campaign
 
@@ -50,18 +53,22 @@ def test_fuzz_throughput_and_guidance(results_dir):
     budget = 5000 if full_run() else 2000
     workers = _workers()
 
-    start = time.perf_counter()
-    serial = run_fuzz_campaign(FuzzConfig(mutants=budget, seed=SEED,
-                                          parallel=1))
-    serial_elapsed = time.perf_counter() - start
-    serial_rate = budget / serial_elapsed
-    assert serial.ok, serial.summary()
+    results = {}
 
-    blind = run_fuzz_campaign(FuzzConfig(
-        mutants=budget, seed=SEED, parallel=workers))
-    par_cov = run_fuzz_campaign(FuzzConfig(
-        mutants=budget, seed=SEED, parallel=workers, coverage=True))
-    assert blind.ok and par_cov.ok
+    def campaign(arm, **options):
+        config = FuzzConfig(mutants=budget, seed=SEED, **options)
+
+        def run():
+            results[arm] = run_fuzz_campaign(config)
+        return lambda: run
+
+    pairs = bench_pairs(
+        {"serial": campaign("serial", parallel=1),
+         "blind": campaign("blind", parallel=workers),
+         "coverage": campaign("coverage", parallel=workers, coverage=True)},
+        1, name="fuzz_campaign")
+    for result in results.values():
+        assert result.ok, result.summary()
 
     # the guidance experiment: pinned shape, deterministic on any machine
     gblind = run_fuzz_campaign(FuzzConfig(
@@ -80,13 +87,13 @@ def test_fuzz_throughput_and_guidance(results_dir):
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
         "coverage_backend": default_backend(),
-        "serial": {"mutants": budget,
-                   "elapsed_seconds": round(serial_elapsed, 4),
-                   "mutants_per_sec": round(serial_rate, 1)},
-        "parallel_blind": bench_payload(blind),
-        "parallel_coverage": bench_payload(par_cov),
-        "blind_speedup": round(blind.mutants_per_sec / serial_rate, 3),
-        "coverage_speedup": round(par_cov.mutants_per_sec / serial_rate, 3),
+        "seconds": {arm: [round(s, 4) for s in runs]
+                    for arm, runs in pairs.samples.items()},
+        "blind_speedup": round(1 / pairs.ratio("blind"), 3),
+        "coverage_speedup": round(1 / pairs.ratio("coverage"), 3),
+        "serial": bench_payload(results["serial"]),
+        "parallel_blind": bench_payload(results["blind"]),
+        "parallel_coverage": bench_payload(results["coverage"]),
         "guidance": {
             "budget": GUIDANCE_BUDGET,
             "shards": GUIDANCE_SHARDS,
@@ -98,7 +105,7 @@ def test_fuzz_throughput_and_guidance(results_dir):
     }
     path = results_dir / "BENCH_fuzz.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"serial {serial_rate:,.0f}/s | "
+    print(f"serial {min(pairs.samples['serial']):.2f}s | "
           f"blind x{payload['blind_speedup']} | "
           f"coverage x{payload['coverage_speedup']} "
           f"({payload['coverage_backend']}, {workers} workers) | "

@@ -14,7 +14,7 @@ from repro.workloads import engine_demo, pdf_toolkit
 from repro.workloads.polybench import compile_kernel, kernel_names
 
 
-def test_monomorphization_counts(benchmark, write_report):
+def test_monomorphization_counts(write_report):
     poly_counts = {name: instrument_module(compile_kernel(name)).hook_count
                    for name in kernel_names()}
     pdf_result = instrument_module(pdf_toolkit())
@@ -48,6 +48,3 @@ def test_monomorphization_counts(benchmark, write_report):
     # every generated hook corresponds to a distinct (kind, payload)
     names = [spec.name for spec in engine_result.info.hooks]
     assert len(names) == len(set(names))
-
-    benchmark.pedantic(lambda: instrument_module(compile_kernel("gemm")),
-                       rounds=3, iterations=1)

@@ -15,7 +15,10 @@ Two claims are pinned here:
 2. **The armed fault plane is cheap at the boundary.** Running the
    ``wasi_io`` kernels with a seeded :class:`~repro.wasi.FaultPlane` at
    ``rate=0`` (every syscall consults the plane, nothing fires) stays
-   within 1.5x of the unarmed run.
+   within 1.5x of the unarmed run (geomean). Each armed run is paired
+   with an unarmed run just before it
+   (:func:`~repro.eval.timing.bench_pairs`), and a kernel's factor is the
+   median of its pair ratios.
 
 Results are recorded in ``benchmarks/results/BENCH_wasi.json``.
 """
@@ -24,10 +27,11 @@ from __future__ import annotations
 
 import json
 import statistics
-import time
 import timeit
+from functools import partial
 
-from repro.eval import POLYBENCH_FAST_SUBSET, bench_engines, polybench_workloads
+from repro.eval import (POLYBENCH_FAST_SUBSET, bench_engines, bench_pairs,
+                        polybench_workloads)
 from repro.interp import Machine
 from repro.interp.host import Linker
 from repro.wasi import FaultPlane, WasiContext, module_imports_wasi
@@ -39,7 +43,9 @@ from conftest import full_run
 
 
 def _detect_cost_seconds(modules) -> float:
-    """Best-case per-call cost of the no-WASI detection scan."""
+    """Best-case per-call cost of the no-WASI detection scan. A timeit
+    loop, not :func:`bench_pairs`: one span per scan would cost more than
+    the scan."""
     n = 2_000 if full_run() else 500
 
     def scan():
@@ -50,28 +56,26 @@ def _detect_cost_seconds(modules) -> float:
     return total / len(modules)
 
 
-def _time_wasi_run(name, repeats, faults=None):
-    """Best-of invoke time for one wasi_io kernel; context is rebuilt per
-    run (FS image and fault cursor are per-run state, as in production)."""
+def _wasi_run(name, contexts, faults=None):
+    """A prepare for one run of a wasi_io kernel. The context is rebuilt
+    per run (FS image and fault cursor are per-run state, as in
+    production) and appended to ``contexts``."""
     module = wasi_io_module(name)
     entry, args = wasi_io_entry(name)
-    best, syscalls = float("inf"), 0
-    for _ in range(repeats):
+
+    def prepare():
         ctx = WasiContext(args=["bench"], stdin=SAMPLE_STDIN,
                           files=dict(SAMPLE_FILES), faults=faults)
         linker = Linker()
         ctx.register(linker)
-        machine = Machine()
-        instance = machine.instantiate(module, linker)
+        instance = Machine().instantiate(module, linker)
         ctx.bind_memory(instance)
-        start = time.perf_counter()
-        instance.invoke(entry, args)
-        best = min(best, time.perf_counter() - start)
-        syscalls = ctx.total_syscalls
-    return best, syscalls
+        contexts.append(ctx)
+        return partial(instance.invoke, entry, args)
+    return prepare
 
 
-def test_wasi_overhead(benchmark, results_dir):
+def test_wasi_overhead(results_dir):
     repeats = 7 if full_run() else 5
     workloads = polybench_workloads(POLYBENCH_FAST_SUBSET)
 
@@ -85,13 +89,18 @@ def test_wasi_overhead(benchmark, results_dir):
     silent = FaultPlane(seed=1, rate=0.0)
     rows = []
     for name in wasi_io_names():
-        off_s, syscalls = _time_wasi_run(name, repeats)
-        armed_s, _ = _time_wasi_run(name, repeats, faults=silent)
+        unarmed = []
+        pairs = bench_pairs({"unarmed": _wasi_run(name, unarmed),
+                             "armed": _wasi_run(name, [], faults=silent)},
+                            repeats, name="wasi_invoke",
+                            attrs={"workload": name})
+        off_s = min(pairs.samples["unarmed"])
+        syscalls = unarmed[-1].total_syscalls
         rows.append({
             "name": name,
             "seconds": off_s,
-            "armed_seconds": armed_s,
-            "armed_overhead": armed_s / off_s,
+            "armed_seconds": min(pairs.samples["armed"]),
+            "armed_overhead": pairs.ratio("armed"),
             "syscalls": syscalls,
             "per_syscall_us": off_s / max(syscalls, 1) * 1e6,
         })
@@ -120,7 +129,3 @@ def test_wasi_overhead(benchmark, results_dir):
     assert disabled_overhead <= 0.02, payload
     # the armed-but-silent fault plane stays cheap at the boundary
     assert payload["geomean_armed_overhead"] <= 1.5, payload
-
-    # the pytest-benchmark number: one checksum run, faults armed
-    benchmark.pedantic(lambda: _time_wasi_run("checksum", 1, faults=silent),
-                       rounds=1, iterations=1)

@@ -21,8 +21,8 @@ from .hooks_matrix import (FIGURE_GROUPS, analysis_config, figure_configs,
                            make_full_analysis, make_group_analysis)
 from .report import render_fig8, render_fig9, render_table, render_table5
 from .sizes import SizeReport, measure_size, size_sweep
-from .timing import (EngineBench, TimingReport, bench_engines, engine_config,
-                     instrument_binary, time_instrumentation)
+from .timing import (EngineBench, TimingReport, bench_engines, bench_pairs,
+                     engine_config, instrument_binary, time_instrumentation)
 from .workloads import (POLYBENCH_FAST_SUBSET, Workload, default_workloads,
                         polybench_workloads, realworld_workloads)
 
@@ -34,7 +34,8 @@ __all__ = [
     "MUTATOR_VERSION",
     "POLYBENCH_FAST_SUBSET", "Reduction", "SizeReport",
     "TimingReport",
-    "Workload", "analysis_config", "bench_engines", "bench_payload",
+    "Workload", "analysis_config", "bench_engines", "bench_pairs",
+    "bench_payload",
     "check_workload",
     "classify", "collect_edges", "default_workloads", "engine_config",
     "figure_configs", "fold_into_telemetry",

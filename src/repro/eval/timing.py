@@ -1,19 +1,17 @@
 """RQ3 and RQ5: time to instrument (paper Table 5) and relative runtimes.
 
-Measures the full binary→binary pipeline: decode the ``.wasm`` bytes,
-instrument for all hooks, re-encode — the same work Wasabi's CLI does.
-Reports mean ± stddev over repetitions, and throughput in MB/s.
+Every timing of the evaluation runs through one loop, :func:`bench_pairs`:
+each configuration runs right after a baseline run of its own, and a ratio
+is the median of the pair ratios. Each run is one span on one injected
+clock: pass ``clock=`` for deterministic tests, or ``tracer=`` to keep the
+raw spans (the exporters render them like any pipeline trace).
 
-Also times configurations against the default quickened engine, each run
-paired with a default run of its own: engine options (the legacy loop,
-metering, telemetry, recording) for ``BENCH_engine.json`` and its CI
-floors, and analysis sessions for Figure 9, the selective ablation and the
-analyses table (see :mod:`repro.eval.hooks_matrix`).
-
-All timing funnels through :func:`repro.obs.spans.measure`, so every
-measured repeat is a span over one injected clock: pass ``clock=`` for
-deterministic tests, or ``tracer=`` to keep the raw spans alongside the
-aggregated report (the exporters then render them like any pipeline trace).
+:func:`time_instrumentation` times the binary→binary pipeline (decode,
+instrument for all hooks, re-encode — the work Wasabi's CLI does) for
+Table 5. :func:`bench_engines` times configurations against the default
+quickened engine: engine options for ``BENCH_engine.json`` and analysis
+sessions for Figure 9, the selective ablation and the analyses table (see
+:mod:`repro.eval.hooks_matrix`).
 """
 
 from __future__ import annotations
@@ -21,17 +19,73 @@ from __future__ import annotations
 import gc
 import statistics
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..core.instrument import InstrumentationConfig, instrument_module
 from ..interp.host import Linker
 from ..interp.machine import Machine
-from ..obs.spans import Tracer, measure
+from ..obs.spans import Tracer
 from ..obs.telemetry import Telemetry
 from ..wasm.decoder import decode_module
 from ..wasm.encoder import encode_module
 from ..wasm.module import Module
 from .workloads import Workload
+
+
+#: Does the untimed set-up of one run (build an instance, a request, a
+#: context) and returns the call to time.
+Prepare = Callable[[], Callable[[], object]]
+
+
+@dataclass
+class Pairs:
+    """Every run of one :func:`bench_pairs` call: each arm's run times in
+    run order (``samples``), and each non-baseline arm's time over that of
+    the baseline run just before it, one per repeat (``ratios``)."""
+
+    samples: dict[str, list[float]]
+    ratios: dict[str, list[float]]
+
+    def ratio(self, arm: str) -> float:
+        """The median of the arm's pair ratios."""
+        return statistics.median(self.ratios[arm])
+
+
+def bench_pairs(arms: dict[str, Prepare], repeats: int, *, name: str,
+                attrs: dict | None = None,
+                clock: Callable[[], float] | None = None,
+                tracer: Tracer | None = None) -> Pairs:
+    """Time every arm in pairs against the first, the baseline.
+
+    Each repeat runs every other arm right after a baseline run of its own
+    (a lone baseline run when there is no other arm), so the two sides of
+    a ratio see the host in the same state. Before each run, its arm's
+    prepare does the set-up and cyclic garbage is collected, both untimed;
+    the call the prepare returns is timed as one ``name`` span tagged with
+    ``attrs`` and the arm as ``config``.
+    """
+    if tracer is None:
+        tracer = Tracer(clock=clock) if clock is not None else Tracer()
+    baseline, *others = arms
+    samples: dict[str, list[float]] = {arm: [] for arm in arms}
+    ratios: dict[str, list[float]] = {arm: [] for arm in others}
+
+    def run(arm: str) -> float:
+        call = arms[arm]()
+        gc.collect()
+        with tracer.span(name, **(attrs or {}), config=arm):
+            call()
+        samples[arm].append(tracer.spans[-1].duration)
+        return samples[arm][-1]
+
+    for _ in range(repeats):
+        if not others:
+            run(baseline)
+        for arm in others:
+            base = run(baseline)
+            ratios[arm].append(run(arm) / base)
+    return Pairs(samples, ratios)
 
 
 @dataclass
@@ -60,9 +114,10 @@ def time_instrumentation(name: str, module: Module, repeats: int = 5,
                          clock: Callable[[], float] | None = None,
                          tracer: Tracer | None = None) -> TimingReport:
     raw = encode_module(module)
-    samples = measure(lambda: instrument_binary(raw, config), repeats,
-                      name="instrument_binary", tracer=tracer, clock=clock,
-                      attrs={"workload": name})
+    samples = bench_pairs(
+        {"instrument": lambda: partial(instrument_binary, raw, config)},
+        repeats, name="instrument_binary", attrs={"workload": name},
+        clock=clock, tracer=tracer).samples["instrument"]
     return TimingReport(
         name=name, binary_bytes=len(raw),
         mean_seconds=statistics.mean(samples),
@@ -118,45 +173,37 @@ def bench_engines(workloads: list[Workload],
                   clock: Callable[[], float] | None = None,
                   tracer: Tracer | None = None) -> list[EngineBench]:
     """Invoke time of every workload on the default (quickened) engine and
-    on each configuration, in pairs.
+    on each configuration, in pairs (:func:`bench_pairs`).
 
-    Each workload's module is built once. Every repeat runs each
-    configuration right after a default run of its own (a lone default run
-    when there are no configurations), so the two sides of a ratio see the
-    host in the same state. Every run gets a fresh runner (memory and
-    globals reset), and cyclic garbage is collected, untimed, before its
-    invoke. Only the invoke is timed: one ``workload_invoke`` span per run,
-    tagged with the workload and the configuration.
+    Each workload's module is built once. Every run gets a fresh runner
+    (memory and globals reset); only its invoke is timed, one
+    ``workload_invoke`` span per run, tagged with the workload and the
+    configuration. Event counts are read from each configuration's last
+    run.
     """
-    if tracer is None:
-        tracer = Tracer(clock=clock) if clock is not None else Tracer()
     benches = []
     for workload in workloads:
         module = workload.module()
-        seconds = dict.fromkeys(["default", *configs], float("inf"))
-        ratios: dict[str, list[float]] = {config: [] for config in configs}
-        events: dict[str, int] = {}
+        counters: dict[str, Callable[[], int] | None] = {}
 
-        def timed(config: str, factory: ConfigFactory) -> float:
-            runner, count = factory(module, workload.linker())
-            gc.collect()
-            elapsed, = measure(
-                lambda: runner.invoke(workload.entry, workload.args), 1,
-                name="workload_invoke", tracer=tracer,
-                attrs={"workload": workload.name, "config": config})
-            seconds[config] = min(seconds[config], elapsed)
-            if count is not None:
-                events[config] = count()
-            return elapsed
+        def arm(config: str, factory: ConfigFactory) -> Prepare:
+            def prepare():
+                runner, counters[config] = factory(module, workload.linker())
+                return partial(runner.invoke, workload.entry, workload.args)
+            return prepare
 
-        for _ in range(repeats):
-            if not configs:
-                timed("default", DEFAULT_CONFIG)
-            for config, factory in configs.items():
-                default = timed("default", DEFAULT_CONFIG)
-                ratios[config].append(timed(config, factory) / default)
-        benches.append(EngineBench(workload.name, seconds, ratios, events,
-                                   _opcode_class_mix(workload, module)))
+        pairs = bench_pairs(
+            {config: arm(config, factory) for config, factory
+             in {"default": DEFAULT_CONFIG, **configs}.items()},
+            repeats, name="workload_invoke",
+            attrs={"workload": workload.name}, clock=clock, tracer=tracer)
+        benches.append(EngineBench(
+            workload.name,
+            {config: min(runs) for config, runs in pairs.samples.items()},
+            pairs.ratios,
+            {config: count() for config, count in counters.items()
+             if count is not None},
+            _opcode_class_mix(workload, module)))
     return benches
 
 

@@ -17,9 +17,8 @@ from .metrics import (HOOK_LATENCY_BUCKETS, SERVE_LATENCY_BUCKETS,
                       STAGE_SECONDS_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, parse_prometheus)
 from .profiler import DEFAULT_SAMPLE_INTERVAL, Profiler
-from .spans import (Span, SpanContext, Tracer, measure,
-                    spans_from_chrome_trace, spans_from_jsonl,
-                    spans_to_chrome_trace, spans_to_jsonl)
+from .spans import (Span, SpanContext, Tracer, spans_from_chrome_trace,
+                    spans_from_jsonl, spans_to_chrome_trace, spans_to_jsonl)
 from .telemetry import (METRICS_SCHEMA, Event, Telemetry, maybe_span,
                         render_report)
 
@@ -35,7 +34,6 @@ __all__ = [
     "Span",
     "SpanContext",
     "Tracer",
-    "measure",
     "spans_to_jsonl",
     "spans_from_jsonl",
     "spans_to_chrome_trace",

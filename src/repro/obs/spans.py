@@ -32,9 +32,9 @@ Exporters:
   ``repro_stage_seconds`` histogram per stage name (see
   :mod:`repro.obs.telemetry`).
 
-:func:`measure` is the shared clock-and-report path of the evaluation
-harness: ``eval/timing.py`` times every repeat as a span through it, so
-BENCH artifacts and telemetry cannot drift onto different clocks.
+The evaluation harness times every run as a span too
+(:func:`repro.eval.timing.bench_pairs` opens one per run on a tracer like
+these), so BENCH artifacts and traces cannot drift onto different clocks.
 """
 
 from __future__ import annotations
@@ -314,28 +314,3 @@ def spans_from_chrome_trace(payload: dict) -> list[Span]:
                           process=names.get(event.get("pid")) if multi else None))
     return spans
 
-
-# -- the shared measurement path ----------------------------------------------
-
-
-def measure(fn: Callable[[], object], repeats: int, *,
-            name: str = "measure",
-            tracer: Tracer | None = None,
-            clock: Callable[[], float] | None = None,
-            attrs: dict | None = None) -> list[float]:
-    """Run ``fn`` ``repeats`` times, recording each run as one span.
-
-    Returns the per-repeat durations (callers take ``min``/``mean`` as
-    their protocol dictates). When no tracer is passed, a throwaway one is
-    created over ``clock`` (default ``perf_counter``) — so the measurement
-    path is *identical* whether or not the spans are kept.
-    """
-    if tracer is None:
-        tracer = Tracer(clock=clock or time.perf_counter)
-    attrs = attrs or {}
-    durations: list[float] = []
-    for repeat in range(repeats):
-        with tracer.span(name, repeat=repeat, **attrs):
-            fn()
-        durations.append(tracer.spans[-1].duration)
-    return durations

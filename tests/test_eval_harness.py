@@ -2,18 +2,21 @@
 
 import json
 import re
+from itertools import count
 from pathlib import Path
 
 import pytest
 
 from repro.core.analysis import ALL_GROUPS, used_groups
 from repro.eval import (FIGURE_GROUPS, EngineBench, SizeReport, bench_engines,
-                        engine_config, figure_configs, make_full_analysis,
-                        make_group_analysis, polybench_workloads, render_fig8,
-                        render_fig9, render_table, render_table5, size_sweep,
+                        bench_pairs, engine_config, figure_configs,
+                        make_full_analysis, make_group_analysis,
+                        polybench_workloads, render_fig8, render_fig9,
+                        render_table, render_table5, size_sweep,
                         time_instrumentation)
 from repro.eval.faithfulness import run_instrumented, run_original
 from repro.interp import Linker
+from repro.obs import Tracer
 from repro.workloads.polybench import compile_kernel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,6 +131,69 @@ class TestTimingAndOverhead:
         assert bench.ratio("all") > 1
 
 
+def fake_clock(step: float = 1e-3):
+    """A deterministic clock advancing ``step`` per reading."""
+    return count(step=step).__next__
+
+
+def logging_arms(log: list, names=("base", "a", "b")) -> dict:
+    """Prepares whose timed call appends the arm's name to ``log``."""
+    return {name: (lambda name=name: lambda: log.append(name))
+            for name in names}
+
+
+class TestBenchPairs:
+    def test_each_arm_runs_right_after_a_baseline_run(self):
+        log = []
+        pairs = bench_pairs(logging_arms(log), 3, name="run")
+        assert log == ["base", "a", "base", "b"] * 3
+        assert {arm: len(s) for arm, s in pairs.samples.items()} == \
+            {"base": 6, "a": 3, "b": 3}
+        assert {arm: len(r) for arm, r in pairs.ratios.items()} == \
+            {"a": 3, "b": 3}
+
+    def test_prepare_is_not_timed(self):
+        clock = fake_clock()
+
+        def slow_prepare():
+            for _ in range(5):  # set-up that takes five clock steps
+                clock()
+            return lambda: None
+
+        pairs = bench_pairs({"base": lambda: lambda: None,
+                             "slow": slow_prepare}, 3, name="run",
+                            clock=clock)
+        assert pairs.samples == {"base": [pytest.approx(1e-3)] * 3,
+                                 "slow": [pytest.approx(1e-3)] * 3}
+        assert pairs.ratio("slow") == pytest.approx(1.0)
+
+    def test_lone_baseline_runs_alone(self):
+        log = []
+        pairs = bench_pairs(logging_arms(log, ["base"]), 4, name="run")
+        assert log == ["base"] * 4
+        assert len(pairs.samples["base"]) == 4
+        assert pairs.ratios == {}
+
+    def test_samples_deterministic_under_fake_clock(self):
+        def run():
+            return bench_pairs(logging_arms([], ["base", "a"]), 5,
+                               name="run", clock=fake_clock(2e-3))
+
+        first = run()
+        assert first.samples == {"base": [pytest.approx(2e-3)] * 5,
+                                 "a": [pytest.approx(2e-3)] * 5}
+        assert run().samples == first.samples
+        assert first.ratios == {"a": [pytest.approx(1.0)] * 5}
+
+    def test_each_run_is_one_span_tagged_with_its_arm(self):
+        tracer = Tracer(clock=fake_clock())
+        bench_pairs(logging_arms([], ["base", "a"]), 2, name="step",
+                    attrs={"workload": "w"}, tracer=tracer)
+        assert [(s.name, s.attrs) for s in tracer.spans] == \
+            [("step", {"workload": "w", "config": arm})
+             for arm in ["base", "a"] * 2]
+
+
 class TestFaithfulnessHelpers:
     def test_run_original_captures_prints(self):
         workload = polybench_workloads(["durbin"])[0]
@@ -171,7 +237,8 @@ class TestRendering:
 
     @pytest.mark.parametrize("name", ["fig9_runtime_overhead",
                                       "ablation_selective",
-                                      "analyses_overhead"])
+                                      "analyses_overhead",
+                                      "table4_analyses"])
     def test_experiments_quotes_result_file(self, name):
         """EXPERIMENTS.md quotes these regenerated results between markers
         rather than retyping their numbers; a stale quote fails here."""

@@ -26,9 +26,9 @@ from repro.interp import Linker, Machine, ResourceLimits
 from repro.interp.predecode import OP_NAMES
 from repro.minic import compile_source
 from repro.obs import (HOOK_LATENCY_BUCKETS, METRICS_SCHEMA, Histogram,
-                       MetricsRegistry, Telemetry, Tracer, measure,
-                       parse_prometheus, render_report, spans_from_chrome_trace,
-                       spans_from_jsonl, spans_to_chrome_trace, spans_to_jsonl)
+                       MetricsRegistry, Telemetry, Tracer, parse_prometheus,
+                       render_report, spans_from_chrome_trace, spans_from_jsonl,
+                       spans_to_chrome_trace, spans_to_jsonl)
 from repro.obs.profiler import OP_CLASSES
 from repro.wasm import encode_module
 from repro.workloads.polybench import compile_kernel
@@ -199,10 +199,6 @@ class TestSpans:
         restored = spans_from_chrome_trace(payload)
         assert restored[0].name == "invoke"
         assert restored[0].duration == pytest.approx(1e-3)
-
-    def test_measure_is_deterministic_under_fake_clock(self):
-        durations = measure(lambda: None, 5, clock=fake_clock(2e-3))
-        assert durations == [pytest.approx(2e-3)] * 5
 
 
 # -- engine counters -----------------------------------------------------------
