@@ -154,13 +154,22 @@ def cmd_objdump(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     """Compile MiniC (``.mc``) or WAT text (``.wat``) to a binary."""
-    source = Path(args.input).read_text()
+    try:
+        source = Path(args.input).read_text()
+    except UnicodeDecodeError as exc:
+        print(f"repro: cannot read {args.input}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     if args.input.endswith(".wat") or source.lstrip().startswith("(module"):
         from .wasm import parse_wat
         module = parse_wat(source)
     else:
-        from .minic import compile_source
-        module = compile_source(source, Path(args.input).stem)
+        from .minic import MiniCError, compile_source
+        try:
+            module = compile_source(source, Path(args.input).stem)
+        except MiniCError as exc:
+            # the status a WatError gets: one line, EXIT_FAILURE
+            print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
     validate_module(module)
     output = args.output or (Path(args.input).stem + ".wasm")
     raw = encode_module(module)
@@ -225,6 +234,12 @@ def _wasi_from_args(args: argparse.Namespace, module, limits, telemetry,
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    try:
+        call_args = [float(a) if "." in a else int(a) for a in args.args]
+    except ValueError as exc:
+        print(f"repro: entry arguments must be numbers: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     telemetry = _telemetry_from_args(args)
     if telemetry is not None and args.serve:
         # service route: open the trace now so the local decode and
@@ -232,7 +247,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         telemetry.tracer.process = "client"
         telemetry.tracer.ensure_trace()
     module = load_module(Path(args.input).read_bytes(), telemetry)
-    call_args = [float(a) if "." in a else int(a) for a in args.args]
     limits = _limits_from_args(args)
     if args.serve:
         wasi = _wasi_from_args(args, module, None, None, None)
@@ -904,7 +918,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Render a --metrics-out JSON artifact as a human-readable summary."""
     try:
         payload = json.loads(Path(args.input).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 errors included
         print(f"repro: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
     try:

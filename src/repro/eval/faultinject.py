@@ -356,8 +356,11 @@ def _wasi_for_mutant(binary: bytes, module):
                        limits=limits)
 
 
-def _execute_mutant(binary: bytes, predecode: bool) -> None:
+def _execute_mutant(binary: bytes, module, predecode: bool) -> None:
     """Instantiate and poke a statically valid mutant under tight limits.
+
+    ``module`` is the mutant ``binary`` as the pipeline decoded and
+    validated it; every engine instantiates that one module.
 
     Traps and exhaustion during an export call propagate as WasmErrors —
     the pipeline records them as clean execute-stage rejections, so their
@@ -367,7 +370,6 @@ def _execute_mutant(binary: bytes, predecode: bool) -> None:
     (:func:`_wasi_for_mutant`); any raw host exception crossing the
     boundary — instead of a well-formed errno or WasmError — is an escape.
     """
-    module = decode_module(binary)
     machine = Machine(predecode=predecode, limits=EXECUTE_LIMITS)
     linker = _permissive_linker()
     wasi = _wasi_for_mutant(binary, module)
@@ -414,7 +416,7 @@ def _pipeline_stage(binary: bytes, execute: bool,
     if execute:
         try:
             for predecode in engines:
-                _execute_mutant(binary, predecode)
+                _execute_mutant(binary, module, predecode)
         except WasmError as exc:
             return "execute", exc
     return None, None

@@ -11,8 +11,7 @@ from .host import GlobalInstance, HostFunction, Linker
 from .limits import (DEADLINE_CHECK_INTERVAL, Meter, ResourceLimits,
                      ResourceUsage)
 from .machine import (DEFAULT_MAX_CALL_DEPTH, Instance, Machine, WasmFunction,
-                      bind_hook_sites, bind_indirect_caches, instantiate,
-                      predecode_default)
+                      bind_hook_sites, instantiate, predecode_default)
 from .memory import Memory
 from .predecode import (HOOK_IMPORT_MODULE, DecodedFunction, cached_decode,
                         decode_function)
@@ -29,8 +28,8 @@ __all__ = [
     "HOOK_IMPORT_MODULE", "HostFunction", "Instance", "Linker", "Machine",
     "Memory", "Meter", "REPLAY_SCHEMA", "Recorder", "Replayer",
     "ResourceLimits", "ResourceUsage", "SNAPSHOT_SCHEMA", "Snapshot", "Table",
-    "WasmFunction", "bind_hook_sites", "bind_indirect_caches", "cached_decode",
-    "decode_function", "diff_instance", "instantiate", "load_crash_bundle",
-    "load_log", "predecode_default", "replay_linker", "restore_instance",
+    "WasmFunction", "bind_hook_sites", "cached_decode", "decode_function",
+    "diff_instance", "instantiate", "load_crash_bundle", "load_log",
+    "predecode_default", "replay_linker", "restore_instance",
     "snapshot_instance", "write_crash_bundle",
 ]

@@ -9,8 +9,8 @@ share the same observable behaviour:
   handlers pre-resolved, memory ops bound to pre-resolved ``struct`` twins,
   straight-line runs compiled into segments, and block/else/end targets
   baked into the stream; the decoded form is cached per
-  :class:`~repro.wasm.module.Function` so repeated instantiations decode
-  once;
+  :class:`~repro.wasm.module.Function`, so repeated instantiations decode
+  once and every instance executes the same stream;
 * the **legacy string-dispatch loop**, the independent oracle for
   differential testing (pass ``Machine(predecode=False)`` or set
   ``REPRO_PREDECODE=0``). It executes 1:1 with the source body, so it is
@@ -36,9 +36,8 @@ from ..wasm.types import FuncType, GlobalType, MemoryType, TableType, ValType
 from .host import GlobalInstance, HostFunction, Linker
 from .limits import Meter, ResourceLimits, ResourceUsage
 from .memory import Memory
-from .predecode import (OP_CALL_INDIRECT, OP_CALL_INDIRECT_IC, OP_HOOK,
-                        DecodedFunction, _segment_code, cached_decode,
-                        decode_function, oob_message)
+from .predecode import (OP_HOOK, DecodedFunction, _segment_code,
+                        cached_decode, decode_function, oob_message)
 from .table import Table
 from .values import BINOPS, MASK32, MASK64, UNOPS, default_value
 
@@ -181,37 +180,13 @@ def profile_op_ids(func: Function, module: Module) -> list[int]:
     return op_ids
 
 
-def bind_indirect_caches(decoded: DecodedFunction,
-                         instance: "Instance") -> DecodedFunction:
-    """Rewrite a stream's ``call_indirect`` slots into inline-cache twins.
-
-    Each recorded site becomes an ``OP_CALL_INDIRECT_IC`` tuple carrying a
-    fresh mutable cache cell ``[last_table_idx, last_func_addr,
-    last_callee]``. The cells memoize instance-resolved callees, so the
-    returned stream is a per-instance copy; the shared decode cache is
-    never written. Cells are registered on the instance so snapshot
-    restore can reset them (``restore_instance`` must never resurrect a
-    callee resolved against pre-restore table state).
-    """
-    code = list(decoded.code)
-    cells = instance._ic_cells
-    for pc in decoded.indirect_sites:
-        ins = code[pc]
-        if ins[0] != OP_CALL_INDIRECT:  # pragma: no cover - sites decode to call_indirect
-            continue
-        cell: list = [None, None, None]
-        code[pc] = (OP_CALL_INDIRECT_IC, ins[1], ins[2], cell)
-        cells.append(cell)
-    return DecodedFunction(code, decoded.source_body, decoded.hook_sites,
-                           decoded.indirect_sites)
-
-
 class WasmFunction:
     """A defined function bound to its instance, with precomputed dispatch.
 
-    ``decoded`` holds the pre-decoded threaded stream, shared with every
-    other instance of the module unless it has ``call_indirect`` inline
-    caches. ``hooks`` is this instance's dispatcher table, one entry per
+    ``decoded`` holds the pre-decoded threaded stream, the one object
+    every instance of the module executes (see
+    :func:`~repro.interp.predecode.cached_decode`). ``hooks`` is this
+    instance's dispatcher table, its only engine state: one entry per
     hook call site of the stream (see :func:`bind_hook_sites`). Both are
     None on machines with ``predecode=False`` and for functions
     instantiated while a profiler is attached: those run on the legacy
@@ -236,9 +211,6 @@ class WasmFunction:
         machine = instance.machine
         if machine.predecode and not machine._profiling:
             decoded, hit = cached_decode(func, instance.module)
-            if decoded.indirect_sites:
-                # per-instance copy with call_indirect inline caches
-                decoded = bind_indirect_caches(decoded, instance)
             if decoded.hook_sites:
                 self.hooks = bind_hook_sites(decoded, instance.functions)
             self.decoded: DecodedFunction | None = decoded
@@ -279,9 +251,6 @@ class Instance:
         self.memory: Memory | None = None
         self.table: Table | None = None
         self.exports: dict[str, tuple[str, object]] = {}
-        #: call_indirect inline-cache cells bound into this instance's
-        #: streams; snapshot restore resets them (see bind_indirect_caches)
-        self._ic_cells: list[list] = []
 
     def invoke(self, name: str, args: Sequence[int | float] = ()) -> list[int | float]:
         """Call an exported function by name."""
@@ -404,11 +373,11 @@ class Machine:
     the host-call paths pay one hoisted ``is not None`` test.
 
     The pre-decoded engine always runs quickened streams: memory ops are
-    decoded to pre-bound ``struct.Struct`` twins, straight-line runs to
-    compiled segments, and ``call_indirect`` sites get per-instance
-    monomorphic inline caches. Every machine runs the one stream each
-    function caches (:func:`~repro.interp.predecode.cached_decode`). The
-    legacy loop (``predecode=False``) is its differential oracle.
+    decoded to pre-bound ``struct.Struct`` twins and straight-line runs to
+    compiled segments. Every instance on every machine runs the one
+    stream each function caches
+    (:func:`~repro.interp.predecode.cached_decode`). The legacy loop
+    (``predecode=False``) is its differential oracle.
     """
 
     def __init__(self, max_call_depth: int = DEFAULT_MAX_CALL_DEPTH,
@@ -741,12 +710,12 @@ class Machine:
                 op = ins[0]
 
                 if op >= 52:
-                    # Quickened memory twins (52-55), the call_indirect
-                    # inline cache (56) and compiled segments (57, and 58
-                    # for those holding hook sites). Dispatching them from
-                    # this guarded side chain keeps the main chain in its
-                    # original, hotness-tuned order: the base opcodes pay
-                    # exactly one extra range check per instruction.
+                    # Quickened memory twins (52-55) and compiled
+                    # segments (57, and 58 for those holding hook sites).
+                    # Dispatching them from this guarded side chain keeps
+                    # the main chain in its original, hotness-tuned order:
+                    # the base opcodes pay exactly one extra range check
+                    # per instruction.
                     if op == 57:  # OP_SEGMENT: (_, compiled_fn, span)
                         ins[1](stack, locals_, memdata)
                         pc += ins[2]
@@ -785,8 +754,8 @@ class Machine:
                                                    "load")) from None
                         pc += 1
                         continue
-                    elif op == 55:  # OP_QSTORE_MASK: (_, bound_pack, offset,
-                        #               mask, width)
+                    else:  # op == 55, OP_QSTORE_MASK: (_, bound_pack,
+                        #               offset, mask, width)
                         value = pop()
                         addr = pop() + ins[2]
                         try:
@@ -794,37 +763,6 @@ class Machine:
                         except struct.error:
                             raise Trap(oob_message(ins[4], addr, memdata,
                                                    "store")) from None
-                        pc += 1
-                        continue
-                    else:  # op == 56, OP_CALL_INDIRECT_IC: (_, expected,
-                        #               n_params, cell)
-                        table_idx = pop()
-                        cell = ins[3]
-                        if (cell[0] == table_idx
-                                and table.entries[table_idx] == cell[1]):
-                            # monomorphic hit: same slot still holds the same
-                            # function address, so the memoized callee is valid
-                            callee = cell[2]
-                        else:
-                            func_addr = table.get(table_idx)
-                            callee = functions[func_addr]
-                            if callee.functype != ins[1]:
-                                raise Trap(
-                                    f"indirect call type mismatch: entry "
-                                    f"{table_idx} has {callee.functype}, "
-                                    f"expected {ins[1]}")
-                            cell[0] = table_idx
-                            cell[1] = func_addr
-                            cell[2] = callee
-                        n_params = ins[2]
-                        if n_params:
-                            call_args = stack[-n_params:]
-                            del stack[-n_params:]
-                        else:
-                            call_args = []
-                        results = self._invoke_callee(callee, call_args)
-                        if results:
-                            stack.extend(results)
                         pc += 1
                         continue
 
@@ -932,6 +870,22 @@ class Machine:
                     append(first if condition else second)
                 elif op == 22:  # OP_DROP
                     pop()
+                elif op == 23:  # OP_CALL_INDIRECT: (_, expected, n_params)
+                    table_idx = pop()
+                    callee = functions[table.get(table_idx)]
+                    if callee.functype != ins[1]:
+                        raise Trap(f"indirect call type mismatch: entry "
+                                   f"{table_idx} has {callee.functype}, "
+                                   f"expected {ins[1]}")
+                    n_params = ins[2]
+                    if n_params:
+                        call_args = stack[-n_params:]
+                        del stack[-n_params:]
+                    else:
+                        call_args = []
+                    results = self._invoke_callee(callee, call_args)
+                    if results:
+                        stack.extend(results)
                 elif op == 24:  # OP_BR_TABLE: (_, labels, default)
                     index = pop()
                     if meter is not None:

@@ -34,11 +34,12 @@ dicts. This module translates each function body *once* into a flat array of
 Each :class:`~repro.wasm.module.Function` caches exactly one decoded
 stream *on the object itself* (``func._decoded``), so re-instantiating the
 same module — which the benchmark harness does constantly — pays the decode
-cost once. The cache is validated against the identity and length of
-``func.body``; a function whose body list is replaced is transparently
-re-decoded. In-place mutation of a body that already executed is not
-supported (the legacy loop has the same limitation through its precomputed
-matching tables).
+cost once, and every instance executes that one stream: an instance's only
+engine state is its hook dispatcher table. The cache is validated against
+the identity and length of ``func.body``; a function whose body list is
+replaced is transparently re-decoded. In-place mutation of a body that
+already executed is not supported (the legacy loop has the same limitation
+through its precomputed matching tables).
 
 A decoded module's functions are fresh objects, so decoding the same bytes
 again misses that cache; what it shares is compiled-segment code. Each
@@ -120,14 +121,7 @@ OP_QLOAD_MASK = 53         # (_, unpack, off, mask, width)
 OP_QSTORE = 54             # (_, pack, off, width)   — full-width store
 OP_QSTORE_MASK = 55        # (_, pack, off, mask, width)
 
-# Monomorphic inline cache for ``call_indirect``, installed per *instance*
-# (the cache cell holds that instance's resolved callee) by
-# ``repro.interp.machine.bind_indirect_caches`` at every recorded site:
-# ``(_, expected_type, n_params, cell)`` with ``cell`` a mutable
-# ``[last_table_idx, last_func_addr, last_callee]``. A hit needs the same
-# table index *and* the same table entry (tables mutate), so table.set /
-# snapshot-restore fall back to the full resolve+type-check path.
-OP_CALL_INDIRECT_IC = 56
+# id 56 is unassigned: ids are never renumbered
 
 # The decoded stream's one superinstruction: a *compiled straight-line
 # segment*. At decode time, maximal runs of stack-machine
@@ -188,7 +182,6 @@ OP_NAMES: dict[int, str] = {
     OP_QLOAD_MASK: "load.quick.mask",
     OP_QSTORE: "store.quick",
     OP_QSTORE_MASK: "store.quick.mask",
-    OP_CALL_INDIRECT_IC: "call_indirect.ic",
     OP_SEGMENT: "segment",
     OP_HOOK_SEGMENT: "hook_segment",
 }
@@ -254,24 +247,21 @@ class DecodedFunction:
     slot is ``hook_sites[k]``; ``location_consts`` is the ``(func, instr)``
     pair of the ``const/const/call`` idiom, or ``()`` for a bare call. It
     is empty for uninstrumented modules, whose decode is entirely
-    unaffected. ``indirect_sites`` lists the pcs of ``call_indirect``
-    slots — the machine rewrites those per instance into monomorphic
-    inline caches (:data:`OP_CALL_INDIRECT_IC`).
+    unaffected. Nothing in it is bound to an instance, so every instance
+    of the module executes the same object.
     """
 
-    __slots__ = ("code", "source_body", "hook_sites", "indirect_sites")
+    __slots__ = ("code", "source_body", "hook_sites")
 
     def __init__(
         self,
         code: list[tuple],
         source_body: list[Instr],
         hook_sites: tuple[tuple[int, int, tuple], ...] = (),
-        indirect_sites: tuple[int, ...] = (),
     ):
         self.code = code
         self.source_body = source_body
         self.hook_sites = hook_sites
-        self.indirect_sites = indirect_sites
 
     def __len__(self) -> int:
         return len(self.code)
@@ -740,13 +730,11 @@ def decode_function(func: Function, module: Module,
 
     ``fuse=True`` (the default) produces the stream the machine executes:
     hook sites become :data:`OP_HOOK` slots, straight-line runs become
-    compiled segments, bare memory ops become their pre-resolved twins,
-    and ``call_indirect`` slots are recorded in ``indirect_sites`` for the
-    machine's per-instance inline-cache rewrite. ``fuse=False`` stops
-    after the base decode, leaving every slot a base opcode — the
-    self-profiler takes its per-pc opcode ids from such a stream so its
-    counts attribute 1:1 to source instructions. Both record the same
-    ``hook_sites``.
+    compiled segments, and bare memory ops become their pre-resolved
+    twins. ``fuse=False`` stops after the base decode, leaving every slot
+    a base opcode — the self-profiler takes its per-pc opcode ids from
+    such a stream so its counts attribute 1:1 to source instructions.
+    Both record the same ``hook_sites``.
     """
     body = func.body
     end_of, else_of = match_blocks(body)
@@ -770,19 +758,16 @@ def decode_function(func: Function, module: Module,
             code[pc] = (OP_HOOK, site, n_params, 1)
     _compile_segments(code)
     _quicken_slots(code, body)
-    indirect_sites = tuple(
-        pc for pc, ins in enumerate(code) if ins[0] == OP_CALL_INDIRECT)
-    return DecodedFunction(code, body, hook_sites, indirect_sites)
+    return DecodedFunction(code, body, hook_sites)
 
 
 def cached_decode(func: Function, module: Module) -> tuple[DecodedFunction, bool]:
     """Decode ``func`` for execution, reusing the per-``Function`` cache.
 
-    ``func._decoded`` holds the one stream every machine executes. Nothing
-    writes into it after decode: hook sites dispatch through per-instance
-    tables, and the per-instance inline-cache rewrite runs on a copy.
-    Replacing ``func.body`` (or
-    changing its length) makes the next call decode afresh. Returns
+    ``func._decoded`` holds the one stream every instance on every machine
+    executes. Nothing writes into it after decode: hook sites dispatch
+    through per-instance tables. Replacing ``func.body`` (or changing its
+    length) makes the next call decode afresh. Returns
     ``(decoded, was_cache_hit)``.
     """
     decoded: DecodedFunction | None = getattr(func, "_decoded", None)

@@ -206,11 +206,6 @@ def restore_instance(instance: "Instance", snap: Snapshot) -> None:
         if instance.table is None:
             raise SnapshotError("snapshot has a table, instance has none")
         instance.table.restore_entries(snap.table)
-    # call_indirect inline caches are engine state, never serialized: reset
-    # the cells so no memoized callee resolved against pre-restore table
-    # state survives (they re-warm on the next indirect call)
-    for cell in getattr(instance, "_ic_cells", ()):
-        cell[0] = cell[1] = cell[2] = None
     meter = instance.machine._meter
     if meter is not None and snap.usage:
         meter.restore_residue(snap.usage)

@@ -51,12 +51,11 @@ OP_CLASSES: dict[int, str] = {
     _pd.OP_CALL: "call", _pd.OP_CALL_INDIRECT: "call",
     _pd.OP_SELECT: "stack", _pd.OP_DROP: "stack",
     _pd.OP_HOOK: "hook",
-    # quickened twins, inline caches and segments are never charged (ids
-    # come from the base decode), but keep the map total so aggregation
-    # cannot KeyError on any opcode id
+    # quickened twins and segments are never charged (ids come from the
+    # base decode), but keep the map total so aggregation cannot KeyError
+    # on any opcode id
     _pd.OP_QLOAD: "memory", _pd.OP_QLOAD_MASK: "memory",
     _pd.OP_QSTORE: "memory", _pd.OP_QSTORE_MASK: "memory",
-    _pd.OP_CALL_INDIRECT_IC: "call",
     _pd.OP_SEGMENT: "fused", _pd.OP_HOOK_SEGMENT: "fused",
 }
 

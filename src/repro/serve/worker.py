@@ -12,10 +12,11 @@ Request kinds:
 * ``run`` — load + instantiate + invoke through ``repro run``'s path
   (:mod:`repro.run`); the response is the dict ``repro run`` prints.
   Uninstrumented runs are **warm-started**: the worker instantiates a
-  module once per (digest, limits, engine flags), snapshots the fresh
-  instance, and restores the snapshot per request instead of
-  re-instantiating (:mod:`repro.interp.snapshot`). Analysis runs always
-  build a fresh session — analyses accumulate state by design.
+  module once per (digest, limits), on the engine ``REPRO_PREDECODE``
+  selects, snapshots the fresh instance, and restores the snapshot per
+  request instead of re-instantiating (:mod:`repro.interp.snapshot`).
+  Analysis runs always build a fresh session — analyses accumulate state
+  by design.
 * ``instrument`` — load + instrument + encode through the
   content-addressed :class:`~repro.serve.cache.ArtifactCache`.
 * ``fuzz_shard`` — one fuzz-campaign shard
@@ -146,7 +147,6 @@ class RequestHandler:
         analysis_name = request.get("analysis", "none")
         limits_dict = request.get("limits")
         limits = ResourceLimits(**limits_dict) if limits_dict else None
-        predecode = request.get("predecode")
         wasi = None
         if request.get("wasi") is not None:
             from ..wasi import WasiContext
@@ -162,9 +162,7 @@ class RequestHandler:
         # per-request state
         warm_key = None
         if analysis is None and wasi is None:
-            warm_key = (digest,
-                        json.dumps(limits_dict, sort_keys=True),
-                        bool(predecode) if predecode is not None else None)
+            warm_key = (digest, json.dumps(limits_dict, sort_keys=True))
         warm = warm_key in self._warm
         if warm:
             self._warm.move_to_end(warm_key)
@@ -177,8 +175,7 @@ class RequestHandler:
             linker = default_linker(printed)
             if wasi is not None:
                 wasi.register(linker)
-            machine = (Machine(limits=limits) if predecode is None
-                       else Machine(limits=limits, predecode=predecode))
+            machine = Machine(limits=limits)
             with _tspan(tracer, "instantiate", analysis=analysis_name,
                         wasi=wasi is not None):
                 session = AnalysisSession(

@@ -90,17 +90,25 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _parse_sexpr(tokens: list[str], pos: int) -> tuple[object, int]:
+    if pos == len(tokens):
+        raise WatError("unexpected end of input")
     token = tokens[pos]
     if token == "(":
         items = []
         pos += 1
-        while tokens[pos] != ")":
+        while pos < len(tokens) and tokens[pos] != ")":
             item, pos = _parse_sexpr(tokens, pos)
             items.append(item)
+        if pos == len(tokens):
+            raise WatError("unclosed '('")
         return items, pos + 1
     if token == ")":
         raise WatError("unexpected ')'")
     return token, pos + 1
+
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_ESCAPES = {"n": 10, "t": 9, "r": 13, '"': 34, "'": 39, "\\": 92}
 
 
 def _unescape(literal: str) -> bytes:
@@ -110,18 +118,35 @@ def _unescape(literal: str) -> bytes:
     while i < len(body):
         ch = body[i]
         if ch == "\\":
-            nxt = body[i + 1]
-            if nxt in "0123456789abcdefABCDEF" and i + 2 < len(body) + 1:
-                out.append(int(body[i + 1:i + 3], 16))
+            digits = body[i + 1:i + 3]
+            if len(digits) == 2 and _HEX_DIGITS.issuperset(digits):
+                out.append(int(digits, 16))
                 i += 3
                 continue
-            escape = {"n": 10, "t": 9, "r": 13, '"': 34, "'": 39, "\\": 92}
-            out.append(escape[nxt])
+            nxt = body[i + 1]
+            if nxt not in _ESCAPES:
+                raise WatError(f"unknown string escape '\\{nxt}'")
+            out.append(_ESCAPES[nxt])
             i += 2
         else:
             out.append(ord(ch))
             i += 1
     return bytes(out)
+
+
+def _int(token, base: int = 10) -> int:
+    """An integer literal (``base=0`` also reads ``0x`` hex)."""
+    try:
+        return int(token, base)
+    except (TypeError, ValueError):
+        raise WatError(f"invalid integer literal {token!r}") from None
+
+
+def _float(token) -> float:
+    try:
+        return float(token)
+    except (TypeError, ValueError):
+        raise WatError(f"invalid float literal {token!r}") from None
 
 
 _VALTYPES = {t.value: t for t in BYTE_TO_VALTYPE.values()}
@@ -157,7 +182,7 @@ class _Names:
                 return self.by_name[token]
             except KeyError:
                 raise WatError(f"unknown {self.what} {token!r}") from None
-        return int(token)
+        return _int(token)
 
 
 class _WatParser:
@@ -314,7 +339,7 @@ class _WatParser:
             self.module.exports.append(Export(export_name, "func", idx))
         elif desc[0] == "memory":
             self.module.exports.append(Export(export_name, "memory",
-                                              int(desc[1])))
+                                              _int(desc[1])))
         elif desc[0] == "global":
             self.module.exports.append(
                 Export(export_name, "global", self.globals.resolve(desc[1])))
@@ -340,7 +365,7 @@ class _WatParser:
         op, literal = expr
         if not op.endswith(".const"):
             raise WatError(f"unsupported initializer {op}")
-        value = float(literal) if op.startswith("f") else int(literal, 0)
+        value = _float(literal) if op.startswith("f") else _int(literal, 0)
         return Instr(op, value=value)
 
     # -- pass 2: function bodies ---------------------------------------------------
@@ -383,6 +408,8 @@ class _WatParser:
 
             def next_token() -> str:
                 nonlocal cursor
+                if cursor == len(tokens):
+                    raise WatError(f"{token} is missing its immediate")
                 value = tokens[cursor]
                 cursor += 1
                 return value
@@ -432,7 +459,7 @@ class _WatParser:
                     results: list[ValType] = []
                     for spec in spec_items:
                         if spec[0] == "type":
-                            type_idx = int(spec[1])
+                            type_idx = _int(spec[1])
                         elif spec[0] == "param":
                             params.extend(_valtype(t) for t in spec[1:])
                         else:
@@ -441,7 +468,7 @@ class _WatParser:
                         type_idx = self.module.add_type(
                             FuncType(tuple(params), tuple(results)))
                 else:
-                    type_idx = int(next_token())
+                    type_idx = _int(next_token())
                 instrs.append(Instr(mnemonic, idx=type_idx))
             elif imm is opcodes.Imm.LOCAL_IDX:
                 instrs.append(Instr(mnemonic,
@@ -456,16 +483,16 @@ class _WatParser:
                         and "=" in tokens[cursor]:
                     key, _, value = next_token().partition("=")
                     if key == "offset":
-                        offset = int(value, 0)
+                        offset = _int(value, 0)
                     elif key == "align":
-                        align = int(value, 0).bit_length() - 1
+                        align = _int(value, 0).bit_length() - 1
                 instrs.append(Instr(mnemonic, memarg=MemArg(align, offset)))
             elif imm is opcodes.Imm.MEM_IDX:
                 instrs.append(Instr(mnemonic))
             elif imm in (opcodes.Imm.CONST_I32, opcodes.Imm.CONST_I64):
-                instrs.append(Instr(mnemonic, value=int(next_token(), 0)))
+                instrs.append(Instr(mnemonic, value=_int(next_token(), 0)))
             else:  # float consts
-                instrs.append(Instr(mnemonic, value=float(next_token())))
+                instrs.append(Instr(mnemonic, value=_float(next_token())))
         return instrs
 
     def _label(self, token: str, labels: list[str | None]) -> int:
@@ -474,9 +501,13 @@ class _WatParser:
                 if name == token:
                     return depth
             raise WatError(f"unknown label {token!r}")
-        return int(token)
+        return _int(token)
 
 
 def parse_wat(text: str) -> Module:
-    """Parse linear-style WAT text into a :class:`Module`."""
+    """Parse linear-style WAT text into a :class:`Module`.
+
+    Malformed text (an unclosed ``(``, a bad numeric literal or string
+    escape, a missing immediate) raises :class:`WatError`.
+    """
     return _WatParser(text).parse()

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import (EXIT_ANALYSIS_FAULT, EXIT_MALFORMED,
+from repro.cli import (EXIT_ANALYSIS_FAULT, EXIT_FAILURE, EXIT_MALFORMED,
                        EXIT_REPLAY_DIVERGENCE, EXIT_RESOURCE_EXHAUSTED,
-                       EXIT_TRAP, exit_status, main)
+                       EXIT_TRAP, EXIT_USAGE, exit_status, main)
 from repro.wasm import (AnalysisAbort, AnalysisError, DecodeError,
                         FuelExhausted, ReplayDivergence, Trap, ValidationError,
                         WasmError, decode_module, encode_module, parse_wat)
@@ -277,6 +277,48 @@ class TestExitTaxonomy:
         assert main(["stats", str(tmp_path / "absent.wasm")]) == 1
         line, = capsys.readouterr().err.splitlines()
         assert line.startswith("repro: ") and "absent.wasm" in line
+
+    #: (verb, input file name, its contents, trailing argv, exit status)
+    BAD_INPUTS = {
+        "minic_lex": ("compile", "p.mc", "export func f() -> i32 { return 1 $ 2; }",
+                      [], EXIT_FAILURE),
+        "minic_parse": ("compile", "p.mc", "export func f( -> i32 { return 1; }",
+                        [], EXIT_FAILURE),
+        "minic_type": ("compile", "p.mc", "export func f() -> i32 { return 1.0; }",
+                       [], EXIT_FAILURE),
+        "wat_empty": ("compile", "m.wat", "", [], EXIT_FAILURE),
+        "wat_unclosed": ("compile", "m.wat", "(module (func", [], EXIT_FAILURE),
+        "wat_literal": ("compile", "m.wat", "(module (func i32.const abc))",
+                        [], EXIT_FAILURE),
+        "wat_escape": ("compile", "m.wat",
+                       '(module (memory 1) (data (i32.const 0) "\\q"))',
+                       [], EXIT_FAILURE),
+        "source_bytes": ("compile", "p.mc", b"\xff\xfe", [], EXIT_FAILURE),
+        "run_arg": ("run", "fib.wasm", None, ["fib", "abc"], EXIT_USAGE),
+        "report_bytes": ("report", "m.json", b"\xff\xfe{", [], EXIT_FAILURE),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_is_one_line(self, case, tmp_path, fib_module, capsys):
+        """Bad input to a verb is reported as one ``repro:`` line with its
+        taxonomy status, never a traceback."""
+        verb, name, contents, rest, status = self.BAD_INPUTS[case]
+        path = tmp_path / name
+        if contents is None:
+            path.write_bytes(encode_module(fib_module))
+        elif isinstance(contents, bytes):
+            path.write_bytes(contents)
+        else:
+            path.write_text(contents)
+        argv = [verb, str(path), *rest]
+        if verb == "compile":
+            argv += ["-o", str(tmp_path / "out.wasm")]
+        assert main(argv) == status
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        line, = captured.err.splitlines()
+        assert line.startswith("repro: ")
+        assert not (tmp_path / "out.wasm").exists()
 
     def test_run_in_subprocess_prints_no_traceback(self, tmp_path):
         bad = tmp_path / "bad.wasm"

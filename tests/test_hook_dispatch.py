@@ -40,8 +40,8 @@ from repro.core.runtime import (_TRANSLATIONS, WasabiRuntime, _bind_code,
                                 _bind_source, _noop_dispatcher, _row_key)
 from repro.eval.workloads import polybench_workloads
 from repro.interp import Linker, Machine, WasmFunction
-from repro.interp.predecode import (OP_CALL, OP_CONST, OP_HOOK, OP_HOOK_SEGMENT,
-                                    cached_decode)
+from repro.interp.predecode import (OP_CALL, OP_CALL_INDIRECT, OP_CONST,
+                                    OP_HOOK, OP_HOOK_SEGMENT, cached_decode)
 from repro.minic import compile_source
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.module import BrTable
@@ -50,6 +50,7 @@ from repro.workloads import engine_demo, pdf_toolkit
 from repro.workloads.polybench import compile_kernel
 
 from .test_instrument_properties import minic_program
+from .test_quickened import _dispatch_module
 
 # -- differential corpus ---------------------------------------------------------
 
@@ -221,24 +222,45 @@ class TestFusion:
             if consts:
                 assert decoded.code[pc - 1] == (OP_CONST, consts[1])
 
-    def test_instances_share_the_stream_with_own_tables(self):
-        module = compile_source(MIXED_SOURCE)
-        session = AnalysisSession(module, ExecutionTracer(), run_start=False,
+    @staticmethod
+    def _two_instances(module, groups):
+        """Two instances of ``module`` on separate machines, both
+        instrumented for ``groups`` (uninstrumented when None)."""
+        if groups is None:
+            return [Machine(predecode=True).instantiate(module, run_start=False)
+                    for _ in range(2)]
+        session = AnalysisSession(module, ExecutionTracer(), groups=groups,
+                                  run_start=False,
                                   machine=Machine(predecode=True))
         linker = Linker()
         for name, host in session.runtime.host_functions().items():
             linker.define(HOOK_MODULE, name, host)
-        other = Machine(predecode=True).instantiate(
+        return session.instance, Machine(predecode=True).instantiate(
             session.result.module, linker, run_start=False)
-        pairs = [(a, b) for a, b in zip(session.instance.functions,
-                                        other.functions)
-                 if isinstance(a, WasmFunction) and a.hooks]
-        assert pairs
-        for first, second in pairs:
-            assert not first.decoded.indirect_sites
-            assert first.decoded is second.decoded
-            assert first.hooks is not second.hooks
-            assert len(first.hooks) == len(first.decoded.hook_sites)
+
+    def test_instances_share_the_stream_with_own_tables(self):
+        dispatch, _, _ = _dispatch_module()
+        # (module, hook groups, has call_indirect sites)
+        cases = [(compile_source(MIXED_SOURCE),
+                  ExecutionTracer().used_groups(), False),
+                 (dispatch, None, True),
+                 (engine_demo(0.2), ALL_GROUPS, True)]
+        for module, groups, has_indirect in cases:
+            one, two = self._two_instances(module, groups)
+            pairs = [(a, b) for a, b in zip(one.functions, two.functions)
+                     if isinstance(a, WasmFunction)]
+            assert pairs
+            # every defined function, call_indirect sites included, runs
+            # the one cached stream; only the dispatcher tables differ
+            for first, second in pairs:
+                assert first.decoded is second.decoded
+                if first.hooks is not None:
+                    assert first.hooks is not second.hooks
+                    assert len(first.hooks) == len(first.decoded.hook_sites)
+            assert any(a.hooks for a, _ in pairs) == (groups is not None)
+            assert has_indirect == any(ins[0] == OP_CALL_INDIRECT
+                                       for a, _ in pairs
+                                       for ins in a.decoded.code)
 
     def test_gemm_hook_sites_join_hook_segments(self):
         module = instrument_module(compile_kernel("gemm")).module

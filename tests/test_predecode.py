@@ -22,7 +22,7 @@ from repro.eval.workloads import (POLYBENCH_FAST_SUBSET, polybench_workloads,
 from repro.interp import (Machine, ResourceLimits, WasmFunction,
                           cached_decode, decode_function, predecode_default)
 from repro.interp.host import HostFunction, Linker
-from repro.interp.predecode import (OP_CALL_INDIRECT_IC, OP_CONST,
+from repro.interp.predecode import (OP_CALL_INDIRECT, OP_CONST,
                                     OP_GET_LOCAL, OP_HOOK, OP_HOOK_SEGMENT,
                                     OP_SEGMENT)
 from repro.minic import compile_source
@@ -307,18 +307,17 @@ class TestShortRuns:
 
 #: Op ids the decoded loop (``Machine._exec_decoded``) has an arm for; every
 #: executed stream must stay inside this set. Bare memory ops (decode
-#: installs their quickened twins) and bare ``call_indirect`` (every site
-#: becomes an inline cache) have no arm, and any id without one would fall
-#: through to the final arm, which raises.
+#: installs their quickened twins) have no arm, and any id without one
+#: would fall through to the final arm, which raises.
 EXECUTABLE = frozenset({
     pd.OP_GET_LOCAL, pd.OP_BINARY, pd.OP_CONST, pd.OP_SET_LOCAL, pd.OP_BR_IF,
     pd.OP_UNARY, pd.OP_TEE_LOCAL, pd.OP_BR, pd.OP_END, pd.OP_LOOP, pd.OP_IF,
     pd.OP_BLOCK, pd.OP_JUMP, pd.OP_CALL, pd.OP_RETURN, pd.OP_GET_GLOBAL,
-    pd.OP_SET_GLOBAL, pd.OP_SELECT, pd.OP_DROP, pd.OP_BR_TABLE,
-    pd.OP_MEMORY_SIZE, pd.OP_MEMORY_GROW, pd.OP_NOP, pd.OP_UNREACHABLE,
-    pd.OP_HOOK,
+    pd.OP_SET_GLOBAL, pd.OP_SELECT, pd.OP_DROP, pd.OP_CALL_INDIRECT,
+    pd.OP_BR_TABLE, pd.OP_MEMORY_SIZE, pd.OP_MEMORY_GROW, pd.OP_NOP,
+    pd.OP_UNREACHABLE, pd.OP_HOOK,
     pd.OP_QLOAD, pd.OP_QLOAD_MASK, pd.OP_QSTORE, pd.OP_QSTORE_MASK,
-    pd.OP_CALL_INDIRECT_IC, pd.OP_SEGMENT, pd.OP_HOOK_SEGMENT,
+    pd.OP_SEGMENT, pd.OP_HOOK_SEGMENT,
 })
 
 
@@ -349,8 +348,8 @@ class TestExecutedStreams:
         ops = _executed_ops(instance)
         assert ops and ops <= EXECUTABLE
         if name == "engine_demo":
-            # the stand-in that exercises call_indirect got its caches
-            assert OP_CALL_INDIRECT_IC in ops
+            # the stand-in that exercises call_indirect runs its plain arm
+            assert OP_CALL_INDIRECT in ops
 
     @pytest.mark.parametrize("name", ["line_filter", "checksum", "extract"])
     def test_wasi_io_streams_have_no_base_ops(self, name):

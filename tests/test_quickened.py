@@ -1,8 +1,8 @@
 """The quickened engine against the legacy string-dispatch loop.
 
 Differential coverage for what the decoded engine runs beyond the base
-opcodes — compiled straight-line segments, pre-resolved memory-op slots
-and call_indirect inline caches — against the legacy loop, the oracle
+opcodes — compiled straight-line segments and pre-resolved memory-op
+slots — and for its call_indirect arm, against the legacy loop, the oracle
 every quickened stream must match bit for bit, including trap messages and
 snapshot/restore.
 """
@@ -42,8 +42,8 @@ ENGINES = [
 def _all_engines(module, name, args, repeats=2, mutate=None):
     """Invoke ``name`` ``repeats`` times on every engine configuration.
 
-    Two invocations per instance so per-instance state (inline-cache
-    cells, linear memory) carries over between calls. ``mutate`` (called
+    Two invocations per instance so per-instance state (linear memory,
+    the table) carries over between calls. ``mutate`` (called
     with the instance between invocations) injects state changes like table
     mutation. Returns one list of results per engine.
     """
@@ -254,7 +254,7 @@ class TestLocalForwarding:
         assert runs[0][1] == runs[1][1]
 
 
-# -- call_indirect inline caches ------------------------------------------------
+# -- call_indirect --------------------------------------------------------------
 
 
 def _dispatch_module():
@@ -283,25 +283,25 @@ def _dispatch_module():
     return builder.build(), inc, dbl
 
 
-class TestCallIndirectIC:
-    def test_monomorphic_and_megamorphic_paths(self):
+class TestCallIndirect:
+    def test_same_target_repeats_and_target_switch(self):
         module, _, _ = _dispatch_module()
         for kwargs in ENGINES:
             instance = Machine(**kwargs).instantiate(module)
-            # repeated same-target calls (IC hit path after the first)
+            # repeated same-target calls
             assert [instance.invoke("dispatch", [0, 10]) for _ in range(3)] \
                 == [[11]] * 3
-            # switch targets (IC miss → rebind), then back
+            # switch targets, then back
             assert instance.invoke("dispatch", [1, 10]) == [20]
             assert instance.invoke("dispatch", [0, 10]) == [11]
 
-    def test_table_mutation_invalidates_cache(self):
+    def test_table_mutation_changes_the_callee(self):
         module, inc, dbl = _dispatch_module()
         results = []
         for kwargs in ENGINES:
             instance = Machine(**kwargs).instantiate(module)
-            out = [instance.invoke("dispatch", [0, 10])]   # cache 'inc'
-            instance.table.set(0, dbl)                     # mutate under the IC
+            out = [instance.invoke("dispatch", [0, 10])]   # calls 'inc'
+            instance.table.set(0, dbl)                     # retarget entry 0
             out.append(instance.invoke("dispatch", [0, 10]))
             instance.table.set(0, None)                    # uninitialize
             try:
@@ -442,14 +442,14 @@ class TestSnapshotQuickened:
     def test_quickened_state_rebuilt_on_restore(self):
         """Snapshot mid-run on the quickened engine, restore into a fresh
         quickened instance: diff is empty, and the resumed run is
-        bit-identical — IC cells are rebuilt, never serialized."""
+        bit-identical — no engine state is serialized."""
         workload = polybench_workloads(["trisolv"], n=12)[0]
         module = workload.module()
 
         printed_a: list = []
         inst_a = Machine(predecode=True).instantiate(
             module, workload.linker(printed_a))
-        inst_a.invoke("main", [])  # fills IC cells, then snapshot mid-state
+        inst_a.invoke("main", [])  # then snapshot mid-state
         snap = Snapshot.from_json(snapshot_instance(inst_a).to_json())
 
         printed_b: list = []
@@ -463,16 +463,16 @@ class TestSnapshotQuickened:
         inst_b.invoke("main", [])
         assert printed_a == printed_b
 
-    def test_ic_cells_reset_not_stale_after_restore(self):
+    def test_restored_table_decides_the_callee(self):
         module, inc, dbl = _dispatch_module()
-        machine = Machine(predecode=True)
-        instance = machine.instantiate(module)
-        assert instance.invoke("dispatch", [0, 10]) == [11]  # IC caches 'inc'
+        for kwargs in ENGINES:
+            instance = Machine(**kwargs).instantiate(module)
+            assert instance.invoke("dispatch", [0, 10]) == [11]  # calls 'inc'
 
-        snap = snapshot_instance(instance)
-        fresh = Machine(predecode=True).instantiate(module)
-        restore_instance(fresh, snap)
-        # mutate the restored table: a stale (serialized) cache would still
-        # dispatch to 'inc'
-        fresh.table.set(0, dbl)
-        assert fresh.invoke("dispatch", [0, 10]) == [20]
+            snap = snapshot_instance(instance)
+            fresh = Machine(**kwargs).instantiate(module)
+            restore_instance(fresh, snap)
+            # mutate the restored table: the call must follow the live
+            # entry, not the callee resolved before the snapshot
+            fresh.table.set(0, dbl)
+            assert fresh.invoke("dispatch", [0, 10]) == [20]

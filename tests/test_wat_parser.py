@@ -201,6 +201,19 @@ class TestErrors:
         with pytest.raises(WatError, match="duplicate"):
             parse_wat("(module (func $f) (func $f))")
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "unexpected end of input"),
+        ("(module (func", "unclosed"),
+        ('(module (func (result i32) i32.const abc))', "invalid integer"),
+        ('(module (func (result f64) f64.const xyz))', "invalid float"),
+        ('(module (memory 1) (data (i32.const 0) "\\q"))', "unknown string escape"),
+        ('(module (func (result i32) i32.const))', "missing its immediate"),
+    ], ids=["empty", "unclosed", "int_literal", "float_literal", "escape",
+            "no_immediate"])
+    def test_malformed_text(self, text, message):
+        with pytest.raises(WatError, match=message):
+            parse_wat(text)
+
 
 class TestIntegrationWithWasabi:
     def test_wat_module_instrumented(self):
