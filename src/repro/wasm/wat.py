@@ -134,6 +134,23 @@ def _unescape(literal: str) -> bytes:
     return bytes(out)
 
 
+def _name(literal) -> str:
+    """An import or export name: a quoted string, decoded as UTF-8."""
+    if not isinstance(literal, str) or not literal.startswith('"'):
+        raise WatError(f"expected a quoted name, got {literal!r}")
+    try:
+        return _unescape(literal).decode()
+    except UnicodeDecodeError:
+        raise WatError(f"name {literal} is not valid UTF-8") from None
+
+
+def _fields(items: list, count: int, what: str) -> None:
+    """Refuse a module field with fewer than ``count`` items."""
+    if len(items) < count:
+        raise WatError(f"({what} ...) needs at least {count} field(s), "
+                       f"got {len(items)}")
+
+
 def _int(token, base: int = 10) -> int:
     """An integer literal (``base=0`` also reads ``0x`` hex)."""
     try:
@@ -256,9 +273,12 @@ class _WatParser:
         return FuncType(tuple(params), tuple(results)), param_names
 
     def _declare_import(self, items: list) -> None:
-        module_name = _unescape(items[0]).decode()
-        item_name = _unescape(items[1]).decode()
+        _fields(items, 3, "import")
+        module_name = _name(items[0])
+        item_name = _name(items[1])
         desc = items[2]
+        if not isinstance(desc, list) or not desc:
+            raise WatError(f"expected an import descriptor, got {desc!r}")
         if desc[0] == "func":
             body = desc[1:]
             name = self._take_name(body)
@@ -286,12 +306,15 @@ class _WatParser:
     def _limits(self, items: list) -> Limits:
         numbers = [int(i) for i in items if isinstance(i, str) and
                    not i.startswith("$") and i.isdigit()]
+        if not numbers:
+            raise WatError("limits need a minimum size")
         if len(numbers) == 1:
             return Limits(numbers[0])
         return Limits(numbers[0], numbers[1])
 
     def _globaltype(self, spec) -> GlobalType:
-        if isinstance(spec, list) and spec[0] == "mut":
+        if isinstance(spec, list) and spec[:1] == ["mut"]:
+            _fields(spec[1:], 1, "mut")
             return GlobalType(_valtype(spec[1]), mutable=True)
         return GlobalType(_valtype(spec), mutable=False)
 
@@ -308,8 +331,8 @@ class _WatParser:
                             name=name.lstrip("$") if name else None)
         self.module.functions.append(function)
         for export in exports:
-            self.module.exports.append(
-                Export(_unescape(export[1]).decode(), "func", func_idx))
+            _fields(export[1:], 1, "export")
+            self.module.exports.append(Export(_name(export[1]), "func", func_idx))
         self._pending_funcs.append(
             ([items, functype, param_names], len(self.module.functions) - 1))
 
@@ -325,6 +348,7 @@ class _WatParser:
 
     def _declare_global(self, items: list) -> None:
         name = self._take_name(items)
+        _fields(items, 2, "global")
         globaltype = self._globaltype(items[0])
         init_expr = items[1]
         init = [self._const_instr(init_expr)]
@@ -332,8 +356,11 @@ class _WatParser:
         self.globals.declare(name)
 
     def _declare_export(self, items: list) -> None:
-        export_name = _unescape(items[0]).decode()
+        _fields(items, 2, "export")
+        export_name = _name(items[0])
         desc = items[1]
+        if not isinstance(desc, list) or len(desc) != 2:
+            raise WatError(f"expected an export descriptor, got {desc!r}")
         if desc[0] == "func":
             idx = self.funcs.resolve(desc[1])
             self.module.exports.append(Export(export_name, "func", idx))
@@ -347,14 +374,17 @@ class _WatParser:
             raise WatError(f"unsupported export kind {desc[0]}")
 
     def _declare_start(self, items: list) -> None:
+        _fields(items, 1, "start")
         self.module.start = self.funcs.resolve(items[0])
 
     def _declare_elem(self, items: list) -> None:
+        _fields(items, 1, "elem")
         offset = self._const_instr(items[0])
         func_idxs = [self.funcs.resolve(i) for i in items[1:]]
         self.module.elements.append(ElemSegment([offset], func_idxs))
 
     def _declare_data(self, items: list) -> None:
+        _fields(items, 1, "data")
         offset = self._const_instr(items[0])
         payload = b"".join(_unescape(i) for i in items[1:])
         self.module.data.append(DataSegment([offset], payload))

@@ -293,6 +293,11 @@ class TestExitTaxonomy:
         "wat_escape": ("compile", "m.wat",
                        '(module (memory 1) (data (i32.const 0) "\\q"))',
                        [], EXIT_FAILURE),
+        "wat_export_arity": ("compile", "m.wat", "(module (func (export)))",
+                             [], EXIT_FAILURE),
+        "wat_name_utf8": ("compile", "m.wat",
+                          '(module (import "\\ff" "x" (func)))',
+                          [], EXIT_FAILURE),
         "source_bytes": ("compile", "p.mc", b"\xff\xfe", [], EXIT_FAILURE),
         "run_arg": ("run", "fib.wasm", None, ["fib", "abc"], EXIT_USAGE),
         "report_bytes": ("report", "m.json", b"\xff\xfe{", [], EXIT_FAILURE),

@@ -208,8 +208,10 @@ class TestErrors:
         ('(module (func (result f64) f64.const xyz))', "invalid float"),
         ('(module (memory 1) (data (i32.const 0) "\\q"))', "unknown string escape"),
         ('(module (func (result i32) i32.const))', "missing its immediate"),
+        ('(module (func (export)))', r"\(export ...\) needs at least 1"),
+        ('(module (import "\\ff" "x" (func)))', "not valid UTF-8"),
     ], ids=["empty", "unclosed", "int_literal", "float_literal", "escape",
-            "no_immediate"])
+            "no_immediate", "export_arity", "name_utf8"])
     def test_malformed_text(self, text, message):
         with pytest.raises(WatError, match=message):
             parse_wat(text)
