@@ -8,9 +8,10 @@ resolved once per call site (§2.3 "pre-computed information"), and the
 call, written as source over the popped values. :func:`_bind_source`
 expands a live hook's row and value types into the source of
 ``bind(location)``, compiled once per process (:func:`_bind_code`).
-``bind`` resolves one site's statics and returns its dispatcher, which in
-one frame re-joins split i64 halves (§2.4.6), presents values as Figure 5
-does, calls the analysis and contains faults. Two rows call helpers:
+``bind`` resolves one site's statics and returns its dispatcher, which
+takes the popped values as positional parameters and in one frame
+re-joins split i64 halves (§2.4.6), presents values as Figure 5 does,
+calls the analysis and contains faults. Two rows call helpers:
 indirect ``call_pre`` reads the callee from the live table (§2.3), and
 ``br_table`` fires the end hooks of the blocks the taken entry leaves
 (§2.4.5). Only the table's text and index expressions are compiled; the
@@ -63,9 +64,10 @@ ERROR_POLICIES = ("raise", "abort", "quarantine", "log")
 class _Row(NamedTuple):
     """How one hook kind reaches the analysis.
 
-    ``call`` is source over the popped ``args``: ``{v0}``, ``{v1}`` … are
-    the values as analyses see them (Figure 5: integers signed, split i64
-    halves re-joined, floats untouched), ``{r0}`` … the same values raw,
+    ``call`` is source over the popped values, the dispatcher's positional
+    parameters ``a0``, ``a1`` …: ``{v0}``, ``{v1}`` … are the values as
+    analyses see them (Figure 5: integers signed, split i64 halves
+    re-joined, floats untouched), ``{r0}`` … the same values raw,
     ``{values}`` all presented values and ``{rest}`` those after the first.
     ``hook`` is the analysis method (or the kind's helper), ``op`` the
     hook's mnemonic or block kind; ``statics`` runs once per call site.
@@ -126,7 +128,7 @@ def _row_key(spec: HookSpec) -> str:
 _BIND_SOURCE = """\
 def bind(loc):
     {statics}
-    def dispatch(args):
+    def dispatch({params}):
         {start}
         try:
             {call}
@@ -140,28 +142,31 @@ def bind(loc):
 
 
 def _value_exprs(value_types: tuple[ValType, ...]) -> tuple[list, list]:
-    """Per logical hook value, its ``(raw, presented)`` source over ``args``.
+    """Per logical hook value, its ``(raw, presented)`` source.
 
-    ``args`` is the flat (post-i64-split) argument list. ``raw`` keeps the
-    engine's canonical unsigned form (addresses, table indices),
-    ``presented`` applies the Figure-5 conversion: integers become signed
-    Python ints, floats pass through. Split i64 halves are re-joined by
-    both.
+    The source reads the flat (post-i64-split) values as ``a0``, ``a1`` …,
+    the dispatcher's positional parameters. ``raw`` keeps the engine's
+    canonical unsigned form (addresses, table indices), ``presented``
+    applies the Figure-5 conversion: integers become signed Python ints,
+    floats pass through. Split i64 halves are re-joined by both. The sign
+    conversion compares and subtracts, which on the canonical values the
+    engines hold equals ``(x ^ 2**(w-1)) - 2**(w-1)`` without building two
+    multi-digit ints per value.
     """
     raw: list[str] = []
     presented: list[str] = []
     i = 0
     for valtype in value_types:
         if valtype is I64:
-            joined = f"(args[{i}] | (args[{i + 1}] << 32))"
+            joined = f"(a{i} | (a{i + 1} << 32))"
             raw.append(joined)
-            # branch-free sign conversion: (x ^ 2**63) - 2**63
-            presented.append(f"(({joined} ^ 0x8000000000000000) - 0x8000000000000000)")
+            presented.append(f"(j{i} if (j{i} := {joined}) < 0x8000000000000000 "
+                             f"else j{i} - 0x10000000000000000)")
             i += 2
         else:
-            raw.append(f"args[{i}]")
-            presented.append(f"((args[{i}] ^ 0x80000000) - 0x80000000)"
-                             if valtype is ValType.I32 else f"args[{i}]")
+            raw.append(f"a{i}")
+            presented.append(f"(a{i} if a{i} < 0x80000000 else a{i} - 0x100000000)"
+                             if valtype is ValType.I32 else f"a{i}")
             i += 1
     return raw, presented
 
@@ -174,12 +179,13 @@ def _bind_source(row: _Row, value_types: tuple[ValType, ...],
     included, into the hook's histogram.
     """
     raw, presented = _value_exprs(value_types)
+    params = ", ".join(f"a{k}" for k in range(len(split_i64(value_types))))
     call = row.call.format(
         values=", ".join(presented), rest=", ".join(presented[1:]),
         **{f"v{k}": v for k, v in enumerate(presented)},
         **{f"r{k}": r for k, r in enumerate(raw)})
     return _BIND_SOURCE.format(
-        statics=row.statics, call=call,
+        statics=row.statics, params=params, call=call,
         start="start = clock()" if timed else "",
         finish=("finally:\n            observe(clock() - start)"
                 if timed else ""))
@@ -207,12 +213,16 @@ def _overrides(analysis: Analysis, method_name: str) -> bool:
     return getattr(impl, "__func__", impl) is not getattr(Analysis, method_name)
 
 
-def _noop_dispatcher(args: list) -> None:
-    """Shared dispatcher for hooks whose analysis methods are not overridden."""
+def _noop_dispatcher(*args) -> None:
+    """Shared dispatcher for hooks whose analysis methods are not overridden.
+
+    It also replaces a quarantined host function's ``fn``, which the
+    host-call path calls with one argument list."""
 
 
-#: ``bind(location)`` → the dispatcher of one hook at one call site.
-_Binder = Callable[[Location], Callable[[list], None]]
+#: ``bind(location)`` → the dispatcher of one hook at one call site, which
+#: takes the site's popped values as positional arguments.
+_Binder = Callable[[Location], Callable[..., None]]
 
 
 class WasabiRuntime:
@@ -372,14 +382,14 @@ class WasabiRuntime:
     # -- per-call-site dispatch ---------------------------------------------------
 
     def _site_factory(self, hook_name: str, bind: "_Binder | None"
-                      ) -> Callable[[int, int], Callable[[list], None]]:
+                      ) -> Callable[[int, int], Callable[..., None]]:
         """The factory the pre-decoding engine calls once per
         ``const/const/call`` hook site with its two raw location constants:
         that site's dispatcher, or the no-op for a dead or quarantined hook.
         If it raises (no static info), the engine keeps the host-call path,
         which faults at event time instead."""
 
-        def factory(func_const: int, instr_const: int) -> Callable[[list], None]:
+        def factory(func_const: int, instr_const: int) -> Callable[..., None]:
             if bind is None or hook_name in self._quarantined:
                 return _noop_dispatcher
             # the begin-function hook's instr index is emitted as -1 and
@@ -391,17 +401,19 @@ class WasabiRuntime:
                            bind: "_Binder | None") -> Callable[[list], None]:
         """The host-call dispatcher over the same per-site ``bind``.
 
-        Hook calls that reach the host function carry the location as their
-        two trailing arguments; each location's dispatcher is bound on first
-        use and memoized. Without location parameters every call shares one
-        bound to ``Location(-1, -1)``. A ``bind`` failure is a hook fault at
-        that event, and binding is retried at the next.
+        Hook calls that reach the host function pass one argument list,
+        which carries the location as its two trailing values; each
+        location's dispatcher is bound on first use, memoized, and called
+        with the other values as positional arguments. Without location
+        parameters every call shares one bound to ``Location(-1, -1)``. A
+        ``bind`` failure is a hook fault at that event, and binding is
+        retried at the next.
         """
         if bind is None:
             return _noop_dispatcher
-        sites: dict[tuple[int, int], Callable[[list], None]] = {}
+        sites: dict[tuple[int, int], Callable[..., None]] = {}
 
-        def bind_site(func: int, instr: int) -> Callable[[list], None]:
+        def bind_site(func: int, instr: int) -> Callable[..., None]:
             location = Location(func, to_signed(instr, 32))
             try:
                 site = sites[func, instr] = bind(location)
@@ -412,7 +424,7 @@ class WasabiRuntime:
 
         if not self._with_locations:
             def dispatch_unlocated(args: list) -> None:
-                (sites.get((-1, -1)) or bind_site(-1, -1))(args)
+                (sites.get((-1, -1)) or bind_site(-1, -1))(*args)
             return dispatch_unlocated
 
         def dispatch(args: list) -> None:
@@ -420,7 +432,7 @@ class WasabiRuntime:
             site = sites.get(key)
             if site is None:
                 site = bind_site(*key)
-            site(args[:-2])
+            site(*args[:-2])
         return dispatch
 
     def _site_binder(self, spec: HookSpec) -> "_Binder":

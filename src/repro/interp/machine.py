@@ -7,8 +7,9 @@ share the same observable behaviour:
   translated once by :mod:`repro.interp.predecode` into flat arrays of
   ``(opcode-id, operand, ...)`` tuples with constants pre-masked, arithmetic
   handlers pre-resolved, memory ops bound to pre-resolved ``struct`` twins,
-  straight-line runs compiled into segments, and block/else/end targets
-  baked into the stream; the decoded form is cached per
+  straight-line runs compiled into segments that take the branch after
+  them, and every branch resolved to an absolute target pc, so the loop
+  keeps no label stack; the decoded form is cached per
   :class:`~repro.wasm.module.Function`, so repeated instantiations decode
   once and every instance executes the same stream;
 * the **legacy string-dispatch loop**, the independent oracle for
@@ -93,27 +94,22 @@ def _generic_hook_dispatcher(host: HostFunction, extra: tuple):
 
     Bound for hook imports without a site factory, for sites whose factory
     raised, and for bare hook calls. Semantically identical to executing
-    the original const/const/call sequence: the pre-fused constants are
-    appended to the popped value args and the host function is called.
-    Wasabi-generated dispatchers (``is_wasabi_hook``) are void by
-    construction; anything else keeps the strict host-result check of the
-    generic call path.
+    the original const/const/call sequence: the dispatcher takes the
+    popped value args positionally, like every dispatcher-table entry,
+    appends the pre-fused constants and calls the host function with the
+    argument list. Wasabi-generated dispatchers (``is_wasabi_hook``) are
+    void by construction; anything else keeps the strict host-result check
+    of the generic call path.
     """
     fn = host.fn
     if getattr(host, "is_wasabi_hook", False):
-        if not extra:
-            return fn
-
-        def dispatch(values: list) -> None:
-            values.extend(extra)
-            fn(values)
+        def dispatch(*values) -> None:
+            fn([*values, *extra])
 
         return dispatch
 
-    def dispatch(values: list) -> None:
-        if extra:
-            values.extend(extra)
-        raw = fn(values)
+    def dispatch(*values) -> None:
+        raw = fn([*values, *extra])
         if raw is not None:
             # a void import returning values is a host bug: reuse the strict
             # coercion path, which raises unless the result list is empty
@@ -697,11 +693,6 @@ class Machine:
         meter = self._meter
         tele = self._telemetry
         n_instrs = len(code)
-        # label entries: (is_loop, block_pc, cont_pc, height, arity);
-        # the implicit function block is the bottom-most label.
-        labels: list[tuple[bool, int, int, int, int]] = [
-            (False, -1, n_instrs, 0, result_arity)
-        ]
         pc = 0
 
         try:
@@ -710,20 +701,66 @@ class Machine:
                 op = ins[0]
 
                 if op >= 52:
-                    # Quickened memory twins (52-55) and compiled
-                    # segments (57, and 58 for those holding hook sites).
+                    # Compiled segments (57-64), quickened memory twins
+                    # (52-55) and stack-adjusting branches (65, 66).
                     # Dispatching them from this guarded side chain keeps
                     # the main chain in its original, hotness-tuned order:
                     # the base opcodes pay exactly one extra range check
                     # per instruction.
-                    if op == 57:  # OP_SEGMENT: (_, compiled_fn, span)
-                        ins[1](stack, locals_, memdata)
-                        pc += ins[2]
+                    if op == 59:  # OP_SEG_BR_IF: (_, fn, next, target, span)
+                        if ins[1](stack, locals_, memdata):
+                            if meter is not None:
+                                meter.branch(len(stack))
+                            if tele is not None:
+                                tele.n_branches += 1
+                            pc = ins[3]
+                        else:
+                            pc = ins[2]
                         continue
-                    elif op == 58:  # OP_HOOK_SEGMENT: (_, compiled_fn,
-                        #               span, first_site)
+                    elif op == 57:  # OP_SEGMENT: (_, fn, next, span)
+                        ins[1](stack, locals_, memdata)
+                        pc = ins[2]
+                        continue
+                    elif op == 61:  # OP_SEG_BR: (_, fn, target, span)
+                        ins[1](stack, locals_, memdata)
+                        if meter is not None:
+                            meter.branch(len(stack))
+                        if tele is not None:
+                            tele.n_branches += 1
+                        pc = ins[2]
+                        continue
+                    elif op == 60:  # OP_SEG_IF: (_, fn, then_pc, else_pc, span)
+                        pc = ins[2] if ins[1](stack, locals_, memdata) else ins[3]
+                        continue
+                    elif op == 58:  # OP_HOOK_SEGMENT: (_, fn, next,
+                        #               first_site, span)
                         ins[1](stack, locals_, memdata, hooks, ins[3])
-                        pc += ins[2]
+                        pc = ins[2]
+                        continue
+                    elif op == 62:  # OP_HOOK_SEG_BR_IF: (_, fn, next,
+                        #               target, first_site, span)
+                        if ins[1](stack, locals_, memdata, hooks, ins[4]):
+                            if meter is not None:
+                                meter.branch(len(stack))
+                            if tele is not None:
+                                tele.n_branches += 1
+                            pc = ins[3]
+                        else:
+                            pc = ins[2]
+                        continue
+                    elif op == 64:  # OP_HOOK_SEG_BR: (_, fn, target,
+                        #               first_site, span)
+                        ins[1](stack, locals_, memdata, hooks, ins[3])
+                        if meter is not None:
+                            meter.branch(len(stack))
+                        if tele is not None:
+                            tele.n_branches += 1
+                        pc = ins[2]
+                        continue
+                    elif op == 63:  # OP_HOOK_SEG_IF: (_, fn, then_pc,
+                        #               else_pc, first_site, span)
+                        pc = (ins[2] if ins[1](stack, locals_, memdata, hooks,
+                                               ins[4]) else ins[3])
                         continue
                     elif op == 52:  # OP_QLOAD: (_, bound_unpack, offset, width)
                         addr = pop() + ins[2]
@@ -732,8 +769,6 @@ class Machine:
                         except struct.error:
                             raise Trap(oob_message(ins[3], addr, memdata,
                                                    "load")) from None
-                        pc += 1
-                        continue
                     elif op == 54:  # OP_QSTORE: (_, bound_pack, offset, width)
                         value = pop()
                         addr = pop() + ins[2]
@@ -742,8 +777,6 @@ class Machine:
                         except struct.error:
                             raise Trap(oob_message(ins[3], addr, memdata,
                                                    "store")) from None
-                        pc += 1
-                        continue
                     elif op == 53:  # OP_QLOAD_MASK: (_, bound_unpack, offset,
                         #               mask, width)
                         addr = pop() + ins[2]
@@ -752,9 +785,7 @@ class Machine:
                         except struct.error:
                             raise Trap(oob_message(ins[4], addr, memdata,
                                                    "load")) from None
-                        pc += 1
-                        continue
-                    else:  # op == 55, OP_QSTORE_MASK: (_, bound_pack,
+                    elif op == 55:  # OP_QSTORE_MASK: (_, bound_pack,
                         #               offset, mask, width)
                         value = pop()
                         addr = pop() + ins[2]
@@ -763,8 +794,26 @@ class Machine:
                         except struct.error:
                             raise Trap(oob_message(ins[4], addr, memdata,
                                                    "store")) from None
-                        pc += 1
+                    else:  # OP_BR_ADJUST / OP_BR_IF_ADJUST (65, 66):
+                        #     (_, target, height, arity)
+                        if op == 66 and not pop():
+                            pc += 1
+                            continue
+                        if meter is not None:
+                            meter.branch(len(stack))
+                        if tele is not None:
+                            tele.n_branches += 1
+                        arity = ins[3]
+                        if arity:
+                            carried = stack[len(stack) - arity:]
+                            del stack[ins[2]:]
+                            stack.extend(carried)
+                        else:
+                            del stack[ins[2]:]
+                        pc = ins[1]
                         continue
+                    pc += 1
+                    continue
 
                 if op == 0:  # OP_GET_LOCAL
                     append(locals_[ins[1]])
@@ -780,71 +829,34 @@ class Machine:
                     if n_params:
                         call_args = stack[-n_params:]
                         del stack[-n_params:]
+                        hooks[ins[1]](*call_args)
                     else:
-                        call_args = []
-                    hooks[ins[1]](call_args)
+                        hooks[ins[1]]()
                     pc += ins[3]
                     continue
-                elif op == 8:  # OP_BR_IF
+                elif op == 8:  # OP_BR_IF: (_, target)
                     if pop():
                         if meter is not None:
                             meter.branch(len(stack))
                         if tele is not None:
                             tele.n_branches += 1
-                        is_loop, block_pc, cont_pc, height, arity = labels[-1 - ins[1]]
-                        if is_loop:
-                            del stack[height:]
-                            del labels[len(labels) - 1 - ins[1]:]
-                            pc = block_pc
-                            continue
-                        if arity:
-                            carried = stack[len(stack) - arity:]
-                            del stack[height:]
-                            stack.extend(carried)
-                        else:
-                            del stack[height:]
-                        del labels[len(labels) - 1 - ins[1]:]
-                        pc = cont_pc
+                        pc = ins[1]
                         continue
                 elif op == 9:  # OP_UNARY
                     stack[-1] = ins[1](stack[-1])
                 elif op == 10:  # OP_TEE_LOCAL
                     locals_[ins[1]] = stack[-1]
-                elif op == 11:  # OP_BR
+                elif op == 11:  # OP_BR: (_, target)
                     if meter is not None:
                         meter.branch(len(stack))
                     if tele is not None:
                         tele.n_branches += 1
-                    is_loop, block_pc, cont_pc, height, arity = labels[-1 - ins[1]]
-                    if is_loop:
-                        del stack[height:]
-                        del labels[len(labels) - 1 - ins[1]:]
-                        pc = block_pc
-                        continue
-                    if arity:
-                        carried = stack[len(stack) - arity:]
-                        del stack[height:]
-                        stack.extend(carried)
-                    else:
-                        del stack[height:]
-                    del labels[len(labels) - 1 - ins[1]:]
-                    pc = cont_pc
+                    pc = ins[1]
                     continue
-                elif op == 12:  # OP_END
-                    if labels:
-                        labels.pop()
-                    # the function's final end simply falls off the loop
-                elif op == 13:  # OP_LOOP
-                    labels.append((True, pc, pc + 1, len(stack), 0))
-                elif op == 14:  # OP_IF: (_, cont_pc, arity, false_pc)
-                    condition = pop()
-                    labels.append((False, pc, ins[1], len(stack), ins[2]))
-                    if not condition:
-                        pc = ins[3]
-                        continue
-                elif op == 15:  # OP_BLOCK: (_, cont_pc, arity)
-                    labels.append((False, pc, ins[1], len(stack), ins[2]))
-                elif op == 16:  # OP_JUMP (else reached from the then-arm)
+                elif op == 14:  # OP_IF: (_, then_pc, else_pc)
+                    pc = ins[1] if pop() else ins[2]
+                    continue
+                elif op == 16:  # OP_JUMP: the else reached from its then-arm
                     pc = ins[1]
                     continue
                 elif op == 17:  # OP_CALL: (_, func_idx, n_params)
@@ -859,6 +871,10 @@ class Machine:
                         stack.extend(results)
                 elif op == 18:  # OP_RETURN
                     return stack[len(stack) - result_arity:]
+                elif op == 12 or op == 13 or op == 15:
+                    # OP_END, OP_LOOP, OP_BLOCK: no-ops, reached only by
+                    # falling through from a slot that is not a branch
+                    pass
                 elif op == 19:  # OP_GET_GLOBAL
                     append(globals_[ins[1]].value)
                 elif op == 20:  # OP_SET_GLOBAL
@@ -886,28 +902,22 @@ class Machine:
                     results = self._invoke_callee(callee, call_args)
                     if results:
                         stack.extend(results)
-                elif op == 24:  # OP_BR_TABLE: (_, labels, default)
+                elif op == 24:  # OP_BR_TABLE: (_, entries, default), each
+                    #               entry (target, height, arity)
                     index = pop()
                     if meter is not None:
                         meter.branch(len(stack))
                     if tele is not None:
                         tele.n_branches += 1
-                    table_labels = ins[1]
-                    depth = table_labels[index] if index < len(table_labels) else ins[2]
-                    is_loop, block_pc, cont_pc, height, arity = labels[-1 - depth]
-                    if is_loop:
-                        del stack[height:]
-                        del labels[len(labels) - 1 - depth:]
-                        pc = block_pc
-                        continue
+                    entries = ins[1]
+                    pc, height, arity = (entries[index] if index < len(entries)
+                                         else ins[2])
                     if arity:
                         carried = stack[len(stack) - arity:]
                         del stack[height:]
                         stack.extend(carried)
                     else:
                         del stack[height:]
-                    del labels[len(labels) - 1 - depth:]
-                    pc = cont_pc
                     continue
                 elif op == 25:  # OP_MEMORY_SIZE
                     append(memory.size_pages)

@@ -13,8 +13,14 @@ dicts. This module translates each function body *once* into a flat array of
   :data:`repro.interp.values.OP_HANDLERS` (no per-step dict probes),
 * loads/stores resolve to their typed accessor with the static memarg offset
   extracted into the tuple,
-* ``block``/``if``/``else`` targets are pre-resolved into absolute decoded
-  pcs (subsuming the legacy ``BlockMatching`` side tables), and
+* branches are resolved into a side table at decode: a walk over each
+  body with a static control stack gives every ``br``/``br_if``/
+  ``br_table``/``if``/``else`` an absolute target pc, and a stack height
+  and arity only where the branch must discard values below the ones it
+  carries, so the engine keeps no label stack and ``block``/``loop``/
+  ``end`` are no-ops that targets skip (the same walk refuses a body whose
+  operand stack underflows or whose block leaves the wrong number of
+  values), and
 * ``call``/``call_indirect`` carry their callee's parameter count (and, for
   indirect calls, the expected :class:`FuncType`) so the call sequence does
   no type-table lookups at run time,
@@ -28,8 +34,11 @@ dicts. This module translates each function body *once* into a flat array of
   so an executed hook does no location marshalling and no static-info
   lookups, and
 * straight-line runs, hook sites included, compile into one Python
-  function each (a *segment*), the stream's only superinstruction; a run
-  too short for a segment executes slot by slot.
+  function each (a *segment*), the stream's only superinstruction. A
+  segment names the pc it continues at, and a run followed by a plain
+  ``br_if``, ``br`` or ``if`` returns the branch condition and takes the
+  branch in its own slot. A shorter run without such a branch executes
+  slot by slot.
 
 Each :class:`~repro.wasm.module.Function` caches exactly one decoded
 stream *on the object itself* (``func._decoded``), so re-instantiating the
@@ -49,7 +58,8 @@ the shared code object into its own namespace.
 
 Decoded pcs map 1:1 onto body indices: instruction ``i`` of the source body
 is entry ``i`` of the decoded stream, which keeps branch resolution and
-debugging straightforward.
+debugging straightforward. ``decode_function(fuse=False)`` stops before
+branch resolution: its control slots keep their label depths.
 """
 
 from __future__ import annotations
@@ -128,16 +138,53 @@ OP_QSTORE_MASK = 55        # (_, pack, off, mask, width)
 # ops (consts, locals, arithmetic, loads/stores, drop and hook sites — no
 # control flow, no other calls) are translated once into a small Python
 # function with every constant, mask, and bound struct method baked in,
-# and the run's first slot becomes ``(OP_SEGMENT, fn, span)``: one
-# dispatch executes the whole run, then skips ``span`` pcs. A run holding
-# hook sites becomes ``(OP_HOOK_SEGMENT, fn, span, first_site)`` instead:
-# ``fn`` also takes the instance's dispatcher table and ``first_site``,
-# and calls ``table[first_site + j]`` for its j-th site, reading the table
-# at every event. The covered slots keep their ordinary (quickened)
-# decoding, so a branch landing inside the segment executes the original
-# instructions one slot at a time.
+# and the run's first slot becomes ``(OP_SEGMENT, fn, next, span)``: one
+# dispatch executes the whole run, then continues at ``next``, the first
+# slot after the run that is not a ``block``/``loop``/``end`` (through an
+# ``else`` to its jump target). ``span`` is the number of slots the run
+# covers; the loop never reads it. A run holding hook sites becomes
+# ``(OP_HOOK_SEGMENT, fn, next, first_site, span)`` instead: ``fn`` also
+# takes the instance's dispatcher table and ``first_site``, and calls
+# ``table[first_site + j]`` for its j-th site, reading the table at every
+# event. The covered slots keep their ordinary (quickened) decoding, so a
+# branch landing inside the segment executes the original instructions
+# one slot at a time.
 OP_SEGMENT = 57
 OP_HOOK_SEGMENT = 58
+
+# A run whose successor is a plain ``br_if``, ``br`` or ``if`` takes that
+# branch as its terminator: ``fn`` returns the popped condition (nothing
+# for ``br``) and the slot branches itself, charging the meter and
+# telemetry where the ``br``/``br_if`` arms do (``if`` charges nothing).
+# Such a run compiles at any length. Layouts, with ``first_site`` before
+# ``span`` in the hook forms:
+#   (OP_SEG_BR_IF, fn, next, target, span)
+#   (OP_SEG_IF, fn, then_pc, else_pc, span)
+#   (OP_SEG_BR, fn, target, span)
+OP_SEG_BR_IF = 59
+OP_SEG_IF = 60
+OP_SEG_BR = 61
+OP_HOOK_SEG_BR_IF = 62
+OP_HOOK_SEG_IF = 63
+OP_HOOK_SEG_BR = 64
+
+# Branches resolved at decode. A plain branch, whose operand stack holds
+# exactly the values its label carries (or whose label is the function's),
+# is ``(OP_BR, target)`` / ``(OP_BR_IF, target)``; any other is
+# ``(OP_BR_ADJUST, target, height, arity)`` / ``(OP_BR_IF_ADJUST, ...)``,
+# which cuts the stack to ``height`` and re-pushes the ``arity`` carried
+# values. ``br_table`` holds ``(target, height, arity)`` per entry.
+OP_BR_ADJUST = 65
+OP_BR_IF_ADJUST = 66
+
+#: Every compiled-segment id, and those of segments holding hook sites
+#: (whose function also takes the dispatcher table and ``first_site``).
+#: A segment's last field is always its span, a hook segment's second to
+#: last its first site.
+HOOK_SEGMENT_IDS = frozenset({OP_HOOK_SEGMENT, OP_HOOK_SEG_BR_IF,
+                              OP_HOOK_SEG_IF, OP_HOOK_SEG_BR})
+SEGMENT_IDS = frozenset({OP_SEGMENT, OP_SEG_BR_IF, OP_SEG_IF, OP_SEG_BR}
+                        | HOOK_SEGMENT_IDS)
 
 #: Import namespace of Wasabi's generated low-level hooks. The instrumenter
 #: (``repro.core.hooks.HOOK_MODULE``) aliases this constant, so the engine
@@ -184,6 +231,14 @@ OP_NAMES: dict[int, str] = {
     OP_QSTORE_MASK: "store.quick.mask",
     OP_SEGMENT: "segment",
     OP_HOOK_SEGMENT: "hook_segment",
+    OP_SEG_BR_IF: "segment.br_if",
+    OP_SEG_IF: "segment.if",
+    OP_SEG_BR: "segment.br",
+    OP_HOOK_SEG_BR_IF: "hook_segment.br_if",
+    OP_HOOK_SEG_IF: "hook_segment.if",
+    OP_HOOK_SEG_BR: "hook_segment.br",
+    OP_BR_ADJUST: "br.adjust",
+    OP_BR_IF_ADJUST: "br_if.adjust",
 }
 
 #: Size of a dense per-opcode counter array covering every opcode id.
@@ -389,6 +444,154 @@ def _decode_instr(
     raise WasmError(f"cannot pre-decode {op}")
 
 
+#: ``(pops, pushes)`` of every base op whose stack effect is fixed; calls
+#: take theirs from the callee type, and ``else``/``end`` are checked
+#: against their block instead.
+_STACK_EFFECTS: dict[int, tuple[int, int]] = {
+    OP_GET_LOCAL: (0, 1), OP_CONST: (0, 1), OP_GET_GLOBAL: (0, 1),
+    OP_MEMORY_SIZE: (0, 1), OP_BINARY: (2, 1), OP_SET_LOCAL: (1, 0),
+    OP_SET_GLOBAL: (1, 0), OP_DROP: (1, 0), OP_UNARY: (1, 1),
+    OP_TEE_LOCAL: (1, 1), OP_LOAD_INT: (1, 1), OP_LOAD_FLOAT: (1, 1),
+    OP_MEMORY_GROW: (1, 1), OP_STORE_INT: (2, 0), OP_STORE_FLOAT: (2, 0),
+    OP_SELECT: (3, 1), OP_IF: (1, 0), OP_BR_IF: (1, 0), OP_BR_TABLE: (1, 0),
+    OP_BLOCK: (0, 0), OP_LOOP: (0, 0), OP_BR: (0, 0), OP_RETURN: (0, 0),
+    OP_NOP: (0, 0), OP_UNREACHABLE: (0, 0), OP_JUMP: (0, 0), OP_END: (0, 0),
+}
+
+
+def _land(code: list[tuple], pc: int) -> int:
+    """The first pc at or after ``pc`` that does work.
+
+    Skips ``block``/``loop``/``end`` slots, which do nothing once branches
+    are resolved, and follows an ``else`` to its jump target (an ``else``
+    is only ever reached from the end of its then-arm). Reads the slots'
+    op ids and the ``else`` slot's target, which point forward both before
+    and after :func:`_resolve_branches` rewrites them, so it may run at
+    any point of that walk.
+    """
+    n = len(code)
+    while pc < n:
+        op = code[pc][0]
+        if op == OP_BLOCK or op == OP_LOOP or op == OP_END:
+            pc += 1
+        elif op == OP_JUMP:
+            pc = code[pc][1]
+        else:
+            break
+    return pc
+
+
+def _resolve_branches(code: list[tuple], body: list[Instr], module: Module,
+                      result_arity: int, end_of: dict[int, int],
+                      else_of: dict[int, int | None]) -> None:
+    """Rewrite a base stream's control slots into resolved form, in place.
+
+    Walks the body once with a static control stack of ``(target, height,
+    label_arity, end_arity, dead_at_entry)`` frames, the function's own at
+    the bottom, tracking the operand-stack height:
+
+    * ``block``/``loop``/``end`` become argument-free no-ops;
+    * ``if`` becomes ``(OP_IF, then_pc, else_pc)`` and ``else``
+      ``(OP_JUMP, target)``;
+    * ``br``/``br_if`` become plain or stack-adjusting (see
+      :data:`OP_BR_ADJUST`), ``br_table`` one ``(target, height, arity)``
+      per entry.
+
+    A loop label targets the loop's first slot, a block or if label the
+    slot after its ``end``, the function label ``len(code)`` (the loop's
+    exit); every target goes through :func:`_land`. After ``br``,
+    ``br_table``, ``return`` and ``unreachable`` the rest of the frame is
+    dead: it is resolved but never checked, and its ``else``/``end``
+    resets the height. In live code, an operand-stack underflow or an
+    ``else``/``end`` whose height does not match its block type raises
+    :class:`WasmError`, so a module that skipped validation cannot run on
+    a wrong side table.
+    """
+    n = len(code)
+    frames: list[tuple[int, int, int, int, bool]] = [
+        (n, 0, result_arity, result_arity, False)]
+    height = 0
+    dead = False
+
+    def refuse(pc: int, why: str) -> WasmError:
+        return WasmError(f"cannot execute {body[pc]}: {why}")
+
+    def label(pc: int, depth: int) -> tuple[int, int, int, bool]:
+        """``(target, height, arity, plain)`` of a branch to ``depth``."""
+        if depth >= len(frames):
+            raise refuse(pc, f"no label at depth {depth}")
+        target, base, arity, _, _ = frames[-1 - depth]
+        if dead:
+            return target, base, arity, True
+        if height - frames[-1][1] < arity:
+            raise refuse(pc, f"operand stack underflow (branch carries {arity})")
+        # a branch to the function label may keep values below the ones it
+        # carries: the loop's exit returns only the top result_arity values
+        plain = height == base + arity or depth == len(frames) - 1
+        return target, base, arity, plain
+
+    for pc, ins in enumerate(code):
+        op = ins[0]
+        if not frames:
+            raise refuse(pc, "code after the function's final end")
+        if op == OP_CALL:
+            pops, pushes = ins[2], len(module.func_type(ins[1]).results)
+        elif op == OP_CALL_INDIRECT:
+            pops, pushes = ins[2] + 1, len(ins[1].results)
+        else:
+            pops, pushes = _STACK_EFFECTS[op]
+        if not dead and height - pops < frames[-1][1]:
+            raise refuse(pc, f"operand stack underflow (needs {pops}, "
+                             f"has {height - frames[-1][1]})")
+        height += pushes - pops
+        if op == OP_BLOCK or op == OP_LOOP or op == OP_IF:
+            arity = 0 if body[pc].blocktype is None else 1
+            if op == OP_LOOP:
+                frames.append((_land(code, pc + 1), height, 0, arity, dead))
+                code[pc] = (OP_LOOP,)
+                continue
+            frames.append((_land(code, end_of[pc] + 1), height, arity, arity,
+                           dead))
+            if op == OP_BLOCK:
+                code[pc] = (OP_BLOCK,)
+            else:
+                else_pc = else_of.get(pc)
+                false_pc = end_of[pc] if else_pc is None else else_pc + 1
+                code[pc] = (OP_IF, _land(code, pc + 1), _land(code, false_pc))
+        elif op == OP_JUMP or op == OP_END:  # else / end
+            target, base, _, arity, dead_at_entry = frames[-1]
+            if not dead and height != base + arity:
+                raise refuse(pc, f"block leaves {height - base} values, "
+                                 f"its type has {arity}")
+            dead = dead_at_entry
+            if op == OP_JUMP:
+                height = base
+                code[pc] = (OP_JUMP, target)
+            else:
+                frames.pop()
+                height = base + arity
+                code[pc] = (OP_END,)
+        elif op == OP_BR or op == OP_BR_IF:
+            target, base, arity, plain = label(pc, ins[1])
+            if plain:
+                code[pc] = (op, target)
+            else:
+                adjust = OP_BR_ADJUST if op == OP_BR else OP_BR_IF_ADJUST
+                code[pc] = (adjust, target, base, arity)
+            dead = dead or op == OP_BR
+        elif op == OP_BR_TABLE:
+            entries = tuple(label(pc, depth)[:3] for depth in ins[1])
+            code[pc] = (OP_BR_TABLE, entries, label(pc, ins[2])[:3])
+            dead = True
+        elif op == OP_RETURN:
+            if not dead and height - frames[-1][1] < result_arity:
+                raise refuse(pc, "operand stack underflow (return carries "
+                                 f"{result_arity})")
+            dead = True
+        elif op == OP_UNREACHABLE:
+            dead = True
+
+
 def _hook_import_indices(module: Module) -> frozenset[int]:
     """Function indices of imports in the Wasabi hook namespace.
 
@@ -521,7 +724,8 @@ def _segment_code(src: str):
     return compile(src, "<quickened-segment>", "exec")
 
 
-def _compile_segment(slots: list[tuple], first_site: int | None):
+def _compile_segment(slots: list[tuple], first_site: int | None,
+                     returns_condition: bool = False):
     """Translate a straight-line run of decoded slots into one function.
 
     Symbolically executes the run against a virtual operand stack of
@@ -539,11 +743,14 @@ def _compile_segment(slots: list[tuple], first_site: int | None):
     Locals are forwarded: a ``get_local`` of an index the run already read
     or wrote reuses that value instead of reading ``locals_`` again, which
     is exact because nothing a segment calls can write a Wasm local. A hook
-    site becomes ``tab[b + j]([operands])``, a call through the instance's
-    dispatcher table at every event, with ``j`` counted from the run's
-    ``first_site`` (None for a run without hook sites) so equal runs print
-    equal source wherever they sit; such a run's function takes ``tab``
-    and ``b`` as two more arguments.
+    site becomes ``tab[b + j](operands)``, a call through the instance's
+    dispatcher table at every event with the popped values as positional
+    arguments, with ``j`` counted from the run's ``first_site`` (None for a
+    run without hook sites) so equal runs print equal source wherever they
+    sit; such a run's function takes ``tab`` and ``b`` as two more
+    arguments. With ``returns_condition`` the run's top value is the
+    condition of the branch that terminates it: it is popped and returned
+    instead of appended.
     """
     env: dict = {"_se": _struct_error, "_Trap": Trap, "_oob": oob_message}
     lines: list[str] = []
@@ -645,7 +852,7 @@ def _compile_segment(slots: list[tuple], first_site: int | None):
             operands = [vpop() for _ in range(ins[2])]
             j = ins[1] - first_site
             index = f"b + {j}" if j else "b"
-            lines.append(f"tab[{index}]([{', '.join(reversed(operands))}])")
+            lines.append(f"tab[{index}]({', '.join(reversed(operands))})")
         elif op == OP_UNARY:
             out = tmp()
             lines.append(f"{out} = {ref(ins[1])}({vpop()})")
@@ -661,11 +868,14 @@ def _compile_segment(slots: list[tuple], first_site: int | None):
         else:  # OP_DROP
             vpop()
 
+    condition = vpop() if returns_condition else None
     n_args = counters["args"]
     prologue = [f"a{k} = stack[-{k + 1}]" for k in range(n_args)]
     if n_args:
         prologue.append(f"del stack[-{n_args}:]")
     body = prologue + lines + [f"stack.append({v})" for v in vstack]
+    if condition is not None:
+        body.append(f"return {condition}")
     if not body:
         return None
     params = "stack, locals_, memdata" if first_site is None else "stack, locals_, memdata, tab, b"
@@ -674,16 +884,27 @@ def _compile_segment(slots: list[tuple], first_site: int | None):
     return env["_segment"]
 
 
+#: Terminator op → (segment id, hook-segment id).
+_TERMINATED = {
+    OP_BR_IF: (OP_SEG_BR_IF, OP_HOOK_SEG_BR_IF),
+    OP_IF: (OP_SEG_IF, OP_HOOK_SEG_IF),
+    OP_BR: (OP_SEG_BR, OP_HOOK_SEG_BR),
+}
+
+
 def _compile_segments(code: list[tuple]) -> None:
     """Replace straight-line runs with compiled-segment slots, in place.
 
-    The segment takes the run's first slot, while the covered slots keep
-    their ordinary decoding as the branch-target fallback (memory-op
-    quickening still applies to them). A run shorter than
-    :data:`_SEGMENT_MIN` stays as it is and executes slot by slot. A hook
-    site's ``OP_HOOK`` slot joins a run together with the location
-    constants and call it skips; a run holding hook sites becomes
-    :data:`OP_HOOK_SEGMENT`, any other :data:`OP_SEGMENT`.
+    Runs on a resolved stream (:func:`_resolve_branches`). The segment
+    takes the run's first slot, while the covered slots keep their
+    ordinary decoding as the branch-target fallback (memory-op quickening
+    still applies to them). Its successor is :func:`_land` of the slot
+    after the run. When that successor is a plain ``br_if``, ``br`` or
+    ``if``, the segment takes the branch (see :data:`OP_SEG_BR_IF`);
+    otherwise a run shorter than :data:`_SEGMENT_MIN` stays as it is and
+    executes slot by slot. A hook site's ``OP_HOOK`` slot joins a run
+    together with the location constants and call it skips; a run holding
+    hook sites becomes a hook segment.
     """
     n = len(code)
     pc = 0
@@ -697,16 +918,29 @@ def _compile_segments(code: list[tuple]) -> None:
             ins = code[pc]
             slots.append(ins)
             pc += ins[3] if ins[0] == OP_HOOK else 1
-        if pc - start < _SEGMENT_MIN:
+        span = pc - start
+        succ = _land(code, pc)
+        term = code[succ] if succ < n else None
+        ids = _TERMINATED.get(term[0]) if term is not None else None
+        if ids is None and span < _SEGMENT_MIN:
             continue
         first_site = next((ins[1] for ins in slots if ins[0] == OP_HOOK), None)
-        fn = _compile_segment(slots, first_site)
+        fn = _compile_segment(slots, first_site,
+                              returns_condition=ids is not None and term[0] != OP_BR)
         if fn is None:
             continue
-        if first_site is None:
-            code[start] = (OP_SEGMENT, fn, pc - start)
+        hook = () if first_site is None else (first_site,)
+        if ids is None:
+            code[start] = (OP_SEGMENT if first_site is None else OP_HOOK_SEGMENT,
+                           fn, succ, *hook, span)
+            continue
+        seg_id = ids[0] if first_site is None else ids[1]
+        if term[0] == OP_BR_IF:
+            code[start] = (seg_id, fn, _land(code, succ + 1), term[1], *hook, span)
+        elif term[0] == OP_IF:
+            code[start] = (seg_id, fn, term[1], term[2], *hook, span)
         else:
-            code[start] = (OP_HOOK_SEGMENT, fn, pc - start, first_site)
+            code[start] = (seg_id, fn, term[1], *hook, span)
 
 
 def _hook_sites(code: list[tuple], hook_imports: frozenset[int]) -> tuple:
@@ -729,10 +963,11 @@ def decode_function(func: Function, module: Module,
     """Decode one function body into its threaded form (uncached).
 
     ``fuse=True`` (the default) produces the stream the machine executes:
-    hook sites become :data:`OP_HOOK` slots, straight-line runs become
-    compiled segments, and bare memory ops become their pre-resolved
-    twins. ``fuse=False`` stops after the base decode, leaving every slot
-    a base opcode — the self-profiler takes its per-pc opcode ids from
+    branches are resolved (:func:`_resolve_branches`), hook sites become
+    :data:`OP_HOOK` slots, straight-line runs become compiled segments,
+    and bare memory ops become their pre-resolved twins. ``fuse=False``
+    stops after the base decode, leaving every slot a base opcode with
+    its label depths — the self-profiler takes its per-pc opcode ids from
     such a stream so its counts attribute 1:1 to source instructions.
     Both record the same ``hook_sites``.
     """
@@ -750,6 +985,8 @@ def decode_function(func: Function, module: Module,
     hook_sites = _hook_sites(code, hook_imports) if hook_imports else ()
     if not fuse:
         return DecodedFunction(code, body, hook_sites)
+    _resolve_branches(code, body, module,
+                      len(module.types[func.type_idx].results), end_of, else_of)
     for site, (pc, _, consts) in enumerate(hook_sites):
         n_params = code[pc][2]
         if consts:

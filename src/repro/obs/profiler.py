@@ -43,6 +43,7 @@ OP_CLASSES: dict[int, str] = {
     _pd.OP_STORE_INT: "memory", _pd.OP_STORE_FLOAT: "memory",
     _pd.OP_MEMORY_SIZE: "memory", _pd.OP_MEMORY_GROW: "memory",
     _pd.OP_BR: "control", _pd.OP_BR_IF: "control",
+    _pd.OP_BR_ADJUST: "control", _pd.OP_BR_IF_ADJUST: "control",
     _pd.OP_BR_TABLE: "control", _pd.OP_IF: "control",
     _pd.OP_BLOCK: "control", _pd.OP_LOOP: "control",
     _pd.OP_END: "control", _pd.OP_JUMP: "control",
@@ -51,12 +52,12 @@ OP_CLASSES: dict[int, str] = {
     _pd.OP_CALL: "call", _pd.OP_CALL_INDIRECT: "call",
     _pd.OP_SELECT: "stack", _pd.OP_DROP: "stack",
     _pd.OP_HOOK: "hook",
-    # quickened twins and segments are never charged (ids come from the
-    # base decode), but keep the map total so aggregation cannot KeyError
-    # on any opcode id
+    # quickened twins, segments and adjusting branches are never charged
+    # (ids come from the base decode), but keep the map total so
+    # aggregation cannot KeyError on any opcode id
     _pd.OP_QLOAD: "memory", _pd.OP_QLOAD_MASK: "memory",
     _pd.OP_QSTORE: "memory", _pd.OP_QSTORE_MASK: "memory",
-    _pd.OP_SEGMENT: "fused", _pd.OP_HOOK_SEGMENT: "fused",
+    **dict.fromkeys(_pd.SEGMENT_IDS, "fused"),
 }
 
 

@@ -14,6 +14,11 @@ engines under a metered, observed machine: the fuel spent and the taken
 branches must be equal, because fuel is charged at exactly the taken
 branches and calls.
 
+The decoded engine resolves branches at decode: the landing test checks
+that no resolved target or segment successor lands on a slot that does
+nothing, and the refusal tests that a body whose operand stack does not
+add up is refused at instantiation.
+
 Engine selection is always explicit (``Machine(predecode=...)``).
 """
 
@@ -21,14 +26,20 @@ from __future__ import annotations
 
 import pytest
 
+import repro.interp.predecode as pd
+from repro.core import instrument_module
 from repro.eval.workloads import polybench_workloads
-from repro.interp import Machine, ResourceLimits
+from repro.interp import Machine, ResourceLimits, decode_function
 from repro.interp.host import Linker
 from repro.obs.telemetry import Telemetry
 from repro.wasi import WasiContext
 from repro.wasm import validate_module
-from repro.wasm.errors import ProcExit, Trap
+from repro.wasm.builder import ModuleBuilder
+from repro.wasm.errors import ProcExit, Trap, WasmError
+from repro.wasm.types import I32
 from repro.wasm.wat import parse_wat
+from repro.workloads import engine_demo, pdf_toolkit
+from repro.workloads.polybench import compile_kernel, kernel_names
 from repro.workloads.wasi_io import (SAMPLE_FILES, SAMPLE_STDIN,
                                      wasi_io_entry, wasi_io_module,
                                      wasi_io_names)
@@ -343,3 +354,95 @@ def test_wasi_fuel_and_branches_match(name):
     legacy = _wasi_run(name, False)
     assert legacy[1] > 0
     assert _wasi_run(name, True) == legacy
+
+
+# -- where resolved branches land -----------------------------------------------
+
+#: Slots that do nothing once branches are resolved: ``block``, ``loop``
+#: and ``end``, and ``else``, which only jumps on.
+NO_OP_SLOTS = frozenset({pd.OP_BLOCK, pd.OP_LOOP, pd.OP_END, pd.OP_JUMP})
+
+
+def branch_targets(ins: tuple) -> tuple[int, ...]:
+    """Every pc a slot of the executed stream may continue at other than
+    the next one: branch targets, both arms of an ``if`` and the
+    successor of a compiled segment."""
+    op = ins[0]
+    if op in (pd.OP_BR, pd.OP_BR_IF, pd.OP_BR_ADJUST, pd.OP_BR_IF_ADJUST,
+              pd.OP_JUMP):
+        return (ins[1],)
+    if op == pd.OP_IF:
+        return ins[1], ins[2]
+    if op == pd.OP_BR_TABLE:
+        return tuple(entry[0] for entry in (*ins[1], ins[2]))
+    if op in (pd.OP_SEGMENT, pd.OP_HOOK_SEGMENT, pd.OP_SEG_BR,
+              pd.OP_HOOK_SEG_BR):
+        return (ins[2],)
+    if op in (pd.OP_SEG_BR_IF, pd.OP_HOOK_SEG_BR_IF, pd.OP_SEG_IF,
+              pd.OP_HOOK_SEG_IF):
+        return ins[2], ins[3]
+    return ()
+
+
+def _landing_modules():
+    for name in kernel_names():
+        yield name, compile_kernel(name)
+    yield "pdf_toolkit", pdf_toolkit(1)
+    yield "engine_demo", engine_demo(1)
+    for name in wasi_io_names():
+        yield name, wasi_io_module(name)
+    yield "trisolv_all_hooks", instrument_module(compile_kernel("trisolv")).module
+
+
+@pytest.mark.parametrize("name, module", list(_landing_modules()),
+                         ids=lambda value: value if isinstance(value, str) else "")
+def test_targets_skip_no_op_slots(name, module):
+    """No resolved branch target and no segment successor lands on a
+    ``block``, ``loop``, ``end`` or ``else`` slot: each lands on the first
+    slot of a run, or on ``len(code)``, the function's exit."""
+    targets = 0
+    for func in module.functions:
+        code = decode_function(func, module).code
+        for ins in code:
+            for target in branch_targets(ins):
+                targets += 1
+                assert 0 <= target <= len(code)
+                assert target == len(code) or code[target][0] not in NO_OP_SLOTS
+    assert targets
+
+
+# -- bodies that cannot run ------------------------------------------------------
+
+
+def _unvalidated(emit, results=(I32,)):
+    """A one-function module built without validation."""
+    builder = ModuleBuilder("bad")
+    emit(builder.function((), results, name="f", export="f")).finish()
+    return builder.build()
+
+
+class TestRefusedBodies:
+    """A body whose operand stack does not add up is refused when it is
+    decoded, at instantiation, like any other body the decoder cannot
+    execute."""
+
+    def test_underflow_is_refused(self):
+        module = _unvalidated(lambda fb: fb.i32_const(1).emit("i32.add"))
+        with pytest.raises(WasmError, match="cannot execute i32.add: "
+                                            "operand stack underflow"):
+            Machine(predecode=True).instantiate(module)
+
+    def test_end_height_mismatch_is_refused(self):
+        module = _unvalidated(
+            lambda fb: fb.block(I32).i32_const(1).i32_const(2).end())
+        with pytest.raises(WasmError, match="cannot execute end: block "
+                                            "leaves 2 values, its type has 1"):
+            Machine(predecode=True).instantiate(module)
+
+    def test_dead_code_is_never_refused(self):
+        """After a branch the stack is unknown: dead code that would
+        underflow still decodes, and the body runs."""
+        module = _unvalidated(
+            lambda fb: fb.block(I32).i32_const(3).br(0).emit("i32.add")
+            .emit("i32.add").end())
+        assert Machine(predecode=True).instantiate(module).invoke("f") == [3]

@@ -40,8 +40,9 @@ from repro.core.runtime import (_TRANSLATIONS, WasabiRuntime, _bind_code,
                                 _bind_source, _noop_dispatcher, _row_key)
 from repro.eval.workloads import polybench_workloads
 from repro.interp import Linker, Machine, WasmFunction
-from repro.interp.predecode import (OP_CALL, OP_CALL_INDIRECT, OP_CONST,
-                                    OP_HOOK, OP_HOOK_SEGMENT, cached_decode)
+from repro.interp.predecode import (HOOK_SEGMENT_IDS, OP_CALL,
+                                    OP_CALL_INDIRECT, OP_CONST, OP_HOOK,
+                                    cached_decode)
 from repro.minic import compile_source
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.module import BrTable
@@ -206,7 +207,7 @@ class TestFusion:
         func = next(f for f in instrumented.functions if f.body)
         decoded, _ = cached_decode(func, instrumented)
         assert decoded.hook_sites
-        assert any(ins[0] == OP_HOOK_SEGMENT for ins in decoded.code)
+        assert any(ins[0] in HOOK_SEGMENT_IDS for ins in decoded.code)
         for site, (pc, import_idx, consts) in enumerate(decoded.hook_sites):
             # the call and its location constants keep their decoding as
             # branch-target fallbacks; the site's first slot dispatches it
@@ -218,7 +219,7 @@ class TestFusion:
                 assert slot == (OP_HOOK, site, call[2] - len(consts),
                                 3 if consts else 1)
             else:
-                assert slot[0] == OP_HOOK_SEGMENT and slot[3] == site
+                assert slot[0] in HOOK_SEGMENT_IDS and slot[-2] == site
             if consts:
                 assert decoded.code[pc - 1] == (OP_CONST, consts[1])
 
@@ -269,8 +270,8 @@ class TestFusion:
             decoded, _ = cached_decode(func, module)
             covered = set()
             for pc, ins in enumerate(decoded.code):
-                if ins[0] == OP_HOOK_SEGMENT:
-                    covered.update(range(pc, pc + ins[2]))
+                if ins[0] in HOOK_SEGMENT_IDS:
+                    covered.update(range(pc, pc + ins[-1]))
             for pc, _, consts in decoded.hook_sites:
                 total += 1
                 inside += (pc - 2 if consts else pc) in covered

@@ -318,6 +318,9 @@ EXECUTABLE = frozenset({
     pd.OP_UNREACHABLE, pd.OP_HOOK,
     pd.OP_QLOAD, pd.OP_QLOAD_MASK, pd.OP_QSTORE, pd.OP_QSTORE_MASK,
     pd.OP_SEGMENT, pd.OP_HOOK_SEGMENT,
+    pd.OP_SEG_BR_IF, pd.OP_SEG_IF, pd.OP_SEG_BR,
+    pd.OP_HOOK_SEG_BR_IF, pd.OP_HOOK_SEG_IF, pd.OP_HOOK_SEG_BR,
+    pd.OP_BR_ADJUST, pd.OP_BR_IF_ADJUST,
 })
 
 

@@ -17,9 +17,10 @@ import repro.interp.predecode as pd
 from repro.core.instrument import instrument_module
 from repro.eval import polybench_workloads
 from repro.interp import Machine
-from repro.interp.predecode import (OP_HOOK, OP_HOOK_SEGMENT, OP_QLOAD,
+from repro.interp.predecode import (HOOK_SEGMENT_IDS, OP_HOOK, OP_QLOAD,
                                     OP_QLOAD_MASK, OP_QSTORE, OP_QSTORE_MASK,
-                                    OP_SEGMENT, _SEGMENT_MIN, decode_function)
+                                    OP_SEGMENT, SEGMENT_IDS, _SEGMENT_MIN,
+                                    decode_function)
 from repro.interp.snapshot import (Snapshot, diff_instance, restore_instance,
                                    snapshot_instance)
 from repro.minic import compile_source
@@ -142,11 +143,13 @@ class TestCompiledSegments:
 
     def test_quickened_stream_contains_segments(self):
         code = self._decoded(fuse=True).code
-        segments = [ins for ins in code if ins[0] == OP_SEGMENT]
+        segments = [(pc, ins) for pc, ins in enumerate(code)
+                    if ins[0] == OP_SEGMENT]
         assert segments, "straight-line kernel produced no compiled segment"
-        for _, fn, span in segments:
+        for pc, (_, fn, successor, span) in segments:
             assert callable(fn)
             assert span >= _SEGMENT_MIN
+            assert successor >= pc + span
 
     def test_unquickened_stream_has_no_segments(self):
         code = self._decoded(fuse=False).code
@@ -157,9 +160,9 @@ class TestCompiledSegments:
         plain = self._decoded(fuse=False).code
         quick = self._decoded(fuse=True).code
         for pc, ins in enumerate(quick):
-            if ins[0] == OP_SEGMENT:
-                for covered in range(pc + 1, pc + ins[2]):
-                    assert quick[covered][0] != OP_SEGMENT
+            if ins[0] in SEGMENT_IDS:
+                for covered in range(pc + 1, pc + ins[-1]):
+                    assert quick[covered][0] not in SEGMENT_IDS
                     assert quick[covered][0] == plain[covered][0] or \
                         quick[covered][0] in QUICKENED_TWINS
 
@@ -173,8 +176,8 @@ class TestCompiledSegments:
 
     def test_hook_sites_join_segments(self):
         """Hook sites join the runs around them: a run holding sites is one
-        OP_HOOK_SEGMENT numbered from its first site, whose function also
-        takes the dispatcher table; hookless runs keep OP_SEGMENT."""
+        hook segment numbered from its first site, whose function also
+        takes the dispatcher table; hookless runs keep plain segments."""
         module = instrument_module(compile_source(self.SRC)).module
         func, = (f for f in module.functions if f.body is not None)
         decoded = decode_function(func, module)
@@ -182,18 +185,19 @@ class TestCompiledSegments:
         slots = [pc - 2 if consts else pc for pc, _, consts in decoded.hook_sites]
         for site, pc in enumerate(slots):
             # a site's slot is its OP_HOOK, or the hook segment it starts
-            assert code[pc][0] in (OP_HOOK, OP_HOOK_SEGMENT)
-            assert code[pc][0] == OP_HOOK_SEGMENT or code[pc][1] == site
+            assert code[pc][0] == OP_HOOK or code[pc][0] in HOOK_SEGMENT_IDS
+            assert code[pc][0] in HOOK_SEGMENT_IDS or code[pc][1] == site
         hook_segments = [(pc, ins) for pc, ins in enumerate(code)
-                         if ins[0] == OP_HOOK_SEGMENT]
+                         if ins[0] in HOOK_SEGMENT_IDS]
         assert hook_segments
-        for start, (_, fn, span, first_site) in hook_segments:
+        for start, ins in hook_segments:
+            fn, first_site, span = ins[1], ins[-2], ins[-1]
             inside = [site for site, pc in enumerate(slots)
                       if start <= pc < start + span]
             assert inside == list(range(first_site, first_site + len(inside)))
             assert inside and fn.__code__.co_argcount == 5
-        assert all(ins[1].__code__.co_argcount == 3
-                   for ins in code if ins[0] == OP_SEGMENT)
+        assert all(ins[1].__code__.co_argcount == 3 for ins in code
+                   if ins[0] in SEGMENT_IDS - HOOK_SEGMENT_IDS)
 
     def test_segment_results_match_legacy(self):
         module = compile_source(self.SRC)
@@ -237,7 +241,9 @@ class TestLocalForwarding:
         code = decode_function(func, module).code
         segments = [ins for ins in code if ins[0] == OP_SEGMENT]
         assert len(segments) == len(sources) == 1
-        assert segments[0][2] == 14  # the whole run up to the first nop
+        # the whole run up to the first nop, which is its successor
+        _, _, successor, span = segments[0]
+        assert (successor, span) == (15, 14)
         src, = sources
         assert len(re.findall(r"= locals_\[0\]$", src, re.MULTILINE)) == 1
         assert "= locals_[1]" in src and "= locals_[2]" not in src

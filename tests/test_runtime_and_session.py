@@ -19,7 +19,7 @@ def _present(valtype, raw):
     generates (i64 values cross the boundary as two i32 halves)."""
     presented = _value_exprs((valtype,))[1][0]
     args = [raw & 0xFFFFFFFF, raw >> 32] if valtype is I64 else [raw]
-    return eval(presented, {"args": args})
+    return eval(presented, {f"a{k}": value for k, value in enumerate(args)})
 
 
 class TestValuePresentation:
