@@ -32,7 +32,8 @@ from repro.core.instrument import InstrumentationConfig, instrument_module
 from repro.eval.faultinject import mutant_rng, mutate, seed_corpus
 from repro.eval.workloads import polybench_workloads
 from repro.interp import Machine
-from repro.interp.predecode import OP_HOOK_SEGMENT, OP_SEGMENT, decode_function
+from repro.interp.predecode import (OP_BR_ADJUST, OP_BR_IF_ADJUST,
+                                    OP_BR_TABLE, SEGMENT_IDS, decode_function)
 from repro.minic import compile_source
 from repro.obs.telemetry import Telemetry
 from repro.wasm import Trap, decode_module, encode_module
@@ -40,6 +41,7 @@ from repro.workloads import engine_demo, pdf_toolkit
 from repro.workloads.polybench import compile_kernel, kernel_names
 from repro.workloads.spec_corpus import corpus
 
+from .test_branch_forms import branch_targets
 from .test_hook_dispatch import (I64_SOURCE, INDIRECT_SOURCE, MIXED_SOURCE,
                                  NO_LOCATION_GROUPS, br_table_module, stream)
 
@@ -189,7 +191,7 @@ def test_instrumented_profile_golden(kernel, analysis_name, engine):
 # -- decoded stream shapes -------------------------------------------------------
 
 STREAM_SHAPE_DIGEST = \
-    "216e8a66103c4c5f9b275ee62e7b33b3eae9c9920886130f6f875ba463af70f0"
+    "88b24e743b15ee21525aa045853ebbb285ff0dc5df4c5c1f41854b72ba2ee1cf"
 
 
 def _stream_shape_modules():
@@ -200,21 +202,36 @@ def _stream_shape_modules():
     yield instrument_module(compile_kernel("trisolv")).module
 
 
+def _slot_shape(ins: tuple) -> str:
+    """A slot's op id; for a slot that continues elsewhere, the pcs it may
+    continue at (branch targets, both arms of an ``if``, a segment's
+    successor and the target of the branch it takes); for a segment, its
+    span; for a stack-adjusting branch or ``br_table``, each target's
+    height and arity."""
+    op = ins[0]
+    if op == OP_BR_TABLE:
+        return f"{op}:" + ",".join(f"{t}/{h}/{a}" for t, h, a in (*ins[1], ins[2]))
+    if op in (OP_BR_ADJUST, OP_BR_IF_ADJUST):
+        return f"{op}:{ins[1]}/{ins[2]}/{ins[3]}"
+    targets = ",".join(map(str, branch_targets(ins)))
+    if op in SEGMENT_IDS:
+        return f"{op}:{targets}:{ins[-1]}"
+    return f"{op}:{targets}" if targets else str(op)
+
+
 def _stream_shape(module) -> str:
-    """One line per function: the op id of every slot of the stream the
-    decoded engine runs, and each compiled segment's span, hook segments
-    included."""
+    """One line per function: every slot of the stream the decoded engine
+    runs, as :func:`_slot_shape` prints it."""
     return "\n".join(
-        " ".join(f"{ins[0]}:{ins[2]}" if ins[0] in (OP_SEGMENT, OP_HOOK_SEGMENT)
-                 else str(ins[0])
-                 for ins in decode_function(func, module).code)
+        " ".join(_slot_shape(ins) for ins in decode_function(func, module).code)
         for func in module.functions)
 
 
 def test_decoded_stream_shapes():
     """Every function of the 30 PolyBench kernels, ``pdf_toolkit(1)``,
     ``engine_demo(1)`` and an all-hooks-instrumented ``trisolv`` decodes to
-    the same op ids, slot for slot, with the same segment spans."""
+    the same op ids, slot for slot, with the same branch side table and
+    the same segment successors and spans."""
     shapes = "\n".join(_stream_shape(module)
                        for module in _stream_shape_modules())
     assert _digest(shapes) == STREAM_SHAPE_DIGEST
