@@ -7,8 +7,8 @@ share the same observable behaviour:
   translated once by :mod:`repro.interp.predecode` into flat arrays of
   ``(opcode-id, operand, ...)`` tuples with constants pre-masked, arithmetic
   handlers pre-resolved, memory ops bound to pre-resolved ``struct`` twins,
-  straight-line runs compiled into segments that take the branch after
-  them, and every branch resolved to an absolute target pc, so the loop
+  straight-line runs compiled into segments that return the pc they
+  continue at, and every branch resolved to an absolute target pc, so the loop
   keeps no label stack; the decoded form is cached per
   :class:`~repro.wasm.module.Function`, so repeated instantiations decode
   once and every instance executes the same stream;
@@ -122,7 +122,8 @@ def bind_hook_sites(decoded: DecodedFunction, functions: list) -> list:
     """Build one instance's dispatcher table for a decoded stream.
 
     Entry ``k`` is the dispatcher of ``decoded.hook_sites[k]``, which the
-    stream's ``OP_HOOK`` slots and compiled hook segments call:
+    stream's ``OP_HOOK`` slots and the compiled segments holding sites
+    call:
 
     * hosts annotated with a ``site_factory`` (the Wasabi runtime's
       location-aware hooks) get a closure bound to this exact call site —
@@ -343,7 +344,7 @@ class Machine:
     dispatchers, which :mod:`repro.core.runtime` generates from its
     translation table: the pre-decoded engine binds them into each
     instance's dispatcher table at instantiation, which its ``OP_HOOK``
-    slots and compiled hook segments call; the legacy engine reaches them
+    slots and compiled segments call; the legacy engine reaches them
     through the hook's host function.
 
     ``limits`` attaches a :class:`~repro.interp.limits.ResourceLimits`
@@ -701,66 +702,20 @@ class Machine:
                 op = ins[0]
 
                 if op >= 52:
-                    # Compiled segments (57-64), quickened memory twins
+                    # Compiled segments (57), quickened memory twins
                     # (52-55) and stack-adjusting branches (65, 66).
                     # Dispatching them from this guarded side chain keeps
                     # the main chain in its original, hotness-tuned order:
                     # the base opcodes pay exactly one extra range check
                     # per instruction.
-                    if op == 59:  # OP_SEG_BR_IF: (_, fn, next, target, span)
-                        if ins[1](stack, locals_, memdata):
+                    if op == 57:  # OP_SEGMENT: (_, fn, target, exits, span)
+                        pc = ins[1](stack, locals_, memdata, hooks)
+                        if pc < 0:  # the br/br_if after the run is taken
                             if meter is not None:
                                 meter.branch(len(stack))
                             if tele is not None:
                                 tele.n_branches += 1
-                            pc = ins[3]
-                        else:
                             pc = ins[2]
-                        continue
-                    elif op == 57:  # OP_SEGMENT: (_, fn, next, span)
-                        ins[1](stack, locals_, memdata)
-                        pc = ins[2]
-                        continue
-                    elif op == 61:  # OP_SEG_BR: (_, fn, target, span)
-                        ins[1](stack, locals_, memdata)
-                        if meter is not None:
-                            meter.branch(len(stack))
-                        if tele is not None:
-                            tele.n_branches += 1
-                        pc = ins[2]
-                        continue
-                    elif op == 60:  # OP_SEG_IF: (_, fn, then_pc, else_pc, span)
-                        pc = ins[2] if ins[1](stack, locals_, memdata) else ins[3]
-                        continue
-                    elif op == 58:  # OP_HOOK_SEGMENT: (_, fn, next,
-                        #               first_site, span)
-                        ins[1](stack, locals_, memdata, hooks, ins[3])
-                        pc = ins[2]
-                        continue
-                    elif op == 62:  # OP_HOOK_SEG_BR_IF: (_, fn, next,
-                        #               target, first_site, span)
-                        if ins[1](stack, locals_, memdata, hooks, ins[4]):
-                            if meter is not None:
-                                meter.branch(len(stack))
-                            if tele is not None:
-                                tele.n_branches += 1
-                            pc = ins[3]
-                        else:
-                            pc = ins[2]
-                        continue
-                    elif op == 64:  # OP_HOOK_SEG_BR: (_, fn, target,
-                        #               first_site, span)
-                        ins[1](stack, locals_, memdata, hooks, ins[3])
-                        if meter is not None:
-                            meter.branch(len(stack))
-                        if tele is not None:
-                            tele.n_branches += 1
-                        pc = ins[2]
-                        continue
-                    elif op == 63:  # OP_HOOK_SEG_IF: (_, fn, then_pc,
-                        #               else_pc, first_site, span)
-                        pc = (ins[2] if ins[1](stack, locals_, memdata, hooks,
-                                               ins[4]) else ins[3])
                         continue
                     elif op == 52:  # OP_QLOAD: (_, bound_unpack, offset, width)
                         addr = pop() + ins[2]

@@ -34,11 +34,11 @@ dicts. This module translates each function body *once* into a flat array of
   so an executed hook does no location marshalling and no static-info
   lookups, and
 * straight-line runs, hook sites included, compile into one Python
-  function each (a *segment*), the stream's only superinstruction. A
-  segment names the pc it continues at, and a run followed by a plain
-  ``br_if``, ``br`` or ``if`` returns the branch condition and takes the
-  branch in its own slot. A shorter run without such a branch executes
-  slot by slot.
+  function each (a *segment*), the stream's only superinstruction, with
+  one slot layout and one signature. A segment returns the pc it
+  continues at, so a run followed by a plain ``br_if``, ``br`` or ``if``
+  takes that branch too (see :data:`OP_SEGMENT`). A shorter run without
+  such a branch executes slot by slot.
 
 Each :class:`~repro.wasm.module.Function` caches exactly one decoded
 stream *on the object itself* (``func._decoded``), so re-instantiating the
@@ -137,36 +137,25 @@ OP_QSTORE_MASK = 55        # (_, pack, off, mask, width)
 # segment*. At decode time, maximal runs of stack-machine
 # ops (consts, locals, arithmetic, loads/stores, drop and hook sites — no
 # control flow, no other calls) are translated once into a small Python
-# function with every constant, mask, and bound struct method baked in,
-# and the run's first slot becomes ``(OP_SEGMENT, fn, next, span)``: one
-# dispatch executes the whole run, then continues at ``next``, the first
-# slot after the run that is not a ``block``/``loop``/``end`` (through an
-# ``else`` to its jump target). ``span`` is the number of slots the run
-# covers; the loop never reads it. A run holding hook sites becomes
-# ``(OP_HOOK_SEGMENT, fn, next, first_site, span)`` instead: ``fn`` also
-# takes the instance's dispatcher table and ``first_site``, and calls
-# ``table[first_site + j]`` for its j-th site, reading the table at every
-# event. The covered slots keep their ordinary (quickened) decoding, so a
-# branch landing inside the segment executes the original instructions
-# one slot at a time.
+# function ``fn(stack, locals_, memdata, tab)`` with every constant, mask,
+# and bound struct method baked in, and the run's first slot becomes
+# ``(OP_SEGMENT, fn, target, exits, span)``. One dispatch executes the whole
+# run, and ``fn`` returns the pc to continue at: the first slot after the
+# run that is not a ``block``/``loop``/``end`` (through an ``else`` to its
+# jump target). A run whose successor is a plain ``br_if``, ``br`` or ``if``
+# takes that branch too: ``fn`` returns the ``if`` arm's pc, or -1 for a
+# taken ``br``/``br_if``, and then the slot charges the meter and telemetry
+# where the ``br``/``br_if`` arms do and continues at ``target`` (None for
+# a segment that cannot branch). ``exits`` is every pc ``fn`` may return:
+# ``(next,)``, ``(next, target)`` for ``br_if``, ``(then_pc, else_pc)`` for
+# ``if``, ``(target,)`` for ``br``. ``span`` is the number of slots the run
+# covers; the loop reads neither. ``tab`` is the executing instance's
+# dispatcher table: the run's j-th hook site calls ``tab[first_site + j]``,
+# reading the table at every event. The covered slots keep their ordinary
+# (quickened) decoding, so a branch landing inside the segment executes the
+# original instructions one slot at a time.
 OP_SEGMENT = 57
-OP_HOOK_SEGMENT = 58
-
-# A run whose successor is a plain ``br_if``, ``br`` or ``if`` takes that
-# branch as its terminator: ``fn`` returns the popped condition (nothing
-# for ``br``) and the slot branches itself, charging the meter and
-# telemetry where the ``br``/``br_if`` arms do (``if`` charges nothing).
-# Such a run compiles at any length. Layouts, with ``first_site`` before
-# ``span`` in the hook forms:
-#   (OP_SEG_BR_IF, fn, next, target, span)
-#   (OP_SEG_IF, fn, then_pc, else_pc, span)
-#   (OP_SEG_BR, fn, target, span)
-OP_SEG_BR_IF = 59
-OP_SEG_IF = 60
-OP_SEG_BR = 61
-OP_HOOK_SEG_BR_IF = 62
-OP_HOOK_SEG_IF = 63
-OP_HOOK_SEG_BR = 64
+# ids 58-64 are unassigned: ids are never renumbered
 
 # Branches resolved at decode. A plain branch, whose operand stack holds
 # exactly the values its label carries (or whose label is the function's),
@@ -176,15 +165,6 @@ OP_HOOK_SEG_BR = 64
 # values. ``br_table`` holds ``(target, height, arity)`` per entry.
 OP_BR_ADJUST = 65
 OP_BR_IF_ADJUST = 66
-
-#: Every compiled-segment id, and those of segments holding hook sites
-#: (whose function also takes the dispatcher table and ``first_site``).
-#: A segment's last field is always its span, a hook segment's second to
-#: last its first site.
-HOOK_SEGMENT_IDS = frozenset({OP_HOOK_SEGMENT, OP_HOOK_SEG_BR_IF,
-                              OP_HOOK_SEG_IF, OP_HOOK_SEG_BR})
-SEGMENT_IDS = frozenset({OP_SEGMENT, OP_SEG_BR_IF, OP_SEG_IF, OP_SEG_BR}
-                        | HOOK_SEGMENT_IDS)
 
 #: Import namespace of Wasabi's generated low-level hooks. The instrumenter
 #: (``repro.core.hooks.HOOK_MODULE``) aliases this constant, so the engine
@@ -230,13 +210,6 @@ OP_NAMES: dict[int, str] = {
     OP_QSTORE: "store.quick",
     OP_QSTORE_MASK: "store.quick.mask",
     OP_SEGMENT: "segment",
-    OP_HOOK_SEGMENT: "hook_segment",
-    OP_SEG_BR_IF: "segment.br_if",
-    OP_SEG_IF: "segment.if",
-    OP_SEG_BR: "segment.br",
-    OP_HOOK_SEG_BR_IF: "hook_segment.br_if",
-    OP_HOOK_SEG_IF: "hook_segment.if",
-    OP_HOOK_SEG_BR: "hook_segment.br",
     OP_BR_ADJUST: "br.adjust",
     OP_BR_IF_ADJUST: "br_if.adjust",
 }
@@ -724,8 +697,17 @@ def _segment_code(src: str):
     return compile(src, "<quickened-segment>", "exec")
 
 
-def _compile_segment(slots: list[tuple], first_site: int | None,
-                     returns_condition: bool = False):
+#: The return statement that ends a segment, by the branch it takes (None
+#: for a run that only falls through); ``_x0``/``_x1`` are its exits.
+_RETURNS = {
+    None: "return _x0",
+    OP_BR_IF: "return -1 if {c} else _x0",
+    OP_IF: "return _x0 if {c} else _x1",
+    OP_BR: "return -1",
+}
+
+
+def _compile_segment(slots: list[tuple], term: int | None, exits: tuple[int, ...]):
     """Translate a straight-line run of decoded slots into one function.
 
     Symbolically executes the run against a virtual operand stack of
@@ -736,21 +718,22 @@ def _compile_segment(slots: list[tuple], first_site: int | None,
     virtual stack holds at the end is appended back. Loads and stores keep
     their individual try/except so a trapping access raises the same
     message after the same prefix of memory effects as the generic
-    handlers. Non-finite constants and table functions are referenced by
-    name and bound in the segment's own ``env``; the source text alone
-    picks the shared code object (:func:`_segment_code`).
+    handlers. Non-finite constants, table functions, the run's first hook
+    site and its ``exits`` are referenced by name and bound in the
+    segment's own ``env``; the source text alone picks the shared code
+    object (:func:`_segment_code`), so equal runs share it wherever they
+    sit.
 
     Locals are forwarded: a ``get_local`` of an index the run already read
     or wrote reuses that value instead of reading ``locals_`` again, which
     is exact because nothing a segment calls can write a Wasm local. A hook
-    site becomes ``tab[b + j](operands)``, a call through the instance's
-    dispatcher table at every event with the popped values as positional
-    arguments, with ``j`` counted from the run's ``first_site`` (None for a
-    run without hook sites) so equal runs print equal source wherever they
-    sit; such a run's function takes ``tab`` and ``b`` as two more
-    arguments. With ``returns_condition`` the run's top value is the
-    condition of the branch that terminates it: it is popped and returned
-    instead of appended.
+    site becomes ``tab[_site + j](operands)``, a call through the
+    instance's dispatcher table at every event with the popped values as
+    positional arguments, ``j`` counted from the run's first site
+    ``_site``. ``term`` is the op of the branch the run takes (see
+    :data:`OP_SEGMENT`), whose condition, for ``br_if`` and ``if``, is the
+    run's top value: it is popped and tested in the return statement
+    (:data:`_RETURNS`).
     """
     env: dict = {"_se": _struct_error, "_Trap": Trap, "_oob": oob_message}
     lines: list[str] = []
@@ -850,8 +833,8 @@ def _compile_segment(slots: list[tuple], first_site: int | None,
             lines.append(f"locals_[{ins[1]}] = {value}")
         elif op == OP_HOOK:  # (_, site, n_value_args, skip)
             operands = [vpop() for _ in range(ins[2])]
-            j = ins[1] - first_site
-            index = f"b + {j}" if j else "b"
+            j = ins[1] - env.setdefault("_site", ins[1])
+            index = f"_site + {j}" if j else "_site"
             lines.append(f"tab[{index}]({', '.join(reversed(operands))})")
         elif op == OP_UNARY:
             out = tmp()
@@ -868,28 +851,17 @@ def _compile_segment(slots: list[tuple], first_site: int | None,
         else:  # OP_DROP
             vpop()
 
-    condition = vpop() if returns_condition else None
+    condition = vpop() if term == OP_BR_IF or term == OP_IF else None
     n_args = counters["args"]
     prologue = [f"a{k} = stack[-{k + 1}]" for k in range(n_args)]
     if n_args:
         prologue.append(f"del stack[-{n_args}:]")
     body = prologue + lines + [f"stack.append({v})" for v in vstack]
-    if condition is not None:
-        body.append(f"return {condition}")
-    if not body:
-        return None
-    params = "stack, locals_, memdata" if first_site is None else "stack, locals_, memdata, tab, b"
-    src = f"def _segment({params}):\n" + "\n".join("    " + line for line in body)
+    body.append(_RETURNS[term].format(c=condition))
+    env.update(zip(("_x0", "_x1"), exits))
+    src = "\n    ".join(["def _segment(stack, locals_, memdata, tab):", *body])
     exec(_segment_code(src), env)
     return env["_segment"]
-
-
-#: Terminator op → (segment id, hook-segment id).
-_TERMINATED = {
-    OP_BR_IF: (OP_SEG_BR_IF, OP_HOOK_SEG_BR_IF),
-    OP_IF: (OP_SEG_IF, OP_HOOK_SEG_IF),
-    OP_BR: (OP_SEG_BR, OP_HOOK_SEG_BR),
-}
 
 
 def _compile_segments(code: list[tuple]) -> None:
@@ -900,11 +872,10 @@ def _compile_segments(code: list[tuple]) -> None:
     ordinary decoding as the branch-target fallback (memory-op quickening
     still applies to them). Its successor is :func:`_land` of the slot
     after the run. When that successor is a plain ``br_if``, ``br`` or
-    ``if``, the segment takes the branch (see :data:`OP_SEG_BR_IF`);
+    ``if``, the segment takes the branch (see :data:`OP_SEGMENT`);
     otherwise a run shorter than :data:`_SEGMENT_MIN` stays as it is and
     executes slot by slot. A hook site's ``OP_HOOK`` slot joins a run
-    together with the location constants and call it skips; a run holding
-    hook sites becomes a hook segment.
+    together with the location constants and call it skips.
     """
     n = len(code)
     pc = 0
@@ -920,27 +891,21 @@ def _compile_segments(code: list[tuple]) -> None:
             pc += ins[3] if ins[0] == OP_HOOK else 1
         span = pc - start
         succ = _land(code, pc)
-        term = code[succ] if succ < n else None
-        ids = _TERMINATED.get(term[0]) if term is not None else None
-        if ids is None and span < _SEGMENT_MIN:
+        term = code[succ][0] if succ < n else None
+        target = None
+        if term == OP_BR_IF:
+            target = code[succ][1]
+            exits = (_land(code, succ + 1), target)
+        elif term == OP_IF:
+            exits = code[succ][1:]
+        elif term == OP_BR:
+            target = code[succ][1]
+            exits = (target,)
+        elif span < _SEGMENT_MIN:
             continue
-        first_site = next((ins[1] for ins in slots if ins[0] == OP_HOOK), None)
-        fn = _compile_segment(slots, first_site,
-                              returns_condition=ids is not None and term[0] != OP_BR)
-        if fn is None:
-            continue
-        hook = () if first_site is None else (first_site,)
-        if ids is None:
-            code[start] = (OP_SEGMENT if first_site is None else OP_HOOK_SEGMENT,
-                           fn, succ, *hook, span)
-            continue
-        seg_id = ids[0] if first_site is None else ids[1]
-        if term[0] == OP_BR_IF:
-            code[start] = (seg_id, fn, _land(code, succ + 1), term[1], *hook, span)
-        elif term[0] == OP_IF:
-            code[start] = (seg_id, fn, term[1], term[2], *hook, span)
         else:
-            code[start] = (seg_id, fn, term[1], *hook, span)
+            term, exits = None, (succ,)
+        code[start] = (OP_SEGMENT, _compile_segment(slots, term, exits), target, exits, span)
 
 
 def _hook_sites(code: list[tuple], hook_imports: frozenset[int]) -> tuple:

@@ -57,7 +57,7 @@ OP_CLASSES: dict[int, str] = {
     # aggregation cannot KeyError on any opcode id
     _pd.OP_QLOAD: "memory", _pd.OP_QLOAD_MASK: "memory",
     _pd.OP_QSTORE: "memory", _pd.OP_QSTORE_MASK: "memory",
-    **dict.fromkeys(_pd.SEGMENT_IDS, "fused"),
+    _pd.OP_SEGMENT: "fused",
 }
 
 

@@ -375,12 +375,8 @@ def branch_targets(ins: tuple) -> tuple[int, ...]:
         return ins[1], ins[2]
     if op == pd.OP_BR_TABLE:
         return tuple(entry[0] for entry in (*ins[1], ins[2]))
-    if op in (pd.OP_SEGMENT, pd.OP_HOOK_SEGMENT, pd.OP_SEG_BR,
-              pd.OP_HOOK_SEG_BR):
-        return (ins[2],)
-    if op in (pd.OP_SEG_BR_IF, pd.OP_HOOK_SEG_BR_IF, pd.OP_SEG_IF,
-              pd.OP_HOOK_SEG_IF):
-        return ins[2], ins[3]
+    if op == pd.OP_SEGMENT:
+        return ins[3]
     return ()
 
 

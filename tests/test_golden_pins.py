@@ -33,7 +33,7 @@ from repro.eval.faultinject import mutant_rng, mutate, seed_corpus
 from repro.eval.workloads import polybench_workloads
 from repro.interp import Machine
 from repro.interp.predecode import (OP_BR_ADJUST, OP_BR_IF_ADJUST,
-                                    OP_BR_TABLE, SEGMENT_IDS, decode_function)
+                                    OP_BR_TABLE, OP_SEGMENT, decode_function)
 from repro.minic import compile_source
 from repro.obs.telemetry import Telemetry
 from repro.wasm import Trap, decode_module, encode_module
@@ -214,8 +214,14 @@ def _slot_shape(ins: tuple) -> str:
     if op in (OP_BR_ADJUST, OP_BR_IF_ADJUST):
         return f"{op}:{ins[1]}/{ins[2]}/{ins[3]}"
     targets = ",".join(map(str, branch_targets(ins)))
-    if op in SEGMENT_IDS:
-        return f"{op}:{targets}:{ins[-1]}"
+    if op == OP_SEGMENT:
+        # the id the segment had when each exit kind had its own id:
+        # (plain, hook) by (takes a br/br_if, number of exits)
+        _, fn, target, exits, span = ins
+        plain, hook = {(False, 1): (57, 58), (False, 2): (60, 63),
+                       (True, 1): (61, 64), (True, 2): (59, 62)}[
+            target is not None, len(exits)]
+        return f"{hook if '_site' in fn.__globals__ else plain}:{targets}:{span}"
     return f"{op}:{targets}" if targets else str(op)
 
 

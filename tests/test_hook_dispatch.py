@@ -40,9 +40,8 @@ from repro.core.runtime import (_TRANSLATIONS, WasabiRuntime, _bind_code,
                                 _bind_source, _noop_dispatcher, _row_key)
 from repro.eval.workloads import polybench_workloads
 from repro.interp import Linker, Machine, WasmFunction
-from repro.interp.predecode import (HOOK_SEGMENT_IDS, OP_CALL,
-                                    OP_CALL_INDIRECT, OP_CONST, OP_HOOK,
-                                    cached_decode)
+from repro.interp.predecode import (OP_CALL, OP_CALL_INDIRECT, OP_CONST,
+                                    OP_HOOK, OP_SEGMENT, cached_decode)
 from repro.minic import compile_source
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.module import BrTable
@@ -51,7 +50,7 @@ from repro.workloads import engine_demo, pdf_toolkit
 from repro.workloads.polybench import compile_kernel
 
 from .test_instrument_properties import minic_program
-from .test_quickened import _dispatch_module
+from .test_quickened import _dispatch_module, hook_segments
 
 # -- differential corpus ---------------------------------------------------------
 
@@ -207,7 +206,7 @@ class TestFusion:
         func = next(f for f in instrumented.functions if f.body)
         decoded, _ = cached_decode(func, instrumented)
         assert decoded.hook_sites
-        assert any(ins[0] in HOOK_SEGMENT_IDS for ins in decoded.code)
+        assert hook_segments(decoded)
         for site, (pc, import_idx, consts) in enumerate(decoded.hook_sites):
             # the call and its location constants keep their decoding as
             # branch-target fallbacks; the site's first slot dispatches it
@@ -219,7 +218,8 @@ class TestFusion:
                 assert slot == (OP_HOOK, site, call[2] - len(consts),
                                 3 if consts else 1)
             else:
-                assert slot[0] in HOOK_SEGMENT_IDS and slot[-2] == site
+                assert slot[0] == OP_SEGMENT
+                assert slot[1].__globals__["_site"] == site
             if consts:
                 assert decoded.code[pc - 1] == (OP_CONST, consts[1])
 
@@ -269,9 +269,8 @@ class TestFusion:
         for func in module.functions:
             decoded, _ = cached_decode(func, module)
             covered = set()
-            for pc, ins in enumerate(decoded.code):
-                if ins[0] in HOOK_SEGMENT_IDS:
-                    covered.update(range(pc, pc + ins[-1]))
+            for pc, ins in hook_segments(decoded):
+                covered.update(range(pc, pc + ins[-1]))
             for pc, _, consts in decoded.hook_sites:
                 total += 1
                 inside += (pc - 2 if consts else pc) in covered

@@ -15,11 +15,12 @@ from repro.core import Analysis, AnalysisSession, Location, instrument_module
 from repro.core.hooks import HOOK_MODULE
 from repro.core.runtime import WasabiRuntime, _noop_dispatcher
 from repro.interp import Linker, Machine, WasmFunction
-from repro.interp.predecode import HOOK_SEGMENT_IDS
 from repro.minic import compile_source
 from repro.wasm import AnalysisAbort, AnalysisError, Trap
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.types import I32
+
+from .test_quickened import hook_segments
 
 #: The two engines (``predecode``).
 CONFIGS = [True, False]
@@ -251,12 +252,11 @@ class TestQuarantineInsideOneSegment:
         decoded = wfunc.decoded
         assert len(decoded.hook_sites) == 2
         assert len({import_idx for _, import_idx, _ in decoded.hook_sites}) == 1
-        segments = [(pc, ins) for pc, ins in enumerate(decoded.code)
-                    if ins[0] in HOOK_SEGMENT_IDS]
+        segments = hook_segments(decoded)
         assert len(segments) == 1
         (start, ins), = segments
-        first_site, span = ins[-2], ins[-1]
-        assert first_site == 0
+        span = ins[-1]
+        assert ins[1].__globals__["_site"] == 0
         for pc, _, consts in decoded.hook_sites:
             assert consts and start <= pc - 2 < start + span
 

@@ -23,8 +23,7 @@ from repro.interp import (Machine, ResourceLimits, WasmFunction,
                           cached_decode, decode_function, predecode_default)
 from repro.interp.host import HostFunction, Linker
 from repro.interp.predecode import (OP_CALL_INDIRECT, OP_CONST,
-                                    OP_GET_LOCAL, OP_HOOK, OP_HOOK_SEGMENT,
-                                    OP_SEGMENT)
+                                    OP_GET_LOCAL, OP_HOOK, OP_SEGMENT)
 from repro.minic import compile_source
 from repro.wasm import decode_module, encode_module
 from repro.wasm.builder import ModuleBuilder
@@ -33,6 +32,7 @@ from repro.wasm.module import BrTable, Instr
 from repro.wasm.types import F32, F64, I32, I64, FuncType
 from repro.workloads.polybench import compile_kernel
 
+from .test_quickened import hook_segments
 from .test_wasi import run_workload
 
 
@@ -317,10 +317,7 @@ EXECUTABLE = frozenset({
     pd.OP_BR_TABLE, pd.OP_MEMORY_SIZE, pd.OP_MEMORY_GROW, pd.OP_NOP,
     pd.OP_UNREACHABLE, pd.OP_HOOK,
     pd.OP_QLOAD, pd.OP_QLOAD_MASK, pd.OP_QSTORE, pd.OP_QSTORE_MASK,
-    pd.OP_SEGMENT, pd.OP_HOOK_SEGMENT,
-    pd.OP_SEG_BR_IF, pd.OP_SEG_IF, pd.OP_SEG_BR,
-    pd.OP_HOOK_SEG_BR_IF, pd.OP_HOOK_SEG_IF, pd.OP_HOOK_SEG_BR,
-    pd.OP_BR_ADJUST, pd.OP_BR_IF_ADJUST,
+    pd.OP_SEGMENT, pd.OP_BR_ADJUST, pd.OP_BR_IF_ADJUST,
 })
 
 
@@ -370,7 +367,10 @@ class TestExecutedStreams:
                                   machine=Machine(predecode=True))
         session.invoke(workload.entry, workload.args)
         ops = _executed_ops(session.instance)
-        assert {OP_HOOK, OP_HOOK_SEGMENT} <= ops <= EXECUTABLE
+        assert {OP_HOOK, OP_SEGMENT} <= ops <= EXECUTABLE
+        assert any(hook_segments(wfunc.decoded)
+                   for wfunc in session.instance.functions
+                   if isinstance(wfunc, WasmFunction))
 
     def test_execution_leaves_the_shared_cache_untouched(self):
         workload, = polybench_workloads(["gemm"], n=6)

@@ -17,10 +17,9 @@ import repro.interp.predecode as pd
 from repro.core.instrument import instrument_module
 from repro.eval import polybench_workloads
 from repro.interp import Machine
-from repro.interp.predecode import (HOOK_SEGMENT_IDS, OP_HOOK, OP_QLOAD,
-                                    OP_QLOAD_MASK, OP_QSTORE, OP_QSTORE_MASK,
-                                    OP_SEGMENT, SEGMENT_IDS, _SEGMENT_MIN,
-                                    decode_function)
+from repro.interp.predecode import (OP_HOOK, OP_QLOAD, OP_QLOAD_MASK,
+                                    OP_QSTORE, OP_QSTORE_MASK, OP_SEGMENT,
+                                    _SEGMENT_MIN, decode_function)
 from repro.interp.snapshot import (Snapshot, diff_instance, restore_instance,
                                    snapshot_instance)
 from repro.minic import compile_source
@@ -33,6 +32,17 @@ from repro.wasm.types import F32, F64, I32, I64, FuncType
 #: slot's bare load or store; any other covered slot keeps its base op.
 QUICKENED_TWINS = frozenset({OP_QLOAD, OP_QLOAD_MASK, OP_QSTORE,
                              OP_QSTORE_MASK})
+
+
+
+def hook_segments(decoded) -> list[tuple[int, tuple]]:
+    """``(pc, slot)`` of every compiled segment of ``decoded`` whose run
+    holds a hook site: one covering the first slot of that site."""
+    sites = [pc - 2 if consts else pc for pc, _, consts in decoded.hook_sites]
+    return [(pc, ins) for pc, ins in enumerate(decoded.code)
+            if ins[0] == OP_SEGMENT
+            and any(pc <= site < pc + ins[-1] for site in sites)]
+
 
 ENGINES = [
     {"predecode": False},                       # legacy string dispatch
@@ -146,8 +156,10 @@ class TestCompiledSegments:
         segments = [(pc, ins) for pc, ins in enumerate(code)
                     if ins[0] == OP_SEGMENT]
         assert segments, "straight-line kernel produced no compiled segment"
-        for pc, (_, fn, successor, span) in segments:
-            assert callable(fn)
+        for pc, (_, fn, target, exits, span) in segments:
+            # a straight-line body: every segment only falls through
+            successor, = exits
+            assert callable(fn) and target is None
             assert span >= _SEGMENT_MIN
             assert successor >= pc + span
 
@@ -160,9 +172,9 @@ class TestCompiledSegments:
         plain = self._decoded(fuse=False).code
         quick = self._decoded(fuse=True).code
         for pc, ins in enumerate(quick):
-            if ins[0] in SEGMENT_IDS:
+            if ins[0] == OP_SEGMENT:
                 for covered in range(pc + 1, pc + ins[-1]):
-                    assert quick[covered][0] not in SEGMENT_IDS
+                    assert quick[covered][0] != OP_SEGMENT
                     assert quick[covered][0] == plain[covered][0] or \
                         quick[covered][0] in QUICKENED_TWINS
 
@@ -176,28 +188,26 @@ class TestCompiledSegments:
 
     def test_hook_sites_join_segments(self):
         """Hook sites join the runs around them: a run holding sites is one
-        hook segment numbered from its first site, whose function also
-        takes the dispatcher table; hookless runs keep plain segments."""
+        segment numbered from its first site, and every segment function,
+        with or without sites, takes the same four arguments."""
         module = instrument_module(compile_source(self.SRC)).module
         func, = (f for f in module.functions if f.body is not None)
         decoded = decode_function(func, module)
         code = decoded.code
         slots = [pc - 2 if consts else pc for pc, _, consts in decoded.hook_sites]
         for site, pc in enumerate(slots):
-            # a site's slot is its OP_HOOK, or the hook segment it starts
-            assert code[pc][0] == OP_HOOK or code[pc][0] in HOOK_SEGMENT_IDS
-            assert code[pc][0] in HOOK_SEGMENT_IDS or code[pc][1] == site
-        hook_segments = [(pc, ins) for pc, ins in enumerate(code)
-                         if ins[0] in HOOK_SEGMENT_IDS]
-        assert hook_segments
-        for start, ins in hook_segments:
-            fn, first_site, span = ins[1], ins[-2], ins[-1]
+            # a site's slot is its OP_HOOK, or the segment it starts
+            assert code[pc][0] in (OP_HOOK, OP_SEGMENT)
+            assert code[pc][0] == OP_SEGMENT or code[pc][1] == site
+        segments = hook_segments(decoded)
+        assert segments
+        for start, ins in segments:
+            first_site, span = ins[1].__globals__["_site"], ins[-1]
             inside = [site for site, pc in enumerate(slots)
                       if start <= pc < start + span]
             assert inside == list(range(first_site, first_site + len(inside)))
-            assert inside and fn.__code__.co_argcount == 5
-        assert all(ins[1].__code__.co_argcount == 3 for ins in code
-                   if ins[0] in SEGMENT_IDS - HOOK_SEGMENT_IDS)
+        assert all(ins[1].__code__.co_argcount == 4 for ins in code
+                   if ins[0] == OP_SEGMENT)
 
     def test_segment_results_match_legacy(self):
         module = compile_source(self.SRC)
@@ -242,8 +252,8 @@ class TestLocalForwarding:
         segments = [ins for ins in code if ins[0] == OP_SEGMENT]
         assert len(segments) == len(sources) == 1
         # the whole run up to the first nop, which is its successor
-        _, _, successor, span = segments[0]
-        assert (successor, span) == (15, 14)
+        _, _, target, exits, span = segments[0]
+        assert (target, exits, span) == (None, (15,), 14)
         src, = sources
         assert len(re.findall(r"= locals_\[0\]$", src, re.MULTILINE)) == 1
         assert "= locals_[1]" in src and "= locals_[2]" not in src
