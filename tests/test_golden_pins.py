@@ -191,7 +191,7 @@ def test_instrumented_profile_golden(kernel, analysis_name, engine):
 # -- decoded stream shapes -------------------------------------------------------
 
 STREAM_SHAPE_DIGEST = \
-    "88b24e743b15ee21525aa045853ebbb285ff0dc5df4c5c1f41854b72ba2ee1cf"
+    "89b273585a7ea575e6e9284c0aad77c790bdc7970e002b58110da5e57f0f3425"
 
 
 def _stream_shape_modules():
@@ -205,9 +205,9 @@ def _stream_shape_modules():
 def _slot_shape(ins: tuple) -> str:
     """A slot's op id; for a slot that continues elsewhere, the pcs it may
     continue at (branch targets, both arms of an ``if``, a segment's
-    successor and the target of the branch it takes); for a segment, its
-    span; for a stack-adjusting branch or ``br_table``, each target's
-    height and arity."""
+    exits); for a segment, the target of the branch it takes (None when
+    it takes none) and its span; for a stack-adjusting branch or
+    ``br_table``, each target's height and arity."""
     op = ins[0]
     if op == OP_BR_TABLE:
         return f"{op}:" + ",".join(f"{t}/{h}/{a}" for t, h, a in (*ins[1], ins[2]))
@@ -215,13 +215,7 @@ def _slot_shape(ins: tuple) -> str:
         return f"{op}:{ins[1]}/{ins[2]}/{ins[3]}"
     targets = ",".join(map(str, branch_targets(ins)))
     if op == OP_SEGMENT:
-        # the id the segment had when each exit kind had its own id:
-        # (plain, hook) by (takes a br/br_if, number of exits)
-        _, fn, target, exits, span = ins
-        plain, hook = {(False, 1): (57, 58), (False, 2): (60, 63),
-                       (True, 1): (61, 64), (True, 2): (59, 62)}[
-            target is not None, len(exits)]
-        return f"{hook if '_site' in fn.__globals__ else plain}:{targets}:{span}"
+        return f"{op}:{targets}:{ins[2]}:{ins[4]}"
     return f"{op}:{targets}" if targets else str(op)
 
 
@@ -237,7 +231,7 @@ def test_decoded_stream_shapes():
     """Every function of the 30 PolyBench kernels, ``pdf_toolkit(1)``,
     ``engine_demo(1)`` and an all-hooks-instrumented ``trisolv`` decodes to
     the same op ids, slot for slot, with the same branch side table and
-    the same segment successors and spans."""
+    the same segment exits, taken-branch targets and spans."""
     shapes = "\n".join(_stream_shape(module)
                        for module in _stream_shape_modules())
     assert _digest(shapes) == STREAM_SHAPE_DIGEST
