@@ -187,9 +187,10 @@ class WasmFunction:
     hook call site of the stream (see :func:`bind_hook_sites`). Both are
     None on machines with ``predecode=False`` and for functions
     instantiated while a profiler is attached: those run on the legacy
-    loop. ``matching`` is the legacy block-matching table and ``op_ids``
-    the profiler's per-pc opcode ids, both built lazily so other runs never
-    pay for them.
+    loop, but are decoded all the same, so every engine refuses the same
+    bodies at instantiation. ``matching`` is the legacy block-matching
+    table and ``op_ids`` the profiler's per-pc opcode ids, both built
+    lazily so other runs never pay for them.
     """
 
     __slots__ = ("instance", "func", "functype", "local_types", "default_locals",
@@ -205,20 +206,20 @@ class WasmFunction:
         self._matching: BlockMatching | None = None
         self._op_ids: list[int] | None = None
         self.hooks: list | None = None
+        self.decoded: DecodedFunction | None = None
+        # every engine path decodes, so the legacy loop too refuses here a
+        # body whose operand stack does not add up, instead of failing on
+        # it mid-run
+        decoded, hit = cached_decode(func, instance.module)
         machine = instance.machine
         if machine.predecode and not machine._profiling:
-            decoded, hit = cached_decode(func, instance.module)
             if decoded.hook_sites:
                 self.hooks = bind_hook_sites(decoded, instance.functions)
-            self.decoded: DecodedFunction | None = decoded
+            self.decoded = decoded
             if hit:
                 machine.predecode_cache_hits += 1
             else:
                 machine.predecode_cache_misses += 1
-        else:
-            self.decoded = None
-            # keep the legacy engine's eager instantiation-time validation
-            self._matching = BlockMatching(func.body)
 
     @property
     def matching(self) -> BlockMatching:
@@ -397,7 +398,8 @@ class Machine:
         else:
             self._meter = None
         self._memories: list[Memory] = []
-        #: Decoded-stream cache statistics for this machine's instantiations.
+        #: Decoded-stream cache statistics of the instantiations that run
+        #: the decoded engine.
         self.predecode_cache_hits = 0
         self.predecode_cache_misses = 0
         self._depth = 0

@@ -130,6 +130,10 @@ CASES: dict[str, tuple[str, str, list]] = {
         "block i32.const 1 i32.const 2 get_local 0 br_if 0 "
         "i32.add set_local 1 end get_local 1",
         [((1,), [0]), ((0,), [3])]),
+    "br_if_target_is_fall_through": (
+        "(param i32) (result i32)",
+        "block get_local 0 br_if 0 end i32.const 7",
+        [((0,), [7]), ((1,), [7])]),
     "br_if_depth2_adjusting_arity1": (
         "(param i32) (result i32)",
         "block (result i32) block block i32.const 3 i32.const 4 "
@@ -280,27 +284,48 @@ def _module(signature: str, body: str):
 
 
 def _outcome(module, predecode: bool, args) -> tuple:
-    instance = Machine(predecode=predecode).instantiate(module)
+    """The result or trap of one call of ``f`` on a fresh metered, observed
+    machine, the first 16 bytes of memory, the fuel spent and the taken
+    branches."""
+    telemetry = Telemetry()
+    machine = Machine(predecode=predecode, telemetry=telemetry,
+                      limits=ResourceLimits(observe=True))
+    instance = machine.instantiate(module)
     try:
         result = ("ok", instance.invoke("f", list(args)))
     except Trap as exc:
         result = ("trap", str(exc))
-    return result, bytes(instance.memory.data[:16])
+    return (result, bytes(instance.memory.data[:16]),
+            machine.resource_usage().fuel_spent, telemetry.n_branches)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_branch_form_matches_legacy(case):
+    """Results, traps, memory, fuel and taken branches all agree."""
     signature, body, calls = CASES[case]
     module = _module(signature, body)
     for args, expected in calls:
         legacy = _outcome(module, False, args)
         decoded = _outcome(module, True, args)
         assert decoded == legacy
-        result, _ = legacy
+        result = legacy[0]
         if isinstance(expected, str):
             assert result == ("trap", expected)
         else:
             assert result == ("ok", expected)
+
+
+def test_taken_target_may_equal_fall_through():
+    """``block get_local 0 br_if 0 end`` compiles into a segment whose
+    taken target is its fall-through too: the slot must still tell a taken
+    branch from a fall-through, and charge only the taken one."""
+    signature, body, _ = CASES["br_if_target_is_fall_through"]
+    module = _module(signature, body)
+    segment = decode_function(module.functions[0], module).code[1]
+    assert segment[0] == pd.OP_SEGMENT and segment[2:4] == (4, (4, 4))
+    for arg, taken in ((0, 0), (1, 1)):
+        outcome = _outcome(module, True, (arg,))
+        assert outcome[0] == ("ok", [7]) and outcome[3] == taken
 
 
 def test_cases_cover_every_branch_op():
@@ -417,28 +442,39 @@ def _unvalidated(emit, results=(I32,)):
     return builder.build()
 
 
+#: Every engine path a function can be instantiated for: the decoded
+#: loop, the legacy loop, and the legacy loop a profiled machine runs.
+ENGINE_PATHS = {
+    "decoded": lambda: Machine(predecode=True),
+    "legacy": lambda: Machine(predecode=False),
+    "profiled": lambda: Machine(predecode=True,
+                                telemetry=Telemetry(profile=True)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ENGINE_PATHS))
 class TestRefusedBodies:
     """A body whose operand stack does not add up is refused when it is
     decoded, at instantiation, like any other body the decoder cannot
-    execute."""
+    execute, on every engine path."""
 
-    def test_underflow_is_refused(self):
+    def test_underflow_is_refused(self, path):
         module = _unvalidated(lambda fb: fb.i32_const(1).emit("i32.add"))
         with pytest.raises(WasmError, match="cannot execute i32.add: "
                                             "operand stack underflow"):
-            Machine(predecode=True).instantiate(module)
+            ENGINE_PATHS[path]().instantiate(module)
 
-    def test_end_height_mismatch_is_refused(self):
+    def test_end_height_mismatch_is_refused(self, path):
         module = _unvalidated(
             lambda fb: fb.block(I32).i32_const(1).i32_const(2).end())
         with pytest.raises(WasmError, match="cannot execute end: block "
                                             "leaves 2 values, its type has 1"):
-            Machine(predecode=True).instantiate(module)
+            ENGINE_PATHS[path]().instantiate(module)
 
-    def test_dead_code_is_never_refused(self):
+    def test_dead_code_is_never_refused(self, path):
         """After a branch the stack is unknown: dead code that would
         underflow still decodes, and the body runs."""
         module = _unvalidated(
             lambda fb: fb.block(I32).i32_const(3).br(0).emit("i32.add")
             .emit("i32.add").end())
-        assert Machine(predecode=True).instantiate(module).invoke("f") == [3]
+        assert ENGINE_PATHS[path]().instantiate(module).invoke("f") == [3]

@@ -103,8 +103,12 @@ class TestDecodeCache:
         assert instance.invoke("add", [2, 3]) == [6]
 
     def test_legacy_machine_does_not_decode(self, add_module):
+        """A legacy machine decodes only to refuse bodies at instantiation
+        (``tests/test_branch_forms.py::TestRefusedBodies``): it runs no
+        decoded stream and counts no decode-cache traffic."""
         machine = Machine(predecode=False)
-        machine.instantiate(add_module)
+        instance = machine.instantiate(add_module)
+        assert instance.functions[0].decoded is None
         assert machine.predecode_cache_hits == 0
         assert machine.predecode_cache_misses == 0
 
@@ -243,14 +247,11 @@ class TestDecodeDetails:
         fb.finish()
         module = builder.build()
         module.functions[0].body.insert(1, Instr("i32.bogus_op"))
-        # the decoded engine refuses the module while decoding its bodies
-        with pytest.raises(WasmError, match="cannot execute i32.bogus_op"):
-            Machine(predecode=True).instantiate(module)
-        # the legacy loop keeps its run-time fallback for modules built in
-        # memory that never went through load_module
-        instance = Machine(predecode=False).instantiate(module)
-        with pytest.raises(WasmError, match="cannot execute i32.bogus_op"):
-            instance.invoke("bad", [])
+        # both engines refuse the module while decoding its bodies, also
+        # one built in memory that never went through load_module
+        for predecode in (True, False):
+            with pytest.raises(WasmError, match="cannot execute i32.bogus_op"):
+                Machine(predecode=predecode).instantiate(module)
 
     def test_missing_immediate_rejected_at_instantiation(self):
         builder = ModuleBuilder("bad")
