@@ -135,8 +135,8 @@ OP_QSTORE_MASK = 55        # (_, pack, off, mask, width)
 
 # The decoded stream's one superinstruction: a *compiled straight-line
 # segment*. At decode time, maximal runs of stack-machine
-# ops (consts, locals, arithmetic, loads/stores, drop and hook sites — no
-# control flow, no other calls) are translated once into a small Python
+# ops (consts, locals, arithmetic, loads/stores, select, drop and hook
+# sites — no control flow, no other calls) are translated once into a small Python
 # function ``fn(stack, locals_, memdata, tab)`` with every constant, mask,
 # and bound struct method baked in, and the run's first slot becomes
 # ``(OP_SEGMENT, fn, target, exits, span)``. One dispatch executes the whole
@@ -648,7 +648,7 @@ _SEGMENT_MIN = 4
 _SEGMENT_VOCAB = frozenset({
     OP_GET_LOCAL, OP_BINARY, OP_CONST, OP_SET_LOCAL, OP_LOAD_INT,
     OP_LOAD_FLOAT, OP_STORE_INT, OP_STORE_FLOAT, OP_UNARY, OP_TEE_LOCAL,
-    OP_DROP, OP_HOOK,
+    OP_SELECT, OP_DROP, OP_HOOK,
 })
 
 #: Binary handlers with an exact inline expression template, keyed by the
@@ -831,6 +831,11 @@ def _compile_segment(slots: list[tuple], term: int | None, exits: tuple[int, ...
         elif op == OP_TEE_LOCAL:
             value = local_values[ins[1]] = vpeek()
             lines.append(f"locals_[{ins[1]}] = {value}")
+        elif op == OP_SELECT:
+            condition, second, first = vpop(), vpop(), vpop()
+            out = tmp()
+            lines.append(f"{out} = {first} if {condition} else {second}")
+            vstack.append(out)
         elif op == OP_HOOK:  # (_, site, n_value_args, skip)
             operands = [vpop() for _ in range(ins[2])]
             j = ins[1] - env.setdefault("_site", ins[1])

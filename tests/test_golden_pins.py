@@ -191,7 +191,7 @@ def test_instrumented_profile_golden(kernel, analysis_name, engine):
 # -- decoded stream shapes -------------------------------------------------------
 
 STREAM_SHAPE_DIGEST = \
-    "89b273585a7ea575e6e9284c0aad77c790bdc7970e002b58110da5e57f0f3425"
+    "dedc68f16a4d183b2399b0865c5bc8f9ff89c587b0f72f26011cacf8e88e3667"
 
 
 def _stream_shape_modules():

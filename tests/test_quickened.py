@@ -213,6 +213,24 @@ class TestCompiledSegments:
         module = compile_source(self.SRC)
         _assert_identical(_all_engines(module, "kernel", [7, 2.5]))
 
+    @pytest.mark.parametrize("condition", [0, 1, 0x80000000])
+    @pytest.mark.parametrize("valtype, first, second", [
+        (I32, 0xFFFFFFFF, 5), (I64, 0x8000000000000000, 3),
+        (F64, -0.0, 0.0)])
+    def test_select_joins_a_segment(self, valtype, first, second, condition):
+        """A straight-line run holding ``select`` compiles into one segment
+        that picks what the legacy loop picks."""
+        builder = ModuleBuilder("select")
+        fb = builder.function((valtype, valtype, I32), (valtype,), name="f",
+                              export="f")
+        fb.get_local(0).get_local(1).get_local(2).emit("select").finish()
+        module = builder.build()
+        code = decode_function(module.functions[0], module).code
+        assert code[0][0] == OP_SEGMENT and code[0][4] == 4
+        runs = _all_engines(module, "f", [first, second, condition])
+        _assert_identical(runs)
+        assert _bits_of(runs[1]) == _bits_of([[first if condition else second]] * 2)
+
 
 def _forwarding_module():
     """One straight-line run that reads local 0, does ``set_local 0``, does
