@@ -21,8 +21,9 @@ code is exec'd into.
 The pre-decoding engine calls each host function's ``site_factory`` once
 per ``const/const/call`` site at instantiation and stores the dispatcher
 in the instance's dispatcher table, which the site's ``OP_HOOK`` slot or
-the compiled segment holding the site calls. Every other hook call (the legacy engine, a
-site the engine could not fuse) reaches the host function, which binds
+the compiled segment holding the site calls. Every other hook call (the
+legacy engine, a site the engine could not fuse) reaches the host
+function, which binds
 the site's dispatcher by its trailing ``(func, instr)`` arguments on first
 use. Dead hooks, whose methods the analysis does not override, dispatch to
 a shared no-op.

@@ -8,8 +8,8 @@ share the same observable behaviour:
   ``(opcode-id, operand, ...)`` tuples with constants pre-masked, arithmetic
   handlers pre-resolved, memory ops bound to pre-resolved ``struct`` twins,
   straight-line runs compiled into segments that return the pc they
-  continue at, and every branch resolved to an absolute target pc, so the loop
-  keeps no label stack; the decoded form is cached per
+  continue at, and every branch resolved to an absolute target pc, so the
+  loop keeps no label stack; the decoded form is cached per
   :class:`~repro.wasm.module.Function`, so repeated instantiations decode
   once and every instance executes the same stream;
 * the **legacy string-dispatch loop**, the independent oracle for

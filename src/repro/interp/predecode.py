@@ -134,9 +134,9 @@ OP_QSTORE_MASK = 55        # (_, pack, off, mask, width)
 # id 56 is unassigned: ids are never renumbered
 
 # The decoded stream's one superinstruction: a *compiled straight-line
-# segment*. At decode time, maximal runs of stack-machine
-# ops (consts, locals, arithmetic, loads/stores, select, drop and hook
-# sites — no control flow, no other calls) are translated once into a small Python
+# segment*. At decode time, maximal runs of stack-machine ops (consts,
+# locals, arithmetic, loads/stores, select, drop and hook sites — no
+# control flow, no other calls) are translated once into a small Python
 # function ``fn(stack, locals_, memdata, tab)`` with every constant, mask,
 # and bound struct method baked in, and the run's first slot becomes
 # ``(OP_SEGMENT, fn, target, exits, span)``. One dispatch executes the whole
@@ -146,14 +146,17 @@ OP_QSTORE_MASK = 55        # (_, pack, off, mask, width)
 # takes that branch too: ``fn`` returns the ``if`` arm's pc, or -1 for a
 # taken ``br``/``br_if``, and then the slot charges the meter and telemetry
 # where the ``br``/``br_if`` arms do and continues at ``target`` (None for
-# a segment that cannot branch). ``exits`` is every pc ``fn`` may return:
-# ``(next,)``, ``(next, target)`` for ``br_if``, ``(then_pc, else_pc)`` for
-# ``if``, ``(target,)`` for ``br``. ``span`` is the number of slots the run
-# covers; the loop reads neither. ``tab`` is the executing instance's
-# dispatcher table: the run's j-th hook site calls ``tab[first_site + j]``,
-# reading the table at every event. The covered slots keep their ordinary
-# (quickened) decoding, so a branch landing inside the segment executes the
-# original instructions one slot at a time.
+# a segment that cannot branch). ``exits`` is every pc the slot may
+# continue at: ``(next,)``, ``(next, target)`` for ``br_if``, ``(then_pc,
+# else_pc)`` for ``if``, ``(target,)`` for ``br``. ``span`` is the number
+# of slots the run covers; the loop reads neither. ``tab`` is the
+# executing instance's dispatcher table: the run's j-th hook site calls
+# ``tab[_site + j]``, ``_site`` being its first, reading the table at every
+# event. The exits and ``_site`` are bound in the segment's namespace, not
+# printed in its source, so equal runs share one code object. The covered
+# slots keep their ordinary (quickened) decoding, so a branch landing
+# inside the segment executes the original instructions one slot at a
+# time.
 OP_SEGMENT = 57
 # ids 58-64 are unassigned: ids are never renumbered
 
