@@ -679,8 +679,8 @@ _INLINE_BINOPS: dict[int, str] = {
 }
 
 #: Capacity of the segment code cache. One ``analyze`` block (30 PolyBench
-#: kernels under each of the seven analyses) compiles 1,803 distinct
-#: segment sources (1.57 MB of text), so a whole block fits with room to
+#: kernels under each of the seven analyses) compiles 1,817 distinct
+#: segment sources (1.62 MB of text), so a whole block fits with room to
 #: spare, and a long-lived process such as a serve worker cannot grow it
 #: without bound.
 _SEGMENT_CACHE_SIZE = 4096
