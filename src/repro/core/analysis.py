@@ -10,20 +10,25 @@ Faithful type mapping (paper Figure 5): i32/f32/f64 arrive as Python
 (§2.4.6) and are re-joined by the runtime into a Python ``int`` in signed
 two's-complement range (the analogue of the paper's long.js objects);
 conditions arrive as ``bool``.
+
+The per-event value objects, :class:`Location` and :class:`MemArg`, are
+named tuples, so building, hashing and comparing one runs in C. Like any
+tuple, each equals a plain tuple of its fields:
+``Location(1, 2) == (1, 2)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True, order=True)
-class Location:
+class Location(NamedTuple):
     """A code location: function index and *original* instruction index.
 
     Instruction indices always refer to the uninstrumented binary, so an
-    analysis can correlate observations with the original code.
+    analysis can correlate observations with the original code. Ordered,
+    hashed and compared as the tuple ``(func, instr)``.
     """
 
     func: int
@@ -46,12 +51,12 @@ class BranchTarget:
     location: Location
 
 
-@dataclass(frozen=True)
-class MemArg:
+class MemArg(NamedTuple):
     """Effective address and static offset of a memory access.
 
     ``addr`` is the dynamic base address operand; the accessed address is
-    ``addr + offset``.
+    ``addr + offset``. Not the instruction immediate
+    (:class:`repro.wasm.module.MemArg`, alignment and offset).
     """
 
     addr: int

@@ -11,12 +11,14 @@ expands a live hook's row and value types into the source of
 ``bind`` resolves one site's statics and returns its dispatcher, which
 takes the popped values as positional parameters and in one frame
 re-joins split i64 halves (§2.4.6), presents values as Figure 5 does,
-calls the analysis and contains faults. Two rows call helpers:
-indirect ``call_pre`` reads the callee from the live table (§2.3), and
-``br_table`` fires the end hooks of the blocks the taken entry leaves
-(§2.4.5). Only the table's text and index expressions are compiled; the
-analysis, the mnemonic and the static info are bound in the namespace the
-code is exec'd into.
+calls the analysis and contains faults. A memory access's
+:class:`~repro.core.analysis.MemArg` is built by ``tuple.__new__`` and a
+condition presented as ``raw != 0``, so neither runs a Python frame per
+event. Two rows call helpers: indirect ``call_pre`` reads the callee
+from the live table (§2.3), and ``br_table`` fires the end hooks of the
+blocks the taken entry leaves (§2.4.5). Only the table's text and index
+expressions are compiled; the analysis, the mnemonic and the static info
+are bound in the namespace the code is exec'd into.
 
 The pre-decoding engine calls each host function's ``site_factory`` once
 per ``const/const/call`` site at instantiation and stores the dispatcher
@@ -87,11 +89,12 @@ _BR_TARGET = "target = info.br_target(loc.func, loc.instr)"
 _TRANSLATIONS: dict[str, _Row] = {
     "const": _Row(("const_",), "hook(loc, {v0})"),
     "drop": _Row(("drop",), "hook(loc, {v0})"),
-    "select": _Row(("select",), "hook(loc, bool({r2}), {v0}, {v1})"),
+    "select": _Row(("select",), "hook(loc, {r2} != 0, {v0}, {v1})"),
     "unary": _Row(("unary",), "hook(loc, op, {v0}, {v1})"),
     "binary": _Row(("binary",), "hook(loc, op, {v0}, {v1}, {v2})"),
-    "load": _Row(("load",), "hook(loc, op, MemArg({r0}, offset), {v1})", _OFFSET),
-    "store": _Row(("store",), "hook(loc, op, MemArg({r0}, offset), {v1})", _OFFSET),
+    # ``new`` is ``tuple.__new__``: the MemArg is built with no Python frame
+    "load": _Row(("load",), "hook(loc, op, new(MemArg, ({r0}, offset)), {v1})", _OFFSET),
+    "store": _Row(("store",), "hook(loc, op, new(MemArg, ({r0}, offset)), {v1})", _OFFSET),
     "local": _Row(("local",), "hook(loc, op, index, {v0})", _INDEX),
     "global": _Row(("global_",), "hook(loc, op, index, {v0})", _INDEX),
     "memory_size": _Row(("memory_size",), "hook(loc, {r0})"),
@@ -103,11 +106,11 @@ _TRANSLATIONS: dict[str, _Row] = {
     "call_post": _Row(("call_post",), "hook(loc, [{values}])"),
     "return": _Row(("return_",), "hook(loc, [{values}])"),
     "br": _Row(("br",), "hook(loc, target)", _BR_TARGET),
-    "br_if": _Row(("br_if",), "hook(loc, target, bool({r0}))", _BR_TARGET),
+    "br_if": _Row(("br_if",), "hook(loc, target, {r0} != 0)", _BR_TARGET),
     # the helper hook also fires the end hooks of the traversed blocks
     "br_table": _Row(("br_table", "end"), "hook(loc, table, {r0})",
                      "table = info.br_table_info(loc.func, loc.instr)"),
-    "if": _Row(("if_",), "hook(loc, bool({r0}))"),
+    "if": _Row(("if_",), "hook(loc, {r0} != 0)"),
     "begin": _Row(("begin",), "hook(loc, op)"),
     "end": _Row(("end",), "hook(loc, op, begin)",
                 "begin = info.begin_location(loc.func, loc.instr, op)"),
@@ -450,7 +453,8 @@ class WasabiRuntime:
             "hook": (self._br_table_hook() if key == "br_table"
                      else getattr(self.analysis, row.methods[0])),
             "op": spec.payload[0] if spec.payload else None,
-            "info": self.info, "MemArg": MemArg, "callee": self._callee,
+            "info": self.info, "MemArg": MemArg, "new": tuple.__new__,
+            "callee": self._callee,
             "AnalysisError": AnalysisError,
             "fault": partial(self._hook_fault, spec.name),
         }

@@ -38,7 +38,8 @@ from .host import GlobalInstance, HostFunction, Linker
 from .limits import Meter, ResourceLimits, ResourceUsage
 from .memory import Memory
 from .predecode import (OP_HOOK, DecodedFunction, _segment_code,
-                        cached_decode, decode_function, oob_message)
+                        cached_decode, check_runnable, decode_function,
+                        oob_message)
 from .table import Table
 from .values import BINOPS, MASK32, MASK64, UNOPS, default_value
 
@@ -187,10 +188,12 @@ class WasmFunction:
     hook call site of the stream (see :func:`bind_hook_sites`). Both are
     None on machines with ``predecode=False`` and for functions
     instantiated while a profiler is attached: those run on the legacy
-    loop, but are decoded all the same, so every engine refuses the same
-    bodies at instantiation. ``matching`` is the legacy block-matching
-    table and ``op_ids`` the profiler's per-pc opcode ids, both built
-    lazily so other runs never pay for them.
+    loop, and only go through the decoder's refusal walk
+    (:func:`~repro.interp.predecode.check_runnable`), so every engine
+    refuses the same bodies at instantiation without compiling segments
+    it never runs. ``matching`` is the legacy block-matching table and
+    ``op_ids`` the profiler's per-pc opcode ids, both built lazily so
+    other runs never pay for them.
     """
 
     __slots__ = ("instance", "func", "functype", "local_types", "default_locals",
@@ -207,12 +210,9 @@ class WasmFunction:
         self._op_ids: list[int] | None = None
         self.hooks: list | None = None
         self.decoded: DecodedFunction | None = None
-        # every engine path decodes, so the legacy loop too refuses here a
-        # body whose operand stack does not add up, instead of failing on
-        # it mid-run
-        decoded, hit = cached_decode(func, instance.module)
         machine = instance.machine
         if machine.predecode and not machine._profiling:
+            decoded, hit = cached_decode(func, instance.module)
             if decoded.hook_sites:
                 self.hooks = bind_hook_sites(decoded, instance.functions)
             self.decoded = decoded
@@ -220,6 +220,10 @@ class WasmFunction:
                 machine.predecode_cache_hits += 1
             else:
                 machine.predecode_cache_misses += 1
+        else:
+            # the legacy loop too refuses here a body whose operand stack
+            # does not add up, instead of failing on it mid-run
+            check_runnable(func, instance.module)
 
     @property
     def matching(self) -> BlockMatching:

@@ -68,10 +68,12 @@ import math
 from functools import lru_cache
 from struct import Struct
 from struct import error as _struct_error
+from typing import Callable
 
 from ..wasm.errors import Trap, WasmError
 from ..wasm.module import Function, Instr, Module
 from ..wasm.numeric import f32_round
+from ..wasm.types import FuncType
 from .values import BINOPS, MASK32, MASK64, OP_HANDLERS
 
 # Opcode ids, ordered roughly by dynamic frequency on numeric workloads so
@@ -333,6 +335,7 @@ def _decode_instr(
     instr: Instr,
     pc: int,
     module: Module,
+    callee_type: Callable[[int], FuncType],
     end_of: dict[int, int],
     else_of: dict[int, int | None],
 ) -> tuple:
@@ -397,7 +400,7 @@ def _decode_instr(
     if op == "return":
         return (OP_RETURN,)
     if op == "call":
-        return (OP_CALL, instr.idx, len(module.func_type(instr.idx).params))
+        return (OP_CALL, instr.idx, len(callee_type(instr.idx).params))
     if op == "call_indirect":
         expected = module.types[instr.idx]
         return (OP_CALL_INDIRECT, expected, len(expected.params))
@@ -457,9 +460,14 @@ def _land(code: list[tuple], pc: int) -> int:
     return pc
 
 
-def _resolve_branches(code: list[tuple], body: list[Instr], module: Module,
-                      result_arity: int, end_of: dict[int, int],
-                      else_of: dict[int, int | None]) -> None:
+def _resolve_branches(
+    code: list[tuple],
+    body: list[Instr],
+    callee_type: Callable[[int], FuncType],
+    result_arity: int,
+    end_of: dict[int, int],
+    else_of: dict[int, int | None],
+) -> None:
     """Rewrite a base stream's control slots into resolved form, in place.
 
     Walks the body once with a static control stack of ``(target, height,
@@ -511,7 +519,7 @@ def _resolve_branches(code: list[tuple], body: list[Instr], module: Module,
         if not frames:
             raise refuse(pc, "code after the function's final end")
         if op == OP_CALL:
-            pops, pushes = ins[2], len(module.func_type(ins[1]).results)
+            pops, pushes = ins[2], len(callee_type(ins[1]).results)
         elif op == OP_CALL_INDIRECT:
             pops, pushes = ins[2] + 1, len(ins[1].results)
         else:
@@ -646,8 +654,8 @@ _SEGMENT_MIN = 4
 #: Ops a compiled segment may contain: operand-stack work with no control
 #: flow and no observable effects besides locals, linear memory and hook
 #: dispatch — exactly the part of the stream where dispatch overhead is
-#: pure loss. A hook site is a call into the analysis, which cannot write
-#: a Wasm local of the running frame.
+#: pure loss. A hook site is a call into the analysis, which can neither
+#: read nor write a Wasm local of the running frame.
 _SEGMENT_VOCAB = frozenset({
     OP_GET_LOCAL, OP_BINARY, OP_CONST, OP_SET_LOCAL, OP_LOAD_INT,
     OP_LOAD_FLOAT, OP_STORE_INT, OP_STORE_FLOAT, OP_UNARY, OP_TEE_LOCAL,
@@ -729,19 +737,23 @@ def _compile_segment(slots: list[tuple], term: int | None, exits: tuple[int, ...
 
     Locals are forwarded: a ``get_local`` of an index the run already read
     or wrote reuses that value instead of reading ``locals_`` again, which
-    is exact because nothing a segment calls can write a Wasm local. A hook
-    site becomes ``tab[_site + j](operands)``, a call through the
-    instance's dispatcher table at every event with the popped values as
-    positional arguments, ``j`` counted from the run's first site
-    ``_site``. ``term`` is the op of the branch the run takes (see
-    :data:`OP_SEGMENT`), whose condition, for ``br_if`` and ``if``, is the
-    run's top value: it is popped and tested in the return statement
-    (:data:`_RETURNS`).
+    is exact because nothing a segment calls can write a Wasm local. Each
+    local the run sets is written back once, with its final value, at the
+    run's exit, before the stack epilogue: nothing a segment calls can
+    read a Wasm local either, and an exception out of the run (a trap, an
+    escaping hook fault) discards the frame. A hook site becomes
+    ``tab[_site + j](operands)``, a call through the instance's dispatcher
+    table at every event with the popped values as positional arguments,
+    ``j`` counted from the run's first site ``_site``. ``term`` is the op
+    of the branch the run takes (see :data:`OP_SEGMENT`), whose condition,
+    for ``br_if`` and ``if``, is the run's top value: it is popped and
+    tested in the return statement (:data:`_RETURNS`).
     """
     env: dict = {"_se": _struct_error, "_Trap": Trap, "_oob": oob_message}
     lines: list[str] = []
     vstack: list[str] = []
     local_values: dict[int, str] = {}
+    written: dict[int, str] = {}
     counters = {"args": 0, "tmp": 0}
 
     def vpop() -> str:
@@ -829,11 +841,9 @@ def _compile_segment(slots: list[tuple], term: int | None, exits: tuple[int, ...
                 lines.append(f"{out} = {ref(ins[1])}({a}, {b})")
             vstack.append(out)
         elif op == OP_SET_LOCAL:
-            value = local_values[ins[1]] = vpop()
-            lines.append(f"locals_[{ins[1]}] = {value}")
+            local_values[ins[1]] = written[ins[1]] = vpop()
         elif op == OP_TEE_LOCAL:
-            value = local_values[ins[1]] = vpeek()
-            lines.append(f"locals_[{ins[1]}] = {value}")
+            local_values[ins[1]] = written[ins[1]] = vpeek()
         elif op == OP_SELECT:
             condition, second, first = vpop(), vpop(), vpop()
             out = tmp()
@@ -864,7 +874,9 @@ def _compile_segment(slots: list[tuple], term: int | None, exits: tuple[int, ...
     prologue = [f"a{k} = stack[-{k + 1}]" for k in range(n_args)]
     if n_args:
         prologue.append(f"del stack[-{n_args}:]")
-    body = prologue + lines + [f"stack.append({v})" for v in vstack]
+    body = prologue + lines
+    body += [f"locals_[{index}] = {value}" for index, value in written.items()]
+    body += [f"stack.append({v})" for v in vstack]
     body.append(_RETURNS[term].format(c=condition))
     env.update(zip(("_x0", "_x1"), exits))
     src = "\n    ".join(["def _segment(stack, locals_, memdata, tab):", *body])
@@ -931,6 +943,60 @@ def _hook_sites(code: list[tuple], hook_imports: frozenset[int]) -> tuple:
     return tuple(sites)
 
 
+def _callee_types(module: Module) -> Callable[[int], FuncType]:
+    """The type of a function index, for the ``call`` slots of one body.
+
+    Like :meth:`Module.func_type`, but it lists the imports once per
+    body, not once per ``call`` (an instrumented module has one import
+    per generated hook), and, unlike :meth:`Module.function_types`, it
+    does not list the module's defined functions for every body.
+    """
+    types, functions = module.types, module.functions
+    imported = [types[imp.desc] for imp in module.imports if isinstance(imp.desc, int)]
+    n_imported = len(imported)
+
+    def callee_type(func_idx: int) -> FuncType:
+        if func_idx < n_imported:
+            return imported[func_idx]
+        return types[functions[func_idx - n_imported].type_idx]
+
+    return callee_type
+
+
+def _base_stream(
+    func: Function, module: Module, callee_type: Callable[[int], FuncType]
+) -> tuple[list[tuple], dict[int, int], dict[int, int | None]]:
+    """The base-decoded stream of ``func`` with its block matching
+    (:func:`match_blocks`)."""
+    body = func.body
+    end_of, else_of = match_blocks(body)
+    code: list[tuple] = []
+    for pc, instr in enumerate(body):
+        try:
+            code.append(_decode_instr(instr, pc, module, callee_type, end_of, else_of))
+        except Exception as exc:
+            # only a module that skipped validation gets here (missing
+            # immediates, unclosed blocks); refuse it at instantiation
+            raise WasmError(f"cannot execute {instr}: {exc}") from exc
+    return code, end_of, else_of
+
+
+def check_runnable(func: Function, module: Module) -> None:
+    """Raise :class:`WasmError` for a body :func:`decode_function` refuses.
+
+    Runs only the refusal walk, the base decode and
+    :func:`_resolve_branches`, and keeps nothing: it compiles no segment
+    and leaves ``func._decoded`` alone. A machine instantiating a function
+    for the legacy loop calls it, so every engine path refuses the same
+    bodies at instantiation.
+    """
+    callee_type = _callee_types(module)
+    code, end_of, else_of = _base_stream(func, module, callee_type)
+    _resolve_branches(
+        code, func.body, callee_type, len(module.types[func.type_idx].results), end_of, else_of
+    )
+
+
 def decode_function(func: Function, module: Module,
                     fuse: bool = True) -> DecodedFunction:
     """Decode one function body into its threaded form (uncached).
@@ -944,22 +1010,16 @@ def decode_function(func: Function, module: Module,
     such a stream so its counts attribute 1:1 to source instructions.
     Both record the same ``hook_sites``.
     """
-    body = func.body
-    end_of, else_of = match_blocks(body)
+    callee_type = _callee_types(module)
+    code, end_of, else_of = _base_stream(func, module, callee_type)
     hook_imports = _hook_import_indices(module)
-    code: list[tuple] = []
-    for pc, instr in enumerate(body):
-        try:
-            code.append(_decode_instr(instr, pc, module, end_of, else_of))
-        except Exception as exc:
-            # only a module that skipped validation gets here (missing
-            # immediates, unclosed blocks); refuse it at instantiation
-            raise WasmError(f"cannot execute {instr}: {exc}") from exc
     hook_sites = _hook_sites(code, hook_imports) if hook_imports else ()
+    body = func.body
     if not fuse:
         return DecodedFunction(code, body, hook_sites)
-    _resolve_branches(code, body, module,
-                      len(module.types[func.type_idx].results), end_of, else_of)
+    _resolve_branches(
+        code, body, callee_type, len(module.types[func.type_idx].results), end_of, else_of
+    )
     for site, (pc, _, consts) in enumerate(hook_sites):
         n_params = code[pc][2]
         if consts:

@@ -2,6 +2,8 @@
 
 import inspect
 
+import pytest
+
 from repro.core import Analysis, BranchTarget, Location, MemArg, analyze
 from repro.core.analysis import ALL_GROUPS, BLOCK_TYPES, HOOK_METHOD_TO_GROUP
 from repro.minic import compile_source
@@ -53,6 +55,40 @@ class TestValueObjects:
     def test_memarg_effective_address(self):
         memarg = MemArg(addr=16, offset=8)
         assert memarg.addr + memarg.offset == 24
+
+    def test_tuple_types_with_field_names(self):
+        """Both per-event value objects are named tuples, so building,
+        hashing and comparing one runs in C."""
+        assert issubclass(Location, tuple) and issubclass(MemArg, tuple)
+        assert Location._fields == ("func", "instr")
+        assert MemArg._fields == ("addr", "offset")
+
+    def test_keyword_construction_str_and_repr(self):
+        location = Location(func=3, instr=14)
+        assert location == Location(3, 14)
+        assert (location.func, location.instr) == (3, 14)
+        assert str(location) == "3:14"
+        assert repr(location) == "Location(func=3, instr=14)"
+        memarg = MemArg(addr=16, offset=8)
+        assert memarg == MemArg(16, 8)
+        assert repr(memarg) == str(memarg) == "MemArg(addr=16, offset=8)"
+        assert sorted([Location(2, 0), Location(1, 3), Location(1, 2)]) == [
+            Location(1, 2), Location(1, 3), Location(2, 0)]
+
+    def test_equal_values_hash_equal(self):
+        assert hash(Location(1, 2)) == hash(Location(1, 2))
+        assert hash(MemArg(16, 8)) == hash(MemArg(addr=16, offset=8))
+        assert len({Location(1, 2), Location(1, 2), Location(2, 1)}) == 2
+        # like any tuple, each equals a plain tuple of its fields
+        assert Location(1, 2) == (1, 2) and MemArg(16, 8) == (16, 8)
+
+    def test_fields_cannot_be_assigned(self):
+        location, memarg = Location(1, 2), MemArg(16, 8)
+        with pytest.raises(AttributeError):
+            location.instr = 3
+        with pytest.raises(AttributeError):
+            memarg.addr = 0
+        assert location == (1, 2) and memarg == (16, 8)
 
 
 class TestFaithfulTypeMapping:

@@ -29,11 +29,12 @@ import sys
 import tokenize
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analyses.tracer import ExecutionTracer
 from repro.core import Analysis, AnalysisSession, analyze
-from repro.core.analysis import ALL_GROUPS, Location
+from repro.core.analysis import ALL_GROUPS, Location, MemArg
 from repro.core.hooks import HOOK_MODULE
 from repro.core.instrument import InstrumentationConfig, instrument_module
 from repro.core.runtime import (_TRANSLATIONS, WasabiRuntime, _bind_code,
@@ -167,6 +168,69 @@ class TestDifferentialCorpus:
         module = compile_source(INDIRECT_SOURCE)
         for args in [(0, 10), (1, 10)]:
             assert_streams_identical(module, "main", args)
+
+
+def memarg_and_conditions_module():
+    """``f(addr, c)``: an ``i32.store`` and an ``i32.load`` at ``addr``
+    with offset 8, then ``c`` as the condition of a ``select``, a
+    ``br_if`` and an ``if``."""
+    builder = ModuleBuilder()
+    builder.add_memory(1)
+    fb = builder.function((I32, I32), (I32,), export="f")
+    fb.get_local(0).i32_const(7).store("i32.store", offset=8)
+    fb.get_local(0).load("i32.load", offset=8)
+    fb.i32_const(1).get_local(1).emit("select")
+    fb.block().get_local(1).br_if(0).end()
+    fb.get_local(1).if_().end()
+    fb.finish()
+    return builder.build()
+
+
+class _Presented(Analysis):
+    """Records the memargs and conditions the analysis is handed."""
+
+    def __init__(self):
+        self.memargs = []
+        self.conditions = []
+
+    def load(self, loc, op, memarg, value):
+        self.memargs.append((op, memarg, value))
+
+    def store(self, loc, op, memarg, value):
+        self.memargs.append((op, memarg, value))
+
+    def select(self, loc, condition, first, second):
+        self.conditions.append(("select", condition))
+
+    def br_if(self, loc, target, condition):
+        self.conditions.append(("br_if", condition))
+
+    def if_(self, loc, condition):
+        self.conditions.append(("if", condition))
+
+
+class TestPresentedValues:
+    """Figure 5 on both engines: a memory hook gets the analysis-API
+    ``MemArg`` (built by ``tuple.__new__`` in the generated dispatcher),
+    and every condition arrives as a ``bool``."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("condition", [0, 1, -5, -0x80000000])
+    def test_memargs_and_conditions(self, engine, condition):
+        analysis = _Presented()
+        session = AnalysisSession(memarg_and_conditions_module(), analysis,
+                                  machine=ENGINES[engine]())
+        addr = 65520
+        assert session.invoke("f", (addr, condition)) == [7 if condition else 1]
+        assert analysis.memargs == [("i32.store", MemArg(addr, 8), 7),
+                                    ("i32.load", MemArg(addr, 8), 7)]
+        for _, memarg, _ in analysis.memargs:
+            assert type(memarg) is MemArg
+            assert (memarg.addr, memarg.offset) == (addr, 8)
+        assert analysis.conditions == [("select", condition != 0),
+                                       ("br_if", condition != 0),
+                                       ("if", condition != 0)]
+        assert all(type(value) is bool for _, value in analysis.conditions)
 
 
 @settings(max_examples=20, deadline=None)

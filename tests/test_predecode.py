@@ -25,6 +25,7 @@ from repro.interp.host import HostFunction, Linker
 from repro.interp.predecode import (OP_CALL_INDIRECT, OP_CONST,
                                     OP_GET_LOCAL, OP_HOOK, OP_SEGMENT)
 from repro.minic import compile_source
+from repro.obs.telemetry import Telemetry
 from repro.wasm import decode_module, encode_module
 from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import ExhaustionError, Trap, WasmError
@@ -111,6 +112,29 @@ class TestDecodeCache:
         assert instance.functions[0].decoded is None
         assert machine.predecode_cache_hits == 0
         assert machine.predecode_cache_misses == 0
+
+    @pytest.mark.parametrize("path", ["legacy", "profiled"])
+    def test_legacy_loop_instantiation_compiles_no_segment(self, path):
+        """A machine that runs the legacy loop only walks each body to
+        refuse it: instantiating compiles no segment and caches no
+        stream, while the decoded engine compiles the same module's."""
+        make = {"legacy": lambda: Machine(predecode=False),
+                "profiled": lambda: Machine(
+                    predecode=True, telemetry=Telemetry(profile=True))}[path]
+        workload, = polybench_workloads(["gemm"], n=6)
+        module = decode_module(encode_module(workload.module()))  # undecoded
+
+        def segment_lookups() -> int:
+            info = pd._segment_code.cache_info()
+            return info.hits + info.misses
+
+        before = segment_lookups()
+        make().instantiate(module, workload.linker())
+        assert segment_lookups() == before
+        assert all(getattr(func, "_decoded", None) is None
+                   for func in module.functions)
+        Machine(predecode=True).instantiate(module, workload.linker())
+        assert segment_lookups() > before
 
 
 class TestEngineSelection:

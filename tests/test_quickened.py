@@ -7,6 +7,7 @@ every quickened stream must match bit for bit, including trap messages and
 snapshot/restore.
 """
 
+import dis
 import re
 import struct
 
@@ -286,6 +287,74 @@ class TestLocalForwarding:
             runs.append((result, bytes(instance.memory.data[:12])))
         assert _bits_of([runs[0][0]]) == _bits_of([runs[1][0]])
         assert runs[0][1] == runs[1][1]
+
+
+def _write_back_module(trap: bool = False):
+    """``f(a)``: one straight-line run that stores ``a`` at 0, sets local
+    1 three times, storing its middle value at 4 and reading it back in
+    between; past a ``nop`` barrier the code stores local 1 at 8 and
+    returns it. With ``trap``, the run ends in an out-of-bounds load after
+    its last ``set_local``."""
+    builder = ModuleBuilder("write_back")
+    builder.add_memory(1)
+    fb = builder.function((I32,), (I32,), export="f")
+    scratch = fb.add_local(I32)
+    fb.i32_const(0).get_local(0).store("i32.store")
+    fb.get_local(0).i32_const(3).emit("i32.add").set_local(scratch)
+    fb.get_local(scratch).i32_const(5).emit("i32.mul").set_local(scratch)
+    fb.i32_const(4).get_local(scratch).store("i32.store")
+    fb.get_local(scratch).i32_const(1).emit("i32.sub").set_local(scratch)
+    if trap:
+        fb.i32_const(0x10000).load("i32.load").emit("drop")
+    fb.emit("nop")
+    fb.i32_const(8).get_local(scratch).store("i32.store")
+    fb.get_local(scratch)
+    fb.finish()
+    return builder.build()
+
+
+class TestLocalWriteBack:
+    """A segment writes each local it sets back once, at its exit."""
+
+    def test_a_local_set_three_times_is_stored_once(self):
+        module = _write_back_module()
+        code = decode_function(module.functions[0], module).code
+        _, fn, _, exits, span = code[0]
+        assert code[0][0] == OP_SEGMENT and span == 18
+        stores = [ins for ins in dis.get_instructions(fn)
+                  if ins.opname == "STORE_SUBSCR"]
+        assert len(stores) == 1
+        # called directly, the segment leaves what its slots would: the
+        # final value in the frame, every store in memory
+        stack, locals_, memdata = [], [10, 0], bytearray(16)
+        assert fn(stack, locals_, memdata, []) == exits[0]
+        assert stack == [] and locals_ == [10, 64]
+        assert struct.unpack("<3I", memdata[:12]) == (10, 65, 0)
+
+    @pytest.mark.parametrize("a", [10, -7, 0x7FFFFFFF])
+    def test_written_back_run_matches_legacy(self, a):
+        module = _write_back_module()
+        runs = []
+        for kwargs in ENGINES:
+            instance = Machine(**kwargs).instantiate(module)
+            runs.append((instance.invoke("f", [a]),
+                         bytes(instance.memory.data[:12])))
+        assert runs[0] == runs[1]
+        expected = ((a + 3) * 5 - 1) & 0xFFFFFFFF
+        assert struct.unpack("<3I", runs[1][1])[1:] == (
+            ((a + 3) * 5) & 0xFFFFFFFF, expected)
+
+    def test_trap_after_set_local_matches_legacy(self):
+        module = _write_back_module(trap=True)
+        outcomes = []
+        for kwargs in ENGINES:
+            instance = Machine(**kwargs).instantiate(module)
+            with pytest.raises(Trap) as exc:
+                instance.invoke("f", [10])
+            outcomes.append((str(exc.value), bytes(instance.memory.data[:12])))
+        assert outcomes[0] == outcomes[1]
+        assert "out of bounds memory access" in outcomes[1][0]
+        assert struct.unpack("<3I", outcomes[1][1]) == (10, 65, 0)
 
 
 # -- call_indirect --------------------------------------------------------------
