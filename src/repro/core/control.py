@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..wasm.errors import WasmError
-from ..wasm.module import Instr
 from .analysis import BranchTarget, Location
 
 
@@ -28,40 +27,20 @@ class ControlFrame:
     end: int         # original instruction index of the matching end
 
 
-def match_blocks(body: list[Instr]) -> dict[int, int]:
-    """Map each block-opening (and ``else``) instruction index to its ``end``.
-
-    The function's implicit block is keyed by -1 and maps to the final end.
-    """
-    matching: dict[int, int] = {}
-    open_blocks: list[int] = [-1]
-    else_of_open: dict[int, int] = {}
-    for idx, instr in enumerate(body):
-        op = instr.op
-        if op in ("block", "loop", "if"):
-            open_blocks.append(idx)
-        elif op == "else":
-            if len(open_blocks) <= 1:
-                raise WasmError("else outside any block")
-            else_of_open[open_blocks[-1]] = idx
-        elif op == "end":
-            start = open_blocks.pop()
-            matching[start] = idx
-            if start in else_of_open:
-                matching[else_of_open.pop(start)] = idx
-    if open_blocks:
-        raise WasmError(f"{len(open_blocks)} unclosed block(s)")
-    return matching
-
-
 class ControlStack:
-    """Maintained by the instrumenter as it walks a function body."""
+    """Maintained by the instrumenter as it walks a function body.
 
-    def __init__(self, func_idx: int, body: list[Instr]):
+    ``matching`` maps each block-opening (and ``else``) instruction index
+    to its ``end``, and -1, the function's implicit block, to the final
+    ``end``: the ``end_of`` of the body's
+    :class:`~repro.wasm.validation.BodyRecord`.
+    """
+
+    def __init__(self, func_idx: int, matching: dict[int, int]):
         self.func_idx = func_idx
-        self.matching = match_blocks(body)
+        self.matching = matching
         self.frames: list[ControlFrame] = [
-            ControlFrame("function", -1, self.matching[-1])
+            ControlFrame("function", -1, matching[-1])
         ]
 
     # -- walking ----------------------------------------------------------------

@@ -29,7 +29,7 @@ from ..wasm.errors import WasmError
 from ..wasm.module import Export, Function, Import, Instr, Module
 from ..wasm.opcodes import BY_NAME
 from ..wasm.types import I32, I64, FuncType, ValType
-from ..wasm.validation import ExprValidator, _Unknown
+from ..wasm.validation import BodyRecord, _Unknown, body_records
 from .analysis import ALL_GROUPS, Location
 from .control import ControlFrame, ControlStack
 from .hooks import HOOK_MODULE, HookRegistry
@@ -120,12 +120,17 @@ class _FuncInstrumenter:
 
     Hooks are numbered per function (``hook_requests`` in first-use order);
     the inserted hook calls target placeholders ``-1 - slot`` that
-    :func:`instrument_module` retargets once all functions are done.
+    :func:`instrument_module` retargets once all functions are done. The
+    body's :class:`~repro.wasm.validation.BodyRecord` gives the block
+    matching, the code the validator stepped with its current frame
+    unreachable, which gets no hooks, and the operand types of ``drop``
+    and ``select``.
     """
 
-    def __init__(self, module: Module, func: Function, func_idx: int,
-                 static: StaticInfo, config: InstrumentationConfig,
-                 interned: _InternTable, func_types: list[FuncType]):
+    def __init__(self, module: Module, func: Function, record: BodyRecord,
+                 func_idx: int, static: StaticInfo,
+                 config: InstrumentationConfig, interned: _InternTable,
+                 func_types: list[FuncType]):
         self.module = module
         self.func = func
         self.func_idx = func_idx
@@ -141,11 +146,11 @@ class _FuncInstrumenter:
                            if config.emit_locations else None)
         functype = module.types[func.type_idx]
         self.functype = functype
-        self.typer = ExprValidator(
-            module, func, functype.results,
-            list(functype.params) + list(func.locals),
-            func_types, static.module_info.globals)
-        self.ctrl = ControlStack(func_idx, func.body)
+        self.func_types = func_types
+        self.local_types = list(functype.params) + list(func.locals)
+        self.dead = record.dead
+        self.operand_types = record.operand_types
+        self.ctrl = ControlStack(func_idx, record.end_of)
         self.out: list[Instr] = []
         self.new_locals: list[ValType] = []
         self.hook_slots: dict[tuple, int] = {}
@@ -244,16 +249,11 @@ class _FuncInstrumenter:
     # -- the main walk ------------------------------------------------------------
 
     def run(self) -> Function:
-        if not self.func.body or self.func.body[-1].op != "end":
-            raise WasmError("function body must end with end")
-
         if "begin" in self.groups:
             self.emit_begin_hook("function", -1)
 
         for idx, instr in enumerate(self.func.body):
             self._instrument_one(idx, instr)
-            self.typer.step(instr)
-        self.typer.finish()
 
         return Function(type_idx=self.func.type_idx,
                         locals=list(self.func.locals) + self.new_locals,
@@ -262,7 +262,7 @@ class _FuncInstrumenter:
     def _instrument_one(self, idx: int, instr: Instr) -> None:
         op = instr.op
         out = self.out
-        dead = self.typer.unreachable_now
+        dead = idx in self.dead
         loc_key = (self.func_idx, idx)
         enabled = self.groups.__contains__
 
@@ -399,7 +399,7 @@ class _FuncInstrumenter:
             self.call_hook("const", (valtype,), (valtype,), idx)
             return
         if group_name == "drop":
-            valtype = self.typer.peek(0)
+            valtype = self.operand_types[idx]
             if isinstance(valtype, _Unknown):
                 out.append(instr)
                 return
@@ -411,9 +411,7 @@ class _FuncInstrumenter:
             self.call_hook("drop", (valtype,), (valtype,), idx)
             return
         if group_name == "select":
-            first_t = self.typer.peek(2)
-            second_t = self.typer.peek(1)
-            valtype = second_t if isinstance(first_t, _Unknown) else first_t
+            valtype = self.operand_types[idx]
             if isinstance(valtype, _Unknown):
                 out.append(instr)
                 return
@@ -478,14 +476,14 @@ class _FuncInstrumenter:
             self.release([delta, result_temp], (I32, I32))
             return
         if group_name == "local":
-            valtype = self.typer.local_type(instr.idx)
+            valtype = self.local_types[instr.idx]
             self.static.var_indices[loc_key] = instr.idx
             out.append(instr)
             self.push_local(instr.idx, valtype)
             self.call_hook("local", (op, valtype), (valtype,), idx)
             return
         if group_name == "global":
-            valtype = self.typer.global_types[instr.idx].valtype
+            valtype = self.static.module_info.globals[instr.idx].valtype
             self.static.var_indices[loc_key] = instr.idx
             out.append(instr)
             get_global = self.get_global[instr.idx]
@@ -514,7 +512,7 @@ class _FuncInstrumenter:
             self.out.append(instr)
             return
         loc_key = (self.func_idx, idx)
-        callee_type = self.typer.func_types[instr.idx]
+        callee_type = self.func_types[instr.idx]
         self.static.call_targets[loc_key] = instr.idx
         params, results = callee_type.params, callee_type.results
         arg_temps = self.save_to_temps(params)
@@ -574,18 +572,19 @@ def instrument_module(module: Module,
     n_imported = module.num_imported_functions
     interned = _InternTable()
     func_types = [info.type for info in static.module_info.functions]
+    items = list(enumerate(zip(module.functions, body_records(module))))
 
-    def work(item: tuple[int, Function]) -> tuple[Function, list]:
-        pos, func = item
-        instrumenter = _FuncInstrumenter(module, func, n_imported + pos, static,
-                                         config, interned, func_types)
+    def work(item: tuple[int, tuple[Function, BodyRecord]]) -> tuple[Function, list]:
+        pos, (func, record) = item
+        instrumenter = _FuncInstrumenter(module, func, record, n_imported + pos,
+                                         static, config, interned, func_types)
         return instrumenter.run(), instrumenter.hook_requests
 
     if config.parallel_workers > 1:
         with ThreadPoolExecutor(max_workers=config.parallel_workers) as pool:
-            done = list(pool.map(work, enumerate(module.functions)))
+            done = list(pool.map(work, items))
     else:
-        done = [work(item) for item in enumerate(module.functions)]
+        done = [work(item) for item in items]
 
     # Number the hooks in function order, each function's in first-use
     # order: the order a sequential walk would create them in.

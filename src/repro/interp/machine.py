@@ -17,9 +17,14 @@ share the same observable behaviour:
   ``REPRO_PREDECODE=0``). It executes 1:1 with the source body, so it is
   also the loop the self-profiler counts on, on either engine.
 
-Function bodies are flat instruction lists; in the legacy engine a
-per-function *matching table* maps each ``block``/``loop``/``if``/``else``
-to its matching ``end``, so structured branches are O(1) jumps.
+Function bodies are flat instruction lists. Both engines run only bodies
+the validator accepted: instantiation fetches each body's
+:class:`~repro.wasm.validation.BodyRecord`, validating a body that has
+none (an instrumented or in-memory module), and a rejected body fails
+there with the validator's :class:`~repro.wasm.errors.ValidationError`.
+The legacy engine takes its block matching from the record, which maps
+each ``block``/``loop``/``if``/``else`` to its matching ``end``, so
+structured branches are O(1) jumps; it keeps its own label stack.
 """
 
 from __future__ import annotations
@@ -34,12 +39,12 @@ from ..wasm.errors import ExhaustionError, ResourceExhausted, Trap, WasmError
 from ..wasm.module import Function, Instr, Module
 from ..wasm.numeric import f32_round
 from ..wasm.types import FuncType, GlobalType, MemoryType, TableType, ValType
+from ..wasm.validation import BodyRecord, body_records
 from .host import GlobalInstance, HostFunction, Linker
 from .limits import Meter, ResourceLimits, ResourceUsage
 from .memory import Memory
 from .predecode import (OP_HOOK, DecodedFunction, _segment_code,
-                        cached_decode, check_runnable, decode_function,
-                        oob_message)
+                        cached_decode, decode_function, oob_message)
 from .table import Table
 from .values import BINOPS, MASK32, MASK64, UNOPS, default_value
 
@@ -53,41 +58,6 @@ DEFAULT_MAX_CALL_DEPTH = 700
 def predecode_default() -> bool:
     """Whether new machines pre-decode, from ``REPRO_PREDECODE`` (default on)."""
     return os.environ.get("REPRO_PREDECODE", "1").lower() not in ("0", "false", "no", "off")
-
-
-class BlockMatching:
-    """For one body: maps block-start indices to their ``else``/``end``.
-
-    Used by the legacy execution loop only; the pre-decoded engine resolves
-    these targets into the instruction stream at decode time.
-    """
-
-    __slots__ = ("end_of", "else_of")
-
-    def __init__(self, body: list[Instr]):
-        self.end_of: dict[int, int] = {}
-        self.else_of: dict[int, int | None] = {}
-        open_blocks: list[int] = []
-        for idx, instr in enumerate(body):
-            op = instr.op
-            if op in ("block", "loop", "if"):
-                open_blocks.append(idx)
-                self.else_of[idx] = None
-            elif op == "else":
-                if not open_blocks:
-                    raise WasmError("else outside any block")
-                start = open_blocks[-1]
-                self.else_of[start] = idx
-                # the else "opens" the second arm; it shares the if's end
-                self.end_of[idx] = -1  # patched when the end is found
-            elif op == "end":
-                if open_blocks:
-                    start = open_blocks.pop()
-                    self.end_of[start] = idx
-                    else_idx = self.else_of.get(start)
-                    if else_idx is not None:
-                        self.end_of[else_idx] = idx
-                # an end with no open block is the function's final end
 
 
 def _generic_hook_dispatcher(host: HostFunction, extra: tuple):
@@ -181,32 +151,33 @@ def profile_op_ids(func: Function, module: Module) -> list[int]:
 class WasmFunction:
     """A defined function bound to its instance, with precomputed dispatch.
 
-    ``decoded`` holds the pre-decoded threaded stream, the one object
-    every instance of the module executes (see
-    :func:`~repro.interp.predecode.cached_decode`). ``hooks`` is this
+    ``record`` is the body's :class:`~repro.wasm.validation.BodyRecord`,
+    fetched at instantiation on every engine path, so no engine runs a
+    body the validator rejected. ``decoded`` holds the pre-decoded
+    threaded stream, the one object every instance of the module executes
+    (see :func:`~repro.interp.predecode.cached_decode`). ``hooks`` is this
     instance's dispatcher table, its only engine state: one entry per
     hook call site of the stream (see :func:`bind_hook_sites`). Both are
     None on machines with ``predecode=False`` and for functions
     instantiated while a profiler is attached: those run on the legacy
-    loop, and only go through the decoder's refusal walk
-    (:func:`~repro.interp.predecode.check_runnable`), so every engine
-    refuses the same bodies at instantiation without compiling segments
-    it never runs. ``matching`` is the legacy block-matching table and
-    ``op_ids`` the profiler's per-pc opcode ids, both built lazily so
-    other runs never pay for them.
+    loop, which takes its block matching from the record, so they decode
+    nothing and compile no segment at instantiation. ``op_ids`` is the
+    profiler's per-pc opcode ids, built lazily so other runs never pay
+    for them.
     """
 
     __slots__ = ("instance", "func", "functype", "local_types", "default_locals",
-                 "result_arity", "decoded", "hooks", "_matching", "_op_ids")
+                 "result_arity", "record", "decoded", "hooks", "_op_ids")
 
-    def __init__(self, instance: "Instance", func: Function, functype: FuncType):
+    def __init__(self, instance: "Instance", func: Function, functype: FuncType,
+                 record: BodyRecord):
         self.instance = instance
         self.func = func
         self.functype = functype
         self.local_types = list(func.locals)
         self.default_locals = [default_value(t) for t in func.locals]
         self.result_arity = len(functype.results)
-        self._matching: BlockMatching | None = None
+        self.record = record
         self._op_ids: list[int] | None = None
         self.hooks: list | None = None
         self.decoded: DecodedFunction | None = None
@@ -220,16 +191,6 @@ class WasmFunction:
                 machine.predecode_cache_hits += 1
             else:
                 machine.predecode_cache_misses += 1
-        else:
-            # the legacy loop too refuses here a body whose operand stack
-            # does not add up, instead of failing on it mid-run
-            check_runnable(func, instance.module)
-
-    @property
-    def matching(self) -> BlockMatching:
-        if self._matching is None:
-            self._matching = BlockMatching(self.func.body)
-        return self._matching
 
     @property
     def op_ids(self) -> list[int]:
@@ -507,9 +468,9 @@ class Machine:
             else:  # pragma: no cover
                 raise WasmError(f"bad import descriptor {desc!r}")
 
-        for func in module.functions:
+        for func, record in zip(module.functions, body_records(module)):
             instance.functions.append(
-                WasmFunction(instance, func, module.types[func.type_idx]))
+                WasmFunction(instance, func, module.types[func.type_idx], record))
         for glob in module.globals:
             instance.globals.append(
                 GlobalInstance(glob.type, self._eval_init(instance, glob.init,
@@ -917,7 +878,8 @@ class Machine:
         """
         instance = wfunc.instance
         body = wfunc.func.body
-        matching = wfunc.matching
+        end_of = wfunc.record.end_of
+        else_of = wfunc.record.else_of
         locals_: list[int | float] = args + [default_value(t)
                                              for t in wfunc.local_types]
         stack: list[int | float] = []
@@ -987,24 +949,24 @@ class Machine:
                     instance.memory.store(op, addr + instr.memarg.offset, value)
                 elif op == "block":
                     arity = 0 if instr.blocktype is None else 1
-                    end_idx = matching.end_of[pc]
+                    end_idx = end_of[pc]
                     labels.append((False, pc, end_idx + 1, len(stack), arity))
                 elif op == "loop":
                     labels.append((True, pc, pc + 1, len(stack), 0))
                 elif op == "if":
                     condition = stack.pop()
                     arity = 0 if instr.blocktype is None else 1
-                    end_idx = matching.end_of[pc]
+                    end_idx = end_of[pc]
                     labels.append((False, pc, end_idx + 1, len(stack), arity))
                     if not condition:
-                        else_idx = matching.else_of.get(pc)
+                        else_idx = else_of.get(pc)
                         if else_idx is not None:
                             pc = else_idx  # fall onto the else, skip to its body
                         else:
                             pc = end_idx - 1  # land on the end, which pops the label
                 elif op == "else":
                     # reached from the then-arm: skip to the matching end
-                    pc = matching.end_of[pc] - 1
+                    pc = end_of[pc] - 1
                 elif op == "end":
                     if labels:
                         labels.pop()

@@ -13,14 +13,14 @@ dicts. This module translates each function body *once* into a flat array of
   :data:`repro.interp.values.OP_HANDLERS` (no per-step dict probes),
 * loads/stores resolve to their typed accessor with the static memarg offset
   extracted into the tuple,
-* branches are resolved into a side table at decode: a walk over each
-  body with a static control stack gives every ``br``/``br_if``/
-  ``br_table``/``if``/``else`` an absolute target pc, and a stack height
-  and arity only where the branch must discard values below the ones it
-  carries, so the engine keeps no label stack and ``block``/``loop``/
-  ``end`` are no-ops that targets skip (the same walk refuses a body whose
-  operand stack underflows or whose block leaves the wrong number of
-  values), and
+* branches are resolved into a side table at decode, from the body's
+  :class:`~repro.wasm.validation.BodyRecord`: the validator's walk gives
+  every ``br``/``br_if``/``br_table``/``if``/``else`` an absolute target
+  pc, and a stack height and arity only where the branch must discard
+  values below the ones it carries, so the engine keeps no label stack
+  and ``block``/``loop``/``end`` are no-ops that targets skip. Decoding
+  fetches the record, so a body the validator rejects is refused with
+  its :class:`~repro.wasm.errors.ValidationError` and never runs, and
 * ``call``/``call_indirect`` carry their callee's parameter count (and, for
   indirect calls, the expected :class:`FuncType`) so the call sequence does
   no type-table lookups at run time,
@@ -45,10 +45,11 @@ stream *on the object itself* (``func._decoded``), so re-instantiating the
 same module — which the benchmark harness does constantly — pays the decode
 cost once, and every instance executes that one stream: an instance's only
 engine state is its hook dispatcher table. The cache is validated against
-the identity and length of ``func.body``; a function whose body list is
-replaced is transparently re-decoded. In-place mutation of a body that
-already executed is not supported (the legacy loop has the same limitation
-through its precomputed matching tables).
+the identity and length of ``func.body``, like the body's record; a
+function whose body list is replaced is transparently re-validated and
+re-decoded. In-place mutation of a body that already executed is not
+supported (the legacy loop has the same limitation through the record's
+block matching).
 
 A decoded module's functions are fresh objects, so decoding the same bytes
 again misses that cache; what it shares is compiled-segment code. Each
@@ -74,6 +75,7 @@ from ..wasm.errors import Trap, WasmError
 from ..wasm.module import Function, Instr, Module
 from ..wasm.numeric import f32_round
 from ..wasm.types import FuncType
+from ..wasm.validation import BodyRecord, body_record
 from .values import BINOPS, MASK32, MASK64, OP_HANDLERS
 
 # Opcode ids, ordered roughly by dynamic frequency on numeric workloads so
@@ -300,44 +302,12 @@ class DecodedFunction:
         return len(self.code)
 
 
-def match_blocks(body: list[Instr]) -> tuple[dict[int, int], dict[int, int | None]]:
-    """Map block-start (and ``else``) indices to their matching ``end``.
-
-    Returns ``(end_of, else_of)``. Raises :class:`WasmError` for an ``else``
-    outside any block (mirroring the legacy ``BlockMatching`` behaviour);
-    unclosed blocks are simply absent from ``end_of`` and are turned into
-    runtime errors by :func:`decode_function`.
-    """
-    end_of: dict[int, int] = {}
-    else_of: dict[int, int | None] = {}
-    open_blocks: list[int] = []
-    for idx, instr in enumerate(body):
-        op = instr.op
-        if op in ("block", "loop", "if"):
-            open_blocks.append(idx)
-            else_of[idx] = None
-        elif op == "else":
-            if not open_blocks:
-                raise WasmError("else outside any block")
-            else_of[open_blocks[-1]] = idx
-        elif op == "end":
-            if open_blocks:
-                start = open_blocks.pop()
-                end_of[start] = idx
-                else_idx = else_of.get(start)
-                if else_idx is not None:
-                    end_of[else_idx] = idx
-            # an end with no open block is the function's final end
-    return end_of, else_of
-
-
 def _decode_instr(
     instr: Instr,
     pc: int,
     module: Module,
     callee_type: Callable[[int], FuncType],
     end_of: dict[int, int],
-    else_of: dict[int, int | None],
 ) -> tuple:
     op = instr.op
     handler = OP_HANDLERS.get(op)
@@ -373,18 +343,11 @@ def _decode_instr(
     if float_store is not None:
         return (OP_STORE_FLOAT, float_store, instr.memarg.offset)
     if op == "block":
-        arity = 0 if instr.blocktype is None else 1
-        return (OP_BLOCK, end_of[pc] + 1, arity)
+        return (OP_BLOCK,)
     if op == "loop":
         return (OP_LOOP,)
     if op == "if":
-        arity = 0 if instr.blocktype is None else 1
-        end_idx = end_of[pc]
-        else_idx = else_of.get(pc)
-        # false path: jump into the else arm (skipping the marker), or onto
-        # the end, which pops the label
-        false_pc = end_idx if else_idx is None else else_idx + 1
-        return (OP_IF, end_idx + 1, arity, false_pc)
+        return (OP_IF,)
     if op == "else":
         # reached from the then-arm: jump onto the matching end
         return (OP_JUMP, end_of[pc])
@@ -423,21 +386,6 @@ def _decode_instr(
     raise WasmError(f"cannot pre-decode {op}")
 
 
-#: ``(pops, pushes)`` of every base op whose stack effect is fixed; calls
-#: take theirs from the callee type, and ``else``/``end`` are checked
-#: against their block instead.
-_STACK_EFFECTS: dict[int, tuple[int, int]] = {
-    OP_GET_LOCAL: (0, 1), OP_CONST: (0, 1), OP_GET_GLOBAL: (0, 1),
-    OP_MEMORY_SIZE: (0, 1), OP_BINARY: (2, 1), OP_SET_LOCAL: (1, 0),
-    OP_SET_GLOBAL: (1, 0), OP_DROP: (1, 0), OP_UNARY: (1, 1),
-    OP_TEE_LOCAL: (1, 1), OP_LOAD_INT: (1, 1), OP_LOAD_FLOAT: (1, 1),
-    OP_MEMORY_GROW: (1, 1), OP_STORE_INT: (2, 0), OP_STORE_FLOAT: (2, 0),
-    OP_SELECT: (3, 1), OP_IF: (1, 0), OP_BR_IF: (1, 0), OP_BR_TABLE: (1, 0),
-    OP_BLOCK: (0, 0), OP_LOOP: (0, 0), OP_BR: (0, 0), OP_RETURN: (0, 0),
-    OP_NOP: (0, 0), OP_UNREACHABLE: (0, 0), OP_JUMP: (0, 0), OP_END: (0, 0),
-}
-
-
 def _land(code: list[tuple], pc: int) -> int:
     """The first pc at or after ``pc`` that does work.
 
@@ -460,120 +408,55 @@ def _land(code: list[tuple], pc: int) -> int:
     return pc
 
 
-def _resolve_branches(
-    code: list[tuple],
-    body: list[Instr],
-    callee_type: Callable[[int], FuncType],
-    result_arity: int,
-    end_of: dict[int, int],
-    else_of: dict[int, int | None],
-) -> None:
-    """Rewrite a base stream's control slots into resolved form, in place.
+def _resolve_branches(code: list[tuple], record: BodyRecord) -> None:
+    """Rewrite a base stream's control slots into resolved form, in place,
+    from the body's :class:`~repro.wasm.validation.BodyRecord`:
 
-    Walks the body once with a static control stack of ``(target, height,
-    label_arity, end_arity, dead_at_entry)`` frames, the function's own at
-    the bottom, tracking the operand-stack height:
-
-    * ``block``/``loop``/``end`` become argument-free no-ops;
     * ``if`` becomes ``(OP_IF, then_pc, else_pc)`` and ``else``
       ``(OP_JUMP, target)``;
     * ``br``/``br_if`` become plain or stack-adjusting (see
-      :data:`OP_BR_ADJUST`), ``br_table`` one ``(target, height, arity)``
-      per entry.
+      :data:`OP_BR_ADJUST`), as the record's entry says, ``br_table`` one
+      ``(target, height, arity)`` per entry.
 
-    A loop label targets the loop's first slot, a block or if label the
-    slot after its ``end``, the function label ``len(code)`` (the loop's
-    exit); every target goes through :func:`_land`. After ``br``,
-    ``br_table``, ``return`` and ``unreachable`` the rest of the frame is
-    dead: it is resolved but never checked, and its ``else``/``end``
-    resets the height. In live code, an operand-stack underflow or an
-    ``else``/``end`` whose height does not match its block type raises
-    :class:`WasmError`, so a module that skipped validation cannot run on
-    a wrong side table.
+    A loop label targets the loop's first slot, a block, if or else label
+    the slot after its ``end``, the function label ``len(code)`` (the
+    loop's exit); every target goes through :func:`_land`, which the base
+    stream's ``else`` slots already support.
     """
     n = len(code)
-    frames: list[tuple[int, int, int, int, bool]] = [
-        (n, 0, result_arity, result_arity, False)]
-    height = 0
-    dead = False
+    end_of, else_of = record.end_of, record.else_of
 
-    def refuse(pc: int, why: str) -> WasmError:
-        return WasmError(f"cannot execute {body[pc]}: {why}")
+    def target(label_pc: int) -> int:
+        if label_pc < 0:
+            return n
+        if code[label_pc][0] == OP_LOOP:
+            return _land(code, label_pc + 1)
+        return _land(code, end_of[label_pc] + 1)
 
-    def label(pc: int, depth: int) -> tuple[int, int, int, bool]:
-        """``(target, height, arity, plain)`` of a branch to ``depth``."""
-        if depth >= len(frames):
-            raise refuse(pc, f"no label at depth {depth}")
-        target, base, arity, _, _ = frames[-1 - depth]
-        if dead:
-            return target, base, arity, True
-        if height - frames[-1][1] < arity:
-            raise refuse(pc, f"operand stack underflow (branch carries {arity})")
-        # a branch to the function label may keep values below the ones it
-        # carries: the loop's exit returns only the top result_arity values
-        plain = height == base + arity or depth == len(frames) - 1
-        return target, base, arity, plain
-
-    for pc, ins in enumerate(code):
-        op = ins[0]
-        if not frames:
-            raise refuse(pc, "code after the function's final end")
-        if op == OP_CALL:
-            pops, pushes = ins[2], len(callee_type(ins[1]).results)
-        elif op == OP_CALL_INDIRECT:
-            pops, pushes = ins[2] + 1, len(ins[1].results)
+    for pc, end in end_of.items():
+        op = code[pc][0] if pc >= 0 else None
+        if op == OP_IF:
+            else_pc = else_of.get(pc)
+            false_pc = end if else_pc is None else else_pc + 1
+            code[pc] = (OP_IF, _land(code, pc + 1), _land(code, false_pc))
+        elif op == OP_JUMP:
+            code[pc] = (OP_JUMP, _land(code, end + 1))
+    for pc, entry in record.branches.items():
+        op = code[pc][0]
+        if op == OP_BR_TABLE:
+            entries, default = entry
+            code[pc] = (
+                OP_BR_TABLE,
+                tuple((target(label_pc), height, arity) for label_pc, height, arity, _ in entries),
+                (target(default[0]), default[1], default[2]),
+            )
+            continue
+        label_pc, height, arity, plain = entry
+        if plain:
+            code[pc] = (op, target(label_pc))
         else:
-            pops, pushes = _STACK_EFFECTS[op]
-        if not dead and height - pops < frames[-1][1]:
-            raise refuse(pc, f"operand stack underflow (needs {pops}, "
-                             f"has {height - frames[-1][1]})")
-        height += pushes - pops
-        if op == OP_BLOCK or op == OP_LOOP or op == OP_IF:
-            arity = 0 if body[pc].blocktype is None else 1
-            if op == OP_LOOP:
-                frames.append((_land(code, pc + 1), height, 0, arity, dead))
-                code[pc] = (OP_LOOP,)
-                continue
-            frames.append((_land(code, end_of[pc] + 1), height, arity, arity,
-                           dead))
-            if op == OP_BLOCK:
-                code[pc] = (OP_BLOCK,)
-            else:
-                else_pc = else_of.get(pc)
-                false_pc = end_of[pc] if else_pc is None else else_pc + 1
-                code[pc] = (OP_IF, _land(code, pc + 1), _land(code, false_pc))
-        elif op == OP_JUMP or op == OP_END:  # else / end
-            target, base, _, arity, dead_at_entry = frames[-1]
-            if not dead and height != base + arity:
-                raise refuse(pc, f"block leaves {height - base} values, "
-                                 f"its type has {arity}")
-            dead = dead_at_entry
-            if op == OP_JUMP:
-                height = base
-                code[pc] = (OP_JUMP, target)
-            else:
-                frames.pop()
-                height = base + arity
-                code[pc] = (OP_END,)
-        elif op == OP_BR or op == OP_BR_IF:
-            target, base, arity, plain = label(pc, ins[1])
-            if plain:
-                code[pc] = (op, target)
-            else:
-                adjust = OP_BR_ADJUST if op == OP_BR else OP_BR_IF_ADJUST
-                code[pc] = (adjust, target, base, arity)
-            dead = dead or op == OP_BR
-        elif op == OP_BR_TABLE:
-            entries = tuple(label(pc, depth)[:3] for depth in ins[1])
-            code[pc] = (OP_BR_TABLE, entries, label(pc, ins[2])[:3])
-            dead = True
-        elif op == OP_RETURN:
-            if not dead and height - frames[-1][1] < result_arity:
-                raise refuse(pc, "operand stack underflow (return carries "
-                                 f"{result_arity})")
-            dead = True
-        elif op == OP_UNREACHABLE:
-            dead = True
+            adjust = OP_BR_ADJUST if op == OP_BR else OP_BR_IF_ADJUST
+            code[pc] = (adjust, target(label_pc), height, arity)
 
 
 def _hook_import_indices(module: Module) -> frozenset[int]:
@@ -964,37 +847,18 @@ def _callee_types(module: Module) -> Callable[[int], FuncType]:
 
 
 def _base_stream(
-    func: Function, module: Module, callee_type: Callable[[int], FuncType]
-) -> tuple[list[tuple], dict[int, int], dict[int, int | None]]:
-    """The base-decoded stream of ``func`` with its block matching
-    (:func:`match_blocks`)."""
-    body = func.body
-    end_of, else_of = match_blocks(body)
+    func: Function, module: Module, callee_type: Callable[[int], FuncType], end_of: dict[int, int]
+) -> list[tuple]:
+    """The base-decoded stream of ``func``, its ``else`` slots taking their
+    ``end`` from the record's block matching."""
     code: list[tuple] = []
-    for pc, instr in enumerate(body):
+    for pc, instr in enumerate(func.body):
         try:
-            code.append(_decode_instr(instr, pc, module, callee_type, end_of, else_of))
+            code.append(_decode_instr(instr, pc, module, callee_type, end_of))
         except Exception as exc:
-            # only a module that skipped validation gets here (missing
-            # immediates, unclosed blocks); refuse it at instantiation
+            # an instruction the decoder has no slot for
             raise WasmError(f"cannot execute {instr}: {exc}") from exc
-    return code, end_of, else_of
-
-
-def check_runnable(func: Function, module: Module) -> None:
-    """Raise :class:`WasmError` for a body :func:`decode_function` refuses.
-
-    Runs only the refusal walk, the base decode and
-    :func:`_resolve_branches`, and keeps nothing: it compiles no segment
-    and leaves ``func._decoded`` alone. A machine instantiating a function
-    for the legacy loop calls it, so every engine path refuses the same
-    bodies at instantiation.
-    """
-    callee_type = _callee_types(module)
-    code, end_of, else_of = _base_stream(func, module, callee_type)
-    _resolve_branches(
-        code, func.body, callee_type, len(module.types[func.type_idx].results), end_of, else_of
-    )
+    return code
 
 
 def decode_function(func: Function, module: Module,
@@ -1008,18 +872,19 @@ def decode_function(func: Function, module: Module,
     stops after the base decode, leaving every slot a base opcode with
     its label depths — the self-profiler takes its per-pc opcode ids from
     such a stream so its counts attribute 1:1 to source instructions.
-    Both record the same ``hook_sites``.
+    Both record the same ``hook_sites``. Both read the body's
+    :class:`~repro.wasm.validation.BodyRecord`, so a body the validator
+    rejects raises its :class:`~repro.wasm.errors.ValidationError` here.
     """
+    record = body_record(module, func)
     callee_type = _callee_types(module)
-    code, end_of, else_of = _base_stream(func, module, callee_type)
+    code = _base_stream(func, module, callee_type, record.end_of)
     hook_imports = _hook_import_indices(module)
     hook_sites = _hook_sites(code, hook_imports) if hook_imports else ()
     body = func.body
     if not fuse:
         return DecodedFunction(code, body, hook_sites)
-    _resolve_branches(
-        code, body, callee_type, len(module.types[func.type_idx].results), end_of, else_of
-    )
+    _resolve_branches(code, record)
     for site, (pc, _, consts) in enumerate(hook_sites):
         n_params = code[pc][2]
         if consts:
@@ -1060,7 +925,7 @@ def stream_summary(module: Module) -> dict:
     glance: total decoded instructions, Wasabi hook call sites (non-zero
     means the binary was instrumented), and direct host-boundary call
     sites — the slots whose results a replay log must supply. Raises
-    :class:`WasmError` on a body that does not decode.
+    :class:`WasmError` on a body that does not validate or decode.
     """
     host_imports = set()
     for idx, imp in enumerate(i for i in module.imports if isinstance(i.desc, int)):

@@ -85,31 +85,35 @@ class Instr:
         return " ".join(parts)
 
 
+#: The :class:`Instr` field that carries each kind of immediate, None for
+#: the kinds with nothing an instruction must carry. The validator names
+#: the field of an instruction that lacks its immediate from this table.
+IMMEDIATE_FIELD: dict[opcodes.Imm, str | None] = {
+    opcodes.Imm.NONE: None,
+    opcodes.Imm.BLOCKTYPE: None,
+    opcodes.Imm.LABEL: "label",
+    opcodes.Imm.BR_TABLE: "br_table",
+    opcodes.Imm.FUNC_IDX: "idx",
+    opcodes.Imm.TYPE_IDX: "idx",
+    opcodes.Imm.LOCAL_IDX: "idx",
+    opcodes.Imm.GLOBAL_IDX: "idx",
+    opcodes.Imm.MEMARG: "memarg",
+    opcodes.Imm.MEM_IDX: None,
+    opcodes.Imm.CONST_I32: "value",
+    opcodes.Imm.CONST_I64: "value",
+    opcodes.Imm.CONST_F32: "value",
+    opcodes.Imm.CONST_F64: "value",
+}
+
+
 def check_instr(instr: Instr) -> None:
     """Validate that an instruction carries the immediate its opcode needs."""
     op = opcodes.BY_NAME.get(instr.op)
     if op is None:
         raise WasmError(f"unknown instruction mnemonic {instr.op!r}")
-    imm = op.imm
-    needs = {
-        opcodes.Imm.NONE: (),
-        opcodes.Imm.BLOCKTYPE: (),
-        opcodes.Imm.LABEL: ("label",),
-        opcodes.Imm.BR_TABLE: ("br_table",),
-        opcodes.Imm.FUNC_IDX: ("idx",),
-        opcodes.Imm.TYPE_IDX: ("idx",),
-        opcodes.Imm.LOCAL_IDX: ("idx",),
-        opcodes.Imm.GLOBAL_IDX: ("idx",),
-        opcodes.Imm.MEMARG: ("memarg",),
-        opcodes.Imm.MEM_IDX: (),
-        opcodes.Imm.CONST_I32: ("value",),
-        opcodes.Imm.CONST_I64: ("value",),
-        opcodes.Imm.CONST_F32: ("value",),
-        opcodes.Imm.CONST_F64: ("value",),
-    }[imm]
-    for field_name in needs:
-        if getattr(instr, field_name) is None:
-            raise WasmError(f"instruction {instr.op} is missing its {field_name} immediate")
+    field_name = IMMEDIATE_FIELD[op.imm]
+    if field_name is not None and getattr(instr, field_name) is None:
+        raise WasmError(f"instruction {instr.op} is missing its {field_name} immediate")
 
 
 @dataclass

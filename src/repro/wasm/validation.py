@@ -2,11 +2,19 @@
 
 Implements the algorithm of the spec appendix ("Validation Algorithm"):
 an abstract operand stack of value types (with an Unknown bottom type for
-unreachable code) and a stack of control frames. The instrumenter in
-:mod:`repro.core.instrument` drives the same :class:`ExprValidator`
-step-by-step to know the concrete types of polymorphic instructions
-(``drop``, ``select``) — the paper's §2.4.3 "full type checking during
-instrumentation".
+unreachable code) and a stack of control frames.
+
+Validating a function body is the one walk over its control structure.
+As :func:`validate_function` checks a body it keeps a :class:`BodyRecord`
+of what that walk finds: every block's ``else`` and ``end``, every
+branch's label, label height and arity, and the operand types of the
+polymorphic ``drop``/``select`` (the paper's §2.4.3 "full type checking
+during instrumentation"). The record is cached on the
+:class:`~repro.wasm.module.Function`, keyed by the identity and length of
+its body, and :func:`body_record` hands it out: the instrumenter, the
+decoder's branch side table and the legacy loop's block matching read
+it, and an engine that fetches it runs only a body the validator
+accepted.
 
 :func:`load_module` is the one way bytes become a module the engines run:
 decode, then validate.
@@ -15,12 +23,12 @@ decode, then validate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import opcodes
 from .decoder import decode_module
 from .errors import ValidationError
-from .module import Function, Instr, Module
+from .module import IMMEDIATE_FIELD, Function, Instr, Module
 from .types import (I32, MAX_PAGES, FuncType, GlobalType, Limits, MemoryType,
                     TableType, ValType)
 
@@ -57,8 +65,53 @@ class CtrlFrame:
         return self.start_types if self.kind == "loop" else self.end_types
 
 
+class BodyRecord:
+    """What validating one function body found, for every later walk.
+
+    * ``end_of`` maps every ``block``/``loop``/``if``/``else`` pc to the pc
+      of its ``end``, and -1, the function's own label, to the final
+      ``end``; ``else_of`` maps every ``if`` that has an ``else`` to it.
+    * ``branches`` maps every ``br``/``br_if`` pc to one label entry and
+      every ``br_table`` pc to ``(entries, default)``, one entry per
+      label. An entry is ``(label_pc, height, arity, plain)``: the pc that
+      opens the label (-1 for the function's), the operand-stack height at
+      the label's entry, the number of values a branch to it carries, and
+      whether the branch leaves exactly those values above that height.
+      A branch to the function's label, or one in code that follows a
+      ``br``, ``br_table``, ``return`` or ``unreachable`` in its own or an
+      enclosing block, counts as plain: the engine never has to cut the
+      stack for it.
+    * ``dead`` holds the pcs stepped while the current frame was
+      unreachable, the code the instrumenter leaves without hooks.
+    * ``operand_types`` maps every ``drop`` to the type it drops and every
+      ``select`` to the type it selects (:data:`UNKNOWN` in unreachable
+      code).
+
+    ``body`` and ``length`` key the record: it describes ``func.body``
+    only while that is the same list with the same length.
+    """
+
+    __slots__ = ("body", "length", "end_of", "else_of", "branches", "dead",
+                 "operand_types")
+
+    def __init__(self, body: list[Instr], validator: "ExprValidator"):
+        self.body = body
+        self.length = len(body)
+        self.end_of = validator.end_of
+        self.else_of = validator.else_of
+        self.branches = validator.branches
+        self.dead = frozenset(validator.dead)
+        self.operand_types = validator.operand_types
+        for if_pc, else_pc in self.else_of.items():
+            self.end_of[if_pc] = self.end_of[else_pc]
+
+
 class ExprValidator:
-    """Type checks one instruction sequence (function body or init expr)."""
+    """Type checks one instruction sequence (function body or init expr).
+
+    Stepping it also fills what :class:`BodyRecord` keeps (``end_of``,
+    ``else_of``, ``branches``, ``dead``, ``operand_types``).
+    """
 
     def __init__(self, module: Module, func: Function | None,
                  result_types: tuple[ValType, ...], locals_: list[ValType],
@@ -81,15 +134,29 @@ class ExprValidator:
             CtrlFrame("function", (), tuple(result_types), 0)
         ]
         self.instr_idx = -1
+        self.end_of: dict[int, int] = {}
+        self.else_of: dict[int, int] = {}
+        self.branches: dict[int, tuple] = {}
+        self.dead: list[int] = []
+        self.operand_types: dict[int, StackEntry] = {}
 
     # -- primitive stack operations (spec appendix) ---------------------------
 
     def _error(self, message: str) -> ValidationError:
+        """A :class:`ValidationError` at the current instruction, which the
+        message names when it comes from the function's body."""
         func_idx = None
-        if self.func is not None and self.func in self.module.functions:
-            func_idx = (self.module.num_imported_functions
-                        + self.module.functions.index(self.func))
+        func = self.func
+        if func is not None:
+            if 0 <= self.instr_idx < len(func.body):
+                message = f"{func.body[self.instr_idx]}: {message}"
+            if func in self.module.functions:
+                func_idx = (self.module.num_imported_functions
+                            + self.module.functions.index(func))
         return ValidationError(message, func_idx=func_idx, instr_idx=self.instr_idx)
+
+    def _missing(self, instr: Instr) -> ValidationError:
+        return self._error(f"missing its {IMMEDIATE_FIELD[instr.info.imm]} immediate")
 
     def push_val(self, valtype: StackEntry) -> None:
         self.vals.append(valtype)
@@ -117,22 +184,6 @@ class ExprValidator:
 
     def push_vals(self, types: tuple[ValType, ...]) -> None:
         self.vals.extend(types)
-
-    def peek(self, depth: int = 0) -> StackEntry:
-        """Type of the value ``depth`` positions below the stack top.
-
-        In unreachable code, or when peeking below the current frame,
-        returns :data:`UNKNOWN`.
-        """
-        frame = self.ctrls[-1]
-        pos = len(self.vals) - 1 - depth
-        if pos < frame.height:
-            return UNKNOWN
-        return self.vals[pos]
-
-    @property
-    def unreachable_now(self) -> bool:
-        return self.ctrls[-1].unreachable
 
     def push_ctrl(self, kind: str, start: tuple[ValType, ...],
                   end: tuple[ValType, ...]) -> None:
@@ -162,6 +213,16 @@ class ExprValidator:
                               f"{len(self.ctrls) - 1}")
         return self.ctrls[-1 - depth]
 
+    def _label_entry(self, frame: CtrlFrame) -> tuple[int, int, int, bool]:
+        """The :class:`BodyRecord` entry of a branch to ``frame``, taken
+        with the operand stack holding what the branch sees (its
+        condition or index already popped)."""
+        arity = len(frame.label_types)
+        plain = (len(self.vals) == frame.height + arity
+                 or frame is self.ctrls[0]
+                 or any(ctrl.unreachable for ctrl in self.ctrls))
+        return frame.instr_idx, frame.height, arity, plain
+
     # -- per-instruction typing ------------------------------------------------
 
     def local_type(self, idx: int) -> ValType:
@@ -172,25 +233,23 @@ class ExprValidator:
     def step(self, instr: Instr) -> None:
         """Validate one instruction, updating the abstract stacks."""
         self.instr_idx += 1
-        if not self.ctrls:
+        ctrls = self.ctrls
+        if not ctrls:
             raise self._error("instruction after the function's final end")
+        if ctrls[-1].unreachable:
+            self.dead.append(self.instr_idx)
         rule = _RULES.get(instr.op)
         if rule is None:
-            raise self._error(f"unknown instruction {instr.op!r}")
-
-        if type(rule) is str:
-            handler = getattr(self, rule, None)
-            if handler is None:
-                raise self._error(f"no validation rule for {instr.op}")  # pragma: no cover
-            handler(instr)
-            return
-        params, results, imm = rule
-        if imm is opcodes.Imm.MEMARG or imm is opcodes.Imm.MEM_IDX:
-            self._check_memory_exists(instr)
-        if imm is opcodes.Imm.MEMARG:
-            self._check_alignment(instr)
-        self.pop_vals(params)
-        self.push_vals(results)
+            raise self._error("unknown instruction")
+        if rule.__class__ is tuple:
+            params, results, check = rule
+            if check is not None:
+                check(self, instr)
+            if params:
+                self.pop_vals(params)
+            self.vals.extend(results)
+        else:
+            rule(self, instr)
 
     # control ------------------------------------------------------------------
 
@@ -218,33 +277,46 @@ class ExprValidator:
         if frame.kind != "if":
             raise self._error("else without matching if")
         self.pop_ctrl()
+        self.else_of[frame.instr_idx] = self.instr_idx
         self.push_ctrl("else", (), frame.end_types)
 
     def _step_end(self, instr: Instr) -> None:
         frame = self.pop_ctrl()
         if frame.kind == "if" and frame.end_types != frame.start_types:
             raise self._error("if with a result type requires an else branch")
+        self.end_of[frame.instr_idx] = self.instr_idx
         self.push_vals(frame.end_types)
 
     def _step_br(self, instr: Instr) -> None:
+        if instr.label is None:
+            raise self._missing(instr)
         frame = self.label(instr.label)
+        self.branches[self.instr_idx] = self._label_entry(frame)
         self.pop_vals(frame.label_types)
         self.mark_unreachable()
 
     def _step_br_if(self, instr: Instr) -> None:
+        if instr.label is None:
+            raise self._missing(instr)
         frame = self.label(instr.label)
         self.pop_val(I32)
+        self.branches[self.instr_idx] = self._label_entry(frame)
         self.pop_vals(frame.label_types)
         self.push_vals(frame.label_types)
 
     def _step_br_table(self, instr: Instr) -> None:
-        default = self.label(instr.br_table.default)
+        table = instr.br_table
+        if table is None:
+            raise self._missing(instr)
+        default = self.label(table.default)
         arity = default.label_types
-        for lbl in instr.br_table.labels:
-            target = self.label(lbl)
+        targets = [self.label(lbl) for lbl in table.labels]
+        for target in targets:
             if target.label_types != arity:
                 raise self._error("br_table targets have inconsistent types")
         self.pop_val(I32)
+        self.branches[self.instr_idx] = (
+            tuple(map(self._label_entry, targets)), self._label_entry(default))
         self.pop_vals(arity)
         self.mark_unreachable()
 
@@ -253,6 +325,8 @@ class ExprValidator:
         self.mark_unreachable()
 
     def _step_call(self, instr: Instr) -> None:
+        if instr.idx is None:
+            raise self._missing(instr)
         if instr.idx >= len(self.func_types):
             raise self._error(f"call to out-of-range function {instr.idx}")
         functype = self.func_types[instr.idx]
@@ -262,6 +336,8 @@ class ExprValidator:
     def _step_call_indirect(self, instr: Instr) -> None:
         if self.module.num_tables == 0:
             raise self._error("call_indirect requires a table")
+        if instr.idx is None:
+            raise self._missing(instr)
         if instr.idx >= len(self.module.types):
             raise self._error(f"call_indirect type index {instr.idx} out of range")
         functype = self.module.types[instr.idx]
@@ -272,46 +348,68 @@ class ExprValidator:
     # parametric -----------------------------------------------------------------
 
     def _step_drop(self, instr: Instr) -> None:
-        self.pop_val()
+        self.operand_types[self.instr_idx] = self.pop_val()
 
     def _step_select(self, instr: Instr) -> None:
         self.pop_val(I32)
         first = self.pop_val()
         second = self.pop_val()
         if isinstance(first, _Unknown):
-            self.push_val(second)
-        elif isinstance(second, _Unknown):
-            self.push_val(first)
-        elif first != second:
-            raise self._error(f"select operands differ: {first} vs {second}")
+            selected = second
+        elif isinstance(second, _Unknown) or first == second:
+            selected = first
         else:
-            self.push_val(first)
+            raise self._error(f"select operands differ: {first} vs {second}")
+        self.operand_types[self.instr_idx] = selected
+        self.push_val(selected)
 
     # variables ---------------------------------------------------------------
 
     def _step_get_local(self, instr: Instr) -> None:
+        if instr.idx is None:
+            raise self._missing(instr)
         self.push_val(self.local_type(instr.idx))
 
     def _step_set_local(self, instr: Instr) -> None:
+        if instr.idx is None:
+            raise self._missing(instr)
         self.pop_val(self.local_type(instr.idx))
 
     def _step_tee_local(self, instr: Instr) -> None:
+        if instr.idx is None:
+            raise self._missing(instr)
         valtype = self.local_type(instr.idx)
         self.pop_val(valtype)
         self.push_val(valtype)
 
     def _step_get_global(self, instr: Instr) -> None:
+        if instr.idx is None:
+            raise self._missing(instr)
         if instr.idx >= len(self.global_types):
             raise self._error(f"global index {instr.idx} out of range")
         self.push_val(self.global_types[instr.idx].valtype)
 
     def _step_set_global(self, instr: Instr) -> None:
+        if instr.idx is None:
+            raise self._missing(instr)
         if instr.idx >= len(self.global_types):
             raise self._error(f"global index {instr.idx} out of range")
         globaltype = self.global_types[instr.idx]
         if not globaltype.mutable:
             raise self._error(f"set_global of immutable global {instr.idx}")
         self.pop_val(globaltype.valtype)
+
+    # immediates of monomorphic instructions ------------------------------------
+
+    def _check_value(self, instr: Instr) -> None:
+        if instr.value is None:
+            raise self._missing(instr)
+
+    def _check_memarg(self, instr: Instr) -> None:
+        self._check_memory_exists(instr)
+        if instr.memarg is None:
+            raise self._missing(instr)
+        self._check_alignment(instr)
 
     # memory -----------------------------------------------------------------
 
@@ -348,31 +446,80 @@ class ExprValidator:
                 f"{len(self.ctrls)} unclosed block(s) at end of expression")
 
 
+#: The check :meth:`ExprValidator.step` runs before the stack effect of a
+#: monomorphic instruction, by its immediate kind: only memory accesses and
+#: constants read an immediate there.
+_ROW_CHECKS = {
+    opcodes.Imm.MEMARG: ExprValidator._check_memarg,
+    opcodes.Imm.MEM_IDX: ExprValidator._check_memory_exists,
+    opcodes.Imm.CONST_I32: ExprValidator._check_value,
+    opcodes.Imm.CONST_I64: ExprValidator._check_value,
+    opcodes.Imm.CONST_F32: ExprValidator._check_value,
+    opcodes.Imm.CONST_F64: ExprValidator._check_value,
+}
+
 #: How :meth:`ExprValidator.step` checks each mnemonic: monomorphic
-#: instructions by ``(params, results, immediate kind)``, the rest by the
-#: name of their ``_step_*`` method.
-_RULES: dict[str, tuple | str] = {
-    name: (op.signature + (op.imm,)
+#: instructions by ``(params, results, check)``, the rest by their
+#: ``_step_*`` method.
+_RULES: dict[str, tuple | Callable[[ExprValidator, Instr], None]] = {
+    name: (op.signature + (_ROW_CHECKS.get(op.imm),)
            if op.signature is not None and op.imm not in (opcodes.Imm.LOCAL_IDX,
                                                           opcodes.Imm.GLOBAL_IDX)
-           else "_step_" + name.replace(".", "_"))
+           else getattr(ExprValidator, "_step_" + name.replace(".", "_")))
     for name, op in opcodes.BY_NAME.items()}
 
 
 def validate_function(module: Module, func: Function,
                       func_types: list[FuncType] | None = None,
-                      global_types: list[GlobalType] | None = None) -> None:
+                      global_types: list[GlobalType] | None = None) -> BodyRecord:
     """Type check one defined function's body (index spaces as for
-    :class:`ExprValidator`)."""
+    :class:`ExprValidator`) and cache its :class:`BodyRecord` on ``func``."""
     functype = module.types[func.type_idx]
     locals_ = list(functype.params) + list(func.locals)
     validator = ExprValidator(module, func, functype.results, locals_,
                               func_types, global_types)
-    if not func.body or func.body[-1].op != "end":
+    body = func.body
+    if not body or body[-1].op != "end":
         raise ValidationError("function body must be terminated by end")
-    for instr in func.body:
-        validator.step(instr)
+    step = validator.step
+    for instr in body:
+        step(instr)
     validator.finish()
+    record = func._record = BodyRecord(body, validator)  # type: ignore[attr-defined]
+    return record
+
+
+def _cached_record(func: Function) -> BodyRecord | None:
+    record: BodyRecord | None = getattr(func, "_record", None)
+    if record is not None and record.body is func.body \
+            and record.length == len(func.body):
+        return record
+    return None
+
+
+def body_record(module: Module, func: Function) -> BodyRecord:
+    """The :class:`BodyRecord` of ``func``, validating its body first if it
+    has none: a body :func:`load_module` validated already carries it, an
+    instrumented or in-memory one is validated on the first request.
+    Raises :class:`ValidationError` for a body the validator rejects."""
+    return _cached_record(func) or validate_function(module, func)
+
+
+def body_records(module: Module) -> list[BodyRecord]:
+    """:func:`body_record` of every defined function, in order, listing the
+    module's index spaces once, and only if some body needs validating.
+    Two threads that validate one body at once each cache a record, and
+    either serves."""
+    records = []
+    spaces = None
+    for func in module.functions:
+        record = _cached_record(func)
+        if record is None:
+            if spaces is None:
+                spaces = module.function_types(), module.global_types()
+            record = validate_function(module, func, *spaces)
+        records.append(record)
+    return records
 
 
 _CONST_OPS = {"i32.const", "i64.const", "f32.const", "f64.const", "get_global"}

@@ -35,7 +35,7 @@ from repro.obs.telemetry import Telemetry
 from repro.wasi import WasiContext
 from repro.wasm import validate_module
 from repro.wasm.builder import ModuleBuilder
-from repro.wasm.errors import ProcExit, Trap, WasmError
+from repro.wasm.errors import ProcExit, Trap, ValidationError
 from repro.wasm.types import I32
 from repro.wasm.wat import parse_wat
 from repro.workloads import engine_demo, pdf_toolkit
@@ -454,21 +454,32 @@ ENGINE_PATHS = {
 
 @pytest.mark.parametrize("path", sorted(ENGINE_PATHS))
 class TestRefusedBodies:
-    """A body whose operand stack does not add up is refused when it is
-    decoded, at instantiation, like any other body the decoder cannot
-    execute, on every engine path."""
+    """A body the validator rejects is refused at instantiation, with the
+    validator's :class:`ValidationError` naming the instruction and the
+    reason, on every engine path, also in a module built in memory that
+    never went through ``load_module``."""
 
     def test_underflow_is_refused(self, path):
         module = _unvalidated(lambda fb: fb.i32_const(1).emit("i32.add"))
-        with pytest.raises(WasmError, match="cannot execute i32.add: "
-                                            "operand stack underflow"):
+        with pytest.raises(ValidationError, match="i32.add: "
+                                                  "operand stack underflow"):
             ENGINE_PATHS[path]().instantiate(module)
 
     def test_end_height_mismatch_is_refused(self, path):
         module = _unvalidated(
             lambda fb: fb.block(I32).i32_const(1).i32_const(2).end())
-        with pytest.raises(WasmError, match="cannot execute end: block "
-                                            "leaves 2 values, its type has 1"):
+        with pytest.raises(ValidationError, match=r"end: 1 superfluous "
+                                                  r"value\(s\) at end of block"):
+            ENGINE_PATHS[path]().instantiate(module)
+
+    def test_type_mismatch_is_refused(self, path):
+        """Heights add up, types do not: ``f64.const 1; i32.const 1;
+        i32.add``, the body of CI serve-smoke's ``bad.wasm``."""
+        module = _unvalidated(
+            lambda fb: fb.emit("f64.const", value=1.0).i32_const(1)
+            .emit("i32.add"))
+        with pytest.raises(ValidationError, match="i32.add: type mismatch: "
+                                                  "expected i32, found f64"):
             ENGINE_PATHS[path]().instantiate(module)
 
     def test_dead_code_is_never_refused(self, path):

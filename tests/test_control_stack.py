@@ -3,12 +3,24 @@
 import pytest
 
 from repro.core.analysis import Location
-from repro.core.control import ControlStack, match_blocks
-from repro.wasm import Instr, WasmError
+from repro.core.control import ControlStack
+from repro.wasm import Function, Instr, Module, ValidationError, WasmError
+from repro.wasm.types import FuncType
+from repro.wasm.validation import validate_function
+
+#: The ``i32.const`` an ``if`` takes its condition from.
+COND = Instr("i32.const", value=1)
 
 
 def body(*ops):
     return [Instr(op) if isinstance(op, str) else op for op in ops]
+
+
+def match_blocks(instrs):
+    """The block matching the validator records for a ``[] -> []`` body."""
+    func = Function(type_idx=0, body=instrs)
+    module = Module(types=[FuncType((), ())], functions=[func])
+    return validate_function(module, func).end_of
 
 
 class TestMatchBlocks:
@@ -22,14 +34,14 @@ class TestMatchBlocks:
         assert matching == {1: 2, 0: 3, -1: 4}
 
     def test_if_else(self):
-        instrs = body("if", "nop", "else", "nop", "end", "end")
+        instrs = body(COND, "if", "nop", "else", "nop", "end", "end")
         matching = match_blocks(instrs)
-        assert matching[0] == 4      # if -> its end
-        assert matching[2] == 4      # else -> the same end
-        assert matching[-1] == 5
+        assert matching[1] == 5      # if -> its end
+        assert matching[3] == 5      # else -> the same end
+        assert matching[-1] == 6
 
     def test_unbalanced_rejected(self):
-        with pytest.raises(WasmError):
+        with pytest.raises(ValidationError, match="unclosed block"):
             match_blocks(body("block", "end"))  # function end missing
 
 
@@ -37,9 +49,10 @@ class TestPaperExample:
     """The example of Table 3 row 5 / Figure 6: block containing a loop."""
 
     def setup_method(self):
-        # indices:       0        1       2        3     4      5
-        self.body = body("block", "loop", "nop", "br", "end", "end", "end")
-        self.ctrl = ControlStack(0, self.body)
+        # indices:       0        1       2      3            4      5
+        self.body = body("block", "loop", "nop", Instr("br", label=0),
+                         "end", "end", "end")
+        self.ctrl = ControlStack(0, match_blocks(self.body))
         self.ctrl.enter("block", 0)
         self.ctrl.enter("loop", 1)
 
@@ -74,25 +87,25 @@ class TestPaperExample:
 
 class TestEnterExit:
     def test_else_swaps_frame(self):
-        instrs = body("if", "nop", "else", "nop", "end", "end")
-        ctrl = ControlStack(3, instrs)
-        ctrl.enter("if", 0)
-        if_frame, else_frame = ctrl.enter_else(2)
-        assert if_frame.kind == "if" and if_frame.begin == 0
-        assert else_frame.kind == "else" and else_frame.begin == 2
-        assert else_frame.end == 4
+        instrs = body(COND, "if", "nop", "else", "nop", "end", "end")
+        ctrl = ControlStack(3, match_blocks(instrs))
+        ctrl.enter("if", 1)
+        if_frame, else_frame = ctrl.enter_else(3)
+        assert if_frame.kind == "if" and if_frame.begin == 1
+        assert else_frame.kind == "else" and else_frame.begin == 3
+        assert else_frame.end == 5
         assert ctrl.top is else_frame
 
     def test_else_without_if_rejected(self):
         instrs = body("block", "nop", "end", "end")
-        ctrl = ControlStack(0, instrs)
+        ctrl = ControlStack(0, match_blocks(instrs))
         ctrl.enter("block", 0)
         with pytest.raises(WasmError):
             ctrl.enter_else(1)
 
     def test_exit_pops(self):
         instrs = body("block", "end", "end")
-        ctrl = ControlStack(0, instrs)
+        ctrl = ControlStack(0, match_blocks(instrs))
         ctrl.enter("block", 0)
         frame = ctrl.exit()
         assert frame.kind == "block"

@@ -28,7 +28,7 @@ from repro.minic import compile_source
 from repro.obs.telemetry import Telemetry
 from repro.wasm import decode_module, encode_module
 from repro.wasm.builder import ModuleBuilder
-from repro.wasm.errors import ExhaustionError, Trap, WasmError
+from repro.wasm.errors import ExhaustionError, Trap, ValidationError, WasmError
 from repro.wasm.module import BrTable, Instr
 from repro.wasm.types import F32, F64, I32, I64, FuncType
 from repro.workloads.polybench import compile_kernel
@@ -104,8 +104,9 @@ class TestDecodeCache:
         assert instance.invoke("add", [2, 3]) == [6]
 
     def test_legacy_machine_does_not_decode(self, add_module):
-        """A legacy machine decodes only to refuse bodies at instantiation
-        (``tests/test_branch_forms.py::TestRefusedBodies``): it runs no
+        """A legacy machine does not decode: it refuses bodies at
+        instantiation by fetching their validation records
+        (``tests/test_branch_forms.py::TestRefusedBodies``), runs no
         decoded stream and counts no decode-cache traffic."""
         machine = Machine(predecode=False)
         instance = machine.instantiate(add_module)
@@ -271,10 +272,11 @@ class TestDecodeDetails:
         fb.finish()
         module = builder.build()
         module.functions[0].body.insert(1, Instr("i32.bogus_op"))
-        # both engines refuse the module while decoding its bodies, also
+        # both engines refuse the module while validating its bodies, also
         # one built in memory that never went through load_module
         for predecode in (True, False):
-            with pytest.raises(WasmError, match="cannot execute i32.bogus_op"):
+            with pytest.raises(ValidationError,
+                               match="i32.bogus_op: unknown instruction"):
                 Machine(predecode=predecode).instantiate(module)
 
     def test_missing_immediate_rejected_at_instantiation(self):
@@ -284,9 +286,10 @@ class TestDecodeDetails:
         fb.finish()
         module = builder.build()
         module.functions[0].body.insert(0, Instr("i32.const"))  # no value
-        with pytest.raises(WasmError, match="cannot execute"):
+        missing = "i32.const: missing its value immediate"
+        with pytest.raises(ValidationError, match=missing):
             decode_function(module.functions[0], module)
-        with pytest.raises(WasmError, match="cannot execute"):
+        with pytest.raises(ValidationError, match=missing):
             Machine(predecode=True).instantiate(module)
         assert getattr(module.functions[0], "_decoded", None) is None
 
@@ -613,7 +616,8 @@ class TestStreamSummary:
             export func f() -> i32 { return 3; }
         """, "broken")
         module.functions[0].body.insert(0, Instr("i32.const"))  # no immediate
-        with pytest.raises(WasmError, match="cannot execute"):
+        missing = "i32.const: missing its value immediate"
+        with pytest.raises(ValidationError, match=missing):
             stream_summary(module)
-        with pytest.raises(WasmError, match="cannot execute"):
+        with pytest.raises(ValidationError, match=missing):
             Machine(predecode=True).instantiate(module)
