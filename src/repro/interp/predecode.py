@@ -38,7 +38,11 @@ dicts. This module translates each function body *once* into a flat array of
   one slot layout and one signature. A segment returns the pc it
   continues at, so a run followed by a plain ``br_if``, ``br`` or ``if``
   takes that branch too (see :data:`OP_SEGMENT`). A shorter run without
-  such a branch executes slot by slot.
+  such a branch executes slot by slot. Inside a segment, integer
+  add/sub/mul/shl and bitwise ops, f64 add/sub/mul, every compare,
+  ``eqz`` and the i32→f64 conversions are inline expressions
+  (:data:`_INLINE_BINOPS`, :data:`_INLINE_UNOPS`); slot by slot, every
+  op calls its handler.
 
 Each :class:`~repro.wasm.module.Function` caches exactly one decoded
 stream *on the object itself* (``func._decoded``), so re-instantiating the
@@ -76,7 +80,7 @@ from ..wasm.module import Function, Instr, Module
 from ..wasm.numeric import f32_round
 from ..wasm.types import FuncType
 from ..wasm.validation import BodyRecord, body_record
-from .values import BINOPS, MASK32, MASK64, OP_HANDLERS
+from .values import BINOPS, MASK32, MASK64, OP_HANDLERS, UNOPS
 
 # Opcode ids, ordered roughly by dynamic frequency on numeric workloads so
 # the interpreter's if/elif chain resolves hot instructions first.
@@ -545,6 +549,37 @@ _SEGMENT_VOCAB = frozenset({
     OP_SELECT, OP_DROP, OP_HOOK,
 })
 
+_COMPARES = {"eq": "==", "ne": "!=", "lt": "<", "gt": ">", "le": "<=", "ge": ">="}
+
+
+def _compare_templates() -> dict[str, str]:
+    """Inline templates of every compare, each yielding the int 0 or 1.
+
+    One rule per integer width: ``eq``, ``ne`` and the unsigned compares
+    compare the canonical values as they are. A signed compare does the
+    same when both operands have the same sign bit, that is when ``a ^ b``
+    is below it; otherwise the operand with the sign bit set is the
+    negative one, so the compare with the operands swapped decides. Python's
+    float comparisons are IEEE's, NaN included, so each float compare is
+    its bare operator.
+    """
+    templates: dict[str, str] = {}
+    for prefix, bits in (("i32", 32), ("i64", 64)):
+        sign = hex(1 << (bits - 1))
+        for name, cmp in _COMPARES.items():
+            plain = f"(1 if {{a}} {cmp} {{b}} else 0)"
+            if name == "eq" or name == "ne":
+                templates[f"{prefix}.{name}"] = plain
+                continue
+            signed = f"({{a}} {cmp} {{b}} if ({{a}} ^ {{b}}) < {sign} else {{b}} {cmp} {{a}})"
+            templates[f"{prefix}.{name}_u"] = plain
+            templates[f"{prefix}.{name}_s"] = f"(1 if {signed} else 0)"
+    for prefix in ("f32", "f64"):
+        for name, cmp in _COMPARES.items():
+            templates[f"{prefix}.{name}"] = f"(1 if {{a}} {cmp} {{b}} else 0)"
+    return templates
+
+
 #: Binary handlers with an exact inline expression template, keyed by the
 #: *identity* of the table function — matching by identity means a template
 #: can never drift from the semantics it replaces (anything unrecognized is
@@ -566,12 +601,26 @@ _INLINE_BINOPS: dict[int, str] = {
         "f64.add": "({a} + {b})",
         "f64.sub": "({a} - {b})",
         "f64.mul": "({a} * {b})",
+        **_compare_templates(),
+    }.items()
+}
+
+#: The unary twin of :data:`_INLINE_BINOPS`, keyed the same way. An i32
+#: converts to f64 exactly, so ``float`` of its (signed) value is the
+#: conversion.
+_INLINE_UNOPS: dict[int, str] = {
+    id(UNOPS[name]): template
+    for name, template in {
+        "i32.eqz": "(0 if {a} else 1)",
+        "i64.eqz": "(0 if {a} else 1)",
+        "f64.convert_s/i32": "float({a} if {a} < 0x80000000 else {a} - 0x100000000)",
+        "f64.convert_u/i32": "float({a})",
     }.items()
 }
 
 #: Capacity of the segment code cache. One ``analyze`` block (30 PolyBench
 #: kernels under each of the seven analyses) compiles 1,817 distinct
-#: segment sources (1.62 MB of text), so a whole block fits with room to
+#: segment sources (1.35 MB of text), so a whole block fits with room to
 #: spare, and a long-lived process such as a serve worker cannot grow it
 #: without bound.
 _SEGMENT_CACHE_SIZE = 4096
@@ -612,8 +661,10 @@ def _compile_segment(slots: list[tuple], term: int | None, exits: tuple[int, ...
     virtual stack holds at the end is appended back. Loads and stores keep
     their individual try/except so a trapping access raises the same
     message after the same prefix of memory effects as the generic
-    handlers. Non-finite constants, table functions, the run's first hook
-    site and its ``exits`` are referenced by name and bound in the
+    handlers. An op with a template in :data:`_INLINE_BINOPS` or
+    :data:`_INLINE_UNOPS` is computed inline; non-finite constants, the
+    table functions of the other ops, the run's first hook site and its
+    ``exits`` are referenced by name and bound in the
     segment's own ``env``; the source text alone picks the shared code
     object (:func:`_segment_code`), so equal runs share it wherever they
     sit.
@@ -738,8 +789,13 @@ def _compile_segment(slots: list[tuple], term: int | None, exits: tuple[int, ...
             index = f"_site + {j}" if j else "_site"
             lines.append(f"tab[{index}]({', '.join(reversed(operands))})")
         elif op == OP_UNARY:
+            a = vpop()
             out = tmp()
-            lines.append(f"{out} = {ref(ins[1])}({vpop()})")
+            template = _INLINE_UNOPS.get(id(ins[1]))
+            if template is not None:
+                lines.append(f"{out} = " + template.format(a=a))
+            else:
+                lines.append(f"{out} = {ref(ins[1])}({a})")
             vstack.append(out)
         elif op == OP_LOAD_INT:
             emit_load(ins, masked=True)

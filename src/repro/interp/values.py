@@ -193,6 +193,27 @@ def _convert_u64_to_float(x: int) -> float:
     return float(x)
 
 
+def _int_to_f32(x: int) -> float:
+    """``x`` rounded once to binary32, ties to even.
+
+    ``f32_round(float(x))`` rounds twice, to binary64 and then to
+    binary32, which is wrong when the first rounding lands on a binary32
+    tie (``0x20000020000001`` gives ``0x1p+53``, not ``0x1.000002p+53``).
+    Rounding the integer to 24 significant bits leaves ``float`` nothing
+    to round, and a 64-bit magnitude cannot overflow binary32.
+    """
+    magnitude = abs(x)
+    excess = magnitude.bit_length() - 24
+    if excess > 0:
+        kept = magnitude >> excess
+        dropped = magnitude & ((1 << excess) - 1)
+        half = 1 << (excess - 1)
+        if dropped > half or (dropped == half and kept & 1):
+            kept += 1
+        magnitude = kept << excess
+    return float(magnitude) if x >= 0 else -float(magnitude)
+
+
 # -- operation tables ------------------------------------------------------------
 
 UnOp = Callable[[int | float], int | float]
@@ -294,8 +315,8 @@ UNOPS.update({
     "i64.trunc_u/f64": lambda x: _trunc_to_int(x, 64, False, "i64.trunc_u"),
     "f32.convert_s/i32": lambda x: f32_round(float(to_signed(x, 32))),
     "f32.convert_u/i32": lambda x: f32_round(float(x)),
-    "f32.convert_s/i64": lambda x: f32_round(float(to_signed(x, 64))),
-    "f32.convert_u/i64": lambda x: f32_round(float(x)),
+    "f32.convert_s/i64": lambda x: _int_to_f32(to_signed(x, 64)),
+    "f32.convert_u/i64": _int_to_f32,
     "f32.demote/f64": f32_round,
     "f64.convert_s/i32": lambda x: float(to_signed(x, 32)),
     "f64.convert_u/i32": lambda x: float(x),

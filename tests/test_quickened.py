@@ -8,8 +8,10 @@ snapshot/restore.
 """
 
 import dis
+import math
 import re
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from repro.interp.predecode import (OP_HOOK, OP_QLOAD, OP_QLOAD_MASK,
                                     _SEGMENT_MIN, decode_function)
 from repro.interp.snapshot import (Snapshot, diff_instance, restore_instance,
                                    snapshot_instance)
+from repro.interp.values import BINOPS, UNOPS
 from repro.minic import compile_source
 from repro.wasm import Trap
 from repro.wasm.builder import ModuleBuilder
@@ -355,6 +358,138 @@ class TestLocalWriteBack:
         assert outcomes[0] == outcomes[1]
         assert "out of bounds memory access" in outcomes[1][0]
         assert struct.unpack("<3I", outcomes[1][1]) == (10, 65, 0)
+
+
+# -- inline templates -------------------------------------------------------------
+
+_COMPARES = ["eq", "ne", "lt_s", "lt_u", "gt_s", "gt_u", "le_s", "le_u",
+             "ge_s", "ge_u"]
+
+#: Every op a compiled segment computes inline instead of calling its
+#: table function, by family.
+INLINE_FAMILIES = {
+    "int_arith": [f"{p}.{op}" for p in ("i32", "i64")
+                  for op in ("add", "sub", "mul", "shl", "and", "or", "xor")],
+    "int_compare": [f"{p}.{op}" for p in ("i32", "i64") for op in _COMPARES],
+    "float_arith": ["f64.add", "f64.sub", "f64.mul"],
+    "float_compare": [f"{p}.{op}" for p in ("f32", "f64")
+                      for op in ("eq", "ne", "lt", "gt", "le", "ge")],
+    "eqz": ["i32.eqz", "i64.eqz"],
+    "convert": ["f64.convert_s/i32", "f64.convert_u/i32"],
+}
+INLINE_OPS = [name for family in INLINE_FAMILIES.values() for name in family]
+
+_FLOAT_EDGES = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan,
+                5e-324, sys.float_info.max]
+
+#: Operands each template is checked on, by operand type.
+EDGES = {
+    I32: [0, 1, 31, 32, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF],
+    I64: [0, 1, 63, 64, 0xFFFFFFFF, 0x7FFFFFFFFFFFFFFF,
+          0x8000000000000000, 0xFFFFFFFFFFFFFFFF],
+    F32: _FLOAT_EDGES,
+    F64: _FLOAT_EDGES,
+}
+
+_TYPES = {"i32": I32, "i64": I64, "f32": F32, "f64": F64}
+
+#: Every function of the op tables, by identity.
+TABLE_FUNCTIONS = {id(fn) for fn in (*BINOPS.values(), *UNOPS.values())}
+
+
+def _arity(name: str) -> int:
+    return 2 if name in BINOPS else 1
+
+
+def _operand_type(name: str):
+    """``f64.convert_s/i32`` takes an i32; any other op its prefix type."""
+    return _TYPES[name.rpartition("/")[2][:3]]
+
+
+def _result_type(name: str):
+    test = name.split(".")[1].split("_")[0]
+    return I32 if test in ("eq", "ne", "lt", "gt", "le", "ge", "eqz") else _TYPES[name[:3]]
+
+
+def _template(name: str) -> str:
+    inline = pd._INLINE_BINOPS if name in BINOPS else pd._INLINE_UNOPS
+    fn = BINOPS[name] if name in BINOPS else UNOPS[name]
+    return inline[id(fn)]
+
+
+def _operand_grid(name: str) -> list[tuple]:
+    edges = EDGES[_operand_type(name)]
+    if _arity(name) == 1:
+        return [(a,) for a in edges]
+    return [(a, b) for a in edges for b in edges]
+
+
+def _assert_same(got, want) -> None:
+    """Equal type (an int 0/1 is never a bool) and equal value, floats by
+    their bits so NaN and -0.0 count."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    else:
+        assert got == want
+
+
+def _template_module(name: str):
+    """``f`` runs ``get_local``s, the op, ``set_local`` and ``get_local``:
+    one straight-line run long enough to compile into a segment."""
+    builder = ModuleBuilder("template")
+    fb = builder.function((_operand_type(name),) * _arity(name),
+                          (_result_type(name),), name="f", export="f")
+    out = fb.add_local(_result_type(name))
+    for index in range(_arity(name)):
+        fb.get_local(index)
+    fb.emit(name).set_local(out).get_local(out).finish()
+    return builder.build()
+
+
+class TestInlineTemplates:
+    """Each template is exact: it computes what its table function does,
+    value and type, on the edges of its operand type, both as written in
+    the segment and in the segment the decoder compiles."""
+
+    def test_every_template_is_listed(self):
+        templated = {name for table, inline in ((BINOPS, pd._INLINE_BINOPS),
+                                                (UNOPS, pd._INLINE_UNOPS))
+                     for name, fn in table.items() if id(fn) in inline}
+        assert templated == set(INLINE_OPS)
+
+    @pytest.mark.parametrize("name", INLINE_OPS)
+    def test_template_matches_table_function(self, name):
+        fn = BINOPS[name] if name in BINOPS else UNOPS[name]
+        template = _template(name)
+        names = ("a", "b")[:_arity(name)]
+        for operands in _operand_grid(name):
+            env = dict(zip(names, operands))
+            # operands are the segment's temporaries, or its literals
+            by_name = template.format(**{n: n for n in names})
+            _assert_same(eval(by_name, env), fn(*operands))
+            if all(math.isfinite(value) for value in operands):
+                literal = template.format(**{n: repr(v) for n, v in env.items()})
+                _assert_same(eval(literal, {}), fn(*operands))
+
+    @pytest.mark.parametrize("name", INLINE_OPS)
+    def test_segment_binds_no_table_function(self, name):
+        module = _template_module(name)
+        slot = decode_function(module.functions[0], module).code[0]
+        assert slot[0] == OP_SEGMENT
+        bound = {id(value) for value in slot[1].__globals__.values()}
+        assert not bound & TABLE_FUNCTIONS
+
+    @pytest.mark.parametrize("family", INLINE_FAMILIES)
+    def test_segments_match_legacy(self, family):
+        for name in INLINE_FAMILIES[family]:
+            module = _template_module(name)
+            legacy = Machine(predecode=False).instantiate(module)
+            decoded = Machine(predecode=True).instantiate(module)
+            for operands in _operand_grid(name):
+                want, = legacy.invoke("f", list(operands))
+                got, = decoded.invoke("f", list(operands))
+                _assert_same(got, want)
 
 
 # -- call_indirect --------------------------------------------------------------

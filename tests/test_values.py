@@ -2,13 +2,17 @@
 
 import math
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.interp import Machine
 from repro.interp.values import BINOPS, MASK32, MASK64, UNOPS
+from repro.wasm.builder import ModuleBuilder
 from repro.wasm.errors import Trap
-from repro.wasm.numeric import to_signed, to_unsigned
+from repro.wasm.numeric import f32_bits, f32_from_bits, to_signed, to_unsigned
+from repro.wasm.types import F32, I64
 
 u32 = st.integers(min_value=0, max_value=MASK32)
 u64 = st.integers(min_value=0, max_value=MASK64)
@@ -191,3 +195,46 @@ class TestConversions:
     def test_trunc_of_convert_is_identity(self, value):
         converted = UNOPS["f64.convert_s/i32"](to_unsigned(value, 32))
         assert to_signed(UNOPS["i32.trunc_s/f64"](converted), 32) == value
+
+
+def _converted_on(predecode: bool, op: str, value: int) -> float:
+    builder = ModuleBuilder("convert")
+    fb = builder.function((I64,), (F32,), name="f", export="f")
+    fb.get_local(0).emit(op).finish()
+    result, = Machine(predecode=predecode).instantiate(builder.build()).invoke("f", [value])
+    return result
+
+
+class TestI64ToF32:
+    """i64 to f32 conversions round once, to nearest, ties to even."""
+
+    #: Inputs from the spec test suite's ``conversions.wast`` that a
+    #: conversion rounding through binary64 first gets wrong.
+    SPEC_CASES = [
+        ("f32.convert_u/i64", 0x8000008000000001, "0x1.000002p+63"),
+        ("f32.convert_u/i64", 0x20000020000001, "0x1.000002p+53"),
+        ("f32.convert_s/i64", 0x20000020000001, "0x1.000002p+53"),
+        ("f32.convert_s/i64", -0x20000020000001, "-0x1.000002p+53"),
+        ("f32.convert_u/i64", 0xFFFFFE8000000001, "0x1.fffffep+63"),
+        ("f32.convert_s/i64", 0x7FFFFF4000000001, "0x1.fffffep+62"),
+        ("f32.convert_u/i64", 0x7FFFFF4000000001, "0x1.fffffep+62"),
+    ]
+
+    @pytest.mark.parametrize("predecode", [True, False], ids=["decoded", "legacy"])
+    @pytest.mark.parametrize("op, value, expected", SPEC_CASES)
+    def test_spec_cases_on_both_engines(self, op, value, expected, predecode):
+        assert _converted_on(predecode, op, value) == float.fromhex(expected)
+
+    @given(u64)
+    def test_rounds_to_nearest_even(self, x):
+        """Each result is a binary32 value no farther from the input than
+        either neighbour, and has an even significand on a tie."""
+        for op, exact in (("f32.convert_u/i64", x), ("f32.convert_s/i64", to_signed(x, 64))):
+            result = UNOPS[op](x)
+            bits = f32_bits(result)
+            assert f32_from_bits(bits) == result
+            distance = abs(Fraction(result) - exact)
+            for neighbour in (bits - 1, bits + 1):
+                if neighbour & 0x7FFFFFFF < 0x7F800000:  # finite, same sign
+                    other = abs(Fraction(f32_from_bits(neighbour)) - exact)
+                    assert distance < other or (distance == other and bits % 2 == 0)
