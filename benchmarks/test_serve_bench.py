@@ -1,4 +1,4 @@
-"""Service supervision, warm-start and observability costs (BENCH_serve.json).
+"""Service supervision, module-cache and observability costs (BENCH_serve.json).
 
 Three A/Bs, each timed by :func:`repro.eval.timing.bench_pairs` (every B
 run right after an A run of its own, a factor the median of the pair
@@ -12,9 +12,10 @@ of a pair run on the same CPU; unpinned, a ratio compares two CPUs.
   workload is auto-scaled until the in-process run takes ~0.7 s, so the
   claim is about steady-state traffic that amortizes the fixed
   per-request cost, not 1 ms pings.
-* **Warm beats cold**: each cold run sends a module the worker has not
-  seen (decode + instantiate); the warm run after it sends the same
-  module again (snapshot restore).
+* **Warm beats cold**: each cold run sends a fresh digest, a module the
+  worker has not loaded (decode + validate + predecode + instantiate);
+  the warm run after it sends the same module again, a module-cache hit
+  that only instantiates. Both run on a fresh instance.
 * **Enabled observability <= 2%**: logging, flight recorder, scrape
   surface and per-op histograms, on runs of untraced pings through the
   full socket stack. The baseline arm stubs out the per-op accounting,
@@ -113,15 +114,15 @@ def _supervision(module_bytes: bytes):
 
 
 def _warm_start():
-    # one worker, so every request lands on the same warm cache
+    # one worker, so every request lands on the same module cache
     pool = WorkerPool(ServeConfig(workers=1, request_timeout=120.0,
                                   poll_interval=0.005)).start()
     tags = count()
     modules, responses = [], []
 
     def cold():
-        # a fresh digest per pair: a fresh decode and instantiation, not a
-        # warm-cache hit from an earlier pair
+        # a fresh digest per pair: a fresh load and instantiation, not a
+        # module-cache hit from an earlier pair
         modules.append(encode_module(parse_wat(SPIN_WAT.replace(
             "(module",
             f'(module\n  (func (export "tag") (result i32) '
@@ -224,7 +225,7 @@ def test_serve_bench(results_dir, tmp_path):
     # the transport is not pathological
     baseline = median(observability.samples["baseline"])
     assert PINGS_PER_RUN / baseline > 50, payload
-    # warm-start earns its keep
+    # a module-cache hit beats a fresh load
     assert median(warm_start.samples["warm"]) < \
         median(warm_start.samples["cold"]), payload
     # the acceptance criteria: happy-path supervision costs <= 5%, and

@@ -377,8 +377,8 @@ def _render_run(args: argparse.Namespace, call_args, response: dict) -> int:
     print(f"{args.entry}({', '.join(map(str, call_args))}) = {shown}")
     if args.verbose:
         if "pid" in response:
-            origin = ("warm instance" if response.get("warm")
-                      else "cold instance")
+            origin = ("warm, module already loaded" if response.get("warm")
+                      else "cold")
             if not response.get("supervised", True):
                 origin += ", UNSUPERVISED (service degraded)"
             print(f"repro: served by pid {response['pid']} ({origin})",
@@ -487,9 +487,11 @@ def _render_top(payload: dict, previous: dict | None = None,
 
     Pure: takes this poll's payload (and the previous one, for req/s
     deltas) and returns the screenful. Tested without a live daemon.
+    ``failed`` counts the daemon's per-op outcomes other than ``ok``.
     """
     stats = payload.get("stats", {})
     daemon = payload.get("daemon", {})
+    ops = daemon.get("ops", {})
     lines = []
     uptime = daemon.get("uptime_seconds", 0.0)
     lines.append(f"repro serve — {daemon.get('socket', '?')}  "
@@ -499,9 +501,11 @@ def _render_top(payload: dict, previous: dict | None = None,
     if previous is not None and interval > 0:
         delta = total - previous.get("stats", {}).get("requests_total", 0)
         rate = f"  ({delta / interval:.1f} req/s)"
-    lines.append(f"requests: {total}{rate}   "
-                 f"failed: {stats.get('requests_failed', 0)}   "
-                 f"retried: {stats.get('requests_retried', 0)}")
+    failed = sum(count for row in ops.values()
+                 for outcome, count in row.get("outcomes", {}).items()
+                 if outcome != "ok")
+    lines.append(f"requests: {total}{rate}   failed: {failed}   "
+                 f"retried: {stats.get('retries_total', 0)}")
     lines.append(f"workers:  {stats.get('workers_live', 0)} live / "
                  f"{stats.get('workers_idle', 0)} idle   "
                  f"queue: {stats.get('queue_depth', 0)}   "
@@ -511,16 +515,13 @@ def _render_top(payload: dict, previous: dict | None = None,
     lines.append(f"kills:    "
                  + "  ".join(f"{kind}={kills.get(kind, 0)}"
                              for kind in ("timeout", "oom", "crash")))
-    lines.append(f"breaker:  {stats.get('breaker_open', 0)} open   "
-                 f"trips: {stats.get('breaker_trips', 0)}")
+    lines.append(f"breaker:  {stats.get('breaker_open', 0)} open")
     lines.append(f"cache:    {stats.get('cache_hits', 0)} hits / "
                  f"{stats.get('cache_misses', 0)} misses / "
                  f"{stats.get('cache_evictions', 0)} evictions   "
-                 f"warm: {stats.get('warm_hits', 0)}/"
-                 f"{stats.get('warm_misses', 0)}")
+                 f"warm: {stats.get('warm_hits', 0)}")
     if stats.get("degraded"):
         lines.append("state:    DEGRADED (unsupervised in-process execution)")
-    ops = daemon.get("ops", {})
     if ops:
         lines.append("")
         lines.append(f"  {'op':<12} {'count':>8} {'mean':>10} "

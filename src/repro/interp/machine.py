@@ -166,7 +166,7 @@ class WasmFunction:
     for them.
     """
 
-    __slots__ = ("instance", "func", "functype", "local_types", "default_locals",
+    __slots__ = ("instance", "func", "functype", "default_locals",
                  "result_arity", "record", "decoded", "hooks", "_op_ids")
 
     def __init__(self, instance: "Instance", func: Function, functype: FuncType,
@@ -174,7 +174,6 @@ class WasmFunction:
         self.instance = instance
         self.func = func
         self.functype = functype
-        self.local_types = list(func.locals)
         self.default_locals = [default_value(t) for t in func.locals]
         self.result_arity = len(functype.results)
         self.record = record
@@ -880,8 +879,7 @@ class Machine:
         body = wfunc.func.body
         end_of = wfunc.record.end_of
         else_of = wfunc.record.else_of
-        locals_: list[int | float] = args + [default_value(t)
-                                             for t in wfunc.local_types]
+        locals_: list[int | float] = args + wfunc.default_locals
         stack: list[int | float] = []
         result_arity = len(wfunc.functype.results)
         meter = self._meter

@@ -231,8 +231,9 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def maybe_span(telemetry: Telemetry | None, name: str, **attrs):
-    """``telemetry.span(...)`` or a no-op context when telemetry is off."""
+def maybe_span(telemetry: Telemetry | Tracer | None, name: str, **attrs):
+    """``telemetry.span(...)`` or a no-op context when telemetry is off;
+    ``telemetry`` is a sink or a bare :class:`Tracer`."""
     if telemetry is None:
         return _NULL_SPAN
     return telemetry.span(name, **attrs)

@@ -429,8 +429,8 @@ class WorkerPool:
                          help="corrupt artifact-cache entries evicted").set(
             stats["cache_evictions"])
         registry.counter("repro_serve_warm_hits_total",
-                         help="runs served from a warm-started instance").set(
-            stats["warm_hits"])
+                         help="plain runs of a module the worker had "
+                              "already loaded").set(stats["warm_hits"])
         registry.gauge("repro_serve_workers_live",
                        help="worker subprocesses currently alive").set(
             stats["workers_live"])

@@ -11,12 +11,12 @@ Request kinds:
 * ``ping`` — liveness handshake.
 * ``run`` — load + instantiate + invoke through ``repro run``'s path
   (:mod:`repro.run`); the response is the dict ``repro run`` prints.
-  Uninstrumented runs are **warm-started**: the worker instantiates a
-  module once per (digest, limits), on the engine ``REPRO_PREDECODE``
-  selects, snapshots the fresh instance, and restores the snapshot per
-  request instead of re-instantiating (:mod:`repro.interp.snapshot`).
-  Analysis runs always build a fresh session — analyses accumulate state
-  by design.
+  The worker keeps its loaded (decoded and validated) modules in a
+  digest-keyed LRU, whose functions keep their decoded streams; every
+  run, plain, analysed or WASI, gets a fresh session, machine and
+  instance on the engine ``REPRO_PREDECODE`` selects, so no guest state
+  survives a request. A plain run whose module was already loaded is
+  answered ``warm``.
 * ``instrument`` — load + instrument + encode through the
   content-addressed :class:`~repro.serve.cache.ArtifactCache`.
 * ``fuzz_shard`` — one fuzz-campaign shard
@@ -34,27 +34,19 @@ process death reaches the supervisor as a kill.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import json
 import os
 import signal
 import time
 from collections import OrderedDict
 
-from ..interp.snapshot import decode_values, restore_instance, snapshot_instance
+from ..interp.snapshot import decode_values
 from ..obs.spans import SpanContext, Tracer
+from ..obs.telemetry import maybe_span
 from ..wasm.errors import WasmError, error_response
 
-#: Warm instances kept per worker (LRU); each holds a session + snapshot.
-WARM_CACHE_CAPACITY = 8
-
-
-def _tspan(tracer: Tracer | None, name: str, **attrs):
-    """A tracer span, or a no-op context when the request is untraced."""
-    if tracer is None:
-        return contextlib.nullcontext()
-    return tracer.span(name, **attrs)
+#: Loaded modules kept per worker (LRU by digest).
+MODULE_CACHE_CAPACITY = 8
 
 
 class RequestHandler:
@@ -67,9 +59,6 @@ class RequestHandler:
         if cache_dir is not None:
             from .cache import ArtifactCache
             self.cache = ArtifactCache(cache_dir)
-        #: (module digest, limits json, engine flag) ->
-        #: (session, printed sink, pristine snapshot)
-        self._warm: OrderedDict[tuple, tuple] = OrderedDict()
         self._module_cache: OrderedDict[str, object] = OrderedDict()
         self._tracer: Tracer | None = None  # per-request, set by handle()
 
@@ -121,27 +110,27 @@ class RequestHandler:
 
     # -- run ------------------------------------------------------------------
 
-    def _decode_cached(self, module_bytes: bytes, digest: str):
-        """Load (decode + validate) once per module digest; decoded
-        streams are reused too."""
+    def _decode_cached(self, module_bytes: bytes) -> tuple[object, bool]:
+        """The module loaded (decoded and validated) from ``module_bytes``,
+        and whether this worker had loaded it already; a cached module's
+        functions keep their decoded streams."""
         from ..wasm import load_module
+        digest = hashlib.sha256(module_bytes).hexdigest()
         module = self._module_cache.get(digest)
-        if module is None:
-            module = load_module(module_bytes)
-            self._module_cache[digest] = module
-            if len(self._module_cache) > WARM_CACHE_CAPACITY:
-                self._module_cache.popitem(last=False)
-        else:
+        if module is not None:
             self._module_cache.move_to_end(digest)
-        return module
+            return module, True
+        module = load_module(module_bytes, self._tracer)
+        self._module_cache[digest] = module
+        if len(self._module_cache) > MODULE_CACHE_CAPACITY:
+            self._module_cache.popitem(last=False)
+        return module, False
 
     def _handle_run(self, request: dict) -> dict:
         from ..core import AnalysisSession
-        from ..interp import Machine, ResourceLimits
+        from ..interp import ResourceLimits
         from ..run import analysis_for, default_linker, run_response
 
-        module_bytes: bytes = request["module"]
-        digest = hashlib.sha256(module_bytes).hexdigest()
         entry: str = request["entry"]
         call_args = decode_values(request.get("args", []))
         analysis_name = request.get("analysis", "none")
@@ -153,55 +142,30 @@ class RequestHandler:
             wasi = WasiContext.from_config(request["wasi"], limits=limits)
 
         tracer = self._tracer
-        with _tspan(tracer, "decode", cached=digest in self._module_cache):
-            module = self._decode_cached(module_bytes, digest)
+        module, loaded = self._decode_cached(request["module"])
         analysis = analysis_for(analysis_name,
                                 bool(request.get("instrument", False)))
-        # only plain runs warm-start: analyses accumulate state, and a
-        # WASI run's FS image, fault-plane cursor and syscall counters are
-        # per-request state
-        warm_key = None
-        if analysis is None and wasi is None:
-            warm_key = (digest, json.dumps(limits_dict, sort_keys=True))
-        warm = warm_key in self._warm
-        if warm:
-            self._warm.move_to_end(warm_key)
-            session, printed, base_snapshot = self._warm[warm_key]
-            printed.clear()
-            with _tspan(tracer, "warm_restore"):
-                restore_instance(session.instance, base_snapshot)
-        else:
-            printed = []
-            linker = default_linker(printed)
-            if wasi is not None:
-                wasi.register(linker)
-            machine = Machine(limits=limits)
-            with _tspan(tracer, "instantiate", analysis=analysis_name,
+        # a plain run of a loaded module skipped decode, validation and
+        # predecode; analysed and WASI runs always have per-request work
+        warm = loaded and analysis is None and wasi is None
+        printed: list = []
+        linker = default_linker(printed)
+        if wasi is not None:
+            wasi.register(linker)
+        with maybe_span(tracer, "instantiate", analysis=analysis_name,
                         wasi=wasi is not None):
-                session = AnalysisSession(
-                    module, analysis, linker=linker, machine=machine,
-                    on_analysis_error=request.get("on_analysis_error",
-                                                  "raise"))
-            base_snapshot = None
-            if warm_key is not None:
-                with _tspan(tracer, "snapshot"):
-                    base_snapshot = snapshot_instance(session.instance)
-                self._warm[warm_key] = (session, printed, base_snapshot)
-                if len(self._warm) > WARM_CACHE_CAPACITY:
-                    self._warm.popitem(last=False)
+            session = AnalysisSession(
+                module, analysis, linker=linker, limits=limits,
+                on_analysis_error=request.get("on_analysis_error", "raise"))
         if wasi is not None:
             wasi.bind_memory(session.instance)
 
         error = results = None
         try:
-            with _tspan(tracer, "invoke", entry=entry, warm=warm):
+            with maybe_span(tracer, "invoke", entry=entry, warm=warm):
                 results = session.instance.invoke(entry, call_args)
         except WasmError as exc:
             error = exc
-            # a failed run leaves arbitrary instance state; restore eagerly
-            # so a later warm hit never resumes from a poisoned instance
-            if base_snapshot is not None:
-                restore_instance(session.instance, base_snapshot)
         response = run_response(session, error, results, printed, wasi)
         response["warm"] = warm
         response["pid"] = os.getpid()
@@ -228,7 +192,7 @@ class RequestHandler:
         key = artifact_key(module_bytes, groups, {"op": "instrument"})
         evicted_before = self.cache.corrupt if self.cache is not None else 0
         if self.cache is not None:
-            with _tspan(tracer, "cache_lookup"):
+            with maybe_span(tracer, "cache_lookup"):
                 cached = self.cache.load(key)
             if cached is not None:
                 payload, meta = cached
@@ -236,13 +200,12 @@ class RequestHandler:
                         "hook_count": meta.get("hook_count", 0),
                         "cache_hit": True, "cache_evicted": 0,
                         "pid": os.getpid()}
-        with _tspan(tracer, "instrument"):
-            module = self._decode_cached(
-                module_bytes, hashlib.sha256(module_bytes).hexdigest())
+        with maybe_span(tracer, "instrument"):
+            module, _ = self._decode_cached(module_bytes)
             result = instrument_module(module, groups=groups)
             raw = encode_module(result.module)
         if self.cache is not None:
-            with _tspan(tracer, "cache_store"):
+            with maybe_span(tracer, "cache_store"):
                 self.cache.store(key, raw,
                                  {"hook_count": result.hook_count,
                                   "original_size": len(module_bytes)})

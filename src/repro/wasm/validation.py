@@ -33,6 +33,7 @@ from .types import (I32, MAX_PAGES, FuncType, GlobalType, Limits, MemoryType,
                     TableType, ValType)
 
 if TYPE_CHECKING:  # pragma: no cover - repro.wasm does not import repro.obs
+    from ..obs.spans import Tracer
     from ..obs.telemetry import Telemetry
 
 
@@ -635,14 +636,16 @@ def validate_module(module: Module) -> None:
         validate_function(module, func, func_types, global_types)
 
 
-def load_module(data: bytes, telemetry: "Telemetry | None" = None) -> Module:
+def load_module(data: bytes,
+                telemetry: "Telemetry | Tracer | None" = None) -> Module:
     """Decode ``data`` and validate the result.
 
     Every entry point that runs or instruments a binary (``repro run``,
     ``repro instrument``, ``repro replay``, the serve worker) loads it
     here, so an invalid module fails with a :class:`ValidationError`
-    before any engine or the instrumenter sees it. ``telemetry`` records
-    the two steps as sibling ``decode`` and ``validate`` spans.
+    before any engine or the instrumenter sees it. ``telemetry`` (a sink
+    or a bare :class:`Tracer`) records the two steps as sibling
+    ``decode`` and ``validate`` spans.
     """
     if telemetry is None:
         module = decode_module(data)

@@ -71,6 +71,35 @@ SPIN_WAT = """
 
 HANG_WAT = '(module (func (export "forever") loop br 0 end))'
 
+#: Guest state a served run could leave behind: a mutable global and a
+#: memory cell, each bumped by ``$bump``.
+STATE_WAT = r"""
+(module
+  (memory 1)
+  (data (i32.const 0) "\05")
+  (global $g (mut i32) (i32.const 7))
+  (func $bump
+    global.get $g
+    i32.const 1
+    i32.add
+    global.set $g
+    i32.const 0
+    i32.const 0
+    i32.load
+    i32.const 1
+    i32.add
+    i32.store)
+  (func (export "main") (result i32)
+    global.get $g
+    i32.const 0
+    i32.load
+    i32.add
+    call $bump)
+  (func (export "bump_then_trap")
+    call $bump
+    unreachable))
+"""
+
 #: A WASI guest that exits cleanly through ``proc_exit(0)``.
 EXIT0_WAT = """
 (module
@@ -363,6 +392,9 @@ class TestDegradation:
 
 
 class TestWarmStart:
+    """A ``warm`` run is a plain run of a module the worker had already
+    loaded; every run, warm or not, gets a fresh instance."""
+
     def test_second_uninstrumented_run_is_warm(self, tmp_path, spin_bytes):
         pool = make_pool(tmp_path)
         request = {"kind": "run", "module": spin_bytes, "entry": "spin",
@@ -371,10 +403,40 @@ class TestWarmStart:
             assert pool.submit(dict(request))["warm"] is False
             warm = pool.submit(dict(request))
             assert warm["warm"] is True
-            assert warm["results"] == [21]  # state fully restored
+            assert warm["results"] == [21]
             assert pool.stats()["warm_hits"] == 1
         finally:
             pool.close()
+
+    def test_other_limits_reuse_the_loaded_module(self, tmp_path, spin_bytes):
+        pool = make_pool(tmp_path)
+        request = {"kind": "run", "module": spin_bytes, "entry": "spin",
+                   "args": [7]}
+        try:
+            first = pool.submit(dict(request, limits={"fuel": 1_000_000}))
+            assert first["warm"] is False
+            second = pool.submit(dict(request, limits={"fuel": 2_000_000}))
+            assert second["warm"] is True
+            assert second["results"] == [21]
+        finally:
+            pool.close()
+
+    def test_no_state_survives_a_request(self, tmp_path):
+        """``main`` reads a mutable global and memory, then bumps both;
+        ``bump_then_trap`` bumps both and traps. Each ``main`` through
+        the one worker reads the initial 7 + 5."""
+        raw = encode_module(parse_wat(STATE_WAT))
+        pool = make_pool(tmp_path)
+        try:
+            responses = [pool.submit({"kind": "run", "module": raw,
+                                      "entry": entry})
+                         for entry in ("main", "bump_then_trap", "main",
+                                       "main")]
+        finally:
+            pool.close()
+        assert len({response["pid"] for response in responses}) == 1
+        assert responses[1]["error"]["type"] == "Trap"
+        assert [responses[i]["results"] for i in (0, 2, 3)] == [[12]] * 3
 
     def test_analysis_runs_never_warm_start(self, tmp_path, spin_bytes):
         pool = make_pool(tmp_path)

@@ -99,6 +99,25 @@ class TestCrossProcessTrace:
         assert handle.parent_id == op.span_id
         assert op.parent_id == root.span_id
 
+    def test_worker_spans_per_run(self, served, add_bytes):
+        """A first run loads the module (sibling ``decode`` and
+        ``validate`` spans, as ``repro run`` records them); every run
+        instantiates and invokes afresh."""
+        socket_path, _ = served
+        runs = []
+        for _ in range(2):
+            telemetry = Telemetry()
+            client = ServeClient(socket_path, telemetry=telemetry)
+            assert client.run(add_bytes, "main")["ok"]
+            runs.append({span.name for span in telemetry.tracer.spans
+                         if span.process == "worker"})
+        first, second = runs
+        stages = {"decode", "validate", "instantiate", "invoke"}
+        assert stages <= first
+        assert {"instantiate", "invoke"} <= second
+        assert not second & {"decode", "validate"}
+        assert not (first | second) & {"warm_restore", "snapshot"}
+
     def test_ping_stays_untraced_in_worker(self, served):
         socket_path, _ = served
         telemetry = Telemetry()
@@ -292,30 +311,56 @@ class TestTopCLI:
         # one clean diagnostic line, not the client's transport retry report
         assert err == f"repro: daemon not running at {socket_path}\n"
 
-    def test_render_top_is_pure(self):
-        payload = {
-            "stats": {"requests_total": 120, "requests_failed": 2,
-                      "requests_retried": 1, "workers_live": 4,
-                      "workers_idle": 3, "queue_depth": 1,
-                      "worker_restarts": 5, "workers_spawned": 9,
-                      "kills": {"timeout": 2, "oom": 1, "crash": 2},
-                      "breaker_open": 1, "breaker_trips": 3,
-                      "cache_hits": 40, "cache_misses": 10,
-                      "cache_evictions": 4, "warm_hits": 7,
-                      "warm_misses": 2, "degraded": True},
-            "daemon": {"pid": 4242, "socket": "/tmp/x.sock",
-                       "uptime_seconds": 3601.0,
-                       "ops": {"run": {"count": 100, "mean_seconds": 0.002,
-                                       "p50_seconds": 0.001,
-                                       "p95_seconds": 0.01,
-                                       "outcomes": {"ok": 98, "killed": 2}}}},
-        }
+    def test_render_top_is_pure(self, tmp_path, add_bytes):
+        payload = {"stats": _real_stats(tmp_path, add_bytes),
+                   "daemon": {"pid": 4242, "socket": "/tmp/x.sock",
+                              "uptime_seconds": 3601.0,
+                              "ops": {"run": {"count": 100,
+                                              "mean_seconds": 0.002,
+                                              "p50_seconds": 0.001,
+                                              "p95_seconds": 0.01,
+                                              "outcomes": {"ok": 98,
+                                                           "killed": 2}}}}}
         frame = _render_top(payload)
         assert "pid 4242" in frame and "/tmp/x.sock" in frame
-        assert "requests: 120" in frame
-        assert "timeout=2" in frame and "oom=1" in frame
+        assert "requests: 4   failed: 2   retried: 0" in frame
+        assert "timeout=0  oom=0  crash=0" in frame
+        assert "1 hits / 1 misses / 0 evictions   warm: 1" in frame
         assert "DEGRADED" in frame
         assert "killed=2 ok=98" in frame
         # a previous payload adds a req/s delta
-        previous = {"stats": {"requests_total": 100}}
-        assert "(10.0 req/s)" in _render_top(payload, previous, interval=2.0)
+        previous = {"stats": {"requests_total": 2}}
+        assert "(1.0 req/s)" in _render_top(payload, previous, interval=2.0)
+
+    def test_render_top_reads_only_reported_stats(self, tmp_path,
+                                                  add_bytes):
+        stats = _real_stats(tmp_path, add_bytes)
+        read: set[str] = set()
+
+        class Reads(dict):
+            """A dict that records every key read from it."""
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        _render_top({"stats": Reads(stats)}, {"stats": Reads(stats)})
+        assert read and read <= set(stats), sorted(read - set(stats))
+
+
+def _real_stats(tmp_path, add_bytes) -> dict:
+    """``stats()`` of a real pool (degraded, in-process) after two plain
+    runs and two instrumentations of one module."""
+    pool = WorkerPool(ServeConfig(workers=0,
+                                  cache_dir=str(tmp_path / "cache"))).start()
+    try:
+        for kind in ("run", "run", "instrument", "instrument"):
+            assert pool.submit({"kind": kind, "module": add_bytes,
+                                "entry": "main"})["ok"]
+        return pool.stats()
+    finally:
+        pool.close()
